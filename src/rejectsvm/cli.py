@@ -186,38 +186,6 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _check_plateau(dist, dic, cp, r_grid):
-    """Verify the exact small-penalty plateau of the population solution.
-
-    Compares lambda(r) against lambda(0): the plateau extends while the l1
-    distance and the unpenalized objective gap both stay within 1e-6.
-    """
-    base = train.fit_population(dist, dic, cp, r=0.0)
-    base_risk = base.objective
-    extent = None
-    first_break = None
-    for r in sorted(float(v) for v in r_grid):
-        m = train.fit_population(dist, dic, cp, r=r)
-        l1_dist = float(np.abs(m.lam - base.lam).sum())
-        risk_gap = abs((m.objective - r * m.l1_norm()) - base_risk)
-        if l1_dist <= 1e-6 and risk_gap <= 1e-6:
-            extent = r
-        else:
-            first_break = r
-            break
-    if extent is None:
-        return theory.CheckReport(
-            name="plateau", status="fail", slack=0.0,
-            witness=f"solution moved already at r={first_break!r}",
-        )
-    tail = ("grid exhausted" if first_break is None
-            else f"breaks by r={first_break!r}")
-    return theory.CheckReport(
-        name="plateau", status="pass", slack=extent,
-        witness=f"plateau verified through r={extent!r}; {tail}",
-    )
-
-
 def cmd_diagnose(args):
     dist = load_distribution(args.dist)
     dic = parse_dict_spec(args.dict, dist.x)
@@ -232,15 +200,19 @@ def cmd_diagnose(args):
         top = cp.a * dictionary.estimated_c_f(dic, design)
         r_grid = np.linspace(top / 20.0, top, 20)
     ctx = theory.make_context(dist, dic, cp)
+    # prop21 and plateau read the same population fits, solved once
+    fits = None
+    if wanted & {"prop21", "plateau"}:
+        fits = theory.population_path(dist, dic, cp, r_grid)
     reports = []
     if "lemma_a1" in wanted:
         reports.append(theory.check_lemma_a1(ctx, seed=args.seed))
     if "prop21" in wanted:
-        reports.append(theory.check_prop21(dist, dic, cp, r_grid))
+        reports.append(theory.check_prop21(dist, dic, cp, r_grid, fits=fits))
     if "domination" in wanted:
         reports.append(theory.check_excess_domination(ctx, seed=args.seed))
     if "plateau" in wanted:
-        reports.append(_check_plateau(dist, dic, cp, r_grid))
+        reports.append(theory.check_plateau(dist, dic, cp, r_grid, fits=fits))
     for rep in reports:
         print(f"{rep.name}: {rep.status} (slack={rep.slack!r}) {rep.witness}")
     if args.out:

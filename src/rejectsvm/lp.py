@@ -25,7 +25,12 @@ _RELATIONS = ("<=", ">=", "=")
 # Dantzig pivoting switches to Bland's rule after this many pivots without
 # objective improvement and stays there until the objective moves again,
 # which breaks degenerate cycles while keeping Dantzig's speed elsewhere.
+# Only the unrelaxed attempt switches: a relaxed right-hand side already
+# breaks the ratio-test ties that cycling needs.
 _STALL_LIMIT = 100
+
+# right-hand-side relaxations tried in turn; only the last one is exact
+_ATTEMPTS = (1e-7, 1e-10, 0.0)
 
 
 class LpError(Exception):
@@ -108,6 +113,42 @@ class LpSolution:
     x: np.ndarray = None           # defined iff optimal
     objective_value: float = None  # defined iff optimal
     iterations: int = 0
+    eps: float = None              # relaxation of the attempt that decided
+    warm: bool = False             # that attempt started from an LpPath tableau
+
+
+class LpPath:
+    """Warm-start state for a run of programs that differ only in cost.
+
+    After each optimal solve it keeps that program's constraints, their
+    standard form, the relaxation of the attempt that succeeded, and the
+    attempt's final tableau, basis and basic solution for the true
+    right-hand side.  None of these involves the costs, so the next solve
+    with equal constraints reuses the standard form and starts the attempt
+    at that relaxation from the tableau, with only the cost row re-priced,
+    pivoting it in place; when no pivot is needed, the basic solution is
+    reused too.  Attempts at another relaxation, and solves of other
+    constraints, ignore the state.  One tableau is live per path.
+    """
+
+    __slots__ = ("key", "form", "eps", "tableau", "basis", "x_b")
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.key = self.form = self.eps = None
+        self.tableau = self.basis = self.x_b = None
+
+    def matches(self, lp):
+        """True when the state holds a tableau for lp's constraints."""
+        if self.key is None:
+            return False
+        rows, relations, rhs, lower, upper = self.key
+        return (lp.relations == relations and np.array_equal(lp.rows, rows)
+                and np.array_equal(lp.rhs, rhs)
+                and np.array_equal(lp.lower, lower)
+                and np.array_equal(lp.upper, upper))
 
 
 def _to_standard_form(lp):
@@ -118,26 +159,22 @@ def _to_standard_form(lp):
     column with its row for the initial-basis scan.
     """
     m0 = lp.ncon
-    col_cost = []
     col_vec = []
     recover = []
     b = lp.rhs.copy()
     extra_rows = []  # (standard column, upper - lower) for two-sided bounds
     for j in range(lp.nvar):
         aj = lp.rows[:, j]
-        cj = float(lp.objective[j])
         lo = lp.lower[j]
         up = lp.upper[j]
         if np.isneginf(lo) and np.isposinf(up):
-            k = len(col_cost)
-            col_cost.extend([cj, -cj])
+            k = len(col_vec)
             col_vec.extend([aj, -aj])
             recover.append(("split", k, k + 1))
         elif not np.isneginf(lo):
             if lo != 0.0:
                 b = b - aj * lo
-            k = len(col_cost)
-            col_cost.append(cj)
+            k = len(col_vec)
             col_vec.append(aj)
             recover.append(("shift", k, float(lo)))
             if not np.isposinf(up):
@@ -145,11 +182,10 @@ def _to_standard_form(lp):
         else:
             # upper bound only: mirror the variable
             b = b - aj * up
-            k = len(col_cost)
-            col_cost.append(-cj)
+            k = len(col_vec)
             col_vec.append(-aj)
             recover.append(("mirror", k, float(up)))
-    nv = len(col_cost)
+    nv = len(col_vec)
     mb = len(extra_rows)
     m = m0 + mb
     rels = list(lp.relations) + ["<="] * mb
@@ -161,7 +197,7 @@ def _to_standard_form(lp):
     bb = np.concatenate([b, [ub for _, ub in extra_rows]])
     for i, (k, _) in enumerate(extra_rows):
         A[m0 + i, k] = 1.0
-    c = np.concatenate([col_cost, np.zeros(n_slack)])
+    c = _standard_costs(lp.objective, recover, nv + n_slack)
     slack_rows = []
     s = nv
     for i, rel in enumerate(rels):
@@ -178,6 +214,20 @@ def _to_standard_form(lp):
         A[neg] *= -1.0
         bb[neg] *= -1.0
     return A, bb, c, recover, slack_rows
+
+
+def _standard_costs(objective, recover, ncols):
+    """Standard-form cost vector: mirrored columns negate, slacks cost 0."""
+    c = np.zeros(ncols)
+    for cj, rec in zip(objective.tolist(), recover):
+        kind = rec[0]
+        if kind == "split":
+            c[rec[1]], c[rec[2]] = cj, -cj
+        elif kind == "shift":
+            c[rec[1]] = cj
+        else:
+            c[rec[1]] = -cj
+    return c
 
 
 def _recover_x(recover, x_std, nvar):
@@ -266,7 +316,7 @@ def _run_phase(T, basis, m, obj_row, allowed, state):
             stall = 0
             if state["dantzig"]:
                 bland_now = False  # plateau escaped, resume Dantzig
-        else:
+        elif state["stall_bland"]:
             stall += 1
             if stall >= _STALL_LIMIT:
                 bland_now = True
@@ -301,15 +351,31 @@ def _warm_tableau(A, b, c, basis):
     return T
 
 
-def _simplex_core(A, b, c, initial_basis, state, debug_dump):
+def _reprice(T, basis, c):
+    """Rewrite T's cost row for costs c: c - c_B B^-1 A, and -c_B B^-1 b."""
+    m = basis.size
+    c_b = c[basis]
+    T[m, :-1] = c - c_b @ T[:m, :-1]
+    T[m, -1] = -float(c_b @ T[:m, -1])
+
+
+def _simplex_core(A, b, c, initial_basis, state, debug_dump, warm=None):
     """Run the (possibly warm-started) two-phase simplex on standard form.
 
-    Returns (status, basis, basic_values, rows_dropped).  basis and
-    basic_values are meaningful only for status "optimal".
+    warm, when given, is a (tableau, basis) pair canonical for (A, b); its
+    cost row is re-priced for c and it is pivoted in place.  Otherwise
+    initial_basis, when usable, seeds a fresh tableau, and the two-phase
+    route runs from artificials when it is not.
+
+    Returns (status, basis, tableau, rows_dropped).  basis and tableau are
+    meaningful only for status "optimal".
     """
     m, ncols = A.shape
     T = None
-    if initial_basis is not None:
+    if warm is not None:
+        T, basis = warm
+        _reprice(T, basis, c)
+    elif initial_basis is not None:
         basis = initial_basis.copy()
         T = _warm_tableau(A, b, c, basis)
     if T is None:
@@ -364,20 +430,26 @@ def _simplex_core(A, b, c, initial_basis, state, debug_dump):
     status = _run_phase(T, basis, m, m, np.ones(ncols, dtype=bool), state)
     if status == "unbounded":
         return "unbounded", None, None, False
-    return "optimal", basis, T[:m, -1].copy(), m < A.shape[0]
+    return "optimal", basis, T, m < A.shape[0]
 
 
 # deterministic jitter for the anti-degeneracy perturbation
 _GOLDEN = 0.6180339887498949
 
 
-def solve_lp(lp, pivot_rule="dantzig_bland", initial_basis=None, debug_dump=None):
+def _pivot_budget(m, ncols):
+    """Pivots one solve attempt may take before it gives up."""
+    return 50000 + 200 * (m + ncols)
+
+
+def solve_lp(lp, pivot_rule="dantzig_bland", initial_basis=None, debug_dump=None,
+             path=None):
     """Solve a LinearProgram with a two-phase dense simplex method.
 
-    pivot_rule "dantzig_bland" (default) picks the steepest reduced cost and
-    falls back to Bland's rule while the objective stalls; "bland" uses
-    Bland's rule throughout.  Identical inputs produce bitwise-identical
-    solutions.
+    pivot_rule "dantzig_bland" (default) picks the steepest reduced cost and,
+    in the unrelaxed attempt only, falls back to Bland's rule while the
+    objective stalls; "bland" uses Bland's rule throughout.  Identical inputs
+    produce bitwise-identical solutions.
 
     Degenerate problems are first solved with the inequality right-hand
     sides relaxed by tiny, deterministic, strictly decreasing offsets, which
@@ -385,8 +457,12 @@ def solve_lp(lp, pivot_rule="dantzig_bland", initial_basis=None, debug_dump=None
     restored through the final basis.  Reduced costs do not involve b, so a
     restored basis whose basic solution is non-negative is exactly optimal
     for the unperturbed problem; otherwise the solve reruns with a smaller
-    relaxation and finally with none.  Relaxation only enlarges the feasible
-    region, so an infeasible verdict under relaxation is already exact.
+    relaxation and finally with none.  A relaxed attempt that exhausts its
+    pivot budget or fails a numerical guard also hands over to the next
+    one; only the unrelaxed attempt raises, and its error lists why the
+    relaxed attempts were passed over.  Relaxation only enlarges the
+    feasible region, so an infeasible verdict under relaxation is already
+    exact.
 
     initial_basis optionally names standard-form columns forming a feasible
     starting basis, skipping the auxiliary phase.  Standard-form columns are:
@@ -395,10 +471,25 @@ def solve_lp(lp, pivot_rule="dantzig_bland", initial_basis=None, debug_dump=None
     column per inequality row in row order (rows synthesized for two-sided
     variable bounds come after the user's rows).  An unusable basis silently
     falls back to the two-phase route.
+
+    path optionally carries an LpPath from a previous solve of the same
+    constraints under other costs; the attempt at the relaxation it records
+    starts from its tableau instead of initial_basis.  On an optimal verdict
+    the path is left holding this solve's tableau, otherwise it is cleared.
+    iterations counts this solve's pivots only.
     """
     if pivot_rule not in ("dantzig_bland", "bland"):
         raise LpInputError(f"unknown pivot rule {pivot_rule!r}")
-    A, b_true, c, recover, slack_rows = _to_standard_form(lp)
+    key = prior = None
+    if path is not None:
+        if path.matches(lp):
+            key = path.key
+            A, b_true, recover, slack_rows = path.form
+            c = _standard_costs(lp.objective, recover, A.shape[1])
+            prior = (path.eps, (path.tableau, path.basis), path.x_b)
+        path.clear()  # refilled only by an optimal verdict below
+    if key is None:
+        A, b_true, c, recover, slack_rows = _to_standard_form(lp)
     m, ncols = A.shape
     if initial_basis is not None:
         initial_basis = np.asarray(initial_basis, dtype=int)
@@ -414,7 +505,8 @@ def solve_lp(lp, pivot_rule="dantzig_bland", initial_basis=None, debug_dump=None
     # strictly decreasing magnitudes keep structured warm starts feasible
     profile = (1.0 + np.abs(b_true)) * (m - np.arange(m) + jitter) / max(m, 1)
     total_iters = 0
-    for eps in (1e-7, 1e-10, 0.0):
+    passed_over = []  # why each relaxed attempt handed over
+    for eps in _ATTEMPTS:
         b = b_true + eps * sigma * profile
         flip = b < 0.0
         if flip.any():  # keep rhs non-negative for the artificial start
@@ -428,36 +520,84 @@ def solve_lp(lp, pivot_rule="dantzig_bland", initial_basis=None, debug_dump=None
             A_eff, bt_eff = A, b_true
         state = {
             "iter": 0,
-            "max_iter": 50000 + 200 * (m + ncols),
+            "max_iter": _pivot_budget(m, ncols),
             "dantzig": pivot_rule == "dantzig_bland",
+            "stall_bland": eps == 0.0,
         }
-        status, basis, basic_values, dropped = _simplex_core(
-            A_eff, b, c, initial_basis, state, debug_dump if eps == 1e-7 else None
-        )
+        warm = warm_x_b = None
+        if prior is not None and prior[0] == eps:
+            _, warm, warm_x_b = prior
+            prior = None
+        try:
+            status, basis, T, dropped = _simplex_core(
+                A_eff, b, c, initial_basis, state,
+                debug_dump if eps == _ATTEMPTS[0] else None, warm,
+            )
+        except LpNumericalError as exc:
+            total_iters += state["iter"]
+            if eps == 0.0:
+                raise _unrelaxed_failure(exc, state["iter"], passed_over) from exc
+            passed_over.append(f"eps={eps:g}: {exc} after {state['iter']} pivots")
+            continue
         total_iters += state["iter"]
         if status == "infeasible":
-            return LpSolution("infeasible", iterations=total_iters)
+            return LpSolution("infeasible", iterations=total_iters, eps=eps)
         if status == "unbounded":
             if eps == 0.0:
-                return LpSolution("unbounded", iterations=total_iters)
+                return LpSolution("unbounded", iterations=total_iters, eps=eps)
+            passed_over.append(f"eps={eps:g}: unbounded")
             continue  # reconfirm the verdict without relaxation
         x_std = np.zeros(ncols)
         if eps == 0.0:
-            x_std[basis] = basic_values
+            x_std[basis] = T[:-1, -1]
+            x_b = None
         else:
             if dropped:
-                continue  # row drops were justified only for the relaxed rhs
-            try:
-                x_b = np.linalg.solve(A_eff[:, basis], bt_eff)
-            except np.linalg.LinAlgError:
+                # row drops were justified only for the relaxed rhs
+                passed_over.append(f"eps={eps:g}: dropped redundant rows")
                 continue
+            if warm is not None and state["iter"] == 0:
+                x_b = warm_x_b  # same basis as the last solve, same solution
+            else:
+                try:
+                    x_b = np.linalg.solve(A_eff[:, basis], bt_eff)
+                except np.linalg.LinAlgError:
+                    passed_over.append(f"eps={eps:g}: singular restored basis")
+                    continue
             if np.any(x_b < -FEAS_TOL):
-                continue  # relaxation changed the optimal vertex; retry
+                # relaxation changed the optimal vertex; retry
+                passed_over.append(
+                    f"eps={eps:g}: restored basis infeasible "
+                    f"(min x_b={float(x_b.min()):.2g})")
+                continue
             x_std[basis] = np.clip(x_b, 0.0, None)
         x = _recover_x(recover, x_std, lp.nvar)
-        _audit_feasible(lp, x)
-        return LpSolution("optimal", x, float(lp.objective @ x), total_iters)
+        try:
+            _audit_feasible(lp, x)
+        except LpNumericalError as exc:
+            if eps == 0.0:
+                raise _unrelaxed_failure(exc, state["iter"], passed_over) from exc
+            passed_over.append(f"eps={eps:g}: {exc}")
+            continue
+        if path is not None and not dropped:
+            if key is None:
+                # copies: a caller may edit the program in place and solve again
+                key = (lp.rows.copy(), lp.relations, lp.rhs.copy(),
+                       lp.lower.copy(), lp.upper.copy())
+            path.key, path.form = key, (A, b_true, recover, slack_rows)
+            path.eps, path.tableau, path.basis = eps, T, basis
+            path.x_b = x_b
+        return LpSolution("optimal", x, float(lp.objective @ x), total_iters,
+                          eps, warm is not None)
     raise LpNumericalError("exhausted solve attempts")  # pragma: no cover
+
+
+def _unrelaxed_failure(exc, pivots, passed_over):
+    """The unrelaxed attempt's failure, with the relaxed attempts' reasons."""
+    before = "; ".join(passed_over) or "none"
+    return LpNumericalError(
+        f"{exc} in the unrelaxed attempt after {pivots} pivots "
+        f"(relaxed attempts passed over: {before})")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from scipy.special import expit, logsumexp
 from .dictionary import build_linear, build_rbf_lattice, evaluate
 from .evaluate import margins
 from .losses import CostParams, gen_hinge
-from .train import cross_validate, fit
+from .train import cross_validate, fit, walk_penalty_path
 
 __all__ = [
     "ExperimentConfig",
@@ -153,7 +153,9 @@ def run_reject_vs_plain(config):
     misclassification rate.  Both arms are scored under the config's
     rejection cost d against the same Monte Carlo test sample, with
     excess_ell measured from the Monte Carlo estimate of the optimal risk
-    E[min(eta, 1-eta, d)].  Returns rows in RESULT_COLUMNS order.
+    E[min(eta, 1-eta, d)].  Each arm walks the grid as one warm path from
+    the largest r down (see walk_penalty_path); rows come out in grid
+    order.  Returns rows in RESULT_COLUMNS order.
     """
     if config.scenario != "two_gaussian":
         raise ValueError("this study runs on the two_gaussian scenario")
@@ -176,9 +178,14 @@ def run_reject_vs_plain(config):
             config.n_train // 2, config.M, int(seeds[rep])
         )
         design = evaluate(dic, x_tr, y_tr)
-        for r in config.r_grid:
-            for arm, cp_fit in (("reject", cp), ("plain", cp_plain)):
-                model = fit(design, cp_fit, float(r), dic=dic)
+        reject_fits, plain_fits = walk_penalty_path(
+            config.r_grid,
+            lambda r, path: fit(design, cp, r, dic=dic, path=path),
+            lambda r, path: fit(design, cp_plain, r, dic=dic, path=path),
+        )
+        for r, reject_fit, plain_fit in zip(config.r_grid, reject_fits,
+                                            plain_fits):
+            for arm, model in (("reject", reject_fit), ("plain", plain_fit)):
                 f = _sparse_margins(model, x_test)
                 if arm == "reject":
                     phi, ell, mis, rej = _conditional_risks(f, eta_test, cp)

@@ -18,7 +18,7 @@ from .losses import (
     bayes_rule,
     population_risk,
 )
-from .train import fit_population
+from .train import fit_population, walk_penalty_path
 
 __all__ = [
     "TheoryContext",
@@ -30,7 +30,10 @@ __all__ = [
     "kappa_estimate",
     "complexity_estimate",
     "check_lemma_a1",
+    "PopulationPath",
+    "population_path",
     "check_prop21",
+    "check_plateau",
     "check_excess_domination",
 ]
 
@@ -283,7 +286,35 @@ def check_lemma_a1(ctx, lam_set=None, n_random=200, seed=0, t_grid=None,
                        {"complexity": est, "n_checked": len(lam_set)})
 
 
-def check_prop21(dist, dic, cp, r_grid):
+@dataclass(frozen=True)
+class PopulationPath:
+    """Exact population fits: lambda(0) and one fit per r, r ascending."""
+
+    base: object
+    r: np.ndarray
+    models: list
+
+
+def population_path(dist, dic, cp, r_grid):
+    """Solve lambda(0) and the population fits on a positive r grid.
+
+    The r = 0 anchor is solved alone from the crash basis, so it has the
+    bits of a lone fit_population call; the grid is walked as one warm path
+    from the largest r down (walk_penalty_path).  The result serves both
+    check_prop21 and check_plateau, so neither solves a fit twice.
+    """
+    r_grid = np.asarray(r_grid, dtype=float)
+    if r_grid.size == 0 or np.any(r_grid <= 0.0):
+        raise ValueError("r_grid must be positive and non-empty")
+    r_grid = np.sort(r_grid)
+    base = fit_population(dist, dic, cp, 0.0)
+    models = walk_penalty_path(
+        r_grid, lambda r, path: fit_population(dist, dic, cp, r, path=path)
+    )[0]
+    return PopulationPath(base, r_grid, models)
+
+
+def check_prop21(dist, dic, cp, r_grid, fits=None):
     """Shrinkage and support-cone behavior of the population path.
 
     Verifies, against the exact population fits: (b) the l1 norm at every
@@ -291,14 +322,13 @@ def check_prop21(dist, dic, cp, r_grid):
     the coefficients is dominated by on-support movement; (a) the risk gap
     to the unpenalized fit shrinks as r decreases (asserted when the r = 0
     solution has l1 norm at most 10: gap at the smallest grid r below 1e-3
-    and no larger than at the biggest r).
+    and no larger than at the biggest r).  fits optionally passes the
+    population_path of r_grid, already solved.
     """
-    r_grid = np.asarray(r_grid, dtype=float)
-    if r_grid.size == 0 or np.any(r_grid <= 0.0):
-        raise ValueError("r_grid must be positive and non-empty")
-    order = np.argsort(r_grid)
-    r_grid = r_grid[order]
-    base = fit_population(dist, dic, cp, 0.0)
+    if fits is None:
+        fits = population_path(dist, dic, cp, r_grid)
+    r_grid = fits.r
+    base = fits.base
     phi = _evaluate_dictionary(dic, dist.x).phi
     risk0 = population_risk(dist, phi @ base.lam, cp, "hinge")
     l1_0 = base.l1_norm()
@@ -306,8 +336,7 @@ def check_prop21(dist, dic, cp, r_grid):
     worst = math.inf
     witness = "no violation"
     trace = []
-    for r in r_grid:
-        m = fit_population(dist, dic, cp, float(r))
+    for r, m in zip(r_grid, fits.models):
         move = np.abs(m.lam - base.lam)
         slack_b = l1_0 - m.l1_norm() + 1e-7
         slack_c = float(move[support].sum() - move[~support].sum()) + 1e-7
@@ -326,6 +355,41 @@ def check_prop21(dist, dic, cp, r_grid):
     status = "pass" if worst >= 0.0 else "fail"
     return CheckReport("population_path_shrinkage", status, worst, witness,
                        {"trace": trace, "l1_at_zero": l1_0})
+
+
+def check_plateau(dist, dic, cp, r_grid, fits=None):
+    """Verify the exact small-penalty plateau of the population solution.
+
+    Compares lambda(r) against lambda(0) in ascending r: the plateau extends
+    while the l1 distance and the unpenalized objective gap both stay within
+    1e-6.  fits optionally passes the population_path of r_grid, already
+    solved.
+    """
+    if fits is None:
+        fits = population_path(dist, dic, cp, r_grid)
+    base = fits.base
+    extent = None
+    first_break = None
+    for r, m in zip(fits.r, fits.models):
+        r = float(r)
+        l1_dist = float(np.abs(m.lam - base.lam).sum())
+        risk_gap = abs((m.objective - r * m.l1_norm()) - base.objective)
+        if l1_dist <= 1e-6 and risk_gap <= 1e-6:
+            extent = r
+        else:
+            first_break = r
+            break
+    if extent is None:
+        return CheckReport(
+            name="plateau", status="fail", slack=0.0,
+            witness=f"solution moved already at r={first_break!r}",
+        )
+    tail = ("grid exhausted" if first_break is None
+            else f"breaks by r={first_break!r}")
+    return CheckReport(
+        name="plateau", status="pass", slack=extent,
+        witness=f"plateau verified through r={extent!r}; {tail}",
+    )
 
 
 def check_excess_domination(ctx, f_set=None, n_random=500, seed=0):

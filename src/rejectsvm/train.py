@@ -11,6 +11,12 @@ the default solve path splits lambda into positive and negative parts, which
 halves the constraint count.  At any simplex vertex the split parts cannot
 both be positive, so the optimal objectives of the two builds coincide; the
 test suite asserts this.
+
+r enters the LP only through the objective, so every point of a penalty
+grid shares one set of constraints and the optimal basis at one r is
+feasible at the next.  walk_penalty_path exploits this: it solves a grid
+from the largest r down, each step starting from the previous optimal
+tableau with only its cost row re-priced.
 """
 
 import math
@@ -21,7 +27,7 @@ import numpy as np
 from .constants import SUPPORT_TOL
 from .dictionary import estimated_c_f, evaluate
 from .losses import CostParams, gen_hinge, population_risk, reject_loss
-from .lp import LinearProgram, LpNumericalError, solve_lp
+from .lp import LinearProgram, LpNumericalError, LpPath, solve_lp
 
 
 @dataclass
@@ -117,11 +123,14 @@ def _finish_model(design, dic, cp, r, lam, sol):
 
 
 def fit(design, cp, r, dic=None, formulation="split", pivot_rule="dantzig_bland",
-        debug_dump=None):
+        debug_dump=None, path=None):
     """Minimize the penalized empirical hinge risk exactly.
 
     formulation "split" (default) solves the reduced LP; "slack" solves the
     full slack form from assemble_lp.  Both yield the same optimal objective.
+    path optionally passes an LpPath from a fit of the same design and cost
+    at another r (see walk_penalty_path); without one, the solve starts from
+    the crash basis.
     """
     n, M = design.n, design.M
     if formulation == "split":
@@ -136,7 +145,7 @@ def fit(design, cp, r, dic=None, formulation="split", pivot_rule="dantzig_bland"
     else:
         raise ValueError(f"unknown formulation {formulation!r}")
     sol = solve_lp(lp, pivot_rule=pivot_rule, initial_basis=start,
-                   debug_dump=debug_dump)
+                   debug_dump=debug_dump, path=path)
     if sol.status != "optimal":
         raise LpNumericalError(f"training LP reported {sol.status}")
     if formulation == "split":
@@ -146,11 +155,12 @@ def fit(design, cp, r, dic=None, formulation="split", pivot_rule="dantzig_bland"
     return _finish_model(design, dic, cp, r, lam, sol)
 
 
-def fit_population(dist, dic, cp, r, pivot_rule="dantzig_bland"):
+def fit_population(dist, dic, cp, r, pivot_rule="dantzig_bland", path=None):
     """Exact population minimizer lambda(r) for a finite-support distribution.
 
     Uses the split build with two weighted hinge slacks per atom, one for
-    each label, weighted by p(x) eta(x) and p(x)(1 - eta(x)).
+    each label, weighted by p(x) eta(x) and p(x)(1 - eta(x)).  path works as
+    in fit.
     """
     if r < 0:
         raise ValueError("penalty weight r must be non-negative")
@@ -178,7 +188,7 @@ def fit_population(dist, dic, cp, r, pivot_rule="dantzig_bland"):
         nvar + 2 * k + np.arange(k),
         2 * M + k + np.arange(k),
     ])
-    sol = solve_lp(lp, pivot_rule=pivot_rule, initial_basis=start)
+    sol = solve_lp(lp, pivot_rule=pivot_rule, initial_basis=start, path=path)
     if sol.status != "optimal":
         raise LpNumericalError(f"population LP reported {sol.status}")
     lam = sol.x[:M] - sol.x[M:2 * M]
@@ -196,6 +206,25 @@ def fit_population(dist, dic, cp, r, pivot_rule="dantzig_bland"):
     )
 
 
+def walk_penalty_path(r_grid, *solvers):
+    """Call each solver at every r of r_grid, from the largest r down.
+
+    A solver is called as solver(r, path) and passes path on to fit or
+    fit_population; each solver keeps its own LpPath for the whole walk, so
+    every step after its first starts from its last optimal tableau.  At
+    each r the solvers run in the order given.  The walk starts at the
+    largest r, where the crash basis (lambda = 0) is optimal or nearly so.
+    Returns one list per solver of its results in grid order.
+    """
+    r_grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
+    paths = [LpPath() for _ in solvers]
+    results = [[None] * r_grid.size for _ in solvers]
+    for i in np.argsort(-r_grid, kind="stable"):
+        for solve, path, out in zip(solvers, paths, results):
+            out[i] = solve(float(r_grid[i]), path)
+    return results
+
+
 def default_r_grid(cp, c_f, num=30):
     """Log-spaced penalty grid from 1e-4 up to a*C_F (where 0 is optimal)."""
     return np.geomspace(1e-4, cp.a * c_f, num)
@@ -205,8 +234,9 @@ def cross_validate(design, cp, r_grid, folds=10, formulation="split"):
     """Held-out reject-loss risk over a penalty grid.
 
     Folds are assigned round-robin by row index, so the split is
-    deterministic.  Returns (r_star, table) where table rows are
-    (r, mean held-out reject_loss); ties go to the larger r.
+    deterministic.  Each fold walks the grid as one warm path (see
+    walk_penalty_path).  Returns (r_star, table) where table rows are
+    (r, mean held-out reject_loss) in grid order; ties go to the larger r.
     """
     n = design.n
     if folds < 2:
@@ -225,10 +255,13 @@ def cross_validate(design, cp, r_grid, folds=10, formulation="split"):
         tr = DesignMatrix(design.phi[~hold], design.y[~hold])
         phi_hold = design.phi[hold]
         y_hold = design.y[hold]
-        for i, r in enumerate(r_grid):
-            model = fit(tr, cp, r, formulation=formulation)
+
+        def held_out_loss(r, path):
+            model = fit(tr, cp, r, formulation=formulation, path=path)
             z = y_hold * (phi_hold @ model.lam)
-            risks[i] += float(np.sum(reject_loss(z, cp)))
+            return float(np.sum(reject_loss(z, cp)))
+
+        risks += walk_penalty_path(r_grid, held_out_loss)[0]
     risks /= n
     best = risks.min()
     tied = np.flatnonzero(risks <= best + 1e-12)

@@ -4,14 +4,26 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from rejectsvm import lp as lp_module
+from rejectsvm.dictionary import (
+    DesignMatrix,
+    build_rbf_lattice,
+    estimated_c_f,
+    evaluate,
+)
+from rejectsvm.losses import CostParams
 from rejectsvm.lp import (
     LinearProgram,
     LpInputError,
+    LpNumericalError,
     LpOversizeError,
     enumerate_vertices_oracle,
     solve_lp,
 )
+from rejectsvm.sim import gen_mixture
+from rejectsvm.train import default_r_grid, split_lp
 
 from helpers import random_lp
 
@@ -194,3 +206,106 @@ def test_iteration_count_is_reported():
                        lower=[0.0, 0.0])
     sol = solve_lp(lp)
     assert sol.iterations > 0
+
+
+# ---------------------------------------------------------------------------
+# fallback chain: relaxed attempts hand over, only the unrelaxed one raises
+
+def _two_variable_program():
+    return LinearProgram(objective=[-1.0, -1.0],
+                         rows=[[1.0, 2.0], [3.0, 1.0]],
+                         relations=["<=", "<="], rhs=[4.0, 6.0],
+                         lower=[0.0, 0.0])
+
+
+def _budgets(monkeypatch, per_attempt):
+    """Give solve attempts the listed pivot budgets, in attempt order."""
+    budgets = iter(per_attempt)
+    monkeypatch.setattr(lp_module, "_pivot_budget",
+                        lambda m, ncols: next(budgets))
+
+
+def test_exhausted_relaxed_budget_hands_over(monkeypatch):
+    # the slack start needs two pivots; both relaxed attempts get one
+    _budgets(monkeypatch, [1, 1, 1000])
+    sol = solve_lp(_two_variable_program(), initial_basis=[2, 3])
+    assert sol.status == "optimal"
+    assert sol.eps == 0.0
+    assert abs(sol.objective_value - (-14.0 / 5.0)) < 1e-12
+    assert sol.iterations == 2 + 2 + 2  # every attempt's pivots count
+
+
+@pytest.mark.parametrize("message", [
+    "simplex iteration limit exceeded",
+    "tableau magnitude exceeded blow-up limit",
+    "pivot element vanished",
+])
+def test_relaxed_numerical_guard_hands_over(monkeypatch, message):
+    calls = []
+    real = lp_module._run_phase
+
+    def guarded(*args):
+        calls.append(1)
+        if len(calls) <= 2:  # one phase per relaxed attempt from the slacks
+            raise LpNumericalError(message)
+        return real(*args)
+
+    monkeypatch.setattr(lp_module, "_run_phase", guarded)
+    sol = solve_lp(_two_variable_program(), initial_basis=[2, 3])
+    assert sol.status == "optimal"
+    assert sol.eps == 0.0
+    assert abs(sol.objective_value - (-14.0 / 5.0)) < 1e-12
+
+
+def test_unrelaxed_failure_names_every_reason(monkeypatch):
+    _budgets(monkeypatch, [1, 1, 1])
+    with pytest.raises(LpNumericalError) as err:
+        solve_lp(_two_variable_program(), initial_basis=[2, 3])
+    text = str(err.value)
+    assert "iteration limit exceeded in the unrelaxed attempt" in text
+    assert "eps=1e-07: simplex iteration limit exceeded" in text
+    assert "eps=1e-10: simplex iteration limit exceeded" in text
+
+
+def _probe_program():
+    """Fold 0 of a 5-fold CV of the RBF mixture at r = 0.0965.
+
+    Its 1e-7 attempt ends on a basis that is infeasible for the true
+    right-hand side, so the 1e-10 attempt must decide.  That attempt used
+    to switch to Bland's rule on a stall and run into the iteration limit
+    after 250,001 pivots.
+    """
+    x, y, _ = gen_mixture(200, 3)
+    dic = build_rbf_lattice((10, 10), x.min(axis=0), x.max(axis=0), beta=2.0)
+    cp = CostParams(d=0.25, tau=0.5)
+    design = evaluate(dic, x, y)
+    r = float(default_r_grid(cp, estimated_c_f(dic, design), num=10)[6])
+    keep = np.arange(design.n) % 5 != 0
+    fold = DesignMatrix(design.phi[keep], design.y[keep])
+    n, M = fold.n, fold.M
+    crash = np.concatenate([2 * M + n + np.arange(n), 2 * M + np.arange(n)])
+    return split_lp(fold, cp, r), crash
+
+
+def test_rejected_relaxed_basis_hands_over():
+    lp, crash = _probe_program()
+    sol = solve_lp(lp, initial_basis=crash)
+    assert sol.status == "optimal"
+    assert sol.eps == 1e-10
+    assert sol.iterations < 5000  # 504 + 521 pivots when written
+    ref = linprog(lp.objective, A_ub=-lp.rows, b_ub=-lp.rhs, bounds=(0, None),
+                  method="highs")
+    gap = (sol.objective_value - ref.fun) / (1.0 + abs(ref.fun))
+    assert -1e-7 <= gap <= 1e-9
+
+
+def test_relaxed_attempts_never_switch_to_bland(monkeypatch):
+    lp, crash = _probe_program()
+    ref = solve_lp(lp, initial_basis=crash)
+    # a stall limit of one would put any attempt allowed to switch into
+    # Bland mode almost at once; the relaxed attempts must not notice
+    monkeypatch.setattr(lp_module, "_STALL_LIMIT", 1)
+    again = solve_lp(lp, initial_basis=crash)
+    assert again.eps == ref.eps == 1e-10
+    assert again.iterations == ref.iterations
+    assert again.x.tobytes() == ref.x.tobytes()
