@@ -1,4 +1,4 @@
-"""Dense two-phase simplex solver and a brute-force vertex-enumeration oracle.
+"""Dense two-phase simplex solver.
 
 Problems are stated in general form,
 
@@ -7,13 +7,12 @@ Problems are stated in general form,
                 lower <= x <= upper            (entries may be infinite)
 
 The solver is deliberately plain -- a dense tableau with explicit artificial
-variables -- so that small instances can be confirmed independently by
-enumerating every basic solution of the standard form.  Both routes share
-nothing beyond the LinearProgram container.
+variables and one pricing rule -- so that small instances can be confirmed
+independently by enumerating every basic solution of the standard form, as
+the test suite does with its own vertex-enumeration oracle.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.linalg import blas as _blas
@@ -43,10 +42,6 @@ class LpInputError(LpError):
 
 class LpNumericalError(LpError):
     """The solve aborted for numerical reasons; not an infeasibility verdict."""
-
-
-class LpOversizeError(LpError):
-    """Vertex enumeration refused: too many standard-form columns."""
 
 
 @dataclass
@@ -280,7 +275,7 @@ def _run_phase(T, basis, m, obj_row, allowed, state):
     ncols = T.shape[1] - 1
     best_z = -T[obj_row, -1]  # finite start keeps the relative test well-defined
     stall = 0
-    bland_now = not state["dantzig"]
+    bland_now = False
     while True:
         red = np.where(allowed, T[obj_row, :ncols], np.inf)
         if bland_now:
@@ -314,18 +309,11 @@ def _run_phase(T, basis, m, obj_row, allowed, state):
         if z < best_z - 1e-12 * (1.0 + abs(best_z)):
             best_z = z
             stall = 0
-            if state["dantzig"]:
-                bland_now = False  # plateau escaped, resume Dantzig
+            bland_now = False  # plateau escaped, resume Dantzig
         elif state["stall_bland"]:
             stall += 1
             if stall >= _STALL_LIMIT:
                 bland_now = True
-
-
-def _dump_tableau(T, path):
-    with open(path, "w") as fh:
-        for row in T:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
 def _warm_tableau(A, b, c, basis):
@@ -359,7 +347,7 @@ def _reprice(T, basis, c):
     T[m, -1] = -float(c_b @ T[:m, -1])
 
 
-def _simplex_core(A, b, c, initial_basis, state, debug_dump, warm=None):
+def _simplex_core(A, b, c, initial_basis, state, warm=None):
     """Run the (possibly warm-started) two-phase simplex on standard form.
 
     warm, when given, is a (tableau, basis) pair canonical for (A, b); its
@@ -396,8 +384,6 @@ def _simplex_core(A, b, c, initial_basis, state, debug_dump, warm=None):
             T[i, ncols + k] = 1.0
             basis[i] = ncols + k
         T[m, :ncols] = c
-        if debug_dump is not None:
-            _dump_tableau(T, debug_dump)
         allowed = np.ones(ncols + n_art, dtype=bool)
         allowed[ncols:] = False  # artificials may leave the basis, never enter
         if n_art:
@@ -425,8 +411,6 @@ def _simplex_core(A, b, c, initial_basis, state, debug_dump, warm=None):
                 m -= len(drop)
         keep = np.concatenate([np.arange(ncols), [ncols + n_art]])
         T = np.asfortranarray(T[: m + 1][:, keep])
-    elif debug_dump is not None:
-        _dump_tableau(T, debug_dump)
     status = _run_phase(T, basis, m, m, np.ones(ncols, dtype=bool), state)
     if status == "unbounded":
         return "unbounded", None, None, False
@@ -442,14 +426,12 @@ def _pivot_budget(m, ncols):
     return 50000 + 200 * (m + ncols)
 
 
-def solve_lp(lp, pivot_rule="dantzig_bland", initial_basis=None, debug_dump=None,
-             path=None):
+def solve_lp(lp, initial_basis=None, path=None):
     """Solve a LinearProgram with a two-phase dense simplex method.
 
-    pivot_rule "dantzig_bland" (default) picks the steepest reduced cost and,
-    in the unrelaxed attempt only, falls back to Bland's rule while the
-    objective stalls; "bland" uses Bland's rule throughout.  Identical inputs
-    produce bitwise-identical solutions.
+    Pricing is Dantzig's rule (the most negative reduced cost); in the
+    unrelaxed attempt only, it falls back to Bland's rule while the
+    objective stalls.  Identical inputs produce bitwise-identical solutions.
 
     Degenerate problems are first solved with the inequality right-hand
     sides relaxed by tiny, deterministic, strictly decreasing offsets, which
@@ -478,8 +460,6 @@ def solve_lp(lp, pivot_rule="dantzig_bland", initial_basis=None, debug_dump=None
     the path is left holding this solve's tableau, otherwise it is cleared.
     iterations counts this solve's pivots only.
     """
-    if pivot_rule not in ("dantzig_bland", "bland"):
-        raise LpInputError(f"unknown pivot rule {pivot_rule!r}")
     key = prior = None
     if path is not None:
         if path.matches(lp):
@@ -521,7 +501,6 @@ def solve_lp(lp, pivot_rule="dantzig_bland", initial_basis=None, debug_dump=None
         state = {
             "iter": 0,
             "max_iter": _pivot_budget(m, ncols),
-            "dantzig": pivot_rule == "dantzig_bland",
             "stall_bland": eps == 0.0,
         }
         warm = warm_x_b = None
@@ -530,9 +509,7 @@ def solve_lp(lp, pivot_rule="dantzig_bland", initial_basis=None, debug_dump=None
             prior = None
         try:
             status, basis, T, dropped = _simplex_core(
-                A_eff, b, c, initial_basis, state,
-                debug_dump if eps == _ATTEMPTS[0] else None, warm,
-            )
+                A_eff, b, c, initial_basis, state, warm)
         except LpNumericalError as exc:
             total_iters += state["iter"]
             if eps == 0.0:
@@ -598,127 +575,3 @@ def _unrelaxed_failure(exc, pivots, passed_over):
     return LpNumericalError(
         f"{exc} in the unrelaxed attempt after {pivots} pivots "
         f"(relaxed attempts passed over: {before})")
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-
-
-def _oracle_standard_form(lp):
-    """Independent standard-form conversion used only by the enumeration oracle."""
-    cols = []
-    costs = []
-    recover = []
-    b = lp.rhs.copy()
-    bound_rows = []
-    for j in range(lp.nvar):
-        aj = lp.rows[:, j]
-        cj = float(lp.objective[j])
-        lo = lp.lower[j]
-        up = lp.upper[j]
-        if np.isneginf(lo) and np.isposinf(up):
-            k = len(cols)
-            cols.append(aj)
-            cols.append(-aj)
-            costs.extend([cj, -cj])
-            recover.append(("split", k, k + 1))
-        elif not np.isneginf(lo):
-            b = b - aj * lo
-            k = len(cols)
-            cols.append(aj)
-            costs.append(cj)
-            recover.append(("shift", k, float(lo)))
-            if not np.isposinf(up):
-                bound_rows.append((k, float(up - lo)))
-        else:
-            b = b - aj * up
-            k = len(cols)
-            cols.append(-aj)
-            costs.append(-cj)
-            recover.append(("mirror", k, float(up)))
-    nv = len(cols)
-    m0 = lp.ncon
-    rels = list(lp.relations) + ["<="] * len(bound_rows)
-    m = len(rels)
-    n_slack = sum(1 for rel in rels if rel != "=")
-    A = np.zeros((m, nv + n_slack))
-    for k in range(nv):
-        A[:m0, k] = cols[k]
-    for i, (k, _) in enumerate(bound_rows):
-        A[m0 + i, k] = 1.0
-    bb = np.concatenate([b, [ub for _, ub in bound_rows]])
-    c = np.concatenate([costs, np.zeros(n_slack)])
-    s = nv
-    for i, rel in enumerate(rels):
-        if rel == "<=":
-            A[i, s] = 1.0
-            s += 1
-        elif rel == ">=":
-            A[i, s] = -1.0
-            s += 1
-    return A, bb, c, recover
-
-
-def enumerate_vertices_oracle(lp, guard=20):
-    """Exhaustively enumerate basic solutions of the standard form.
-
-    Intended as a test oracle on small problems: every size-m column subset
-    is solved, feasible basic solutions are compared, and unboundedness is
-    detected through a ray certificate (a feasible basis with a negative
-    reduced cost whose update column is non-positive).  Assumes the
-    standard-form rows are linearly independent, which holds for the shipped
-    fixtures.  Refuses problems with more than `guard` standard-form columns.
-    """
-    A, b, c, recover = _oracle_standard_form(lp)
-    m, ncols = A.shape
-    if ncols > guard:
-        raise LpOversizeError(
-            f"standard form has {ncols} columns, enumeration guard is {guard}"
-        )
-    if m > ncols:
-        raise LpInputError("standard form has more rows than columns")
-    if m == 0:
-        x = _recover_x(recover, np.zeros(ncols), lp.nvar)
-        if np.any(c < -1e-12):
-            return LpSolution("unbounded", iterations=1)
-        return LpSolution("optimal", x, float(lp.objective @ x), 1)
-    combos = np.array(list(combinations(range(ncols), m)), dtype=int)
-    feas_idx = []
-    feas_x = []
-    for start in range(0, len(combos), 8192):
-        idx = combos[start:start + 8192]
-        bases = np.moveaxis(A[:, idx], 0, 1)  # (k, m, m)
-        dets = np.linalg.det(bases)
-        ok = np.abs(dets) > 1e-9
-        if not ok.any():
-            continue
-        rhs = np.broadcast_to(b[:, None], (int(ok.sum()), m, 1))
-        xs = np.linalg.solve(bases[ok], rhs)[..., 0]
-        feas = (xs >= -1e-9).all(axis=1)
-        if feas.any():
-            feas_idx.append(idx[ok][feas])
-            feas_x.append(xs[feas])
-    examined = len(combos)
-    if not feas_idx:
-        return LpSolution("infeasible", iterations=examined)
-    feas_idx = np.concatenate(feas_idx)
-    feas_x = np.concatenate(feas_x)
-    objs = np.einsum("km,km->k", c[feas_idx], feas_x)
-    best = int(np.argmin(objs))
-    # a minimizing feasible basis certifies unboundedness iff some improving
-    # column has a non-positive update direction
-    near = np.flatnonzero(objs <= objs[best] + 1e-9)
-    for k in near:
-        idx = feas_idx[k]
-        B = A[:, idx]
-        y = np.linalg.solve(B.T, c[idx])
-        red = c - A.T @ y
-        red[idx] = 0.0
-        for j in np.flatnonzero(red < -1e-7):
-            direction = np.linalg.solve(B, A[:, j])
-            if np.all(direction <= 1e-9):
-                return LpSolution("unbounded", iterations=examined)
-    x_std = np.zeros(ncols)
-    x_std[feas_idx[best]] = feas_x[best]
-    x = _recover_x(recover, x_std, lp.nvar)
-    return LpSolution("optimal", x, float(lp.objective @ x), examined)

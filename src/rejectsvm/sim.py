@@ -135,15 +135,6 @@ def _conditional_risks(f, eta, cp):
     return phi, mis + cp.d * rej, mis, rej
 
 
-def _sparse_margins(model, x_test):
-    # linear dictionary only: feature j is coordinate j, so a sparse fit
-    # needs just the supporting columns of the big test matrix
-    sup = np.flatnonzero(np.abs(model.lam) > 0.0)
-    if sup.size == 0:
-        return np.zeros(len(x_test))
-    return x_test[:, sup] @ model.lam[sup]
-
-
 def run_reject_vs_plain(config):
     """Compare the reject-option fit against a plain hinge fit.
 
@@ -186,7 +177,8 @@ def run_reject_vs_plain(config):
         for r, reject_fit, plain_fit in zip(config.r_grid, reject_fits,
                                             plain_fits):
             for arm, model in (("reject", reject_fit), ("plain", plain_fit)):
-                f = _sparse_margins(model, x_test)
+                # linear dictionary: feature j is coordinate j
+                f = x_test @ model.lam
                 if arm == "reject":
                     phi, ell, mis, rej = _conditional_risks(f, eta_test, cp)
                 else:

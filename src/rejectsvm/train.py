@@ -4,13 +4,13 @@ fit(design, cp, r) returns a coefficient vector minimizing
 
     (1/n) sum_i gen_hinge(y_i f(x_i)) + r ||lambda||_1,
 
-exactly, as the solution of a linear program.  Two equivalent LP builds are
-provided: assemble_lp mirrors the textbook slack formulation (one slack per
-sample for the hinge plus one per coefficient for the absolute value), while
-the default solve path splits lambda into positive and negative parts, which
-halves the constraint count.  At any simplex vertex the split parts cannot
-both be positive, so the optimal objectives of the two builds coincide; the
-test suite asserts this.
+exactly, as the solution of a linear program.  One builder, _hinge_lp,
+states the weighted hinge risk with lambda split into positive and negative
+parts and one slack per sample; at any simplex vertex the two parts cannot
+both be positive, so the l1 penalty is exact.  fit weights every sample 1/n.
+fit_population solves the population minimizer with the same LP: each atom
+appears twice, once per label, weighted by its probability of that label.
+Both fits start from the same crash basis (lambda = 0).
 
 r enters the LP only through the objective, so every point of a penalty
 grid shares one set of constraints and the optimal basis at one r is
@@ -49,44 +49,16 @@ class Model:
         return int(np.sum(np.abs(self.lam) > tol))
 
 
-def assemble_lp(design, cp, r):
-    """Slack-variable LP for the penalized empirical risk.
+def _hinge_lp(yphi, weights, cp, r):
+    """Weighted penalized hinge LP over [u, v, xi] with lambda = u - v.
 
-    Variables are [lambda (free), xi_1..xi_n, xi_{n+1}..xi_{n+M}] with
-    xi_i covering the hinge at sample i (xi_i >= 0, >= 1 - y_i h_i,
-    >= 1 - a y_i h_i) and xi_{n+j} covering |lambda_j|.  The objective
-    (1/n) sum xi_i + r sum xi_{n+j} equals the penalized risk at the optimum.
+    Minimizes weights . xi + r sum(u + v) subject to xi_i >= 1 - yphi_i lambda
+    and xi_i >= 1 - a yphi_i lambda, with u, v, xi >= 0.  Row i of yphi is
+    y_i phi(x_i); at the optimum xi_i is the hinge gen_hinge(y_i f(x_i)).
     """
-    if design.y is None:
-        raise ValueError("training requires labeled data")
     if r < 0:
         raise ValueError("penalty weight r must be non-negative")
-    n, M = design.n, design.M
-    yphi = design.y[:, None] * design.phi
-    nvar = M + n + M
-    rows = np.zeros((2 * n + 2 * M, nvar))
-    rows[:n, :M] = yphi
-    rows[:n, M:M + n] = np.eye(n)
-    rows[n:2 * n, :M] = cp.a * yphi
-    rows[n:2 * n, M:M + n] = np.eye(n)
-    rows[2 * n:2 * n + M, :M] = -np.eye(M)
-    rows[2 * n:2 * n + M, M + n:] = np.eye(M)
-    rows[2 * n + M:, :M] = np.eye(M)
-    rows[2 * n + M:, M + n:] = np.eye(M)
-    rhs = np.concatenate([np.ones(2 * n), np.zeros(2 * M)])
-    objective = np.concatenate([np.zeros(M), np.full(n, 1.0 / n), np.full(M, r)])
-    lower = np.concatenate([np.full(M, -np.inf), np.zeros(n + M)])
-    return LinearProgram(objective, rows, [">="] * (2 * n + 2 * M), rhs, lower=lower)
-
-
-def split_lp(design, cp, r):
-    """Equivalent LP over [u, v, xi] with lambda = u - v and penalty r sum(u+v)."""
-    if design.y is None:
-        raise ValueError("training requires labeled data")
-    if r < 0:
-        raise ValueError("penalty weight r must be non-negative")
-    n, M = design.n, design.M
-    yphi = design.y[:, None] * design.phi
+    n, M = yphi.shape
     nvar = 2 * M + n
     rows = np.zeros((2 * n, nvar))
     rows[:n, :M] = yphi
@@ -96,8 +68,28 @@ def split_lp(design, cp, r):
     rows[n:, M:2 * M] = -cp.a * yphi
     rows[n:, 2 * M:] = np.eye(n)
     rhs = np.ones(2 * n)
-    objective = np.concatenate([np.full(2 * M, r), np.full(n, 1.0 / n)])
+    objective = np.concatenate([np.full(2 * M, r), weights])
     return LinearProgram(objective, rows, [">="] * (2 * n), rhs, lower=np.zeros(nvar))
+
+
+def split_lp(design, cp, r):
+    """The training LP: _hinge_lp with every sample weighted 1/n."""
+    if design.y is None:
+        raise ValueError("training requires labeled data")
+    return _hinge_lp(design.y[:, None] * design.phi,
+                     np.full(design.n, 1.0 / design.n), cp, r)
+
+
+def _solve_hinge_lp(lp, M, path, what):
+    """Solve a _hinge_lp program from its crash basis; returns (lambda, sol)."""
+    n = lp.nvar - 2 * M
+    # lambda = 0, xi = 1 is a vertex: hinge slacks basic in the steeper
+    # rows, surpluses basic (at 0) in the plainer ones; skips phase 1
+    start = np.concatenate([lp.nvar + np.arange(n), 2 * M + np.arange(n)])
+    sol = solve_lp(lp, initial_basis=start, path=path)
+    if sol.status != "optimal":
+        raise LpNumericalError(f"{what} LP reported {sol.status}")
+    return sol.x[:M] - sol.x[M:2 * M], sol
 
 
 def _finish_model(design, dic, cp, r, lam, sol):
@@ -122,78 +114,30 @@ def _finish_model(design, dic, cp, r, lam, sol):
     )
 
 
-def fit(design, cp, r, dic=None, formulation="split", pivot_rule="dantzig_bland",
-        debug_dump=None, path=None):
+def fit(design, cp, r, dic=None, path=None):
     """Minimize the penalized empirical hinge risk exactly.
 
-    formulation "split" (default) solves the reduced LP; "slack" solves the
-    full slack form from assemble_lp.  Both yield the same optimal objective.
     path optionally passes an LpPath from a fit of the same design and cost
     at another r (see walk_penalty_path); without one, the solve starts from
     the crash basis.
     """
-    n, M = design.n, design.M
-    if formulation == "split":
-        lp = split_lp(design, cp, r)
-        # lambda = 0, xi = 1 is a vertex: hinge slacks basic in the steeper
-        # rows, surpluses basic (at 0) in the plainer ones; skips phase 1
-        nv = 2 * M + n
-        start = np.concatenate([nv + np.arange(n), 2 * M + np.arange(n)])
-    elif formulation == "slack":
-        lp = assemble_lp(design, cp, r)
-        start = None
-    else:
-        raise ValueError(f"unknown formulation {formulation!r}")
-    sol = solve_lp(lp, pivot_rule=pivot_rule, initial_basis=start,
-                   debug_dump=debug_dump, path=path)
-    if sol.status != "optimal":
-        raise LpNumericalError(f"training LP reported {sol.status}")
-    if formulation == "split":
-        lam = sol.x[:M] - sol.x[M:2 * M]
-    else:
-        lam = sol.x[:M].copy()
+    lam, sol = _solve_hinge_lp(split_lp(design, cp, r), design.M, path, "training")
     return _finish_model(design, dic, cp, r, lam, sol)
 
 
-def fit_population(dist, dic, cp, r, pivot_rule="dantzig_bland", path=None):
+def fit_population(dist, dic, cp, r, path=None):
     """Exact population minimizer lambda(r) for a finite-support distribution.
 
-    Uses the split build with two weighted hinge slacks per atom, one for
-    each label, weighted by p(x) eta(x) and p(x)(1 - eta(x)).  path works as
-    in fit.
+    Solves the training LP on a design that lists each atom twice, once
+    with y = +1 and weight p(x) eta(x) and once with y = -1 and weight
+    p(x)(1 - eta(x)).  path works as in fit.
     """
-    if r < 0:
-        raise ValueError("penalty weight r must be non-negative")
     phi = evaluate(dic, dist.x).phi
-    k, M = phi.shape
-    nvar = 2 * M + 2 * k
-    rows = np.zeros((4 * k, nvar))
-    eye = np.eye(k)
-    for block, (sign, slope) in enumerate(
-        [(1.0, 1.0), (1.0, cp.a), (-1.0, 1.0), (-1.0, cp.a)]
-    ):
-        sl = slice(block * k, (block + 1) * k)
-        rows[sl, :M] = sign * slope * phi
-        rows[sl, M:2 * M] = -sign * slope * phi
-        rows[sl, 2 * M + (0 if block < 2 else k):][:, :k] = eye
-    rhs = np.ones(4 * k)
-    weights_pos = dist.p * dist.eta
-    weights_neg = dist.p * (1.0 - dist.eta)
-    objective = np.concatenate([np.full(2 * M, r), weights_pos, weights_neg])
-    lp = LinearProgram(objective, rows, [">="] * (4 * k), rhs, lower=np.zeros(nvar))
-    # lambda = 0, t = s = 1 vertex start, mirroring fit's crash basis
-    start = np.concatenate([
-        nvar + np.arange(k),
-        2 * M + np.arange(k),
-        nvar + 2 * k + np.arange(k),
-        2 * M + k + np.arange(k),
-    ])
-    sol = solve_lp(lp, pivot_rule=pivot_rule, initial_basis=start, path=path)
-    if sol.status != "optimal":
-        raise LpNumericalError(f"population LP reported {sol.status}")
-    lam = sol.x[:M] - sol.x[M:2 * M]
-    f_vals = phi @ lam
-    objective_val = population_risk(dist, f_vals, cp, "hinge") + r * float(
+    lp = _hinge_lp(np.vstack([phi, -phi]),
+                   np.concatenate([dist.p * dist.eta, dist.p * (1.0 - dist.eta)]),
+                   cp, r)
+    lam, sol = _solve_hinge_lp(lp, phi.shape[1], path, "population")
+    objective_val = population_risk(dist, phi @ lam, cp, "hinge") + r * float(
         np.abs(lam).sum()
     )
     if abs(objective_val - sol.objective_value) > 1e-6 * (1.0 + abs(objective_val)):
@@ -230,7 +174,7 @@ def default_r_grid(cp, c_f, num=30):
     return np.geomspace(1e-4, cp.a * c_f, num)
 
 
-def cross_validate(design, cp, r_grid, folds=10, formulation="split"):
+def cross_validate(design, cp, r_grid, folds=10):
     """Held-out reject-loss risk over a penalty grid.
 
     Folds are assigned round-robin by row index, so the split is
@@ -257,7 +201,7 @@ def cross_validate(design, cp, r_grid, folds=10, formulation="split"):
         y_hold = design.y[hold]
 
         def held_out_loss(r, path):
-            model = fit(tr, cp, r, formulation=formulation, path=path)
+            model = fit(tr, cp, r, path=path)
             z = y_hold * (phi_hold @ model.lam)
             return float(np.sum(reject_loss(z, cp)))
 

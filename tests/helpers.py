@@ -28,6 +28,33 @@ def random_lp(rng, max_vars=6, max_cons=8):
                          lower=lower, upper=upper)
 
 
+def assemble_lp(design, cp, r):
+    """Slack-variable LP for the penalized empirical risk, the reference build.
+
+    Variables are [lambda (free), xi_1..xi_n, xi_{n+1}..xi_{n+M}] with
+    xi_i covering the hinge at sample i (xi_i >= 0, >= 1 - y_i h_i,
+    >= 1 - a y_i h_i) and xi_{n+j} covering |lambda_j|.  The objective
+    (1/n) sum xi_i + r sum xi_{n+j} equals the penalized risk at the optimum,
+    so it must agree with train.split_lp's.
+    """
+    n, M = design.n, design.M
+    yphi = design.y[:, None] * design.phi
+    nvar = M + n + M
+    rows = np.zeros((2 * n + 2 * M, nvar))
+    rows[:n, :M] = yphi
+    rows[:n, M:M + n] = np.eye(n)
+    rows[n:2 * n, :M] = cp.a * yphi
+    rows[n:2 * n, M:M + n] = np.eye(n)
+    rows[2 * n:2 * n + M, :M] = -np.eye(M)
+    rows[2 * n:2 * n + M, M + n:] = np.eye(M)
+    rows[2 * n + M:, :M] = np.eye(M)
+    rows[2 * n + M:, M + n:] = np.eye(M)
+    rhs = np.concatenate([np.ones(2 * n), np.zeros(2 * M)])
+    objective = np.concatenate([np.zeros(M), np.full(n, 1.0 / n), np.full(M, r)])
+    lower = np.concatenate([np.full(M, -np.inf), np.zeros(n + M)])
+    return LinearProgram(objective, rows, [">="] * (2 * n + 2 * M), rhs, lower=lower)
+
+
 def random_design(rng, n, M):
     phi = np.round(rng.normal(size=(n, M)), 2)
     y = rng.choice([-1.0, 1.0], size=n)

@@ -23,7 +23,7 @@ from rejectsvm.losses import (
     population_risk,
     reject_loss,
 )
-from rejectsvm.lp import enumerate_vertices_oracle, solve_lp
+from rejectsvm.lp import solve_lp
 from rejectsvm.sim import (
     ExperimentConfig,
     gen_two_gaussian,
@@ -44,6 +44,7 @@ from helpers import (
     random_distribution,
     random_lp,
 )
+from oracle import enumerate_vertices_oracle
 from test_train import scan_1d_objective
 
 
@@ -230,9 +231,7 @@ def test_criterion_08_bound_coverage():
         x_tr, y_tr, _ = gen_two_gaussian(n_per_class, M, int(seeds[rep]))
         model = fit(dic_eval(dic, x_tr, y_tr), cp, 0.2, dic=dic)
         report = bounds(model, x_tr, y_tr, delta=0.1, p=1.0)
-        sup = np.flatnonzero(model.lam)
-        f = x_test[:, sup] @ model.lam[sup] if sup.size else \
-            np.zeros(len(x_test))
+        f = x_test @ model.lam
         # conditional (exact-eta) misclassification rate of the fitted rule
         true_mis = float(np.mean(eta_test * (f < -cp.tau)
                                  + (1.0 - eta_test) * (f > cp.tau)))

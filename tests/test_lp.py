@@ -14,18 +14,12 @@ from rejectsvm.dictionary import (
     evaluate,
 )
 from rejectsvm.losses import CostParams
-from rejectsvm.lp import (
-    LinearProgram,
-    LpInputError,
-    LpNumericalError,
-    LpOversizeError,
-    enumerate_vertices_oracle,
-    solve_lp,
-)
+from rejectsvm.lp import LinearProgram, LpInputError, LpNumericalError, solve_lp
 from rejectsvm.sim import gen_mixture
 from rejectsvm.train import default_r_grid, split_lp
 
 from helpers import random_lp
+from oracle import LpOversizeError, enumerate_vertices_oracle
 
 
 def test_hand_worked_two_variable_program():
@@ -77,11 +71,13 @@ def test_two_sided_bounds_become_active():
 
 
 def test_matches_enumeration_oracle_on_random_programs():
-    rng = np.random.default_rng(7)
     t0 = time.time()
+    rng = np.random.default_rng(7)
+    small = np.random.default_rng(21)
+    programs = [random_lp(rng) for _ in range(250)]
+    programs += [random_lp(small, max_vars=4, max_cons=5) for _ in range(40)]
     statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    for _ in range(250):
-        lp = random_lp(rng)
+    for lp in programs:
         sol = solve_lp(lp)
         ref = enumerate_vertices_oracle(lp)
         assert sol.status == ref.status
@@ -92,17 +88,6 @@ def test_matches_enumeration_oracle_on_random_programs():
             assert abs(float(lp.objective @ sol.x) - sol.objective_value) < 1e-9
     assert min(statuses.values()) > 5  # all three verdicts exercised
     assert time.time() - t0 < 10.0
-
-
-def test_bland_rule_agrees_with_default():
-    rng = np.random.default_rng(21)
-    for _ in range(40):
-        lp = random_lp(rng, max_vars=4, max_cons=5)
-        a = solve_lp(lp)
-        b = solve_lp(lp, pivot_rule="bland")
-        assert a.status == b.status
-        if a.status == "optimal":
-            assert abs(a.objective_value - b.objective_value) < 1e-8
 
 
 def test_bitwise_determinism():
@@ -171,10 +156,6 @@ def test_rejects_malformed_input():
         LinearProgram(objective=[1.0, 1.0], rows=[[1.0, 1.0]],
                       relations=["<="], rhs=[1.0],
                       lower=[0.0, 2.0], upper=[1.0, 1.0])
-    with pytest.raises(LpInputError):
-        lp = LinearProgram(objective=[1.0], rows=[[1.0]],
-                           relations=["<="], rhs=[1.0])
-        solve_lp(lp, pivot_rule="steepest")
 
 
 def test_oracle_refuses_oversized_problems():
@@ -185,18 +166,6 @@ def test_oracle_refuses_oversized_problems():
                        lower=np.zeros(30))
     with pytest.raises(LpOversizeError):
         enumerate_vertices_oracle(lp)
-
-
-def test_debug_dump_writes_tableau(tmp_path):
-    lp = LinearProgram(objective=[-1.0, -1.0],
-                       rows=[[1.0, 2.0], [3.0, 1.0]],
-                       relations=["<=", "<="], rhs=[4.0, 6.0],
-                       lower=[0.0, 0.0])
-    path = tmp_path / "tableau.txt"
-    solve_lp(lp, debug_dump=str(path))
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) >= 3  # two constraint rows plus the objective row
-    float(lines[0].split()[0])  # parses as numbers
 
 
 def test_iteration_count_is_reported():

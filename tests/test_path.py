@@ -175,3 +175,20 @@ def test_population_path_matches_highs(solutions):
     for r, model in [(0.0, fits.base)] + list(zip(fits.r, fits.models)):
         assert _within_highs(model.objective,
                              _population_highs(dist, phi, CP, r))
+
+
+def test_population_fit_with_zero_weight_atoms_matches_highs():
+    # eta in {0, 1} at a third of the atoms: one of their two hinge slacks
+    # costs nothing in the LP
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-2.0, 2.0, size=(60, 2))
+    eta = 1.0 / (1.0 + np.exp(-2.0 * x[:, 0]))
+    eta[:10], eta[10:20] = 0.0, 1.0
+    p = rng.uniform(0.5, 1.5, size=60)
+    dist = DiscreteDistribution(x=x, p=p / p.sum(), eta=eta)
+    dic = build_rbf_lattice((4, 4), x.min(axis=0), x.max(axis=0))
+    phi = evaluate(dic, x).phi
+    for r in (0.0, 0.01, 0.1):
+        model = fit_population(dist, dic, CP, r)
+        assert _within_highs(model.objective,
+                             _population_highs(dist, phi, CP, r))

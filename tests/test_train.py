@@ -5,7 +5,7 @@ import pytest
 
 from rejectsvm.dictionary import DesignMatrix, build_linear, evaluate
 from rejectsvm.losses import CostParams, gen_hinge
-from rejectsvm.lp import enumerate_vertices_oracle
+from rejectsvm.lp import solve_lp
 from rejectsvm.train import (
     concentration_bracket,
     cross_validate,
@@ -16,7 +16,8 @@ from rejectsvm.train import (
     theoretical_r,
 )
 
-from helpers import plateau_fixture, random_design
+from helpers import assemble_lp, plateau_fixture, random_design
+from oracle import enumerate_vertices_oracle
 
 CP = CostParams(d=0.25, tau=0.5)
 
@@ -64,16 +65,14 @@ def test_formulations_agree_with_enumeration():
         M = int(rng.integers(1, 4))
         design = random_design(rng, n, M)
         for r in (0.0, 0.1, 0.7):
-            split_model = fit(design, CP, r, formulation="split")
-            slack_model = fit(design, CP, r, formulation="slack")
+            split_model = fit(design, CP, r)
+            slack = solve_lp(assemble_lp(design, CP, r))
             ref = enumerate_vertices_oracle(split_lp(design, CP, r))
-            assert ref.status == "optimal"
+            assert ref.status == "optimal" and slack.status == "optimal"
             assert split_model.objective == pytest.approx(
                 ref.objective_value, abs=1e-7)
-            assert slack_model.objective == pytest.approx(
+            assert slack.objective_value == pytest.approx(
                 ref.objective_value, abs=1e-7)
-    with pytest.raises(ValueError):
-        fit(design, CP, 0.1, formulation="dual")
 
 
 def test_budget_invariant_and_zero_solution():
