@@ -7,9 +7,11 @@ Problems are stated in general form,
                 lower <= x <= upper            (entries may be infinite)
 
 The solver is deliberately plain -- a dense tableau with explicit artificial
-variables and one pricing rule -- so that small instances can be confirmed
-independently by enumerating every basic solution of the standard form, as
-the test suite does with its own vertex-enumeration oracle.
+variables, Dantzig pricing on a once-relaxed right-hand side, a dual simplex
+repair of the restored basis, and Bland's rule only in an unrelaxed last
+resort -- so that small instances can be confirmed independently by
+enumerating every basic solution of the standard form, as the test suite
+does with its own vertex-enumeration oracle.
 """
 
 from dataclasses import dataclass
@@ -21,15 +23,9 @@ from .constants import BLOWUP_LIMIT, FEAS_TOL, PIVOT_TOL
 
 _RELATIONS = ("<=", ">=", "=")
 
-# Dantzig pivoting switches to Bland's rule after this many pivots without
-# objective improvement and stays there until the objective moves again,
-# which breaks degenerate cycles while keeping Dantzig's speed elsewhere.
-# Only the unrelaxed attempt switches: a relaxed right-hand side already
-# breaks the ratio-test ties that cycling needs.
-_STALL_LIMIT = 100
-
-# right-hand-side relaxations tried in turn; only the last one is exact
-_ATTEMPTS = (1e-7, 1e-10, 0.0)
+# right-hand-side relaxations tried in turn: one relaxed attempt under
+# Dantzig pricing, then an unrelaxed last resort under Bland's rule
+_ATTEMPTS = (1e-7, 0.0)
 
 
 class LpError(Exception):
@@ -115,24 +111,24 @@ class LpSolution:
 class LpPath:
     """Warm-start state for a run of programs that differ only in cost.
 
-    After each optimal solve it keeps that program's constraints, their
-    standard form, the relaxation of the attempt that succeeded, and the
+    After a solve that the relaxed attempt decided without a dual repair,
+    it keeps that program's constraints, their standard form, and the
     attempt's final tableau, basis and basic solution for the true
     right-hand side.  None of these involves the costs, so the next solve
-    with equal constraints reuses the standard form and starts the attempt
-    at that relaxation from the tableau, with only the cost row re-priced,
-    pivoting it in place; when no pivot is needed, the basic solution is
-    reused too.  Attempts at another relaxation, and solves of other
-    constraints, ignore the state.  One tableau is live per path.
+    with equal constraints reuses the standard form and starts its relaxed
+    attempt from the tableau, with only the cost row re-priced, pivoting it
+    in place; when no pivot is needed, the basic solution is reused too.
+    The unrelaxed attempt, and solves of other constraints, ignore the
+    state.  One tableau is live per path.
     """
 
-    __slots__ = ("key", "form", "eps", "tableau", "basis", "x_b")
+    __slots__ = ("key", "form", "tableau", "basis", "x_b")
 
     def __init__(self):
         self.clear()
 
     def clear(self):
-        self.key = self.form = self.eps = None
+        self.key = self.form = None
         self.tableau = self.basis = self.x_b = None
 
     def matches(self, lp):
@@ -270,15 +266,23 @@ def _pivot(T, r, c):
     T[r, c] = 1.0
 
 
+def _counted_pivot(T, basis, r, c, state):
+    """Pivot column c into row r under the attempt's budget and blow-up guard."""
+    _pivot(T, r, c)
+    basis[r] = c
+    state["iter"] += 1
+    if state["iter"] > state["max_iter"]:
+        raise LpNumericalError("simplex iteration limit exceeded")
+    if state["iter"] % 64 == 0 and np.abs(T).max() > BLOWUP_LIMIT:
+        raise LpNumericalError("tableau magnitude exceeded blow-up limit")
+
+
 def _run_phase(T, basis, m, obj_row, allowed, state):
     """Pivot until the phase objective is optimal.  Returns 'optimal'/'unbounded'."""
     ncols = T.shape[1] - 1
-    best_z = -T[obj_row, -1]  # finite start keeps the relative test well-defined
-    stall = 0
-    bland_now = False
     while True:
         red = np.where(allowed, T[obj_row, :ncols], np.inf)
-        if bland_now:
+        if state["bland"]:
             neg = np.flatnonzero(red < -PIVOT_TOL)
             if neg.size == 0:
                 return "optimal"
@@ -296,24 +300,33 @@ def _run_phase(T, basis, m, obj_row, allowed, state):
         rmin = ratios.min()
         cand = np.flatnonzero(ratios <= rmin + 1e-12)
         r = int(cand[np.argmin(basis[cand])])  # lowest basic index breaks ties
-        _pivot(T, r, j)
-        basis[r] = j
-        state["iter"] += 1
-        if state["iter"] > state["max_iter"]:
-            raise LpNumericalError("simplex iteration limit exceeded")
-        if state["iter"] % 64 == 0 and np.abs(T).max() > BLOWUP_LIMIT:
-            raise LpNumericalError("tableau magnitude exceeded blow-up limit")
-        z = -T[obj_row, -1]
-        # threshold sits below the steps a relaxed rhs produces, so only a
-        # truly degenerate plateau trips the Bland fallback
-        if z < best_z - 1e-12 * (1.0 + abs(best_z)):
-            best_z = z
-            stall = 0
-            bland_now = False  # plateau escaped, resume Dantzig
-        elif state["stall_bland"]:
-            stall += 1
-            if stall >= _STALL_LIMIT:
-                bland_now = True
+        _counted_pivot(T, basis, r, j, state)
+
+
+def _dual_repair(T, basis, x_b, state):
+    """Make the basic solution x_b non-negative by dual simplex pivots.
+
+    T is optimal for a relaxed rhs, and x_b is its basis's solution for the
+    true one.  Reduced costs do not involve b, so with x_b written into the
+    rhs column the cost row is still dual feasible.  The most negative basic
+    value leaves; the entering column wins the ratio test on the cost row,
+    the lowest index breaking ties.  Returns the repaired basic solution.
+    The objective entry of T goes stale: the repaired tableau is not reused.
+    """
+    m = basis.size
+    T[:m, -1] = x_b
+    while True:
+        rhs = T[:m, -1]
+        r = int(np.argmin(rhs))
+        if rhs[r] >= -PIVOT_TOL:
+            return rhs
+        row = T[r, :-1]
+        neg = row < -PIVOT_TOL
+        if not neg.any():
+            raise LpNumericalError("dual repair found no entering column")
+        ratios = np.full(row.size, np.inf)
+        ratios[neg] = T[m, :-1][neg] / -row[neg]
+        _counted_pivot(T, basis, r, int(np.argmin(ratios)), state)
 
 
 def _warm_tableau(A, b, c, basis):
@@ -429,22 +442,21 @@ def _pivot_budget(m, ncols):
 def solve_lp(lp, initial_basis=None, path=None):
     """Solve a LinearProgram with a two-phase dense simplex method.
 
-    Pricing is Dantzig's rule (the most negative reduced cost); in the
-    unrelaxed attempt only, it falls back to Bland's rule while the
-    objective stalls.  Identical inputs produce bitwise-identical solutions.
-
-    Degenerate problems are first solved with the inequality right-hand
-    sides relaxed by tiny, deterministic, strictly decreasing offsets, which
+    A solve makes at most two attempts.  The first prices by Dantzig's rule
+    (the most negative reduced cost) with the inequality right-hand sides
+    relaxed by tiny, deterministic, strictly decreasing offsets, which
     removes ties from the ratio test; the true right-hand side is then
-    restored through the final basis.  Reduced costs do not involve b, so a
-    restored basis whose basic solution is non-negative is exactly optimal
-    for the unperturbed problem; otherwise the solve reruns with a smaller
-    relaxation and finally with none.  A relaxed attempt that exhausts its
-    pivot budget or fails a numerical guard also hands over to the next
-    one; only the unrelaxed attempt raises, and its error lists why the
-    relaxed attempts were passed over.  Relaxation only enlarges the
-    feasible region, so an infeasible verdict under relaxation is already
-    exact.
+    restored through the final basis.  Reduced costs do not involve b, so
+    that basis stays dual feasible: when its basic solution is
+    non-negative it is exactly optimal for the unperturbed problem, and
+    otherwise a few dual simplex pivots repair it.  Relaxation only
+    enlarges the feasible region, so an infeasible verdict under it is
+    already exact.  The attempt hands over to an unrelaxed last resort
+    under Bland's rule when it exhausts its pivot budget, fails a numerical
+    guard, finds the relaxation unbounded, drops redundant rows, restores a
+    singular basis, fails the repair or fails the feasibility audit; when
+    that attempt fails too, the error names the reason for each.  Identical
+    inputs produce bitwise-identical solutions.
 
     initial_basis optionally names standard-form columns forming a feasible
     starting basis, skipping the auxiliary phase.  Standard-form columns are:
@@ -455,10 +467,11 @@ def solve_lp(lp, initial_basis=None, path=None):
     falls back to the two-phase route.
 
     path optionally carries an LpPath from a previous solve of the same
-    constraints under other costs; the attempt at the relaxation it records
-    starts from its tableau instead of initial_basis.  On an optimal verdict
-    the path is left holding this solve's tableau, otherwise it is cleared.
-    iterations counts this solve's pivots only.
+    constraints under other costs; the relaxed attempt starts from its
+    tableau instead of initial_basis.  The path is left holding this
+    solve's tableau when the relaxed attempt decides optimal without a
+    repair, and is cleared otherwise.  iterations counts this solve's
+    pivots only.
     """
     key = prior = None
     if path is not None:
@@ -466,8 +479,8 @@ def solve_lp(lp, initial_basis=None, path=None):
             key = path.key
             A, b_true, recover, slack_rows = path.form
             c = _standard_costs(lp.objective, recover, A.shape[1])
-            prior = (path.eps, (path.tableau, path.basis), path.x_b)
-        path.clear()  # refilled only by an optimal verdict below
+            prior = (path.tableau, path.basis, path.x_b)
+        path.clear()  # refilled only by an unrepaired relaxed verdict below
     if key is None:
         A, b_true, c, recover, slack_rows = _to_standard_form(lp)
     m, ncols = A.shape
@@ -485,93 +498,76 @@ def solve_lp(lp, initial_basis=None, path=None):
     # strictly decreasing magnitudes keep structured warm starts feasible
     profile = (1.0 + np.abs(b_true)) * (m - np.arange(m) + jitter) / max(m, 1)
     total_iters = 0
-    passed_over = []  # why each relaxed attempt handed over
+    passed_over = []  # why each attempt handed over
     for eps in _ATTEMPTS:
-        b = b_true + eps * sigma * profile
-        flip = b < 0.0
-        if flip.any():  # keep rhs non-negative for the artificial start
-            A_eff = A.copy()
-            A_eff[flip] *= -1.0
-            b = b.copy()
-            b[flip] *= -1.0
-            bt_eff = b_true.copy()
-            bt_eff[flip] *= -1.0
-        else:
-            A_eff, bt_eff = A, b_true
-        state = {
-            "iter": 0,
-            "max_iter": _pivot_budget(m, ncols),
-            "stall_bland": eps == 0.0,
-        }
-        warm = warm_x_b = None
-        if prior is not None and prior[0] == eps:
-            _, warm, warm_x_b = prior
-            prior = None
+        state = {"iter": 0, "max_iter": _pivot_budget(m, ncols),
+                 "bland": eps == 0.0}
+        warm = prior if eps > 0.0 else None
         try:
-            status, basis, T, dropped = _simplex_core(
-                A_eff, b, c, initial_basis, state, warm)
+            status, x, kept = _attempt(lp, A, b_true + eps * sigma * profile,
+                                       b_true, c, recover, eps > 0.0,
+                                       initial_basis, warm, state)
         except LpNumericalError as exc:
-            total_iters += state["iter"]
-            if eps == 0.0:
-                raise _unrelaxed_failure(exc, state["iter"], passed_over) from exc
             passed_over.append(f"eps={eps:g}: {exc} after {state['iter']} pivots")
             continue
-        total_iters += state["iter"]
-        if status == "infeasible":
-            return LpSolution("infeasible", iterations=total_iters, eps=eps)
-        if status == "unbounded":
-            if eps == 0.0:
-                return LpSolution("unbounded", iterations=total_iters, eps=eps)
-            passed_over.append(f"eps={eps:g}: unbounded")
-            continue  # reconfirm the verdict without relaxation
-        x_std = np.zeros(ncols)
-        if eps == 0.0:
-            x_std[basis] = T[:-1, -1]
-            x_b = None
-        else:
-            if dropped:
-                # row drops were justified only for the relaxed rhs
-                passed_over.append(f"eps={eps:g}: dropped redundant rows")
-                continue
-            if warm is not None and state["iter"] == 0:
-                x_b = warm_x_b  # same basis as the last solve, same solution
-            else:
-                try:
-                    x_b = np.linalg.solve(A_eff[:, basis], bt_eff)
-                except np.linalg.LinAlgError:
-                    passed_over.append(f"eps={eps:g}: singular restored basis")
-                    continue
-            if np.any(x_b < -FEAS_TOL):
-                # relaxation changed the optimal vertex; retry
-                passed_over.append(
-                    f"eps={eps:g}: restored basis infeasible "
-                    f"(min x_b={float(x_b.min()):.2g})")
-                continue
-            x_std[basis] = np.clip(x_b, 0.0, None)
-        x = _recover_x(recover, x_std, lp.nvar)
-        try:
-            _audit_feasible(lp, x)
-        except LpNumericalError as exc:
-            if eps == 0.0:
-                raise _unrelaxed_failure(exc, state["iter"], passed_over) from exc
-            passed_over.append(f"eps={eps:g}: {exc}")
-            continue
-        if path is not None and not dropped:
+        finally:
+            total_iters += state["iter"]
+        if status != "optimal":
+            return LpSolution(status, iterations=total_iters, eps=eps)
+        if path is not None and kept is not None:
             if key is None:
                 # copies: a caller may edit the program in place and solve again
                 key = (lp.rows.copy(), lp.relations, lp.rhs.copy(),
                        lp.lower.copy(), lp.upper.copy())
             path.key, path.form = key, (A, b_true, recover, slack_rows)
-            path.eps, path.tableau, path.basis = eps, T, basis
-            path.x_b = x_b
+            path.tableau, path.basis, path.x_b = kept
         return LpSolution("optimal", x, float(lp.objective @ x), total_iters,
                           eps, warm is not None)
-    raise LpNumericalError("exhausted solve attempts")  # pragma: no cover
+    raise LpNumericalError("every solve attempt failed: " + "; ".join(passed_over))
 
 
-def _unrelaxed_failure(exc, pivots, passed_over):
-    """The unrelaxed attempt's failure, with the relaxed attempts' reasons."""
-    before = "; ".join(passed_over) or "none"
-    return LpNumericalError(
-        f"{exc} in the unrelaxed attempt after {pivots} pivots "
-        f"(relaxed attempts passed over: {before})")
+def _attempt(lp, A, b, b_true, c, recover, relaxed, initial_basis, warm,
+             state):
+    """One solve attempt of the standard form (A, b_true, c) on the rhs b.
+
+    warm, when given, is a path's (tableau, basis, x_b) for these
+    constraints.  Returns (status, x, kept): x is the optimal point, and
+    kept, when not None, the (tableau, basis, x_b) a path may reuse.  Raises
+    LpNumericalError for every reason to hand over.
+    """
+    flip = b < 0.0
+    if flip.any():  # keep rhs non-negative for the artificial start
+        A = A.copy()
+        A[flip] *= -1.0
+        b = b.copy()
+        b[flip] *= -1.0
+        b_true = b_true.copy()
+        b_true[flip] *= -1.0
+    status, basis, T, dropped = _simplex_core(
+        A, b, c, initial_basis, state, None if warm is None else warm[:2])
+    if status == "infeasible" or (status == "unbounded" and not relaxed):
+        return status, None, None
+    if status == "unbounded":
+        raise LpNumericalError("unbounded under relaxation")
+    x_std = np.zeros(A.shape[1])
+    kept = None
+    if not relaxed:
+        x_std[basis] = T[:-1, -1]
+    else:
+        if dropped:
+            raise LpNumericalError("dropped redundant rows")  # valid for b only
+        if warm is not None and state["iter"] == 0:
+            x_b = warm[2]  # same basis as the last solve, same solution
+        else:
+            try:
+                x_b = np.linalg.solve(A[:, basis], b_true)
+            except np.linalg.LinAlgError:
+                raise LpNumericalError("singular restored basis") from None
+        if np.any(x_b < -FEAS_TOL):
+            x_b = _dual_repair(T, basis, x_b, state)
+        else:
+            kept = (T, basis, x_b)
+        x_std[basis] = np.clip(x_b, 0.0, None)
+    x = _recover_x(recover, x_std, lp.nvar)
+    _audit_feasible(lp, x)
+    return "optimal", x, kept

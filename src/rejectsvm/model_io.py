@@ -7,6 +7,7 @@ across runs.
 
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -122,12 +123,16 @@ def _parse_float(token, where):
     if token == "":
         raise DataError(f"missing value at {where}")
     try:
-        return float(token)
+        value = float(token)
     except ValueError as exc:
         raise DataError(f"non-numeric value {token!r} at {where}") from exc
+    if not math.isfinite(value):
+        raise DataError(f"non-finite value {token!r} at {where}")
+    return value
 
 
 def _read_table(path):
+    """Header, data rows and each row's file line number; blank rows dropped."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -135,27 +140,50 @@ def _read_table(path):
         except StopIteration:
             raise DataError("empty file") from None
         header = [h.strip() for h in header]
-        rows = []
-        for k, row in enumerate(reader, start=2):
+        rows, lines = [], []
+        for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
-                raise DataError(f"line {k}: expected {len(header)} fields, "
-                                f"got {len(row)}")
+                raise DataError(f"line {reader.line_num}: expected "
+                                f"{len(header)} fields, got {len(row)}")
             rows.append(row)
+            lines.append(reader.line_num)
     if not rows:
         raise DataError("no data rows")
-    return header, rows
+    return header, rows, lines
+
+
+def _read_floats(path):
+    """Header, every cell as one finite float array, and the line numbers.
+
+    numpy converts the whole table at once; only when it fails, or yields a
+    non-finite value, does the cell-by-cell parse run, to name the first
+    bad cell.
+    """
+    header, rows, lines = _read_table(path)
+    try:
+        table = np.asarray(rows, dtype=float)
+        if np.isfinite(table).all():
+            return header, table, lines
+    except ValueError:
+        pass
+    table = np.array([
+        [_parse_float(token, f"line {line}, column {name}")
+         for name, token in zip(header, row)]
+        for line, row in zip(lines, rows)
+    ])
+    return header, table, lines
 
 
 def load_data(path, require_y=False):
     """Read a feature CSV; returns (x, y) with y None when absent.
 
     The column named y, wherever it sits, holds labels in {-1, +1}; all
-    other columns are features in file order.  Any missing or non-numeric
-    cell is an error.
+    other columns are features in file order.  Any missing, non-numeric or
+    non-finite cell is an error.
     """
-    header, rows = _read_table(path)
+    header, table, lines = _read_floats(path)
     if "y" in header:
         y_col = header.index("y")
     else:
@@ -165,22 +193,21 @@ def load_data(path, require_y=False):
     feat_cols = [j for j in range(len(header)) if j != y_col]
     if not feat_cols:
         raise DataError("data file has no feature columns")
-    x = np.empty((len(rows), len(feat_cols)))
-    y = np.empty(len(rows)) if y_col is not None else None
-    for i, row in enumerate(rows):
-        for k, j in enumerate(feat_cols):
-            x[i, k] = _parse_float(row[j], f"line {i + 2}, column {header[j]}")
-        if y_col is not None:
-            v = _parse_float(row[y_col], f"line {i + 2}, column y")
-            if v not in (-1.0, 1.0):
-                raise DataError(f"line {i + 2}: label {v!r} is not -1 or +1")
-            y[i] = v
+    x = table.take(feat_cols, axis=1)
+    if y_col is None:
+        return x, None
+    y = table[:, y_col].copy()
+    bad = np.flatnonzero((y != -1.0) & (y != 1.0))
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(f"line {lines[i]}: label {float(y[i])!r} "
+                        "is not -1 or +1")
     return x, y
 
 
 def load_distribution(path):
     """Read a finite-support distribution CSV: columns p, eta, features."""
-    header, rows = _read_table(path)
+    header, table, _ = _read_floats(path)
     for col in ("p", "eta"):
         if col not in header:
             raise DataError(f"distribution file lacks the {col} column")
@@ -188,16 +215,10 @@ def load_distribution(path):
     feat_cols = [j for j in range(len(header)) if j not in (p_col, e_col)]
     if not feat_cols:
         raise DataError("distribution file has no feature columns")
-    p = np.empty(len(rows))
-    eta = np.empty(len(rows))
-    x = np.empty((len(rows), len(feat_cols)))
-    for i, row in enumerate(rows):
-        p[i] = _parse_float(row[p_col], f"line {i + 2}, column p")
-        eta[i] = _parse_float(row[e_col], f"line {i + 2}, column eta")
-        for k, j in enumerate(feat_cols):
-            x[i, k] = _parse_float(row[j], f"line {i + 2}, column {header[j]}")
     try:
-        return DiscreteDistribution(x=x, p=p, eta=eta)
+        return DiscreteDistribution(x=table.take(feat_cols, axis=1),
+                                    p=table[:, p_col].copy(),
+                                    eta=table[:, e_col].copy())
     except ValueError as exc:
         raise DataError(f"invalid distribution: {exc}") from exc
 

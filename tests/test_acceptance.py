@@ -217,6 +217,7 @@ def test_criterion_07_population_path_and_plateau():
                     f"max l1 drift={worst_l1:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_08_bound_coverage():
     n_per_class, M = 50, 200
     cp = CostParams(d=0.25, tau=0.5)
@@ -245,6 +246,7 @@ def test_criterion_08_bound_coverage():
                     f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_09_reject_beats_plain():
     config = ExperimentConfig(scenario="two_gaussian")
     assert CostParams(d=config.d).a == pytest.approx(3.0)

@@ -63,11 +63,22 @@ def test_data_loader_rejects_bad_files(tmp_path):
         "badlabel.csv": "x1,y\n1.0,2\n",
         "nonnumeric.csv": "x1,y\nabc,1\n",
         "onlyy.csv": "y\n1\n",
+        "nan.csv": "x1,y\nnan,1\n",
+        "inf.csv": "x1,y\n1.0,1\n-inf,-1\n",
+        "overflow.csv": "x1,y\n1e400,1\n",
     }
     for name, text in cases.items():
         path = tmp_path / name
         path.write_text(text)
         with pytest.raises(DataError):
+            load_data(str(path))
+    # messages name the file line and the column, blank lines included
+    for text, where in (("x0,y\n1,1\n\n\nabc,-1\n", "line 5, column x0"),
+                        ("x0,x1,y\n1,1,1\n\n2,inf,-1\n", "line 4, column x1"),
+                        ("x0,y\n1,1\n\n2,3\n", "line 4: label")):
+        path = tmp_path / "where.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=where):
             load_data(str(path))
     unlabeled = tmp_path / "unlabeled.csv"
     unlabeled.write_text("x1,x2\n1.0,2.0\n")
@@ -91,6 +102,10 @@ def test_distribution_loader(tmp_path):
     nofeat.write_text("p,eta\n1.0,0.5\n")
     with pytest.raises(DataError):
         load_distribution(str(nofeat))
+    nan_eta = tmp_path / "nan_eta.csv"
+    nan_eta.write_text("p,eta,x1\n0.5,0.5,0.0\n0.5,nan,1.0\n")
+    with pytest.raises(DataError, match="line 3, column eta"):
+        load_distribution(str(nan_eta))
 
 
 def test_model_roundtrip_is_byte_identical(tmp_path, data_file):
@@ -280,6 +295,11 @@ def test_cli_exit_codes(tmp_path, data_file, monkeypatch, capsys):
     wide.write_text("x1,x2,x3\n1.0,2.0,3.0\n")
     assert main(["predict", "--model", model_path, "--data",
                  str(wide)]) == 3
+    # non-finite cell -> data
+    nan_data = tmp_path / "nan.csv"
+    nan_data.write_text("x1,x2,y\n1.0,nan,1\n")
+    assert main(["train", "--data", str(nan_data), "--d", "0.25",
+                 "--r", "0.1", "--out", model_path]) == 3
     # solver failure -> numerical
     import rejectsvm.cli as cli_mod
 

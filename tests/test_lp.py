@@ -14,7 +14,13 @@ from rejectsvm.dictionary import (
     evaluate,
 )
 from rejectsvm.losses import CostParams
-from rejectsvm.lp import LinearProgram, LpInputError, LpNumericalError, solve_lp
+from rejectsvm.lp import (
+    LinearProgram,
+    LpInputError,
+    LpNumericalError,
+    LpPath,
+    solve_lp,
+)
 from rejectsvm.sim import gen_mixture
 from rejectsvm.train import default_r_grid, split_lp
 
@@ -58,7 +64,9 @@ def test_reports_infeasible():
 def test_reports_unbounded():
     lp = LinearProgram(objective=[-1.0], rows=[[-1.0]],
                        relations=["<="], rhs=[0.0], lower=[0.0])
-    assert solve_lp(lp).status == "unbounded"
+    sol = solve_lp(lp)
+    assert sol.status == "unbounded"
+    assert sol.eps == 0.0  # the relaxed attempt hands its verdict over
 
 
 def test_two_sided_bounds_become_active():
@@ -178,7 +186,7 @@ def test_iteration_count_is_reported():
 
 
 # ---------------------------------------------------------------------------
-# fallback chain: relaxed attempts hand over, only the unrelaxed one raises
+# two attempts: a relaxed one that hands over, then an unrelaxed last resort
 
 def _two_variable_program():
     return LinearProgram(objective=[-1.0, -1.0],
@@ -195,13 +203,13 @@ def _budgets(monkeypatch, per_attempt):
 
 
 def test_exhausted_relaxed_budget_hands_over(monkeypatch):
-    # the slack start needs two pivots; both relaxed attempts get one
-    _budgets(monkeypatch, [1, 1, 1000])
+    # the slack start needs two pivots; the relaxed attempt gets one
+    _budgets(monkeypatch, [1, 1000])
     sol = solve_lp(_two_variable_program(), initial_basis=[2, 3])
     assert sol.status == "optimal"
     assert sol.eps == 0.0
     assert abs(sol.objective_value - (-14.0 / 5.0)) < 1e-12
-    assert sol.iterations == 2 + 2 + 2  # every attempt's pivots count
+    assert sol.iterations == 2 + 2  # both attempts' pivots count
 
 
 @pytest.mark.parametrize("message", [
@@ -215,7 +223,7 @@ def test_relaxed_numerical_guard_hands_over(monkeypatch, message):
 
     def guarded(*args):
         calls.append(1)
-        if len(calls) <= 2:  # one phase per relaxed attempt from the slacks
+        if len(calls) == 1:  # the relaxed attempt's one phase from the slacks
             raise LpNumericalError(message)
         return real(*args)
 
@@ -226,23 +234,88 @@ def test_relaxed_numerical_guard_hands_over(monkeypatch, message):
     assert abs(sol.objective_value - (-14.0 / 5.0)) < 1e-12
 
 
+def _singular(*args):
+    raise np.linalg.LinAlgError("forced")
+
+
+def _failed_audit(lp, x):
+    raise LpNumericalError("forced audit failure")
+
+
+@pytest.mark.parametrize("owner, name, fake, reason", [
+    (np.linalg, "solve", _singular, "singular restored basis"),
+    (lp_module, "_audit_feasible", _failed_audit, "forced audit failure"),
+], ids=["singular restore", "failed audit"])
+def test_restore_and_audit_failures_hand_over(monkeypatch, owner, name, fake,
+                                              reason):
+    monkeypatch.setattr(owner, name, fake)
+    _budgets(monkeypatch, [1000, 1])  # the last resort fails too
+    with pytest.raises(LpNumericalError) as err:
+        solve_lp(_two_variable_program(), initial_basis=[2, 3])
+    assert f"eps=1e-07: {reason} after 2 pivots" in str(err.value)
+
+
 def test_unrelaxed_failure_names_every_reason(monkeypatch):
-    _budgets(monkeypatch, [1, 1, 1])
+    _budgets(monkeypatch, [1, 1])
     with pytest.raises(LpNumericalError) as err:
         solve_lp(_two_variable_program(), initial_basis=[2, 3])
     text = str(err.value)
-    assert "iteration limit exceeded in the unrelaxed attempt" in text
-    assert "eps=1e-07: simplex iteration limit exceeded" in text
-    assert "eps=1e-10: simplex iteration limit exceeded" in text
+    assert text.startswith("every solve attempt failed")
+    assert "eps=1e-07: simplex iteration limit exceeded after 2 pivots" in text
+    assert "eps=0: simplex iteration limit exceeded after 2 pivots" in text
+
+
+def test_relaxed_attempts_never_switch_to_bland(monkeypatch):
+    modes = []
+    real = lp_module._run_phase
+
+    def recording(T, basis, m, obj_row, allowed, state):
+        modes.append(state["bland"])
+        return real(T, basis, m, obj_row, allowed, state)
+
+    monkeypatch.setattr(lp_module, "_run_phase", recording)
+    _budgets(monkeypatch, [1, 1000])
+    sol = solve_lp(_two_variable_program(), initial_basis=[2, 3])
+    assert sol.eps == 0.0
+    # Dantzig for the relaxed attempt; Bland's rule from the last resort's
+    # first pivot
+    assert modes == [False, True]
+
+
+def _gap_program(gap):
+    """x + y <= 1 and x + y >= 1 + gap: infeasible, but only by gap.
+
+    The relaxed rows overlap, so the relaxed attempt ends optimal on a
+    basis whose true basic solution is negative and that no dual pivot can
+    repair.
+    """
+    return LinearProgram(objective=[1.0, 1.0], rows=[[1.0, 1.0], [1.0, 1.0]],
+                         relations=["<=", ">="], rhs=[1.0, 1.0 + gap],
+                         lower=[0.0, 0.0])
+
+
+def test_failed_repair_hands_over():
+    sol = solve_lp(_gap_program(3e-7))
+    assert sol.status == "infeasible"
+    assert sol.eps == 0.0
+
+
+def test_failed_repair_is_named_when_the_last_resort_fails(monkeypatch):
+    _budgets(monkeypatch, [1000, 0])
+    with pytest.raises(LpNumericalError) as err:
+        solve_lp(_gap_program(3e-7))
+    text = str(err.value)
+    assert "eps=1e-07: dual repair found no entering column" in text
+    assert "eps=0: simplex iteration limit exceeded" in text
 
 
 def _probe_program():
     """Fold 0 of a 5-fold CV of the RBF mixture at r = 0.0965.
 
-    Its 1e-7 attempt ends on a basis that is infeasible for the true
-    right-hand side, so the 1e-10 attempt must decide.  That attempt used
-    to switch to Bland's rule on a stall and run into the iteration limit
-    after 250,001 pivots.
+    Its relaxed attempt ends on a basis that is infeasible for the true
+    right-hand side (basic values down to -2.7e-7), so the dual repair must
+    decide.  An attempt that restarted from the crash basis instead took
+    521 more pivots.
     """
     x, y, _ = gen_mixture(200, 3)
     dic = build_rbf_lattice((10, 10), x.min(axis=0), x.max(axis=0), beta=2.0)
@@ -256,25 +329,15 @@ def _probe_program():
     return split_lp(fold, cp, r), crash
 
 
-def test_rejected_relaxed_basis_hands_over():
+def test_rejected_relaxed_basis_is_repaired():
     lp, crash = _probe_program()
-    sol = solve_lp(lp, initial_basis=crash)
+    path = LpPath()
+    sol = solve_lp(lp, initial_basis=crash, path=path)
     assert sol.status == "optimal"
-    assert sol.eps == 1e-10
-    assert sol.iterations < 5000  # 504 + 521 pivots when written
+    assert sol.eps == 1e-7
+    assert sol.iterations < 1025  # 504 relaxed + 6 dual pivots when written
+    assert path.key is None  # a repaired tableau is not kept
     ref = linprog(lp.objective, A_ub=-lp.rows, b_ub=-lp.rhs, bounds=(0, None),
                   method="highs")
     gap = (sol.objective_value - ref.fun) / (1.0 + abs(ref.fun))
     assert -1e-7 <= gap <= 1e-9
-
-
-def test_relaxed_attempts_never_switch_to_bland(monkeypatch):
-    lp, crash = _probe_program()
-    ref = solve_lp(lp, initial_basis=crash)
-    # a stall limit of one would put any attempt allowed to switch into
-    # Bland mode almost at once; the relaxed attempts must not notice
-    monkeypatch.setattr(lp_module, "_STALL_LIMIT", 1)
-    again = solve_lp(lp, initial_basis=crash)
-    assert again.eps == ref.eps == 1e-10
-    assert again.iterations == ref.iterations
-    assert again.x.tobytes() == ref.x.tobytes()
