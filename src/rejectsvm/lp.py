@@ -7,9 +7,9 @@ Problems are stated in general form,
                 lower <= x <= upper            (entries may be infinite)
 
 The solver is deliberately plain -- a dense tableau with explicit artificial
-variables, Dantzig pricing on a once-relaxed right-hand side, a dual simplex
-repair of the restored basis, and Bland's rule only in an unrelaxed last
-resort -- so that small instances can be confirmed independently by
+variables, steepest-edge pricing on a once-relaxed right-hand side, a dual
+simplex repair of the restored basis, and Bland's rule only in an unrelaxed
+last resort -- so that small instances can be confirmed independently by
 enumerating every basic solution of the standard form, as the test suite
 does with its own vertex-enumeration oracle.
 """
@@ -24,7 +24,7 @@ from .constants import BLOWUP_LIMIT, FEAS_TOL, PIVOT_TOL
 _RELATIONS = ("<=", ">=", "=")
 
 # right-hand-side relaxations tried in turn: one relaxed attempt under
-# Dantzig pricing, then an unrelaxed last resort under Bland's rule
+# steepest-edge pricing, then an unrelaxed last resort under Bland's rule
 _ATTEMPTS = (1e-7, 0.0)
 
 
@@ -282,15 +282,17 @@ def _run_phase(T, basis, m, obj_row, allowed, state):
     ncols = T.shape[1] - 1
     while True:
         red = np.where(allowed, T[obj_row, :ncols], np.inf)
+        neg = np.flatnonzero(red < -PIVOT_TOL)
+        if neg.size == 0:
+            return "optimal"
         if state["bland"]:
-            neg = np.flatnonzero(red < -PIVOT_TOL)
-            if neg.size == 0:
-                return "optimal"
             j = int(neg[0])
         else:
-            j = int(np.argmin(red))
-            if red[j] >= -PIVOT_TOL:
-                return "optimal"
+            # steepest edge: reduced cost per unit length of the edge, with
+            # each candidate's norm computed fresh from this tableau
+            cols = T[:m, neg]
+            gamma = np.einsum("ij,ij->j", cols, cols)
+            j = int(neg[np.argmin(red[neg] / np.sqrt(1.0 + gamma))])
         col = T[:m, j]
         pos = col > PIVOT_TOL
         if not pos.any():
@@ -407,7 +409,7 @@ def _simplex_core(A, b, c, initial_basis, state, warm=None):
             if status != "optimal":
                 raise LpNumericalError("auxiliary phase reported unbounded")
             z_aux = -T[m + 1, -1]
-            if z_aux > FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
+            if z_aux > FEAS_TOL:  # the audit's tolerance on a row residual
                 return "infeasible", None, None, False
             drop = []
             for i in range(m):
@@ -442,16 +444,19 @@ def _pivot_budget(m, ncols):
 def solve_lp(lp, initial_basis=None, path=None):
     """Solve a LinearProgram with a two-phase dense simplex method.
 
-    A solve makes at most two attempts.  The first prices by Dantzig's rule
-    (the most negative reduced cost) with the inequality right-hand sides
-    relaxed by tiny, deterministic, strictly decreasing offsets, which
-    removes ties from the ratio test; the true right-hand side is then
-    restored through the final basis.  Reduced costs do not involve b, so
-    that basis stays dual feasible: when its basic solution is
-    non-negative it is exactly optimal for the unperturbed problem, and
+    A solve makes at most two attempts.  The first prices by steepest edge
+    (the most negative reduced cost per unit length of the edge,
+    d_j / sqrt(1 + |B^-1 a_j|^2), the norms taken afresh from the tableau at
+    every pivot, so no pricing state outlives a pivot) with the inequality
+    right-hand sides relaxed by tiny, deterministic, strictly decreasing
+    offsets, which removes ties from the ratio test; the true right-hand
+    side is then restored through the final basis.  Reduced costs do not
+    involve b, so that basis stays dual feasible: when its basic solution
+    is non-negative it is exactly optimal for the unperturbed problem, and
     otherwise a few dual simplex pivots repair it.  Relaxation only
     enlarges the feasible region, so an infeasible verdict under it is
-    already exact.  The attempt hands over to an unrelaxed last resort
+    already exact; phase 1 gives that verdict when its auxiliary objective
+    exceeds FEAS_TOL, the tolerance the feasibility audit allows a row.  The attempt hands over to an unrelaxed last resort
     under Bland's rule when it exhausts its pivot budget, fails a numerical
     guard, finds the relaxation unbounded, drops redundant rows, restores a
     singular basis, fails the repair or fails the feasibility audit; when

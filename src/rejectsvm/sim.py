@@ -84,9 +84,12 @@ def gen_two_gaussian(n_per_class, M, seed):
     rng = np.random.default_rng(seed)
     mu = np.zeros(M)
     mu[:2] = 1.0 / math.sqrt(2.0)
-    x_pos = rng.normal(size=(n_per_class, M)) + mu
-    x_neg = rng.normal(size=(n_per_class, M)) - mu
-    x = np.vstack([x_pos, x_neg])
+    x = np.empty((2 * n_per_class, M))
+    x_pos, x_neg = x[:n_per_class], x[n_per_class:]
+    rng.standard_normal(out=x_pos)
+    x_pos += mu
+    rng.standard_normal(out=x_neg)
+    x_neg -= mu
     y = np.concatenate([np.ones(n_per_class), -np.ones(n_per_class)])
     eta = expit(2.0 * (x @ mu))
     return x, y, eta

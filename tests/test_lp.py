@@ -277,8 +277,8 @@ def test_relaxed_attempts_never_switch_to_bland(monkeypatch):
     _budgets(monkeypatch, [1, 1000])
     sol = solve_lp(_two_variable_program(), initial_basis=[2, 3])
     assert sol.eps == 0.0
-    # Dantzig for the relaxed attempt; Bland's rule from the last resort's
-    # first pivot
+    # steepest edge for the relaxed attempt; Bland's rule from the last
+    # resort's first pivot
     assert modes == [False, True]
 
 
@@ -294,8 +294,11 @@ def _gap_program(gap):
                          lower=[0.0, 0.0])
 
 
-def test_failed_repair_hands_over():
-    sol = solve_lp(_gap_program(3e-7))
+@pytest.mark.parametrize("gap", [1.5e-7, 3e-7])
+def test_failed_repair_hands_over(gap):
+    # phase 1 judges infeasibility at the audit's absolute tolerance, so a
+    # gap just above FEAS_TOL is a verdict and not a numerical failure
+    sol = solve_lp(_gap_program(gap))
     assert sol.status == "infeasible"
     assert sol.eps == 0.0
 
@@ -335,7 +338,7 @@ def test_rejected_relaxed_basis_is_repaired():
     sol = solve_lp(lp, initial_basis=crash, path=path)
     assert sol.status == "optimal"
     assert sol.eps == 1e-7
-    assert sol.iterations < 1025  # 504 relaxed + 6 dual pivots when written
+    assert sol.iterations < 250  # 170 relaxed + 6 dual pivots when written
     assert path.key is None  # a repaired tableau is not kept
     ref = linprog(lp.objective, A_ub=-lp.rows, b_ub=-lp.rhs, bounds=(0, None),
                   method="highs")

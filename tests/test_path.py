@@ -124,6 +124,7 @@ def test_study_paths_match_highs(solutions):
     design = evaluate(dic, *gen_two_gaussian(config.n_train // 2, config.M,
                                              2024)[:2])
     grid = np.asarray(config.r_grid)
+    total_path_pivots = 0
     for cp in (CP, CP_PLAIN):
         del solutions[:]
         models = walk_penalty_path(
@@ -137,6 +138,9 @@ def test_study_paths_match_highs(solutions):
         path_pivots = sum(m.iterations for m in models)
         cold_pivots = sum(fit(design, cp, r).iterations for r in grid)
         assert path_pivots < cold_pivots
+        total_path_pivots += path_pivots
+    # 705 pivots for both arms when written
+    assert total_path_pivots <= 1000
 
 
 def _population_highs(dist, phi, cp, r):

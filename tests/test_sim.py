@@ -47,6 +47,19 @@ def test_gaussian_sample_moments():
         gen_two_gaussian(10, 1, seed=0)
 
 
+def test_gaussian_draws_match_the_stacked_construction():
+    # the sample is drawn into one array; the reference stacks two draws
+    n, M, seed = 500, 7, 3
+    rng = np.random.default_rng(seed)
+    mu = np.zeros(M)
+    mu[:2] = 1.0 / np.sqrt(2.0)
+    ref = np.vstack([rng.normal(size=(n, M)) + mu,
+                     rng.normal(size=(n, M)) - mu])
+    x, _, _ = gen_two_gaussian(n, M, seed)
+    assert x.flags.c_contiguous
+    assert x.tobytes() == ref.tobytes()
+
+
 def test_gaussian_eta_matches_label_frequency():
     # E[1{Y=+1}] = E[eta(X)]; compare the two estimates at 4 sigma
     x, y, eta = gen_two_gaussian(30_000, 3, seed=7)
