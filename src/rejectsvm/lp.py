@@ -145,109 +145,69 @@ class LpPath:
 def _to_standard_form(lp):
     """Convert to min c.x, A x = b, x >= 0, b >= 0.
 
-    Returns (A, b, c, recover, slack_rows) where recover maps standard-form
-    columns back to the original variables and slack_rows pairs each slack
-    column with its row for the initial-basis scan.
+    Returns (A, b, cmap, sigma).  The column map cmap = (col, sign, shift,
+    free) gives each original variable from the standard form:
+    x_j = sign_j x_std[col_j] + shift_j, minus x_std[col_j + 1] when free_j.
+    sigma is each row's slack coefficient after the sign flips (0 for an
+    equality row).
     """
     m0 = lp.ncon
-    col_vec = []
-    recover = []
+    lo, up = lp.lower, lp.upper
+    free = np.isneginf(lo) & np.isposinf(up)
+    mirror = np.isneginf(lo) & ~free  # upper bound only: mirror the variable
+    sign = np.where(mirror, -1.0, 1.0)
+    shift = np.where(mirror, up, np.where(free, 0.0, lo))
+    width = 1 + free
+    col = np.cumsum(width) - width
+    boxed = np.flatnonzero(np.isfinite(lo) & np.isfinite(up))
+    nv = int(width.sum())
+    m = m0 + boxed.size
+    rels = list(lp.relations) + ["<="] * boxed.size
+    sigma = np.array([(rel == "<=") - (rel == ">=") for rel in rels], float)
+    ineq = np.flatnonzero(sigma)
+    A = np.zeros((m, nv + ineq.size))
+    A[:m0, col] = lp.rows * sign
+    A[:m0, col[free] + 1] = -lp.rows[:, free]
+    A[m0 + np.arange(boxed.size), col[boxed]] = 1.0
+    A[ineq, nv + np.arange(ineq.size)] = sigma[ineq]
     b = lp.rhs.copy()
-    extra_rows = []  # (standard column, upper - lower) for two-sided bounds
-    for j in range(lp.nvar):
-        aj = lp.rows[:, j]
-        lo = lp.lower[j]
-        up = lp.upper[j]
-        if np.isneginf(lo) and np.isposinf(up):
-            k = len(col_vec)
-            col_vec.extend([aj, -aj])
-            recover.append(("split", k, k + 1))
-        elif not np.isneginf(lo):
-            if lo != 0.0:
-                b = b - aj * lo
-            k = len(col_vec)
-            col_vec.append(aj)
-            recover.append(("shift", k, float(lo)))
-            if not np.isposinf(up):
-                extra_rows.append((k, float(up - lo)))
-        else:
-            # upper bound only: mirror the variable
-            b = b - aj * up
-            k = len(col_vec)
-            col_vec.append(-aj)
-            recover.append(("mirror", k, float(up)))
-    nv = len(col_vec)
-    mb = len(extra_rows)
-    m = m0 + mb
-    rels = list(lp.relations) + ["<="] * mb
-    n_slack = sum(1 for rel in rels if rel != "=")
-    A = np.zeros((m, nv + n_slack))
-    if m0:
-        for k in range(nv):
-            A[:m0, k] = col_vec[k]
-    bb = np.concatenate([b, [ub for _, ub in extra_rows]])
-    for i, (k, _) in enumerate(extra_rows):
-        A[m0 + i, k] = 1.0
-    c = _standard_costs(lp.objective, recover, nv + n_slack)
-    slack_rows = []
-    s = nv
-    for i, rel in enumerate(rels):
-        if rel == "<=":
-            A[i, s] = 1.0
-            slack_rows.append((s, i))
-            s += 1
-        elif rel == ">=":
-            A[i, s] = -1.0
-            slack_rows.append((s, i))
-            s += 1
-    neg = bb < 0
+    for j in np.flatnonzero(shift):  # one column at a time, in column order
+        b = b - lp.rows[:, j] * shift[j]
+    b = np.concatenate([b, up[boxed] - lo[boxed]])
+    neg = b < 0
     if neg.any():
         A[neg] *= -1.0
-        bb[neg] *= -1.0
-    return A, bb, c, recover, slack_rows
+        b[neg] *= -1.0
+        sigma[neg] *= -1.0
+    return A, b, (col, sign, shift, free), sigma
 
 
-def _standard_costs(objective, recover, ncols):
+def _standard_costs(objective, cmap, ncols):
     """Standard-form cost vector: mirrored columns negate, slacks cost 0."""
+    col, sign, _, free = cmap
     c = np.zeros(ncols)
-    for cj, rec in zip(objective.tolist(), recover):
-        kind = rec[0]
-        if kind == "split":
-            c[rec[1]], c[rec[2]] = cj, -cj
-        elif kind == "shift":
-            c[rec[1]] = cj
-        else:
-            c[rec[1]] = -cj
+    c[col] = sign * objective
+    c[col[free] + 1] = -objective[free]
     return c
 
 
-def _recover_x(recover, x_std, nvar):
-    x = np.empty(nvar)
-    for j, rec in enumerate(recover):
-        kind = rec[0]
-        if kind == "split":
-            x[j] = x_std[rec[1]] - x_std[rec[2]]
-        elif kind == "shift":
-            x[j] = x_std[rec[1]] + rec[2]
-        else:
-            x[j] = rec[2] - x_std[rec[1]]
+def _recover_x(cmap, x_std):
+    col, sign, shift, free = cmap
+    x = sign * x_std[col] + shift
+    x[free] -= x_std[col[free] + 1]
     return x
 
 
 def _audit_feasible(lp, x):
     """Raise LpNumericalError if x violates any original constraint or bound."""
-    if lp.ncon:
-        res = lp.rows @ x - lp.rhs
-        for i, rel in enumerate(lp.relations):
-            bad = (
-                (rel == "<=" and res[i] > FEAS_TOL)
-                or (rel == ">=" and res[i] < -FEAS_TOL)
-                or (rel == "=" and abs(res[i]) > FEAS_TOL)
-            )
-            if bad:
-                raise LpNumericalError(
-                    f"claimed-optimal point violates row {i} by {res[i]:.3e}"
-                )
+    res = lp.rows @ x - lp.rhs
+    rel = np.array(lp.relations, dtype=object)
+    excess = np.where(rel == ">=", -res, np.where(rel == "=", np.abs(res), res))
+    bad = np.flatnonzero(excess > FEAS_TOL)
+    if bad.size:
+        raise LpNumericalError(
+            f"claimed-optimal point violates row {bad[0]} by {res[bad[0]]:.3e}"
+        )
     if np.any(x < lp.lower - FEAS_TOL) or np.any(x > lp.upper + FEAS_TOL):
         raise LpNumericalError("claimed-optimal point violates a variable bound")
 
@@ -277,11 +237,13 @@ def _counted_pivot(T, basis, r, c, state):
         raise LpNumericalError("tableau magnitude exceeded blow-up limit")
 
 
-def _run_phase(T, basis, m, obj_row, allowed, state):
-    """Pivot until the phase objective is optimal.  Returns 'optimal'/'unbounded'."""
-    ncols = T.shape[1] - 1
+def _run_phase(T, basis, m, obj_row, n_enter, state):
+    """Pivot until the phase objective is optimal.  Returns 'optimal'/'unbounded'.
+
+    Only the first n_enter columns may enter the basis.
+    """
     while True:
-        red = np.where(allowed, T[obj_row, :ncols], np.inf)
+        red = T[obj_row, :n_enter]
         neg = np.flatnonzero(red < -PIVOT_TOL)
         if neg.size == 0:
             return "optimal"
@@ -334,8 +296,9 @@ def _dual_repair(T, basis, x_b, state):
 def _warm_tableau(A, b, c, basis):
     """Canonical tableau for a caller-supplied feasible basis, or None.
 
-    Returns None when the basis is singular or its basic solution is not
-    non-negative, in which case the ordinary two-phase route runs instead.
+    Returns None when the basis is singular or its basic solution has a
+    value below -PIVOT_TOL, in which case the ordinary two-phase route runs
+    instead.  Smaller negative values are roundoff dust, set to 0.
     """
     m, ncols = A.shape
     B = A[:, basis]
@@ -343,14 +306,12 @@ def _warm_tableau(A, b, c, basis):
         body = np.linalg.solve(B, np.column_stack([A, b]))
     except np.linalg.LinAlgError:
         return None
-    x_b = body[:, -1]
-    if np.any(x_b < -FEAS_TOL):
+    if np.any(body[:, -1] < -PIVOT_TOL):
         return None
-    np.clip(x_b, 0.0, None, out=x_b)  # scrub roundoff dust
+    np.clip(body[:, -1], 0.0, None, out=body[:, -1])
     T = np.zeros((m + 1, ncols + 1), order="F")
     T[:m] = body
-    T[m, :ncols] = c - c[basis] @ body[:, :ncols]
-    T[m, -1] = -float(c[basis] @ x_b)
+    _reprice(T, basis, c)
     return T
 
 
@@ -399,13 +360,12 @@ def _simplex_core(A, b, c, initial_basis, state, warm=None):
             T[i, ncols + k] = 1.0
             basis[i] = ncols + k
         T[m, :ncols] = c
-        allowed = np.ones(ncols + n_art, dtype=bool)
-        allowed[ncols:] = False  # artificials may leave the basis, never enter
         if n_art:
             T[m + 1, ncols:ncols + n_art] = 1.0
             for i in art_rows:
                 T[m + 1, :] -= T[i, :]
-            status = _run_phase(T, basis, m, m + 1, allowed, state)
+            # artificials, the trailing columns, may leave but never enter
+            status = _run_phase(T, basis, m, m + 1, ncols, state)
             if status != "optimal":
                 raise LpNumericalError("auxiliary phase reported unbounded")
             z_aux = -T[m + 1, -1]
@@ -416,8 +376,7 @@ def _simplex_core(A, b, c, initial_basis, state, warm=None):
                 if basis[i] >= ncols:
                     good = np.flatnonzero(np.abs(T[i, :ncols]) > PIVOT_TOL)
                     if good.size:
-                        _pivot(T, i, int(good[0]))
-                        basis[i] = int(good[0])
+                        _counted_pivot(T, basis, i, int(good[0]), state)
                     else:
                         drop.append(i)  # redundant row
             if drop:
@@ -426,7 +385,7 @@ def _simplex_core(A, b, c, initial_basis, state, warm=None):
                 m -= len(drop)
         keep = np.concatenate([np.arange(ncols), [ncols + n_art]])
         T = np.asfortranarray(T[: m + 1][:, keep])
-    status = _run_phase(T, basis, m, m, np.ones(ncols, dtype=bool), state)
+    status = _run_phase(T, basis, m, m, ncols, state)
     if status == "unbounded":
         return "unbounded", None, None, False
     return "optimal", basis, T, m < A.shape[0]
@@ -451,17 +410,18 @@ def solve_lp(lp, initial_basis=None, path=None):
     right-hand sides relaxed by tiny, deterministic, strictly decreasing
     offsets, which removes ties from the ratio test; the true right-hand
     side is then restored through the final basis.  Reduced costs do not
-    involve b, so that basis stays dual feasible: when its basic solution
-    is non-negative it is exactly optimal for the unperturbed problem, and
+    involve b, so that basis stays dual feasible: when no basic value is
+    below -PIVOT_TOL it is optimal for the unperturbed problem, and
     otherwise a few dual simplex pivots repair it.  Relaxation only
     enlarges the feasible region, so an infeasible verdict under it is
     already exact; phase 1 gives that verdict when its auxiliary objective
-    exceeds FEAS_TOL, the tolerance the feasibility audit allows a row.  The attempt hands over to an unrelaxed last resort
-    under Bland's rule when it exhausts its pivot budget, fails a numerical
-    guard, finds the relaxation unbounded, drops redundant rows, restores a
-    singular basis, fails the repair or fails the feasibility audit; when
-    that attempt fails too, the error names the reason for each.  Identical
-    inputs produce bitwise-identical solutions.
+    exceeds FEAS_TOL, the tolerance the feasibility audit allows a row.
+    The attempt hands over to an unrelaxed last resort under Bland's rule
+    when it exhausts its pivot budget, fails a numerical guard, finds the
+    relaxation unbounded, drops redundant rows, restores a singular basis,
+    fails the repair or fails the feasibility audit; when that attempt
+    fails too, the error names the reason for each.  Identical inputs
+    produce bitwise-identical solutions.
 
     initial_basis optionally names standard-form columns forming a feasible
     starting basis, skipping the auxiliary phase.  Standard-form columns are:
@@ -482,12 +442,12 @@ def solve_lp(lp, initial_basis=None, path=None):
     if path is not None:
         if path.matches(lp):
             key = path.key
-            A, b_true, recover, slack_rows = path.form
-            c = _standard_costs(lp.objective, recover, A.shape[1])
+            A, b_true, cmap, sigma = path.form
             prior = (path.tableau, path.basis, path.x_b)
         path.clear()  # refilled only by an unrepaired relaxed verdict below
     if key is None:
-        A, b_true, c, recover, slack_rows = _to_standard_form(lp)
+        A, b_true, cmap, sigma = _to_standard_form(lp)
+    c = _standard_costs(lp.objective, cmap, A.shape[1])
     m, ncols = A.shape
     if initial_basis is not None:
         initial_basis = np.asarray(initial_basis, dtype=int)
@@ -495,10 +455,7 @@ def solve_lp(lp, initial_basis=None, path=None):
             raise LpInputError("initial basis must name one distinct column per row")
         if m and (initial_basis.min() < 0 or initial_basis.max() >= ncols):
             raise LpInputError("initial basis column out of range")
-    # relaxing direction per row: sign of the slack coefficient (0 = equality)
-    sigma = np.zeros(m)
-    for s, i in slack_rows:
-        sigma[i] = A[i, s]
+    # each row relaxes along its slack coefficient sigma (0 = equality)
     jitter = ((np.arange(m) + 1) * _GOLDEN) % 1.0
     # strictly decreasing magnitudes keep structured warm starts feasible
     profile = (1.0 + np.abs(b_true)) * (m - np.arange(m) + jitter) / max(m, 1)
@@ -510,7 +467,7 @@ def solve_lp(lp, initial_basis=None, path=None):
         warm = prior if eps > 0.0 else None
         try:
             status, x, kept = _attempt(lp, A, b_true + eps * sigma * profile,
-                                       b_true, c, recover, eps > 0.0,
+                                       b_true, c, cmap, eps > 0.0,
                                        initial_basis, warm, state)
         except LpNumericalError as exc:
             passed_over.append(f"eps={eps:g}: {exc} after {state['iter']} pivots")
@@ -524,14 +481,14 @@ def solve_lp(lp, initial_basis=None, path=None):
                 # copies: a caller may edit the program in place and solve again
                 key = (lp.rows.copy(), lp.relations, lp.rhs.copy(),
                        lp.lower.copy(), lp.upper.copy())
-            path.key, path.form = key, (A, b_true, recover, slack_rows)
+            path.key, path.form = key, (A, b_true, cmap, sigma)
             path.tableau, path.basis, path.x_b = kept
         return LpSolution("optimal", x, float(lp.objective @ x), total_iters,
                           eps, warm is not None)
     raise LpNumericalError("every solve attempt failed: " + "; ".join(passed_over))
 
 
-def _attempt(lp, A, b, b_true, c, recover, relaxed, initial_basis, warm,
+def _attempt(lp, A, b, b_true, c, cmap, relaxed, initial_basis, warm,
              state):
     """One solve attempt of the standard form (A, b_true, c) on the rhs b.
 
@@ -568,11 +525,11 @@ def _attempt(lp, A, b, b_true, c, recover, relaxed, initial_basis, warm,
                 x_b = np.linalg.solve(A[:, basis], b_true)
             except np.linalg.LinAlgError:
                 raise LpNumericalError("singular restored basis") from None
-        if np.any(x_b < -FEAS_TOL):
+        if np.any(x_b < -PIVOT_TOL):  # the repair's own exit test
             x_b = _dual_repair(T, basis, x_b, state)
         else:
             kept = (T, basis, x_b)
         x_std[basis] = np.clip(x_b, 0.0, None)
-    x = _recover_x(recover, x_std, lp.nvar)
+    x = _recover_x(cmap, x_std)
     _audit_feasible(lp, x)
     return "optimal", x, kept

@@ -296,22 +296,22 @@ class PopulationPath:
 
 
 def population_path(dist, dic, cp, r_grid):
-    """Solve lambda(0) and the population fits on a positive r grid.
+    """Solve the population fits on a positive r grid and lambda(0).
 
-    The r = 0 anchor is solved alone from the crash basis, so it has the
-    bits of a lone fit_population call; the grid is walked as one warm path
-    from the largest r down (walk_penalty_path).  The result serves both
-    check_prop21 and check_plateau, so neither solves a fit twice.
+    The grid and the r = 0 anchor are walked as one warm path from the
+    largest r down (walk_penalty_path); lambda(0) is the path's last step.
+    The result serves both check_prop21 and check_plateau, so neither
+    solves a fit twice.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.size == 0 or np.any(r_grid <= 0.0):
         raise ValueError("r_grid must be positive and non-empty")
     r_grid = np.sort(r_grid)
-    base = fit_population(dist, dic, cp, 0.0)
     models = walk_penalty_path(
-        r_grid, lambda r, path: fit_population(dist, dic, cp, r, path=path)
+        np.append(r_grid, 0.0),
+        lambda r, path: fit_population(dist, dic, cp, r, path=path),
     )[0]
-    return PopulationPath(base, r_grid, models)
+    return PopulationPath(models[-1], r_grid, models[:-1])
 
 
 def check_prop21(dist, dic, cp, r_grid, fits=None):

@@ -2,14 +2,15 @@
 
 The reference the solver tests compare against.  It shares nothing with
 rejectsvm.lp beyond the LinearProgram container, the LpSolution record and
-the mapping of standard-form columns back to the original variables.
+the error classes: its standard form and its mapping of standard-form
+columns back to the original variables are its own.
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from rejectsvm.lp import LpError, LpInputError, LpSolution, _recover_x
+from rejectsvm.lp import LpError, LpInputError, LpSolution
 
 
 class LpOversizeError(LpError):
@@ -69,6 +70,20 @@ def _oracle_standard_form(lp):
             A[i, s] = -1.0
             s += 1
     return A, bb, c, recover
+
+
+def _recover_x(recover, x_std, nvar):
+    """Original variables from a standard-form point, one tagged entry each."""
+    x = np.empty(nvar)
+    for j, rec in enumerate(recover):
+        kind = rec[0]
+        if kind == "split":
+            x[j] = x_std[rec[1]] - x_std[rec[2]]
+        elif kind == "shift":
+            x[j] = x_std[rec[1]] + rec[2]
+        else:
+            x[j] = rec[2] - x_std[rec[1]]
+    return x
 
 
 def enumerate_vertices_oracle(lp, guard=20):

@@ -269,9 +269,9 @@ def test_relaxed_attempts_never_switch_to_bland(monkeypatch):
     modes = []
     real = lp_module._run_phase
 
-    def recording(T, basis, m, obj_row, allowed, state):
+    def recording(T, basis, m, obj_row, n_enter, state):
         modes.append(state["bland"])
-        return real(T, basis, m, obj_row, allowed, state)
+        return real(T, basis, m, obj_row, n_enter, state)
 
     monkeypatch.setattr(lp_module, "_run_phase", recording)
     _budgets(monkeypatch, [1, 1000])
@@ -280,6 +280,25 @@ def test_relaxed_attempts_never_switch_to_bland(monkeypatch):
     # steepest edge for the relaxed attempt; Bland's rule from the last
     # resort's first pivot
     assert modes == [False, True]
+
+
+def test_phase_one_drive_out_pivots_are_counted(monkeypatch):
+    # x = y = 0 is the only feasible point; phase 1 ends with an artificial
+    # basic at 0 in each equality row, and driving them out takes two pivots
+    pivots = []
+    real = lp_module._pivot
+
+    def counting(T, r, c):
+        pivots.append(c)
+        return real(T, r, c)
+
+    monkeypatch.setattr(lp_module, "_pivot", counting)
+    sol = solve_lp(LinearProgram(objective=[-1.0, 0.0],
+                                 rows=[[2.0, 1.0], [-1.0, -2.0], [-2.0, 1.0]],
+                                 relations=[">=", "=", "="], rhs=[0.0] * 3,
+                                 lower=[0.0, 0.0]))
+    assert sol.status == "optimal" and sol.eps == 1e-7
+    assert sol.iterations == len(pivots) == 2
 
 
 def _gap_program(gap):

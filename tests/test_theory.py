@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from rejectsvm.dictionary import build_linear
+from rejectsvm.dictionary import build_linear, build_rbf_lattice
 from rejectsvm.losses import CostParams, DiscreteDistribution
 from rejectsvm.theory import (
     check_excess_domination,
@@ -16,6 +16,7 @@ from rejectsvm.theory import (
     gram_psi,
     kappa_estimate,
     make_context,
+    population_path,
     weighted_norm,
 )
 
@@ -181,6 +182,24 @@ def test_population_path_check_passes_on_fixture():
         check_prop21(dist, dic, cp, [])
     with pytest.raises(ValueError):
         check_prop21(dist, dic, cp, [0.0, 0.1])
+
+
+def test_population_path_repairs_dust_in_a_restored_basis():
+    # on this distribution a restored basis once held basic values in
+    # [-FEAS_TOL, 0): clipped to 0 without a repair, they moved a row by
+    # more than FEAS_TOL, the audit failed and the last resort blew up
+    rng = np.random.default_rng(3939563265)
+    x = rng.uniform(-2.0, 2.0, size=(200, 2))
+    p = rng.uniform(0.5, 1.5, size=200)
+    eta = 1.0 / (1.0 + np.exp(-2.0 * (x[:, 0] + 0.5 * x[:, 1])
+                              - 0.3 * rng.normal(size=200)))
+    dist = DiscreteDistribution(x=x, p=p / p.sum(), eta=eta)
+    dic = build_rbf_lattice((6, 6), x.min(axis=0), x.max(axis=0))
+    grid = np.geomspace(0.003, 3.0, 20)
+    fits = population_path(dist, dic, CostParams(0.25), grid)
+    assert list(fits.r) == list(grid)
+    assert len(fits.models) == 20
+    assert fits.base.r == 0.0
 
 
 def test_domination_check_passes_on_fixture_and_random():
