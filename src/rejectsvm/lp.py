@@ -7,11 +7,11 @@ Problems are stated in general form,
                 lower <= x <= upper            (entries may be infinite)
 
 The solver is deliberately plain -- a dense tableau with explicit artificial
-variables, steepest-edge pricing on a once-relaxed right-hand side, a dual
-simplex repair of the restored basis, and Bland's rule only in an unrelaxed
-last resort -- so that small instances can be confirmed independently by
-enumerating every basic solution of the standard form, as the test suite
-does with its own vertex-enumeration oracle.
+variables, steepest-edge pricing, and a basic solution restored from the
+original data and repaired by dual simplex pivots -- so that small instances
+can be confirmed independently by enumerating every basic solution of the
+standard form, as the test suite does with its own vertex-enumeration
+oracle.
 """
 
 from dataclasses import dataclass
@@ -23,8 +23,8 @@ from .constants import BLOWUP_LIMIT, FEAS_TOL, PIVOT_TOL
 
 _RELATIONS = ("<=", ">=", "=")
 
-# right-hand-side relaxations tried in turn: one relaxed attempt under
-# steepest-edge pricing, then an unrelaxed last resort under Bland's rule
+# right-hand-side relaxations tried in turn: one relaxed attempt, then an
+# unrelaxed last resort; both run the same procedure
 _ATTEMPTS = (1e-7, 0.0)
 
 
@@ -111,9 +111,9 @@ class LpSolution:
 class LpPath:
     """Warm-start state for a run of programs that differ only in cost.
 
-    After a solve that the relaxed attempt decided without a dual repair,
-    it keeps that program's constraints, their standard form, and the
-    attempt's final tableau, basis and basic solution for the true
+    After a solve that the relaxed attempt decided with every row and no
+    dual repair, it keeps that program's constraints, their standard form,
+    and the attempt's final tableau, basis and basic solution for the true
     right-hand side.  None of these involves the costs, so the next solve
     with equal constraints reuses the standard form and starts its relaxed
     attempt from the tableau, with only the cost row re-priced, pivoting it
@@ -237,28 +237,26 @@ def _counted_pivot(T, basis, r, c, state):
         raise LpNumericalError("tableau magnitude exceeded blow-up limit")
 
 
-def _run_phase(T, basis, m, obj_row, n_enter, state):
-    """Pivot until the phase objective is optimal.  Returns 'optimal'/'unbounded'.
+def _run_phase(T, basis, n_enter, state):
+    """Pivot by steepest edge until optimal (None) or unbounded (the column).
 
-    Only the first n_enter columns may enter the basis.
+    The objective is row m of T; only the first n_enter columns may enter.
     """
+    m = basis.size
     while True:
-        red = T[obj_row, :n_enter]
+        red = T[m, :n_enter]
         neg = np.flatnonzero(red < -PIVOT_TOL)
         if neg.size == 0:
-            return "optimal"
-        if state["bland"]:
-            j = int(neg[0])
-        else:
-            # steepest edge: reduced cost per unit length of the edge, with
-            # each candidate's norm computed fresh from this tableau
-            cols = T[:m, neg]
-            gamma = np.einsum("ij,ij->j", cols, cols)
-            j = int(neg[np.argmin(red[neg] / np.sqrt(1.0 + gamma))])
+            return None
+        # reduced cost per unit length of the edge, with each candidate's
+        # norm computed fresh from this tableau
+        cols = T[:m, neg]
+        gamma = np.einsum("ij,ij->j", cols, cols)
+        j = int(neg[np.argmin(red[neg] / np.sqrt(1.0 + gamma))])
         col = T[:m, j]
         pos = col > PIVOT_TOL
         if not pos.any():
-            return "unbounded"
+            return j
         ratios = np.full(m, np.inf)
         ratios[pos] = T[:m, -1][pos] / col[pos]
         rmin = ratios.min()
@@ -293,7 +291,7 @@ def _dual_repair(T, basis, x_b, state):
         _counted_pivot(T, basis, r, int(np.argmin(ratios)), state)
 
 
-def _warm_tableau(A, b, c, basis):
+def _warm_tableau(A, b, basis):
     """Canonical tableau for a caller-supplied feasible basis, or None.
 
     Returns None when the basis is singular or its basic solution has a
@@ -311,7 +309,6 @@ def _warm_tableau(A, b, c, basis):
     np.clip(body[:, -1], 0.0, None, out=body[:, -1])
     T = np.zeros((m + 1, ncols + 1), order="F")
     T[:m] = body
-    _reprice(T, basis, c)
     return T
 
 
@@ -326,51 +323,46 @@ def _reprice(T, basis, c):
 def _simplex_core(A, b, c, initial_basis, state, warm=None):
     """Run the (possibly warm-started) two-phase simplex on standard form.
 
-    warm, when given, is a (tableau, basis) pair canonical for (A, b); its
-    cost row is re-priced for c and it is pivoted in place.  Otherwise
-    initial_basis, when usable, seeds a fresh tableau, and the two-phase
-    route runs from artificials when it is not.
+    warm, when given, is a (tableau, basis) pair canonical for (A, b); it is
+    pivoted in place.  Otherwise initial_basis, when usable, seeds a fresh
+    tableau, and the two-phase route runs from artificials when it is not.
+    Phase 2 starts from the cost row priced for c.
 
-    Returns (status, basis, tableau, rows_dropped).  basis and tableau are
-    meaningful only for status "optimal".
+    Returns (status, basis, tableau, rows), rows indexing the rows of A the
+    tableau kept; for "unbounded", basis is instead the ray of the edge.
     """
     m, ncols = A.shape
+    rows = np.arange(m)
     T = None
     if warm is not None:
         T, basis = warm
-        _reprice(T, basis, c)
     elif initial_basis is not None:
         basis = initial_basis.copy()
-        T = _warm_tableau(A, b, c, basis)
+        T = _warm_tableau(A, b, basis)
     if T is None:
         basis = np.full(m, -1, dtype=int)
         for j in range(ncols):
-            if c[j] != 0.0:
-                continue  # only costless unit columns keep the cost row priced
             col = A[:, j]
             hit = np.flatnonzero(col)
             if hit.size == 1 and col[hit[0]] == 1.0 and basis[hit[0]] == -1:
                 basis[hit[0]] = j
         art_rows = [i for i in range(m) if basis[i] == -1]
         n_art = len(art_rows)
-        T = np.zeros((m + 2, ncols + n_art + 1), order="F")
+        T = np.zeros((m + 1, ncols + n_art + 1), order="F")
         T[:m, :ncols] = A
         T[:m, -1] = b
         for k, i in enumerate(art_rows):
             T[i, ncols + k] = 1.0
             basis[i] = ncols + k
-        T[m, :ncols] = c
         if n_art:
-            T[m + 1, ncols:ncols + n_art] = 1.0
+            T[m, ncols:ncols + n_art] = 1.0  # auxiliary objective
             for i in art_rows:
-                T[m + 1, :] -= T[i, :]
+                T[m, :] -= T[i, :]
             # artificials, the trailing columns, may leave but never enter
-            status = _run_phase(T, basis, m, m + 1, ncols, state)
-            if status != "optimal":
+            if _run_phase(T, basis, ncols, state) is not None:
                 raise LpNumericalError("auxiliary phase reported unbounded")
-            z_aux = -T[m + 1, -1]
-            if z_aux > FEAS_TOL:  # the audit's tolerance on a row residual
-                return "infeasible", None, None, False
+            if -T[m, -1] > FEAS_TOL:  # the audit's tolerance on a row residual
+                return "infeasible", None, None, None
             drop = []
             for i in range(m):
                 if basis[i] >= ncols:
@@ -382,13 +374,17 @@ def _simplex_core(A, b, c, initial_basis, state, warm=None):
             if drop:
                 T = np.delete(T, drop, axis=0)
                 basis = np.delete(basis, drop)
-                m -= len(drop)
+                rows = np.delete(rows, drop)
         keep = np.concatenate([np.arange(ncols), [ncols + n_art]])
-        T = np.asfortranarray(T[: m + 1][:, keep])
-    status = _run_phase(T, basis, m, m, ncols, state)
-    if status == "unbounded":
-        return "unbounded", None, None, False
-    return "optimal", basis, T, m < A.shape[0]
+        T = np.asfortranarray(T[:, keep])
+    _reprice(T, basis, c)
+    j = _run_phase(T, basis, ncols, state)
+    if j is not None:
+        ray = np.zeros(ncols)
+        ray[basis] = -T[:-1, j]
+        ray[j] = 1.0
+        return "unbounded", ray, None, None
+    return "optimal", basis, T, rows
 
 
 # deterministic jitter for the anti-degeneracy perturbation
@@ -403,25 +399,26 @@ def _pivot_budget(m, ncols):
 def solve_lp(lp, initial_basis=None, path=None):
     """Solve a LinearProgram with a two-phase dense simplex method.
 
-    A solve makes at most two attempts.  The first prices by steepest edge
-    (the most negative reduced cost per unit length of the edge,
-    d_j / sqrt(1 + |B^-1 a_j|^2), the norms taken afresh from the tableau at
-    every pivot, so no pricing state outlives a pivot) with the inequality
-    right-hand sides relaxed by tiny, deterministic, strictly decreasing
-    offsets, which removes ties from the ratio test; the true right-hand
-    side is then restored through the final basis.  Reduced costs do not
-    involve b, so that basis stays dual feasible: when no basic value is
-    below -PIVOT_TOL it is optimal for the unperturbed problem, and
-    otherwise a few dual simplex pivots repair it.  Relaxation only
+    A solve makes at most two attempts, which differ only in eps.  Both
+    price by steepest edge (the most negative reduced cost per unit length
+    of the edge, d_j / sqrt(1 + |B^-1 a_j|^2), the norms taken afresh from
+    the tableau at every pivot, so no pricing state outlives a pivot); the
+    first relaxes the inequality right-hand sides by tiny, deterministic,
+    strictly decreasing offsets, which removes ties from the ratio test.
+    Each restores the true right-hand side from the original data through
+    its final basis.  Reduced costs do not involve b, so that basis stays
+    dual feasible: when no basic value is below -PIVOT_TOL it is optimal,
+    and otherwise a few dual simplex pivots repair it.  Relaxation only
     enlarges the feasible region, so an infeasible verdict under it is
     already exact; phase 1 gives that verdict when its auxiliary objective
-    exceeds FEAS_TOL, the tolerance the feasibility audit allows a row.
-    The attempt hands over to an unrelaxed last resort under Bland's rule
+    exceeds FEAS_TOL, the tolerance the feasibility audit allows a row.  An
+    unbounded verdict, from the last resort only, needs its ray d to have
+    c.d < -PIVOT_TOL and |A d| <= FEAS_TOL.  The relaxed attempt hands over
     when it exhausts its pivot budget, fails a numerical guard, finds the
-    relaxation unbounded, drops redundant rows, restores a singular basis,
-    fails the repair or fails the feasibility audit; when that attempt
-    fails too, the error names the reason for each.  Identical inputs
-    produce bitwise-identical solutions.
+    relaxation unbounded, restores a singular basis, fails the repair or
+    fails the feasibility audit; when the last resort fails too, the error
+    names the reason for each.  Identical inputs produce bitwise-identical
+    solutions.
 
     initial_basis optionally names standard-form columns forming a feasible
     starting basis, skipping the auxiliary phase.  Standard-form columns are:
@@ -434,9 +431,9 @@ def solve_lp(lp, initial_basis=None, path=None):
     path optionally carries an LpPath from a previous solve of the same
     constraints under other costs; the relaxed attempt starts from its
     tableau instead of initial_basis.  The path is left holding this
-    solve's tableau when the relaxed attempt decides optimal without a
-    repair, and is cleared otherwise.  iterations counts this solve's
-    pivots only.
+    solve's tableau when the relaxed attempt decides optimal with every row
+    and no repair, and is cleared otherwise.  iterations counts this
+    solve's pivots only.
     """
     key = prior = None
     if path is not None:
@@ -462,8 +459,7 @@ def solve_lp(lp, initial_basis=None, path=None):
     total_iters = 0
     passed_over = []  # why each attempt handed over
     for eps in _ATTEMPTS:
-        state = {"iter": 0, "max_iter": _pivot_budget(m, ncols),
-                 "bland": eps == 0.0}
+        state = {"iter": 0, "max_iter": _pivot_budget(m, ncols)}
         warm = prior if eps > 0.0 else None
         try:
             status, x, kept = _attempt(lp, A, b_true + eps * sigma * profile,
@@ -505,31 +501,34 @@ def _attempt(lp, A, b, b_true, c, cmap, relaxed, initial_basis, warm,
         b[flip] *= -1.0
         b_true = b_true.copy()
         b_true[flip] *= -1.0
-    status, basis, T, dropped = _simplex_core(
+    status, basis, T, rows = _simplex_core(
         A, b, c, initial_basis, state, None if warm is None else warm[:2])
-    if status == "infeasible" or (status == "unbounded" and not relaxed):
+    if status == "infeasible":
         return status, None, None
     if status == "unbounded":
-        raise LpNumericalError("unbounded under relaxation")
-    x_std = np.zeros(A.shape[1])
-    kept = None
-    if not relaxed:
-        x_std[basis] = T[:-1, -1]
+        if relaxed:
+            raise LpNumericalError("unbounded under relaxation")
+        cost, residual = c @ basis, np.max(np.abs(A @ basis), initial=0.0)
+        if cost >= -PIVOT_TOL or residual > FEAS_TOL:  # basis holds the ray
+            raise LpNumericalError(f"unbounded ray fails its audit: c.d = "
+                                   f"{cost:.3e}, |A d| = {residual:.3e}")
+        return status, None, None
+    if warm is not None and state["iter"] == 0:
+        x_b = warm[2]  # same basis as the last solve, same solution
     else:
-        if dropped:
-            raise LpNumericalError("dropped redundant rows")  # valid for b only
-        if warm is not None and state["iter"] == 0:
-            x_b = warm[2]  # same basis as the last solve, same solution
-        else:
-            try:
-                x_b = np.linalg.solve(A[:, basis], b_true)
-            except np.linalg.LinAlgError:
-                raise LpNumericalError("singular restored basis") from None
-        if np.any(x_b < -PIVOT_TOL):  # the repair's own exit test
-            x_b = _dual_repair(T, basis, x_b, state)
-        else:
-            kept = (T, basis, x_b)
-        x_std[basis] = np.clip(x_b, 0.0, None)
+        # a plain column gather is several times faster than np.ix_
+        B = A[:, basis] if rows.size == A.shape[0] else A[np.ix_(rows, basis)]
+        try:
+            x_b = np.linalg.solve(B, b_true[rows])
+        except np.linalg.LinAlgError:
+            raise LpNumericalError("singular restored basis") from None
+    kept = None
+    if np.any(x_b < -PIVOT_TOL):  # the repair's own exit test
+        x_b = _dual_repair(T, basis, x_b, state)
+    elif relaxed and rows.size == A.shape[0]:
+        kept = (T, basis, x_b)
+    x_std = np.zeros(A.shape[1])
+    x_std[basis] = np.clip(x_b, 0.0, None)
     x = _recover_x(cmap, x_std)
     _audit_feasible(lp, x)
     return "optimal", x, kept

@@ -28,6 +28,15 @@ def random_lp(rng, max_vars=6, max_cons=8):
                          lower=lower, upper=upper)
 
 
+def crash_basis(n, M):
+    """The crash basis train starts a hinge LP from (lambda = 0, xi = 1).
+
+    Hinge slacks are basic in the n steeper rows and surpluses, at 0, in
+    the n plainer ones; M is the number of features.
+    """
+    return np.concatenate([2 * M + n + np.arange(n), 2 * M + np.arange(n)])
+
+
 def assemble_lp(design, cp, r):
     """Slack-variable LP for the penalized empirical risk, the reference build.
 

@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 from rejectsvm import lp as lp_module
 from rejectsvm.dictionary import (
     DesignMatrix,
+    build_linear,
     build_rbf_lattice,
     estimated_c_f,
     evaluate,
@@ -21,10 +22,10 @@ from rejectsvm.lp import (
     LpPath,
     solve_lp,
 )
-from rejectsvm.sim import gen_mixture
+from rejectsvm.sim import ExperimentConfig, gen_mixture, gen_two_gaussian
 from rejectsvm.train import default_r_grid, split_lp
 
-from helpers import random_lp
+from helpers import crash_basis, random_lp
 from oracle import LpOversizeError, enumerate_vertices_oracle
 
 
@@ -196,10 +197,18 @@ def _two_variable_program():
 
 
 def _budgets(monkeypatch, per_attempt):
-    """Give solve attempts the listed pivot budgets, in attempt order."""
+    """Give solve attempts the listed pivot budgets, in attempt order.
+
+    None keeps an attempt's own budget.
+    """
     budgets = iter(per_attempt)
-    monkeypatch.setattr(lp_module, "_pivot_budget",
-                        lambda m, ncols: next(budgets))
+    real = lp_module._pivot_budget
+
+    def budget(m, ncols):
+        given = next(budgets)
+        return real(m, ncols) if given is None else given
+
+    monkeypatch.setattr(lp_module, "_pivot_budget", budget)
 
 
 def test_exhausted_relaxed_budget_hands_over(monkeypatch):
@@ -265,23 +274,6 @@ def test_unrelaxed_failure_names_every_reason(monkeypatch):
     assert "eps=0: simplex iteration limit exceeded after 2 pivots" in text
 
 
-def test_relaxed_attempts_never_switch_to_bland(monkeypatch):
-    modes = []
-    real = lp_module._run_phase
-
-    def recording(T, basis, m, obj_row, n_enter, state):
-        modes.append(state["bland"])
-        return real(T, basis, m, obj_row, n_enter, state)
-
-    monkeypatch.setattr(lp_module, "_run_phase", recording)
-    _budgets(monkeypatch, [1, 1000])
-    sol = solve_lp(_two_variable_program(), initial_basis=[2, 3])
-    assert sol.eps == 0.0
-    # steepest edge for the relaxed attempt; Bland's rule from the last
-    # resort's first pivot
-    assert modes == [False, True]
-
-
 def test_phase_one_drive_out_pivots_are_counted(monkeypatch):
     # x = y = 0 is the only feasible point; phase 1 ends with an artificial
     # basic at 0 in each equality row, and driving them out takes two pivots
@@ -331,6 +323,13 @@ def test_failed_repair_is_named_when_the_last_resort_fails(monkeypatch):
     assert "eps=0: simplex iteration limit exceeded" in text
 
 
+def _within_highs(lp, sol):
+    ref = linprog(lp.objective, A_ub=-lp.rows, b_ub=-lp.rhs, bounds=(0, None),
+                  method="highs")
+    gap = (sol.objective_value - ref.fun) / (1.0 + abs(ref.fun))
+    return -1e-7 <= gap <= 1e-9  # HiGHS's own tolerance is 1e-7
+
+
 def _probe_program():
     """Fold 0 of a 5-fold CV of the RBF mixture at r = 0.0965.
 
@@ -346,9 +345,7 @@ def _probe_program():
     r = float(default_r_grid(cp, estimated_c_f(dic, design), num=10)[6])
     keep = np.arange(design.n) % 5 != 0
     fold = DesignMatrix(design.phi[keep], design.y[keep])
-    n, M = fold.n, fold.M
-    crash = np.concatenate([2 * M + n + np.arange(n), 2 * M + np.arange(n)])
-    return split_lp(fold, cp, r), crash
+    return split_lp(fold, cp, r), crash_basis(fold.n, fold.M)
 
 
 def test_rejected_relaxed_basis_is_repaired():
@@ -359,7 +356,40 @@ def test_rejected_relaxed_basis_is_repaired():
     assert sol.eps == 1e-7
     assert sol.iterations < 250  # 170 relaxed + 6 dual pivots when written
     assert path.key is None  # a repaired tableau is not kept
-    ref = linprog(lp.objective, A_ub=-lp.rows, b_ub=-lp.rhs, bounds=(0, None),
-                  method="highs")
-    gap = (sol.objective_value - ref.fun) / (1.0 + abs(ref.fun))
-    assert -1e-7 <= gap <= 1e-9
+    assert _within_highs(lp, sol)
+
+
+def test_last_resort_solves_a_study_lp(monkeypatch):
+    # the relaxed attempt gets no pivot, so the unrelaxed one decides from
+    # the crash basis; under Bland's rule it used up 5,000 pivots here
+    config = ExperimentConfig("two_gaussian", repetitions=1)
+    design = evaluate(build_linear(config.M), *gen_two_gaussian(
+        config.n_train // 2, config.M, 2024)[:2])
+    lp = split_lp(design, CostParams(d=0.25, tau=0.5), 0.05)
+    _budgets(monkeypatch, [0, 5000])
+    sol = solve_lp(lp, initial_basis=crash_basis(design.n, design.M))
+    assert sol.status == "optimal" and sol.eps == 0.0
+    assert _within_highs(lp, sol)
+
+
+def test_last_resort_audits_an_unbounded_ray(monkeypatch):
+    # every cost of the probe LP is >= 0, so it is bounded; the last
+    # resort's unbounded exit on it is a false ray
+    lp, crash = _probe_program()
+    _budgets(monkeypatch, [0, None])
+    with pytest.raises(LpNumericalError,
+                       match="eps=0: unbounded ray fails its audit"):
+        solve_lp(lp, initial_basis=crash)
+
+
+def test_redundant_row_is_decided_by_the_relaxed_attempt():
+    # min x + 2y  s.t.  x + y = 1,  2x + 2y = 2,  x - y <= 0.5,  x, y >= 0:
+    # phase 1 drops the second equality row, which the relaxation never
+    # moves; the optimum is (3/4, 1/4)
+    sol = solve_lp(LinearProgram(objective=[1.0, 2.0],
+                                 rows=[[1.0, 1.0], [2.0, 2.0], [1.0, -1.0]],
+                                 relations=["=", "=", "<="],
+                                 rhs=[1.0, 2.0, 0.5], lower=[0.0, 0.0]))
+    assert sol.status == "optimal" and sol.eps == 1e-7
+    assert np.allclose(sol.x, [0.75, 0.25], atol=1e-12)
+    assert sol.iterations == 2

@@ -12,7 +12,7 @@ from rejectsvm.sim import ExperimentConfig, gen_two_gaussian
 from rejectsvm.theory import population_path
 from rejectsvm.train import fit, fit_population, split_lp, walk_penalty_path
 
-from helpers import random_design
+from helpers import crash_basis, random_design
 
 CP = CostParams(d=0.25, tau=0.5)
 CP_PLAIN = CostParams(d=0.5)
@@ -38,11 +38,11 @@ def _same_fit(a, b):
 
 def test_fit_without_state_is_the_crash_basis_solve():
     design = random_design(np.random.default_rng(4), 30, 8)
-    n, M = design.n, design.M
-    crash = np.concatenate([2 * M + n + np.arange(n), 2 * M + np.arange(n)])
+    M = design.M
     for r in (0.02, 0.2):
         model = fit(design, CP, r)
-        sol = solve_lp(split_lp(design, CP, r), initial_basis=crash)
+        sol = solve_lp(split_lp(design, CP, r),
+                       initial_basis=crash_basis(design.n, M))
         lam = sol.x[:M] - sol.x[M:2 * M]
         assert model.lam.tobytes() == lam.tobytes()
         assert model.iterations == sol.iterations
