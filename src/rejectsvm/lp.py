@@ -1,4 +1,4 @@
-"""Dense two-phase simplex solver.
+"""Two-phase simplex solver on a dense tableau, with bases factored sparse.
 
 Problems are stated in general form,
 
@@ -11,13 +11,16 @@ variables, steepest-edge pricing, and a basic solution restored from the
 original data and repaired by dual simplex pivots -- so that small instances
 can be confirmed independently by enumerating every basic solution of the
 standard form, as the test suite does with its own vertex-enumeration
-oracle.
+oracle.  Only the tableau is dense: every basis is gathered from the CSC
+standard form and factored by a sparse LU.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import blas as _blas
+from scipy.sparse.linalg import splu
 
 from .constants import BLOWUP_LIMIT, FEAS_TOL, PIVOT_TOL
 
@@ -143,7 +146,7 @@ class LpPath:
 
 
 def _to_standard_form(lp):
-    """Convert to min c.x, A x = b, x >= 0, b >= 0.
+    """Convert to min c.x, A x = b, x >= 0, b >= 0, with A in CSC form.
 
     Returns (A, b, cmap, sigma).  The column map cmap = (col, sign, shift,
     free) gives each original variable from the standard form:
@@ -179,7 +182,7 @@ def _to_standard_form(lp):
         A[neg] *= -1.0
         b[neg] *= -1.0
         sigma[neg] *= -1.0
-    return A, b, (col, sign, shift, free), sigma
+    return sparse.csc_array(A), b, (col, sign, shift, free), sigma
 
 
 def _standard_costs(objective, cmap, ncols):
@@ -291,6 +294,14 @@ def _dual_repair(T, basis, x_b, state):
         _counted_pivot(T, basis, r, int(np.argmin(ratios)), state)
 
 
+def _basis_solve(B, rhs):
+    """B^-1 rhs from a sparse LU of the basis matrix B, or None if singular."""
+    try:
+        return splu(B).solve(rhs)
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        return None
+
+
 def _warm_tableau(A, b, basis):
     """Canonical tableau for a caller-supplied feasible basis, or None.
 
@@ -299,12 +310,11 @@ def _warm_tableau(A, b, basis):
     instead.  Smaller negative values are roundoff dust, set to 0.
     """
     m, ncols = A.shape
-    B = A[:, basis]
-    try:
-        body = np.linalg.solve(B, np.column_stack([A, b]))
-    except np.linalg.LinAlgError:
-        return None
-    if np.any(body[:, -1] < -PIVOT_TOL):
+    rhs = np.empty((m, ncols + 1), order="F")
+    A.toarray(out=rhs[:, :-1])
+    rhs[:, -1] = b
+    body = _basis_solve(A[:, basis], rhs)
+    if body is None or np.any(body[:, -1] < -PIVOT_TOL):
         return None
     np.clip(body[:, -1], 0.0, None, out=body[:, -1])
     T = np.zeros((m + 1, ncols + 1), order="F")
@@ -326,7 +336,8 @@ def _simplex_core(A, b, c, initial_basis, state, warm=None):
     warm, when given, is a (tableau, basis) pair canonical for (A, b); it is
     pivoted in place.  Otherwise initial_basis, when usable, seeds a fresh
     tableau, and the two-phase route runs from artificials when it is not.
-    Phase 2 starts from the cost row priced for c.
+    Phase 2 starts from the cost row priced for c.  Rows where b < 0 are
+    flipped only in the artificial route's tableau.
 
     Returns (status, basis, tableau, rows), rows indexing the rows of A the
     tableau kept; for "unbounded", basis is instead the ray of the edge.
@@ -340,17 +351,20 @@ def _simplex_core(A, b, c, initial_basis, state, warm=None):
         basis = initial_basis.copy()
         T = _warm_tableau(A, b, basis)
     if T is None:
+        D = A.toarray()
+        flip = b < 0.0  # these rows change sign: the artificials start >= 0
+        D[flip] *= -1.0
         basis = np.full(m, -1, dtype=int)
         for j in range(ncols):
-            col = A[:, j]
+            col = D[:, j]
             hit = np.flatnonzero(col)
             if hit.size == 1 and col[hit[0]] == 1.0 and basis[hit[0]] == -1:
                 basis[hit[0]] = j
         art_rows = [i for i in range(m) if basis[i] == -1]
         n_art = len(art_rows)
         T = np.zeros((m + 1, ncols + n_art + 1), order="F")
-        T[:m, :ncols] = A
-        T[:m, -1] = b
+        T[:m, :ncols] = D
+        T[:m, -1] = np.abs(b)
         for k, i in enumerate(art_rows):
             T[i, ncols + k] = 1.0
             basis[i] = ncols + k
@@ -397,7 +411,7 @@ def _pivot_budget(m, ncols):
 
 
 def solve_lp(lp, initial_basis=None, path=None):
-    """Solve a LinearProgram with a two-phase dense simplex method.
+    """Solve a LinearProgram with a two-phase simplex method.
 
     A solve makes at most two attempts, which differ only in eps.  Both
     price by steepest edge (the most negative reduced cost per unit length
@@ -493,14 +507,6 @@ def _attempt(lp, A, b, b_true, c, cmap, relaxed, initial_basis, warm,
     kept, when not None, the (tableau, basis, x_b) a path may reuse.  Raises
     LpNumericalError for every reason to hand over.
     """
-    flip = b < 0.0
-    if flip.any():  # keep rhs non-negative for the artificial start
-        A = A.copy()
-        A[flip] *= -1.0
-        b = b.copy()
-        b[flip] *= -1.0
-        b_true = b_true.copy()
-        b_true[flip] *= -1.0
     status, basis, T, rows = _simplex_core(
         A, b, c, initial_basis, state, None if warm is None else warm[:2])
     if status == "infeasible":
@@ -516,12 +522,10 @@ def _attempt(lp, A, b, b_true, c, cmap, relaxed, initial_basis, warm,
     if warm is not None and state["iter"] == 0:
         x_b = warm[2]  # same basis as the last solve, same solution
     else:
-        # a plain column gather is several times faster than np.ix_
-        B = A[:, basis] if rows.size == A.shape[0] else A[np.ix_(rows, basis)]
-        try:
-            x_b = np.linalg.solve(B, b_true[rows])
-        except np.linalg.LinAlgError:
-            raise LpNumericalError("singular restored basis") from None
+        B = A[:, basis] if rows.size == A.shape[0] else A[rows][:, basis]
+        x_b = _basis_solve(B, b_true[rows])
+        if x_b is None:
+            raise LpNumericalError("singular restored basis")
     kept = None
     if np.any(x_b < -PIVOT_TOL):  # the repair's own exit test
         x_b = _dual_repair(T, basis, x_b, state)

@@ -148,6 +148,21 @@ def test_unusable_warm_start_falls_back():
     assert abs(sol.objective_value - (-14.0 / 5.0)) < 1e-12
 
 
+def test_singular_warm_start_falls_back():
+    # the second row is twice the first, so the basis [0, 1] is singular:
+    # its sparse factor is refused and the two-phase route decides
+    lp = LinearProgram(objective=[-1.0, -1.0],
+                       rows=[[1.0, 2.0], [2.0, 4.0]],
+                       relations=["<=", "<="], rhs=[4.0, 8.0],
+                       lower=[0.0, 0.0])
+    A, b, _, _ = lp_module._to_standard_form(lp)
+    assert lp_module._warm_tableau(A, b, np.array([0, 1])) is None
+    sol = solve_lp(lp, initial_basis=[0, 1])
+    assert sol.status == "optimal"
+    assert np.allclose(sol.x, [4.0, 0.0], atol=1e-12)
+    assert abs(sol.objective_value - (-4.0)) < 1e-12
+
+
 def test_rejects_malformed_input():
     with pytest.raises(LpInputError):
         LinearProgram(objective=[1.0], rows=[[1.0, 2.0]],
@@ -243,8 +258,8 @@ def test_relaxed_numerical_guard_hands_over(monkeypatch, message):
     assert abs(sol.objective_value - (-14.0 / 5.0)) < 1e-12
 
 
-def _singular(*args):
-    raise np.linalg.LinAlgError("forced")
+def _singular(B):
+    raise RuntimeError("Factor is exactly singular")  # what splu raises
 
 
 def _failed_audit(lp, x):
@@ -252,7 +267,7 @@ def _failed_audit(lp, x):
 
 
 @pytest.mark.parametrize("owner, name, fake, reason", [
-    (np.linalg, "solve", _singular, "singular restored basis"),
+    (lp_module, "splu", _singular, "singular restored basis"),
     (lp_module, "_audit_feasible", _failed_audit, "forced audit failure"),
 ], ids=["singular restore", "failed audit"])
 def test_restore_and_audit_failures_hand_over(monkeypatch, owner, name, fake,
