@@ -59,7 +59,7 @@ rejectsvm diagnose --dist "$WORK/dist.csv" --checks all \
 echo
 echo "== simulate (tiny study) =="
 cat > "$WORK/cfg.json" <<'EOF'
-{"repetitions": 2, "n_test": 2000, "n_train": 30, "M": 20,
+{"repetitions": 2, "n_train": 30, "M": 20,
  "r_grid": [0.05, 0.2], "seed": 5}
 EOF
 rejectsvm simulate --scenario two_gaussian --config "$WORK/cfg.json" \

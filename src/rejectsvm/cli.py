@@ -166,7 +166,12 @@ def cmd_simulate(args):
         if not isinstance(overrides, dict):
             raise DataError("config must be a JSON object")
         if "r_grid" in overrides:
-            overrides["r_grid"] = tuple(float(v) for v in overrides["r_grid"])
+            grid = overrides["r_grid"]
+            if not isinstance(grid, list) or not all(
+                    isinstance(v, (int, float, str)) for v in grid):
+                raise ValueError(f"r_grid must be a list of numbers, "
+                                 f"got {grid!r}")
+            overrides["r_grid"] = tuple(float(v) for v in grid)
     overrides.setdefault("seed", args.seed)
     try:
         config = sim.ExperimentConfig(scenario=args.scenario, **overrides)

@@ -255,6 +255,28 @@ def test_cli_bounds_and_simulate(tmp_path, data_file, capsys):
                  str(bad_cfg), "--out", sim_path]) == 3
 
 
+@pytest.mark.parametrize("scenario, field, value", [
+    ("two_gaussian", "r_grid", 0.1),
+    ("two_gaussian", "r_grid", [None]),
+    ("two_gaussian", "n_train", 12.0),
+    ("two_gaussian", "n_test", 1.5),
+    ("two_gaussian", "M", 2.5),
+    ("two_gaussian", "repetitions", 1.5),
+    ("two_gaussian", "seed", 1.5),
+    ("two_gaussian", "d", None),
+    ("mixture", "n_train", 60.5),
+])
+def test_cli_simulate_rejects_malformed_config(tmp_path, capsys, scenario,
+                                               field, value):
+    cfg = {"repetitions": 1, "n_train": 12, "M": 3, "r_grid": [0.2]}
+    cfg[field] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--scenario", scenario, "--config", str(path),
+                 "--out", str(tmp_path / "sim.csv")]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_cli_diagnose_reports_plateau(tmp_path, capsys):
     dist_path = tmp_path / "dist.csv"
     dist_path.write_text(DIST_CSV)

@@ -1,12 +1,18 @@
 """Synthetic scenario generators and study runners."""
 
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from rejectsvm.losses import CostParams, gen_hinge
 from rejectsvm.sim import (
     GRID_COLUMNS,
     RESULT_COLUMNS,
     ExperimentConfig,
+    _gaussian_risks,
+    _two_gaussian_bayes_risk,
     gen_mixture,
     gen_two_gaussian,
     mixture_eta_density,
@@ -99,9 +105,56 @@ def test_reject_vs_plain_small_run():
             assert row["ell_risk"] == pytest.approx(
                 row["misclass"] + cfg.d * row["reject"], abs=1e-12)
         assert row["excess_ell"] == pytest.approx(
-            row["ell_risk"] - row["bayes_risk_mc"], abs=1e-12)
+            row["ell_risk"] - row["bayes_risk"], abs=1e-12)
     with pytest.raises(ValueError):
         run_reject_vs_plain(ExperimentConfig(scenario="mixture"))
+
+
+def test_closed_form_risks_match_a_large_sample():
+    # a fixed rule scored the Monte Carlo way, by averaging the conditional
+    # risks at exact eta over a large sample, agrees with the closed form
+    # within 4 of the sample's own standard errors
+    M = 5
+    cp, cp_plain = CostParams(d=0.25, tau=0.5), CostParams(d=0.5)
+    lam = np.array([1.0, 0.5, 0.3, -0.2, 0.1])
+    x, _, eta = gen_two_gaussian(200_000, M, seed=4)
+    f = x @ lam
+    m, s = lam[:2].sum() / np.sqrt(2.0), np.linalg.norm(lam)
+
+    def hinge_risk(arm_cp):
+        return eta * gen_hinge(f, arm_cp) + (1.0 - eta) * gen_hinge(-f, arm_cp)
+
+    samples = {
+        ("reject", "phi"): hinge_risk(cp),
+        ("reject", "misclass"): (eta * (f < -cp.tau)
+                                 + (1.0 - eta) * (f > cp.tau)),
+        ("reject", "reject"): np.abs(f) <= cp.tau,
+        ("plain", "phi"): hinge_risk(cp_plain),
+        ("plain", "misclass"): np.where(f >= 0.0, 1.0 - eta, eta),
+        ("bayes",): np.minimum(np.minimum(eta, 1.0 - eta), cp.d),
+    }
+    exact = {("bayes",): _two_gaussian_bayes_risk(cp.d)}
+    for arm, arm_cp, threshold in (("reject", cp, cp.tau),
+                                   ("plain", cp_plain, 0.0)):
+        phi, ell, mis, rej = _gaussian_risks(m, s, arm_cp, threshold)
+        assert ell == mis + arm_cp.d * rej
+        exact.update({(arm, "phi"): phi, (arm, "misclass"): mis,
+                      (arm, "reject"): rej})
+    assert exact[("plain", "reject")] == 0.0
+    for key, values in samples.items():
+        values = values.astype(float)
+        se = values.std(ddof=1) / np.sqrt(values.size)
+        z = (values.mean() - exact[key]) / se
+        assert abs(z) < 4.0, (key, z)
+
+
+def test_closed_form_risks_of_the_zero_rule():
+    # f = 0: the reject arm withholds everywhere; the plain arm decides +1
+    # and is wrong on the negative half
+    cp = CostParams(d=0.25, tau=0.5)
+    assert _gaussian_risks(0.0, 0.0, cp, cp.tau) == (1.0, 0.25, 0.0, 1.0)
+    assert _gaussian_risks(0.0, 0.0, CostParams(d=0.5), 0.0) == (
+        1.0, 0.5, 0.5, 0.0)
 
 
 def test_reject_vs_plain_is_deterministic():
@@ -128,3 +181,13 @@ def test_mixture_boundary_map_small_run():
         assert row["density"] > 0.0
     with pytest.raises(ValueError):
         run_mixture_boundaries(ExperimentConfig(scenario="two_gaussian"))
+
+
+@pytest.mark.slow
+def test_two_gaussian_study_demo_runs(capsys):
+    # the demo reads the study's columns by name
+    demo = Path(__file__).parents[1] / "demos" / "two_gaussian_study.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "optimal risk (exact): 0.1270" in out
+    assert "reject arm wins" in out
