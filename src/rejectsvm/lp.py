@@ -6,13 +6,14 @@ Problems are stated in general form,
     subject to  row . x  {<=, >=, =}  rhs      (one relation per row)
                 lower <= x <= upper            (entries may be infinite)
 
-The solver is deliberately plain -- a dense tableau with explicit artificial
-variables, steepest-edge pricing, and a basic solution restored from the
-original data and repaired by dual simplex pivots -- so that small instances
-can be confirmed independently by enumerating every basic solution of the
-standard form, as the test suite does with its own vertex-enumeration
-oracle.  Only the tableau is dense: every basis is gathered from the CSC
-standard form and factored by a sparse LU.
+The solver is deliberately plain -- a dense tableau started from the slack
+basis with one artificial variable, steepest-edge pricing, and a basic
+solution restored from the original data and repaired by dual simplex
+pivots -- so that small instances can be confirmed independently by
+enumerating every basic solution of the standard form, as the test suite
+does with its own vertex-enumeration oracle.  Only the tableau is dense:
+every basis is gathered from the CSC standard form and factored by a sparse
+LU.
 """
 
 from dataclasses import dataclass
@@ -114,9 +115,9 @@ class LpSolution:
 class LpPath:
     """Warm-start state for a run of programs that differ only in cost.
 
-    After a solve that the relaxed attempt decided with every row and no
-    dual repair, it keeps that program's constraints, their standard form,
-    and the attempt's final tableau, basis and basic solution for the true
+    After a solve that the relaxed attempt decided with no dual repair, it
+    keeps that program's constraints, their standard form, and the
+    attempt's final tableau, basis and basic solution for the true
     right-hand side.  None of these involves the costs, so the next solve
     with equal constraints reuses the standard form and starts its relaxed
     attempt from the tableau, with only the cost row re-priced, pivoting it
@@ -146,15 +147,16 @@ class LpPath:
 
 
 def _to_standard_form(lp):
-    """Convert to min c.x, A x = b, x >= 0, b >= 0, with A in CSC form.
+    """Convert to min c.x, A x = b, x >= 0, with A in CSC form.
 
-    Returns (A, b, cmap, sigma).  The column map cmap = (col, sign, shift,
-    free) gives each original variable from the standard form:
-    x_j = sign_j x_std[col_j] + shift_j, minus x_std[col_j + 1] when free_j.
-    sigma is each row's slack coefficient after the sign flips (0 for an
-    equality row).
+    Every row gets a slack, row i's in column nv + i with coefficient
+    sigma_i = +1 for <= and -1 for >=.  An = row becomes its <= half in
+    place and its >= half after the user's rows; the <= rows of two-sided
+    variable bounds come last.  Returns (A, b, cmap, sigma).  The column
+    map cmap = (col, sign, shift, free) gives each original variable from
+    the standard form: x_j = sign_j x_std[col_j] + shift_j, minus
+    x_std[col_j + 1] when free_j.
     """
-    m0 = lp.ncon
     lo, up = lp.lower, lp.upper
     free = np.isneginf(lo) & np.isposinf(up)
     mirror = np.isneginf(lo) & ~free  # upper bound only: mirror the variable
@@ -164,25 +166,26 @@ def _to_standard_form(lp):
     col = np.cumsum(width) - width
     boxed = np.flatnonzero(np.isfinite(lo) & np.isfinite(up))
     nv = int(width.sum())
-    m = m0 + boxed.size
-    rels = list(lp.relations) + ["<="] * boxed.size
-    sigma = np.array([(rel == "<=") - (rel == ">=") for rel in rels], float)
-    ineq = np.flatnonzero(sigma)
-    A = np.zeros((m, nv + ineq.size))
-    A[:m0, col] = lp.rows * sign
-    A[:m0, col[free] + 1] = -lp.rows[:, free]
-    A[m0 + np.arange(boxed.size), col[boxed]] = 1.0
-    A[ineq, nv + np.arange(ineq.size)] = sigma[ineq]
+    eq = np.array([i for i, rel in enumerate(lp.relations) if rel == "="], int)
+    rows = np.vstack([lp.rows, lp.rows[eq]]) if eq.size else lp.rows
+    sigma = np.array([-1.0 if rel == ">=" else 1.0 for rel in lp.relations]
+                     + [-1.0] * eq.size + [1.0] * boxed.size)
+    m = sigma.size
+    nonzero = rows != 0.0
+    ri, vj = np.nonzero(nonzero)
+    val = rows[nonzero]
+    fr = free[vj]
+    slack = np.arange(m)
+    row_ix = np.concatenate([ri, ri[fr], slack[m - boxed.size:], slack])
+    col_ix = np.concatenate([col[vj], col[vj[fr]] + 1, col[boxed], nv + slack])
+    A = sparse.csc_array(
+        (np.concatenate([val * sign[vj], -val[fr], np.ones(boxed.size), sigma]),
+         (row_ix.astype(np.intc), col_ix.astype(np.intc))), shape=(m, nv + m))
     b = lp.rhs.copy()
     for j in np.flatnonzero(shift):  # one column at a time, in column order
         b = b - lp.rows[:, j] * shift[j]
-    b = np.concatenate([b, up[boxed] - lo[boxed]])
-    neg = b < 0
-    if neg.any():
-        A[neg] *= -1.0
-        b[neg] *= -1.0
-        sigma[neg] *= -1.0
-    return sparse.csc_array(A), b, (col, sign, shift, free), sigma
+    b = np.concatenate([b, b[eq], up[boxed] - lo[boxed]])
+    return A, b, (col, sign, shift, free), sigma
 
 
 def _standard_costs(objective, cmap, ncols):
@@ -335,15 +338,15 @@ def _simplex_core(A, b, c, initial_basis, state, warm=None):
 
     warm, when given, is a (tableau, basis) pair canonical for (A, b); it is
     pivoted in place.  Otherwise initial_basis, when usable, seeds a fresh
-    tableau, and the two-phase route runs from artificials when it is not.
-    Phase 2 starts from the cost row priced for c.  Rows where b < 0 are
-    flipped only in the artificial route's tableau.
+    tableau.  When it is not, the tableau starts from the slack basis; if a
+    slack starts below 0, phase 1 adds one artificial column, -1 in each
+    such row, pivots it in at the most negative row and minimizes it.
+    Phase 2 starts from the cost row priced for c.
 
-    Returns (status, basis, tableau, rows), rows indexing the rows of A the
-    tableau kept; for "unbounded", basis is instead the ray of the edge.
+    Returns (status, basis, tableau); for "unbounded", basis is instead the
+    ray of the edge.
     """
     m, ncols = A.shape
-    rows = np.arange(m)
     T = None
     if warm is not None:
         T, basis = warm
@@ -351,54 +354,35 @@ def _simplex_core(A, b, c, initial_basis, state, warm=None):
         basis = initial_basis.copy()
         T = _warm_tableau(A, b, basis)
     if T is None:
-        D = A.toarray()
-        flip = b < 0.0  # these rows change sign: the artificials start >= 0
-        D[flip] *= -1.0
-        basis = np.full(m, -1, dtype=int)
-        for j in range(ncols):
-            col = D[:, j]
-            hit = np.flatnonzero(col)
-            if hit.size == 1 and col[hit[0]] == 1.0 and basis[hit[0]] == -1:
-                basis[hit[0]] = j
-        art_rows = [i for i in range(m) if basis[i] == -1]
-        n_art = len(art_rows)
-        T = np.zeros((m + 1, ncols + n_art + 1), order="F")
-        T[:m, :ncols] = D
-        T[:m, -1] = np.abs(b)
-        for k, i in enumerate(art_rows):
-            T[i, ncols + k] = 1.0
-            basis[i] = ncols + k
-        if n_art:
-            T[m, ncols:ncols + n_art] = 1.0  # auxiliary objective
-            for i in art_rows:
-                T[m, :] -= T[i, :]
-            # artificials, the trailing columns, may leave but never enter
+        basis = ncols - m + np.arange(m)
+        sigma = A[:, basis].diagonal()  # the slack block, its own inverse
+        T = np.zeros((m + 1, ncols + 2), order="F")
+        T[:m, :ncols] = sigma[:, None] * A.toarray()
+        T[:m, -1] = sigma * b
+        below = T[:m, -1] < 0.0
+        if below.any():
+            T[:m, ncols] = np.where(below, -1.0, 0.0)
+            _counted_pivot(T, basis, int(np.argmin(T[:m, -1])), ncols, state)
+            _reprice(T, basis, np.eye(1, ncols + 1, ncols)[0])  # cost: x_art
+            # the artificial, column ncols, may leave but never enter
             if _run_phase(T, basis, ncols, state) is not None:
-                raise LpNumericalError("auxiliary phase reported unbounded")
+                raise LpNumericalError("phase 1 reported unbounded")
             if -T[m, -1] > FEAS_TOL:  # the audit's tolerance on a row residual
-                return "infeasible", None, None, None
-            drop = []
-            for i in range(m):
-                if basis[i] >= ncols:
-                    good = np.flatnonzero(np.abs(T[i, :ncols]) > PIVOT_TOL)
-                    if good.size:
-                        _counted_pivot(T, basis, i, int(good[0]), state)
-                    else:
-                        drop.append(i)  # redundant row
-            if drop:
-                T = np.delete(T, drop, axis=0)
-                basis = np.delete(basis, drop)
-                rows = np.delete(rows, drop)
-        keep = np.concatenate([np.arange(ncols), [ncols + n_art]])
-        T = np.asfortranarray(T[:, keep])
+                return "infeasible", None, None
+            at = np.flatnonzero(basis == ncols)
+            if at.size:  # B^-1 has no zero row, so its slack entries are not all 0
+                r = int(at[0])
+                _counted_pivot(T, basis, r, int(np.argmax(np.abs(T[r, :ncols]))),
+                               state)
+        T = np.asfortranarray(np.delete(T, ncols, axis=1))
     _reprice(T, basis, c)
     j = _run_phase(T, basis, ncols, state)
     if j is not None:
         ray = np.zeros(ncols)
         ray[basis] = -T[:-1, j]
         ray[j] = 1.0
-        return "unbounded", ray, None, None
-    return "optimal", basis, T, rows
+        return "unbounded", ray, None
+    return "optimal", basis, T
 
 
 # deterministic jitter for the anti-degeneracy perturbation
@@ -417,37 +401,38 @@ def solve_lp(lp, initial_basis=None, path=None):
     price by steepest edge (the most negative reduced cost per unit length
     of the edge, d_j / sqrt(1 + |B^-1 a_j|^2), the norms taken afresh from
     the tableau at every pivot, so no pricing state outlives a pivot); the
-    first relaxes the inequality right-hand sides by tiny, deterministic,
-    strictly decreasing offsets, which removes ties from the ratio test.
+    first relaxes every right-hand side by tiny, deterministic, strictly
+    decreasing offsets, which removes ties from the ratio test.
     Each restores the true right-hand side from the original data through
     its final basis.  Reduced costs do not involve b, so that basis stays
     dual feasible: when no basic value is below -PIVOT_TOL it is optimal,
     and otherwise a few dual simplex pivots repair it.  Relaxation only
     enlarges the feasible region, so an infeasible verdict under it is
-    already exact; phase 1 gives that verdict when its auxiliary objective
-    exceeds FEAS_TOL, the tolerance the feasibility audit allows a row.  An
-    unbounded verdict, from the last resort only, needs its ray d to have
-    c.d < -PIVOT_TOL and |A d| <= FEAS_TOL.  The relaxed attempt hands over
-    when it exhausts its pivot budget, fails a numerical guard, finds the
-    relaxation unbounded, restores a singular basis, fails the repair or
-    fails the feasibility audit; when the last resort fails too, the error
-    names the reason for each.  Identical inputs produce bitwise-identical
-    solutions.
+    already exact; phase 1 gives that verdict when its one artificial
+    variable ends above FEAS_TOL, the tolerance the feasibility audit allows
+    a row.  An unbounded verdict, from the last resort only, needs its ray
+    d to have c.d < -PIVOT_TOL and |A d| <= FEAS_TOL.  The relaxed attempt
+    hands over when it exhausts its pivot budget, fails a numerical guard,
+    finds the relaxation unbounded, restores a singular basis, fails the
+    repair or fails the feasibility audit; when the last resort fails too,
+    the error names the reason for each.  Identical inputs produce
+    bitwise-identical solutions.
 
     initial_basis optionally names standard-form columns forming a feasible
-    starting basis, skipping the auxiliary phase.  Standard-form columns are:
-    one per variable in declared order, except free variables contribute two
+    starting basis, skipping phase 1.  Standard-form columns are: one per
+    variable in declared order, except free variables contribute two
     adjacent columns (positive then negative part), followed by one slack
-    column per inequality row in row order (rows synthesized for two-sided
-    variable bounds come after the user's rows).  An unusable basis silently
-    falls back to the two-phase route.
+    column per standard-form row: the user's rows in order (an = row as its
+    <= half), then the >= half of each = row, then one <= row per variable
+    with two finite bounds.  An unusable basis silently falls back to the
+    slack basis and phase 1.
 
     path optionally carries an LpPath from a previous solve of the same
     constraints under other costs; the relaxed attempt starts from its
     tableau instead of initial_basis.  The path is left holding this
-    solve's tableau when the relaxed attempt decides optimal with every row
-    and no repair, and is cleared otherwise.  iterations counts this
-    solve's pivots only.
+    solve's tableau when the relaxed attempt decides optimal with no
+    repair, and is cleared otherwise.  iterations counts this solve's
+    pivots only.
     """
     key = prior = None
     if path is not None:
@@ -466,7 +451,7 @@ def solve_lp(lp, initial_basis=None, path=None):
             raise LpInputError("initial basis must name one distinct column per row")
         if m and (initial_basis.min() < 0 or initial_basis.max() >= ncols):
             raise LpInputError("initial basis column out of range")
-    # each row relaxes along its slack coefficient sigma (0 = equality)
+    # each row relaxes along its slack coefficient sigma
     jitter = ((np.arange(m) + 1) * _GOLDEN) % 1.0
     # strictly decreasing magnitudes keep structured warm starts feasible
     profile = (1.0 + np.abs(b_true)) * (m - np.arange(m) + jitter) / max(m, 1)
@@ -507,7 +492,7 @@ def _attempt(lp, A, b, b_true, c, cmap, relaxed, initial_basis, warm,
     kept, when not None, the (tableau, basis, x_b) a path may reuse.  Raises
     LpNumericalError for every reason to hand over.
     """
-    status, basis, T, rows = _simplex_core(
+    status, basis, T = _simplex_core(
         A, b, c, initial_basis, state, None if warm is None else warm[:2])
     if status == "infeasible":
         return status, None, None
@@ -522,14 +507,13 @@ def _attempt(lp, A, b, b_true, c, cmap, relaxed, initial_basis, warm,
     if warm is not None and state["iter"] == 0:
         x_b = warm[2]  # same basis as the last solve, same solution
     else:
-        B = A[:, basis] if rows.size == A.shape[0] else A[rows][:, basis]
-        x_b = _basis_solve(B, b_true[rows])
+        x_b = _basis_solve(A[:, basis], b_true)
         if x_b is None:
             raise LpNumericalError("singular restored basis")
     kept = None
     if np.any(x_b < -PIVOT_TOL):  # the repair's own exit test
         x_b = _dual_repair(T, basis, x_b, state)
-    elif relaxed and rows.size == A.shape[0]:
+    elif relaxed:
         kept = (T, basis, x_b)
     x_std = np.zeros(A.shape[1])
     x_std[basis] = np.clip(x_b, 0.0, None)

@@ -99,12 +99,24 @@ def load_model(path):
             box=None if spec["box"] is None
             else np.asarray(spec["box"], dtype=float),
         )
+        if dic.kind == "linear":
+            implied = dic.dim
+        elif dic.kind == "constant_linear":
+            implied = dic.dim + 1
+        else:
+            implied = len(dic.centers)
+        if dic.M != implied:
+            raise DataError(f"dictionary M is {dic.M}, but its kind and "
+                            f"shape give {implied} functions")
+        lam = np.asarray(doc["lambda"], dtype=float)
+        if lam.shape != (dic.M,) or not np.all(np.isfinite(lam)):
+            raise DataError(f"lambda must hold {dic.M} finite coefficients")
         # a and tau are cross-checked against d here
         cp = CostParams(d=float(doc["d"]), tau=float(doc["tau"]),
                         a=float(doc["a"]))
         meta = doc["train_meta"]
         return Model(
-            lam=np.asarray(doc["lambda"], dtype=float),
+            lam=lam,
             dic=dic,
             cp=cp,
             r=float(doc["r"]),

@@ -16,8 +16,8 @@ import numpy as np
 from scipy.special import expit, logsumexp, ndtr
 
 from .dictionary import build_linear, build_rbf_lattice, evaluate
-from .evaluate import margins
-from .losses import CostParams
+from .evaluate import predict
+from .losses import CostParams, bayes_rule
 from .train import cross_validate, fit, walk_penalty_path
 
 __all__ = [
@@ -257,10 +257,8 @@ def run_mixture_boundaries(config, grid_shape=(50, 50), folds=10):
     xx, yy = np.meshgrid(cx, cy, indexing="ij")
     cells = np.column_stack([xx.ravel(), yy.ravel()])
     eta, density = mixture_eta_density(cells)
-    f = margins(model, cells)
-    estimated = np.where(np.abs(f) <= cp.tau, 0.0, np.sign(f))
-    optimal = np.where(eta > 1.0 - config.d, 1.0,
-                       np.where(eta < config.d, -1.0, 0.0))
+    estimated = predict(model, cells)[0]
+    optimal = bayes_rule(eta, cp)
     rows = [
         {
             "x1": float(cells[i, 0]),

@@ -26,7 +26,7 @@ import numpy as np
 
 from .constants import SUPPORT_TOL
 from .dictionary import estimated_c_f, evaluate
-from .losses import CostParams, gen_hinge, population_risk, reject_loss
+from .losses import CostParams, gen_hinge, reject_loss
 from .lp import LinearProgram, LpNumericalError, LpPath, solve_lp
 
 
@@ -80,38 +80,31 @@ def split_lp(design, cp, r):
                      np.full(design.n, 1.0 / design.n), cp, r)
 
 
-def _solve_hinge_lp(lp, M, path, what):
-    """Solve a _hinge_lp program from its crash basis; returns (lambda, sol)."""
-    n = lp.nvar - 2 * M
+def _solve_hinge_lp(lp, cp, path, what):
+    """Solve a _hinge_lp program from its crash basis.
+
+    Returns (lambda, objective, pivots), with the penalized risk at lambda
+    re-evaluated from the program's data and checked against the LP value.
+    """
+    n = lp.ncon // 2
+    M = (lp.nvar - n) // 2
     # lambda = 0, xi = 1 is a vertex: hinge slacks basic in the steeper
     # rows, surpluses basic (at 0) in the plainer ones; skips phase 1
     start = np.concatenate([lp.nvar + np.arange(n), 2 * M + np.arange(n)])
     sol = solve_lp(lp, initial_basis=start, path=path)
     if sol.status != "optimal":
         raise LpNumericalError(f"{what} LP reported {sol.status}")
-    return sol.x[:M] - sol.x[M:2 * M], sol
-
-
-def _finish_model(design, dic, cp, r, lam, sol):
-    margins = design.y * (design.phi @ lam)
-    emp = float(np.mean(gen_hinge(margins, cp)))
-    objective = emp + r * float(np.abs(lam).sum())
+    lam = sol.x[:M] - sol.x[M:2 * M]
+    # _hinge_lp's data: yphi heads the first n rows; costs are r and weights
+    yphi, weights, r = lp.rows[:n, :M], lp.objective[2 * M:], lp.objective[0]
+    objective = (float(weights @ gen_hinge(yphi @ lam, cp))
+                 + float(r) * float(np.abs(lam).sum()))
     if abs(objective - sol.objective_value) > 1e-6 * (1.0 + abs(objective)):
         raise LpNumericalError(
-            "LP objective disagrees with the re-evaluated penalized risk: "
-            f"{sol.objective_value!r} vs {objective!r}"
+            f"{what} LP objective disagrees with the re-evaluated penalized "
+            f"risk: {sol.objective_value!r} vs {objective!r}"
         )
-    if dic is not None:
-        c_f = estimated_c_f(dic, design)
-        flagged = dic.C_F_estimated
-    else:
-        c_f = float(np.abs(design.phi).max())
-        flagged = True
-    return Model(
-        lam=lam, dic=dic, cp=cp, r=float(r), n_train=design.n,
-        objective=objective, iterations=sol.iterations,
-        c_f=c_f, c_f_estimated=flagged,
-    )
+    return lam, objective, sol.iterations
 
 
 def fit(design, cp, r, dic=None, path=None):
@@ -121,8 +114,19 @@ def fit(design, cp, r, dic=None, path=None):
     at another r (see walk_penalty_path); without one, the solve starts from
     the crash basis.
     """
-    lam, sol = _solve_hinge_lp(split_lp(design, cp, r), design.M, path, "training")
-    return _finish_model(design, dic, cp, r, lam, sol)
+    lam, objective, pivots = _solve_hinge_lp(split_lp(design, cp, r), cp, path,
+                                             "training")
+    if dic is not None:
+        c_f = estimated_c_f(dic, design)
+        flagged = dic.C_F_estimated
+    else:
+        c_f = float(np.abs(design.phi).max())
+        flagged = True
+    return Model(
+        lam=lam, dic=dic, cp=cp, r=float(r), n_train=design.n,
+        objective=objective, iterations=pivots,
+        c_f=c_f, c_f_estimated=flagged,
+    )
 
 
 def fit_population(dist, dic, cp, r, path=None):
@@ -136,15 +140,10 @@ def fit_population(dist, dic, cp, r, path=None):
     lp = _hinge_lp(np.vstack([phi, -phi]),
                    np.concatenate([dist.p * dist.eta, dist.p * (1.0 - dist.eta)]),
                    cp, r)
-    lam, sol = _solve_hinge_lp(lp, phi.shape[1], path, "population")
-    objective_val = population_risk(dist, phi @ lam, cp, "hinge") + r * float(
-        np.abs(lam).sum()
-    )
-    if abs(objective_val - sol.objective_value) > 1e-6 * (1.0 + abs(objective_val)):
-        raise LpNumericalError("population LP objective failed re-evaluation")
+    lam, objective, pivots = _solve_hinge_lp(lp, cp, path, "population")
     return Model(
         lam=lam, dic=dic, cp=cp, r=float(r), n_train=dist.n_atoms,
-        objective=objective_val, iterations=sol.iterations,
+        objective=objective, iterations=pivots,
         c_f=float(np.abs(phi).max()) if dic.C_F_estimated else dic.C_F,
         c_f_estimated=dic.C_F_estimated,
     )

@@ -149,6 +149,20 @@ def test_model_loader_rejects_corruption(tmp_path, data_file):
     with pytest.raises(DataError):
         load_model(str(bad))
 
+    doc["format_version"] = 1
+    for key, value in [("lambda", doc["lambda"][:1]),  # truncated
+                       ("lambda", [float("nan")] * 2),
+                       ("lambda", 1.0)]:
+        bad.write_text(json.dumps({**doc, key: value}))
+        with pytest.raises(DataError, match="lambda must hold 2 finite"):
+            load_model(str(bad))
+    # M must be what the kind implies: dim for linear, here 2
+    bad.write_text(json.dumps({**doc, "dictionary": {**doc["dictionary"],
+                                                      "M": 3},
+                               "lambda": doc["lambda"] + [0.0]}))
+    with pytest.raises(DataError, match="dictionary M is 3"):
+        load_model(str(bad))
+
     del doc["format_version"]
     bad.write_text(json.dumps(doc))
     with pytest.raises(DataError):
@@ -317,6 +331,16 @@ def test_cli_exit_codes(tmp_path, data_file, monkeypatch, capsys):
     wide.write_text("x1,x2,x3\n1.0,2.0,3.0\n")
     assert main(["predict", "--model", model_path, "--data",
                  str(wide)]) == 3
+    # lambda or M that does not fit the dictionary -> data
+    with open(model_path) as fh:
+        doc = json.load(fh)
+    for cmd, edit in [("predict", {"lambda": doc["lambda"][:1]}),
+                      ("predict", {"lambda": [float("nan")] * 2}),
+                      ("bounds", {"dictionary": {**doc["dictionary"],
+                                                 "M": 7}})]:
+        bad_model.write_text(json.dumps({**doc, **edit}))
+        assert main([cmd, "--model", str(bad_model), "--data",
+                     data_file]) == 3
     # non-finite cell -> data
     nan_data = tmp_path / "nan.csv"
     nan_data.write_text("x1,x2,y\n1.0,nan,1\n")

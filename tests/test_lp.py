@@ -290,8 +290,8 @@ def test_unrelaxed_failure_names_every_reason(monkeypatch):
 
 
 def test_phase_one_drive_out_pivots_are_counted(monkeypatch):
-    # x = y = 0 is the only feasible point; phase 1 ends with an artificial
-    # basic at 0 in each equality row, and driving them out takes two pivots
+    # x = y = 0 is the only feasible point; the relaxation makes the slack
+    # basis feasible, so there is no phase 1, and phase 2 takes two pivots
     pivots = []
     real = lp_module._pivot
 
@@ -306,6 +306,28 @@ def test_phase_one_drive_out_pivots_are_counted(monkeypatch):
                                  lower=[0.0, 0.0]))
     assert sol.status == "optimal" and sol.eps == 1e-7
     assert sol.iterations == len(pivots) == 2
+
+
+def test_artificial_basic_at_zero_is_driven_out(monkeypatch):
+    # x + y = 1 becomes x + y <= 1 and x + y >= 1.  Unrelaxed, the
+    # artificial enters at the >= half; x then ties both rows in the ratio
+    # test, the slack leaves by the lowest-index rule, and the artificial
+    # stays basic at 0 until one more counted pivot drives it out
+    pivots = []
+    real = lp_module._pivot
+
+    def counting(T, r, c):
+        pivots.append(c)
+        return real(T, r, c)
+
+    monkeypatch.setattr(lp_module, "_pivot", counting)
+    monkeypatch.setattr(lp_module, "_ATTEMPTS", (0.0,))
+    sol = solve_lp(LinearProgram(objective=[-1.0, 0.0], rows=[[1.0, 1.0]],
+                                 relations=["="], rhs=[1.0], lower=[0.0, 0.0]))
+    assert sol.status == "optimal"
+    assert np.allclose(sol.x, [1.0, 0.0], atol=1e-12)
+    assert pivots[:3] == [4, 0, 2]  # in, phase 1, out (column 4 is artificial)
+    assert sol.iterations == len(pivots)
 
 
 def _gap_program(gap):
@@ -399,12 +421,13 @@ def test_last_resort_audits_an_unbounded_ray(monkeypatch):
 
 def test_redundant_row_is_decided_by_the_relaxed_attempt():
     # min x + 2y  s.t.  x + y = 1,  2x + 2y = 2,  x - y <= 0.5,  x, y >= 0:
-    # phase 1 drops the second equality row, which the relaxation never
-    # moves; the optimum is (3/4, 1/4)
+    # the second equality row is redundant, but each of its halves keeps a
+    # slack, so no row is dropped; the artificial enters and two more pivots
+    # reach the optimum (3/4, 1/4)
     sol = solve_lp(LinearProgram(objective=[1.0, 2.0],
                                  rows=[[1.0, 1.0], [2.0, 2.0], [1.0, -1.0]],
                                  relations=["=", "=", "<="],
                                  rhs=[1.0, 2.0, 0.5], lower=[0.0, 0.0]))
     assert sol.status == "optimal" and sol.eps == 1e-7
     assert np.allclose(sol.x, [0.75, 0.25], atol=1e-12)
-    assert sol.iterations == 2
+    assert sol.iterations == 3
