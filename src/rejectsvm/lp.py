@@ -1,4 +1,4 @@
-"""Two-phase simplex solver on a dense tableau, with bases factored sparse.
+"""Two-phase simplex on a condensed tableau, with bases factored sparse.
 
 Problems are stated in general form,
 
@@ -6,14 +6,15 @@ Problems are stated in general form,
     subject to  row . x  {<=, >=, =}  rhs      (one relation per row)
                 lower <= x <= upper            (entries may be infinite)
 
-The solver is deliberately plain -- a dense tableau started from the slack
-basis with one artificial variable, steepest-edge pricing, and a basic
-solution restored from the original data and repaired by dual simplex
-pivots -- so that small instances can be confirmed independently by
-enumerating every basic solution of the standard form, as the test suite
-does with its own vertex-enumeration oracle.  Only the tableau is dense:
-every basis is gathered from the CSC standard form and factored by a sparse
-LU.
+The solver is deliberately plain -- a dense, condensed (dictionary) tableau
+of the nonbasic columns, B^-1 [N | b], pivoted by Jordan exchanges and
+started from the slack basis with one artificial variable, steepest-edge
+pricing, and a basic solution restored from the original data and repaired
+by dual simplex pivots -- so that small instances can be confirmed
+independently by enumerating every basic solution of the standard form, as
+the test suite does with its own vertex-enumeration oracle.  Only the
+tableau is dense: every basis is gathered from the CSC standard form and
+factored by a sparse LU.
 """
 
 from dataclasses import dataclass
@@ -117,7 +118,8 @@ class LpPath:
 
     After a solve that the relaxed attempt decided with no dual repair, it
     keeps that program's constraints, their standard form, and the
-    attempt's final tableau, basis and basic solution for the true
+    attempt's final condensed (dictionary) tableau of the nonbasic columns,
+    its basis and nonbasic index arrays, and the basic solution for the true
     right-hand side.  None of these involves the costs, so the next solve
     with equal constraints reuses the standard form and starts its relaxed
     attempt from the tableau, with only the cost row re-priced, pivoting it
@@ -126,14 +128,14 @@ class LpPath:
     state.  One tableau is live per path.
     """
 
-    __slots__ = ("key", "form", "tableau", "basis", "x_b")
+    __slots__ = ("key", "form", "tableau", "basis", "nonbasic", "x_b")
 
     def __init__(self):
         self.clear()
 
     def clear(self):
         self.key = self.form = None
-        self.tableau = self.basis = self.x_b = None
+        self.tableau = self.basis = self.nonbasic = self.x_b = None
 
     def matches(self, lp):
         """True when the state holds a tableau for lp's constraints."""
@@ -218,24 +220,29 @@ def _audit_feasible(lp, x):
         raise LpNumericalError("claimed-optimal point violates a variable bound")
 
 
-def _pivot(T, r, c):
-    piv = T[r, c]
+def _pivot(T, r, p):
+    """Jordan exchange of basic row r and nonbasic column p, in place.
+
+    The leaving unit column e_r takes column p's place before the row
+    division, so it is updated by the same arithmetic as every other column.
+    """
+    piv = T[r, p]
     if abs(piv) <= PIVOT_TOL:
         raise LpNumericalError("pivot element vanished")
-    T[r, :] /= piv
-    colv = T[:, c].copy()
+    colv = T[:, p].copy()
     colv[r] = 0.0
+    T[:, p] = 0.0
+    T[r, p] = 1.0
+    T[r, :] /= piv
     rowv = T[r, :].copy()
     # in-place rank-1 update T -= colv * rowv'; T is Fortran-ordered
     _blas.dger(-1.0, colv, rowv, a=T, overwrite_a=1)
-    T[:, c] = 0.0
-    T[r, c] = 1.0
 
 
-def _counted_pivot(T, basis, r, c, state):
-    """Pivot column c into row r under the attempt's budget and blow-up guard."""
-    _pivot(T, r, c)
-    basis[r] = c
+def _counted_pivot(T, basis, nonbasic, r, p, state):
+    """Exchange row r and column p under the attempt's budget and blow-up guard."""
+    _pivot(T, r, p)
+    basis[r], nonbasic[p] = nonbasic[p], basis[r]
     state["iter"] += 1
     if state["iter"] > state["max_iter"]:
         raise LpNumericalError("simplex iteration limit exceeded")
@@ -243,42 +250,49 @@ def _counted_pivot(T, basis, r, c, state):
         raise LpNumericalError("tableau magnitude exceeded blow-up limit")
 
 
-def _run_phase(T, basis, n_enter, state):
+def _lowest(nonbasic, values, among=None):
+    """Column position of the least of values, exact ties to the lowest variable."""
+    among = np.arange(values.size) if among is None else among
+    tie = among[values == values.min()]
+    return int(tie[np.argmin(nonbasic[tie])])
+
+
+def _run_phase(T, basis, nonbasic, n_enter, state):
     """Pivot by steepest edge until optimal (None) or unbounded (the column).
 
-    The objective is row m of T; only the first n_enter columns may enter.
+    The objective is row m of T; only variables below n_enter may enter.
     """
     m = basis.size
     while True:
-        red = T[m, :n_enter]
-        neg = np.flatnonzero(red < -PIVOT_TOL)
+        red = T[m, :-1]
+        neg = np.flatnonzero((red < -PIVOT_TOL) & (nonbasic < n_enter))
         if neg.size == 0:
             return None
         # reduced cost per unit length of the edge, with each candidate's
         # norm computed fresh from this tableau
         cols = T[:m, neg]
         gamma = np.einsum("ij,ij->j", cols, cols)
-        j = int(neg[np.argmin(red[neg] / np.sqrt(1.0 + gamma))])
-        col = T[:m, j]
+        p = _lowest(nonbasic, red[neg] / np.sqrt(1.0 + gamma), neg)
+        col = T[:m, p]
         pos = col > PIVOT_TOL
         if not pos.any():
-            return j
+            return p
         ratios = np.full(m, np.inf)
         ratios[pos] = T[:m, -1][pos] / col[pos]
         rmin = ratios.min()
         cand = np.flatnonzero(ratios <= rmin + 1e-12)
         r = int(cand[np.argmin(basis[cand])])  # lowest basic index breaks ties
-        _counted_pivot(T, basis, r, j, state)
+        _counted_pivot(T, basis, nonbasic, r, p, state)
 
 
-def _dual_repair(T, basis, x_b, state):
+def _dual_repair(T, basis, nonbasic, x_b, state):
     """Make the basic solution x_b non-negative by dual simplex pivots.
 
     T is optimal for a relaxed rhs, and x_b is its basis's solution for the
     true one.  Reduced costs do not involve b, so with x_b written into the
     rhs column the cost row is still dual feasible.  The most negative basic
     value leaves; the entering column wins the ratio test on the cost row,
-    the lowest index breaking ties.  Returns the repaired basic solution.
+    the lowest variable breaking ties.  Returns the repaired basic solution.
     The objective entry of T goes stale: the repaired tableau is not reused.
     """
     m = basis.size
@@ -294,7 +308,7 @@ def _dual_repair(T, basis, x_b, state):
             raise LpNumericalError("dual repair found no entering column")
         ratios = np.full(row.size, np.inf)
         ratios[neg] = T[m, :-1][neg] / -row[neg]
-        _counted_pivot(T, basis, r, int(np.argmin(ratios)), state)
+        _counted_pivot(T, basis, nonbasic, r, _lowest(nonbasic, ratios), state)
 
 
 def _basis_solve(B, rhs):
@@ -306,83 +320,90 @@ def _basis_solve(B, rhs):
 
 
 def _warm_tableau(A, b, basis):
-    """Canonical tableau for a caller-supplied feasible basis, or None.
+    """Condensed tableau and nonbasic columns for a feasible basis, or None.
 
     Returns None when the basis is singular or its basic solution has a
     value below -PIVOT_TOL, in which case the ordinary two-phase route runs
     instead.  Smaller negative values are roundoff dust, set to 0.
     """
     m, ncols = A.shape
-    rhs = np.empty((m, ncols + 1), order="F")
-    A.toarray(out=rhs[:, :-1])
+    nonbasic = np.setdiff1d(np.arange(ncols), basis)
+    rhs = np.empty((m, nonbasic.size + 1), order="F")
+    A[:, nonbasic].toarray(out=rhs[:, :-1])
     rhs[:, -1] = b
     body = _basis_solve(A[:, basis], rhs)
     if body is None or np.any(body[:, -1] < -PIVOT_TOL):
         return None
     np.clip(body[:, -1], 0.0, None, out=body[:, -1])
-    T = np.zeros((m + 1, ncols + 1), order="F")
+    T = np.zeros((m + 1, nonbasic.size + 1), order="F")
     T[:m] = body
-    return T
+    return T, nonbasic
 
 
-def _reprice(T, basis, c):
-    """Rewrite T's cost row for costs c: c - c_B B^-1 A, and -c_B B^-1 b."""
+def _reprice(T, basis, nonbasic, c):
+    """Rewrite T's cost row for costs c: c_N - c_B B^-1 N, and -c_B B^-1 b."""
     m = basis.size
     c_b = c[basis]
-    T[m, :-1] = c - c_b @ T[:m, :-1]
+    T[m, :-1] = c[nonbasic] - c_b @ T[:m, :-1]
     T[m, -1] = -float(c_b @ T[:m, -1])
 
 
 def _simplex_core(A, b, c, initial_basis, state, warm=None):
     """Run the (possibly warm-started) two-phase simplex on standard form.
 
-    warm, when given, is a (tableau, basis) pair canonical for (A, b); it is
-    pivoted in place.  Otherwise initial_basis, when usable, seeds a fresh
-    tableau.  When it is not, the tableau starts from the slack basis; if a
-    slack starts below 0, phase 1 adds one artificial column, -1 in each
-    such row, pivots it in at the most negative row and minimizes it.
-    Phase 2 starts from the cost row priced for c.
+    The tableau is B^-1 [N | b] over the nonbasic columns N, which the
+    array nonbasic names, above the cost row.  warm, when given, is such a
+    (tableau, basis, nonbasic) for (A, b); it is pivoted in place.
+    Otherwise initial_basis, when usable, seeds a fresh tableau.  When it is
+    not, the tableau starts from the slack basis; if a slack starts below 0,
+    phase 1 adds one artificial variable, ncols, -1 in each such row, pivots
+    it in at the most negative row, minimizes it and drops it.  Phase 2
+    starts from the cost row priced for c.
 
-    Returns (status, basis, tableau); for "unbounded", basis is instead the
-    ray of the edge.
+    Returns (status, basis, nonbasic, tableau); for "unbounded", basis is
+    instead the ray of the edge.
     """
     m, ncols = A.shape
     T = None
     if warm is not None:
-        T, basis = warm
+        T, basis, nonbasic = warm
     elif initial_basis is not None:
         basis = initial_basis.copy()
-        T = _warm_tableau(A, b, basis)
+        T, nonbasic = _warm_tableau(A, b, basis) or (None, None)
     if T is None:
-        basis = ncols - m + np.arange(m)
+        k = ncols - m
+        basis, nonbasic = k + np.arange(m), np.append(np.arange(k), ncols)
         sigma = A[:, basis].diagonal()  # the slack block, its own inverse
-        T = np.zeros((m + 1, ncols + 2), order="F")
-        T[:m, :ncols] = sigma[:, None] * A.toarray()
+        T = np.zeros((m + 1, k + 2), order="F")
+        T[:m, :k] = sigma[:, None] * A[:, :k].toarray()
         T[:m, -1] = sigma * b
         below = T[:m, -1] < 0.0
         if below.any():
-            T[:m, ncols] = np.where(below, -1.0, 0.0)
-            _counted_pivot(T, basis, int(np.argmin(T[:m, -1])), ncols, state)
-            _reprice(T, basis, np.eye(1, ncols + 1, ncols)[0])  # cost: x_art
-            # the artificial, column ncols, may leave but never enter
-            if _run_phase(T, basis, ncols, state) is not None:
+            T[:m, k] = np.where(below, -1.0, 0.0)
+            r = int(np.argmin(T[:m, -1]))
+            _counted_pivot(T, basis, nonbasic, r, k, state)
+            _reprice(T, basis, nonbasic, np.eye(1, ncols + 1, ncols)[0])
+            # the artificial, variable ncols, may leave but never enter
+            if _run_phase(T, basis, nonbasic, ncols, state) is not None:
                 raise LpNumericalError("phase 1 reported unbounded")
             if -T[m, -1] > FEAS_TOL:  # the audit's tolerance on a row residual
-                return "infeasible", None, None
+                return "infeasible", None, None, None
             at = np.flatnonzero(basis == ncols)
             if at.size:  # B^-1 has no zero row, so its slack entries are not all 0
                 r = int(at[0])
-                _counted_pivot(T, basis, r, int(np.argmax(np.abs(T[r, :ncols]))),
-                               state)
-        T = np.asfortranarray(np.delete(T, ncols, axis=1))
-    _reprice(T, basis, c)
-    j = _run_phase(T, basis, ncols, state)
-    if j is not None:
+                _counted_pivot(T, basis, nonbasic, r,
+                               _lowest(nonbasic, -np.abs(T[r, :-1])), state)
+        keep = nonbasic != ncols  # drop the artificial
+        T = np.asfortranarray(T[:, np.append(keep, True)])
+        nonbasic = nonbasic[keep]
+    _reprice(T, basis, nonbasic, c)
+    p = _run_phase(T, basis, nonbasic, ncols, state)
+    if p is not None:
         ray = np.zeros(ncols)
-        ray[basis] = -T[:-1, j]
-        ray[j] = 1.0
-        return "unbounded", ray, None
-    return "optimal", basis, T
+        ray[basis] = -T[:-1, p]
+        ray[nonbasic[p]] = 1.0
+        return "unbounded", ray, None, None
+    return "optimal", basis, nonbasic, T
 
 
 # deterministic jitter for the anti-degeneracy perturbation
@@ -397,11 +418,13 @@ def _pivot_budget(m, ncols):
 def solve_lp(lp, initial_basis=None, path=None):
     """Solve a LinearProgram with a two-phase simplex method.
 
-    A solve makes at most two attempts, which differ only in eps.  Both
-    price by steepest edge (the most negative reduced cost per unit length
-    of the edge, d_j / sqrt(1 + |B^-1 a_j|^2), the norms taken afresh from
-    the tableau at every pivot, so no pricing state outlives a pivot); the
-    first relaxes every right-hand side by tiny, deterministic, strictly
+    The simplex pivots a condensed (dictionary) tableau of the nonbasic
+    columns; the basic unit columns are never stored.  A solve makes at
+    most two attempts, which differ only in eps.  Both price by steepest
+    edge (the most negative reduced cost per unit length of the edge,
+    d_j / sqrt(1 + |B^-1 a_j|^2), the norms taken afresh from the tableau
+    at every pivot, so no pricing state outlives a pivot); the first
+    relaxes every right-hand side by tiny, deterministic, strictly
     decreasing offsets, which removes ties from the ratio test.
     Each restores the true right-hand side from the original data through
     its final basis.  Reduced costs do not involve b, so that basis stays
@@ -439,7 +462,7 @@ def solve_lp(lp, initial_basis=None, path=None):
         if path.matches(lp):
             key = path.key
             A, b_true, cmap, sigma = path.form
-            prior = (path.tableau, path.basis, path.x_b)
+            prior = (path.tableau, path.basis, path.nonbasic, path.x_b)
         path.clear()  # refilled only by an unrepaired relaxed verdict below
     if key is None:
         A, b_true, cmap, sigma = _to_standard_form(lp)
@@ -477,7 +500,7 @@ def solve_lp(lp, initial_basis=None, path=None):
                 key = (lp.rows.copy(), lp.relations, lp.rhs.copy(),
                        lp.lower.copy(), lp.upper.copy())
             path.key, path.form = key, (A, b_true, cmap, sigma)
-            path.tableau, path.basis, path.x_b = kept
+            path.tableau, path.basis, path.nonbasic, path.x_b = kept
         return LpSolution("optimal", x, float(lp.objective @ x), total_iters,
                           eps, warm is not None)
     raise LpNumericalError("every solve attempt failed: " + "; ".join(passed_over))
@@ -487,13 +510,13 @@ def _attempt(lp, A, b, b_true, c, cmap, relaxed, initial_basis, warm,
              state):
     """One solve attempt of the standard form (A, b_true, c) on the rhs b.
 
-    warm, when given, is a path's (tableau, basis, x_b) for these
+    warm, when given, is a path's (tableau, basis, nonbasic, x_b) for these
     constraints.  Returns (status, x, kept): x is the optimal point, and
-    kept, when not None, the (tableau, basis, x_b) a path may reuse.  Raises
-    LpNumericalError for every reason to hand over.
+    kept, when not None, the (tableau, basis, nonbasic, x_b) a path may
+    reuse.  Raises LpNumericalError for every reason to hand over.
     """
-    status, basis, T = _simplex_core(
-        A, b, c, initial_basis, state, None if warm is None else warm[:2])
+    status, basis, nonbasic, T = _simplex_core(
+        A, b, c, initial_basis, state, None if warm is None else warm[:3])
     if status == "infeasible":
         return status, None, None
     if status == "unbounded":
@@ -505,16 +528,16 @@ def _attempt(lp, A, b, b_true, c, cmap, relaxed, initial_basis, warm,
                                    f"{cost:.3e}, |A d| = {residual:.3e}")
         return status, None, None
     if warm is not None and state["iter"] == 0:
-        x_b = warm[2]  # same basis as the last solve, same solution
+        x_b = warm[3]  # same basis as the last solve, same solution
     else:
         x_b = _basis_solve(A[:, basis], b_true)
         if x_b is None:
             raise LpNumericalError("singular restored basis")
     kept = None
     if np.any(x_b < -PIVOT_TOL):  # the repair's own exit test
-        x_b = _dual_repair(T, basis, x_b, state)
+        x_b = _dual_repair(T, basis, nonbasic, x_b, state)
     elif relaxed:
-        kept = (T, basis, x_b)
+        kept = (T, basis, nonbasic, x_b)
     x_std = np.zeros(A.shape[1])
     x_std[basis] = np.clip(x_b, 0.0, None)
     x = _recover_x(cmap, x_std)

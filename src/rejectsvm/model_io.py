@@ -94,7 +94,7 @@ def load_model(path):
             C_F_estimated=bool(spec["C_F_estimated"]),
             centers=None if spec["centers"] is None
             else np.asarray(spec["centers"], dtype=float),
-            beta=spec["beta"],
+            beta=None if spec["beta"] is None else float(spec["beta"]),
             grid=None if spec["grid"] is None else tuple(spec["grid"]),
             box=None if spec["box"] is None
             else np.asarray(spec["box"], dtype=float),
@@ -103,8 +103,18 @@ def load_model(path):
             implied = dic.dim
         elif dic.kind == "constant_linear":
             implied = dic.dim + 1
-        else:
-            implied = len(dic.centers)
+        else:  # the rbf kinds
+            beta = dic.beta
+            if beta is None or not (math.isfinite(beta) and beta > 0.0):
+                raise DataError(f"rbf beta must be a finite number > 0, "
+                                f"not {spec['beta']!r}")
+            centers = dic.centers
+            if (centers is None or centers.ndim != 2
+                    or centers.shape[1] != dic.dim
+                    or not np.all(np.isfinite(centers))):
+                raise DataError(f"rbf centers must be a finite "
+                                f"(M, {dic.dim}) array")
+            implied = len(centers)
         if dic.M != implied:
             raise DataError(f"dictionary M is {dic.M}, but its kind and "
                             f"shape give {implied} functions")

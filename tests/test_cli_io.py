@@ -162,6 +162,23 @@ def test_model_loader_rejects_corruption(tmp_path, data_file):
                                "lambda": doc["lambda"] + [0.0]}))
     with pytest.raises(DataError, match="dictionary M is 3"):
         load_model(str(bad))
+    # an rbf model needs a finite beta > 0 and finite (M, dim) centers
+    rbf = build_rbf_lattice((2, 2), x.min(axis=0), x.max(axis=0))
+    save_model(fit(dic_eval(rbf, x, y), CostParams(d=0.25), 0.1, dic=rbf),
+               str(path))
+    rbf_doc = json.loads(path.read_text())
+    spec = rbf_doc["dictionary"]
+    wide = [row + [0.0] for row in spec["centers"]]
+    for edit, message in [({"beta": None}, "rbf beta"),
+                          ({"beta": -1.0}, "rbf beta"),
+                          ({"beta": float("inf")}, "rbf beta"),
+                          ({"centers": wide}, "rbf centers"),
+                          ({"centers": [[float("nan")] * 2] * 4},
+                           "rbf centers")]:
+        bad.write_text(json.dumps({**rbf_doc,
+                                   "dictionary": {**spec, **edit}}))
+        with pytest.raises(DataError, match=message):
+            load_model(str(bad))
 
     del doc["format_version"]
     bad.write_text(json.dumps(doc))
@@ -340,6 +357,18 @@ def test_cli_exit_codes(tmp_path, data_file, monkeypatch, capsys):
                                                  "M": 7}})]:
         bad_model.write_text(json.dumps({**doc, **edit}))
         assert main([cmd, "--model", str(bad_model), "--data",
+                     data_file]) == 3
+    # rbf beta or centers that do not fit the dictionary -> data
+    main(["train", "--data", data_file, "--d", "0.25", "--r", "0.1",
+          "--dict", "rbf_lattice:2x2", "--out", model_path])
+    with open(model_path) as fh:
+        doc = json.load(fh)
+    spec = doc["dictionary"]
+    for edit in [{"beta": None}, {"beta": -1.0},
+                 {"centers": [row + [0.0] for row in spec["centers"]]}]:
+        bad_model.write_text(json.dumps({**doc,
+                                         "dictionary": {**spec, **edit}}))
+        assert main(["predict", "--model", str(bad_model), "--data",
                      data_file]) == 3
     # non-finite cell -> data
     nan_data = tmp_path / "nan.csv"

@@ -313,21 +313,47 @@ def test_artificial_basic_at_zero_is_driven_out(monkeypatch):
     # artificial enters at the >= half; x then ties both rows in the ratio
     # test, the slack leaves by the lowest-index rule, and the artificial
     # stays basic at 0 until one more counted pivot drives it out
-    pivots = []
-    real = lp_module._pivot
+    entering = []
+    real = lp_module._counted_pivot
 
-    def counting(T, r, c):
-        pivots.append(c)
-        return real(T, r, c)
+    def counting(T, basis, nonbasic, r, p, state):
+        entering.append(int(nonbasic[p]))
+        return real(T, basis, nonbasic, r, p, state)
 
-    monkeypatch.setattr(lp_module, "_pivot", counting)
+    monkeypatch.setattr(lp_module, "_counted_pivot", counting)
     monkeypatch.setattr(lp_module, "_ATTEMPTS", (0.0,))
     sol = solve_lp(LinearProgram(objective=[-1.0, 0.0], rows=[[1.0, 1.0]],
                                  relations=["="], rhs=[1.0], lower=[0.0, 0.0]))
     assert sol.status == "optimal"
     assert np.allclose(sol.x, [1.0, 0.0], atol=1e-12)
-    assert pivots[:3] == [4, 0, 2]  # in, phase 1, out (column 4 is artificial)
-    assert sol.iterations == len(pivots)
+    assert entering[:3] == [4, 0, 2]  # in, phase 1, out (4 is the artificial)
+    assert sol.iterations == len(entering)
+
+
+def _tied_tableau(cost, row, basic):
+    """One-row condensed tableau over variables 5 and 2, in that order.
+
+    Both columns score the same, so only the tie-break chooses.
+    """
+    T = np.asfortranarray([row + [1.0], cost + [0.0]])
+    return T, np.array([basic]), np.array([5, 2])
+
+
+def test_steepest_edge_ties_enter_the_lowest_variable():
+    T, basis, nonbasic = _tied_tableau([-1.0, -1.0], [1.0, 1.0], 0)
+    state = {"iter": 0, "max_iter": 10}
+    assert lp_module._run_phase(T, basis, nonbasic, 6, state) is None
+    assert state["iter"] == 1
+    # variable 2 entered from position 1, not variable 5 from position 0
+    assert basis.tolist() == [2] and nonbasic.tolist() == [5, 0]
+
+
+def test_dual_repair_ties_enter_the_lowest_variable():
+    T, basis, nonbasic = _tied_tableau([1.0, 1.0], [-1.0, -1.0], 3)
+    state = {"iter": 0, "max_iter": 10}
+    x_b = lp_module._dual_repair(T, basis, nonbasic, np.array([-1.0]), state)
+    assert x_b.tolist() == [1.0] and state["iter"] == 1
+    assert basis.tolist() == [2] and nonbasic.tolist() == [5, 3]
 
 
 def _gap_program(gap):

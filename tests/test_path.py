@@ -126,10 +126,20 @@ def test_study_paths_match_highs(solutions):
                                              2024)[:2])
     grid = np.asarray(config.r_grid)
     total_path_pivots = 0
+
+    def step(r, path):
+        model = fit(design, cp, r, dic=dic, path=path)
+        # the kept tableau is condensed: B^-1 [N | b] and the cost row
+        m, ncols = path.form[0].shape
+        assert path.tableau.shape == (m + 1, ncols - m + 1)
+        assert np.array_equal(np.sort(np.concatenate([path.basis,
+                                                      path.nonbasic])),
+                              np.arange(ncols))
+        return model
+
     for cp in (CP, CP_PLAIN):
         del solutions[:]
-        models = walk_penalty_path(
-            grid, lambda r, path: fit(design, cp, r, dic=dic, path=path))[0]
+        models = walk_penalty_path(grid, step)[0]
         # the walk ran from the largest r down, each later step warm
         assert [s.warm for s in solutions] == [False] + [True] * 6
         for r, model in zip(grid, models):
