@@ -20,6 +20,7 @@ from rejectsvm import (
     gram_psi,
     kappa_estimate,
     make_context,
+    population_path,
 )
 
 if __name__ == "__main__":
@@ -44,7 +45,7 @@ if __name__ == "__main__":
     for rep in (
         check_excess_domination(ctx, n_random=500),
         check_lemma_a1(ctx, n_random=200),
-        check_prop21(dist, dic, cp, np.linspace(0.05, 0.6, 12)),
+        check_prop21(ctx, population_path(ctx, np.linspace(0.05, 0.6, 12))),
     ):
         print(f"{rep.name:28s} {rep.status:5s} slack={rep.slack:.4g}")
 

@@ -92,13 +92,19 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def cmd_predict(args):
+def _model_and_data(args, require_y=False):
+    """Load --model and --data; a feature-count mismatch is a data error."""
     model = load_model(args.model)
-    x, _ = load_data(args.data)
+    x, y = load_data(args.data, require_y=require_y)
     if x.shape[1] != model.dic.dim:
         raise DataError(
             f"data has {x.shape[1]} features, model expects {model.dic.dim}"
         )
+    return model, x, y
+
+
+def cmd_predict(args):
+    model, x, _ = _model_and_data(args)
     dec, f = evaluate.predict(model, x)
     rows = [{"margin": mi, "decision": int(di)} for mi, di in zip(f, dec)]
     if args.out:
@@ -110,8 +116,7 @@ def cmd_predict(args):
 
 
 def cmd_eval(args):
-    model = load_model(args.model)
-    x, y = load_data(args.data, require_y=True)
+    model, x, y = _model_and_data(args, require_y=True)
     rep = evaluate.risk_report(model, x, y)
     print(f"n_eval={rep.n_eval}")
     print(f"phi_risk={rep.phi_risk!r}")
@@ -127,8 +132,7 @@ def cmd_eval(args):
 
 
 def cmd_bounds(args):
-    model = load_model(args.model)
-    x, y = load_data(args.data, require_y=True)
+    model, x, y = _model_and_data(args, require_y=True)
     rep = evaluate.bounds(model, x, y, delta=args.delta, p=args.p)
     print(f"bound_misclass={rep.bound_misclass!r} "
           f"(gamma*={rep.gamma_star_misclass!r})")
@@ -194,30 +198,28 @@ def cmd_simulate(args):
 def cmd_diagnose(args):
     dist = load_distribution(args.dist)
     dic = parse_dict_spec(args.dict, dist.x)
-    cp = CostParams(d=args.d, tau=args.tau)
+    ctx = theory.make_context(dist, dic, CostParams(d=args.d, tau=args.tau))
     wanted = set(args.checks)
     if "all" in wanted:
         wanted = {"lemma_a1", "prop21", "domination", "plateau"}
     if args.r_grid is not None:
         r_grid = np.asarray([float(v) for v in args.r_grid.split(",")])
     else:
-        design = dictionary.evaluate(dic, dist.x)
-        top = cp.a * dictionary.estimated_c_f(dic, design)
+        design = dictionary.DesignMatrix(ctx.phi)
+        top = ctx.cp.a * dictionary.estimated_c_f(dic, design)
         r_grid = np.linspace(top / 20.0, top, 20)
-    ctx = theory.make_context(dist, dic, cp)
     # prop21 and plateau read the same population fits, solved once
-    fits = None
     if wanted & {"prop21", "plateau"}:
-        fits = theory.population_path(dist, dic, cp, r_grid)
+        fits = theory.population_path(ctx, r_grid)
     reports = []
     if "lemma_a1" in wanted:
         reports.append(theory.check_lemma_a1(ctx, seed=args.seed))
     if "prop21" in wanted:
-        reports.append(theory.check_prop21(dist, dic, cp, r_grid, fits=fits))
+        reports.append(theory.check_prop21(ctx, fits))
     if "domination" in wanted:
         reports.append(theory.check_excess_domination(ctx, seed=args.seed))
     if "plateau" in wanted:
-        reports.append(theory.check_plateau(dist, dic, cp, r_grid, fits=fits))
+        reports.append(theory.check_plateau(fits))
     for rep in reports:
         print(f"{rep.name}: {rep.status} (slack={rep.slack!r}) {rep.witness}")
     if args.out:

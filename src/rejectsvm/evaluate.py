@@ -27,8 +27,7 @@ class RiskReport:
 
     misclass_rate counts margins strictly below -tau and reject_rate counts
     |margin| <= tau, the same conventions the piecewise loss uses, so
-    ell_risk == misclass_rate + d * reject_rate exactly.  excess_ell is
-    filled only when the caller supplies a reference risk to subtract.
+    ell_risk == misclass_rate + d * reject_rate exactly.
     """
 
     phi_risk: float
@@ -36,7 +35,6 @@ class RiskReport:
     misclass_rate: float
     reject_rate: float
     n_eval: int
-    excess_ell: float | None = None
 
 
 @dataclass(frozen=True)
@@ -77,24 +75,23 @@ def predict(model, x):
     return dec, f
 
 
-def report_from_margins(yf, f, cp, n_eval, bayes_risk=None):
+def report_from_margins(yf, f, cp, n_eval):
     """Build a RiskReport from precomputed margins yf (and raw f)."""
     tau = cp.tau
     phi = float(np.mean(gen_hinge(yf, cp)))
     ell = float(np.mean(reject_loss(yf, cp)))
     mis = float(np.mean(yf < -tau))
     rej = float(np.mean(np.abs(f) <= tau))
-    excess = None if bayes_risk is None else ell - float(bayes_risk)
-    return RiskReport(phi, ell, mis, rej, int(n_eval), excess)
+    return RiskReport(phi, ell, mis, rej, int(n_eval))
 
 
-def risk_report(model, x, y, bayes_risk=None):
+def risk_report(model, x, y):
     """Empirical phi- and reject-risk of model on labelled rows (x, y)."""
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise ValueError("cannot report risks on an empty sample")
     f = margins(model, x)
-    return report_from_margins(y * f, f, model.cp, y.size, bayes_risk)
+    return report_from_margins(y * f, f, model.cp, y.size)
 
 
 def rate_r(gamma, n, M, c_f, delta, p=1.0):

@@ -2,7 +2,8 @@
 
 Everything here works atom by atom: risks, the noise-weighted Gram matrix,
 the margin-exponent fit, and the inequality checks are all finite sums, so
-reported violations are genuine rather than sampling artifacts.
+reported violations are genuine rather than sampling artifacts.  Every
+check reads one TheoryContext; the path checks also read one PopulationPath.
 """
 
 import math
@@ -42,15 +43,13 @@ __all__ = [
 class TheoryContext:
     """A finite-support distribution paired with a dictionary.
 
-    psi holds the noise-weighted Gram matrix 4 E[f_i f_j omega] with
-    omega = eta (1 - eta); f0_values is the optimal rule per atom (-1/0/+1);
-    phi is the atom-by-function value table both are derived from.
+    f0_values is the optimal rule per atom (-1/0/+1); phi is the
+    atom-by-function value table phi[k, j] = f_j(x_k) every check reads.
     """
 
     dist: object
     dic: object
     cp: object
-    psi: np.ndarray
     f0_values: np.ndarray
     phi: np.ndarray
 
@@ -101,13 +100,20 @@ def weighted_norm(dist, values):
 
 
 def make_context(dist, dic, cp):
-    """Precompute psi, the optimal rule, and atom features for checks."""
+    """Evaluate the dictionary on the atoms and the optimal rule, once."""
     phi = _evaluate_dictionary(dic, dist.x).phi
-    psi = gram_psi(dist, dic)
-    eigs = np.linalg.eigvalsh(psi)
-    if eigs.min(initial=0.0) < -1e-9 * max(1.0, eigs.max(initial=0.0)):
-        raise ValueError("gram matrix failed the positive semidefinite check")
-    return TheoryContext(dist, dic, cp, psi, bayes_rule(dist.eta, cp), phi)
+    return TheoryContext(dist, dic, cp, bayes_rule(dist.eta, cp), phi)
+
+
+def _worst_slack(slacks, witness):
+    """The first smallest slack and witness(k) of its index k; with no slack
+    below inf, inf and "all candidates satisfied the bound"."""
+    worst, k = math.inf, None
+    for i, s in enumerate(slacks):
+        if s < worst:
+            worst, k = s, i
+    return worst, ("all candidates satisfied the bound" if k is None
+                   else witness(k))
 
 
 def _cone_ratio(psi, delta, support):
@@ -243,8 +249,7 @@ def complexity_estimate(dist, d, t_grid=None):
     return ComplexityEstimate(alpha, float(a_const), gap)
 
 
-def check_lemma_a1(ctx, lam_set=None, n_random=200, seed=0, t_grid=None,
-                   scale=2.0):
+def check_lemma_a1(ctx, lam_set=None, n_random=200, seed=0, t_grid=None):
     """Excess-risk lower bound on the weighted norm, checked per atom.
 
     For each candidate coefficient vector the check compares
@@ -262,13 +267,12 @@ def check_lemma_a1(ctx, lam_set=None, n_random=200, seed=0, t_grid=None,
         )
     if lam_set is None:
         rng = np.random.default_rng(seed)
-        lam_set = rng.normal(scale=scale, size=(n_random, ctx.phi.shape[1]))
+        lam_set = rng.normal(scale=2.0, size=(n_random, ctx.phi.shape[1]))
     lam_set = np.atleast_2d(np.asarray(lam_set, dtype=float))
     alpha, a_const = est.alpha, est.a_const
     d = ctx.cp.d
     base = bayes_phi_risk(ctx.dist, ctx.cp)
-    worst = math.inf
-    witness = "all candidates satisfied the bound"
+    slacks = []
     for lam in lam_set:
         g = ctx.phi @ lam - ctx.f0_values
         lhs = weighted_norm(ctx.dist, g) ** (2.0 + 2.0 * alpha)
@@ -277,10 +281,9 @@ def check_lemma_a1(ctx, lam_set=None, n_random=200, seed=0, t_grid=None,
         sup = float(np.abs(g).max(initial=0.0))
         rhs = 4.0 * a_const * (2.0 * d) ** alpha * sup ** (2.0 + alpha) \
             * excess**alpha
-        slack = rhs - lhs
-        if slack < worst:
-            worst = slack
-            witness = f"lam={np.array2string(lam, precision=4)}"
+        slacks.append(rhs - lhs)
+    worst, witness = _worst_slack(
+        slacks, lambda k: f"lam={np.array2string(lam_set[k], precision=4)}")
     status = "pass" if worst >= -1e-9 * (1.0 + abs(worst)) else "fail"
     return CheckReport("weighted_norm_excess_risk", status, worst, witness,
                        {"complexity": est, "n_checked": len(lam_set)})
@@ -295,7 +298,7 @@ class PopulationPath:
     models: list
 
 
-def population_path(dist, dic, cp, r_grid):
+def population_path(ctx, r_grid):
     """Solve the population fits on a positive r grid and lambda(0).
 
     The grid and the r = 0 anchor are walked as one warm path from the
@@ -309,67 +312,55 @@ def population_path(dist, dic, cp, r_grid):
     r_grid = np.sort(r_grid)
     models = walk_penalty_path(
         np.append(r_grid, 0.0),
-        lambda r, path: fit_population(dist, dic, cp, r, path=path),
+        lambda r, path: fit_population(ctx.dist, ctx.dic, ctx.cp, r,
+                                       path=path),
     )[0]
     return PopulationPath(models[-1], r_grid, models[:-1])
 
 
-def check_prop21(dist, dic, cp, r_grid, fits=None):
+def check_prop21(ctx, fits):
     """Shrinkage and support-cone behavior of the population path.
 
-    Verifies, against the exact population fits: (b) the l1 norm at every
-    r > 0 stays at or below the norm at r = 0; (c) off-support movement of
-    the coefficients is dominated by on-support movement; (a) the risk gap
-    to the unpenalized fit shrinks as r decreases (asserted when the r = 0
-    solution has l1 norm at most 10: gap at the smallest grid r below 1e-3
-    and no larger than at the biggest r).  fits optionally passes the
-    population_path of r_grid, already solved.
+    Verifies, against the exact population fits of fits (a PopulationPath
+    of ctx): (b) the l1 norm at every r > 0 stays at or below the norm at
+    r = 0; (c) off-support movement of the coefficients is dominated by
+    on-support movement; (a) the risk gap to the unpenalized fit shrinks as
+    r decreases (asserted when the r = 0 solution has l1 norm at most 10:
+    gap at the smallest grid r below 1e-3 and no larger than at the
+    biggest r).
     """
-    if fits is None:
-        fits = population_path(dist, dic, cp, r_grid)
-    r_grid = fits.r
     base = fits.base
-    phi = _evaluate_dictionary(dic, dist.x).phi
-    risk0 = population_risk(dist, phi @ base.lam, cp, "hinge")
+    risk0 = population_risk(ctx.dist, ctx.phi @ base.lam, ctx.cp, "hinge")
     l1_0 = base.l1_norm()
     support = np.abs(base.lam) > 1e-8
-    worst = math.inf
-    witness = "no violation"
-    trace = []
-    for r, m in zip(r_grid, fits.models):
+    slacks, tags, trace = [], [], []
+    for r, m in zip(fits.r, fits.models):
         move = np.abs(m.lam - base.lam)
-        slack_b = l1_0 - m.l1_norm() + 1e-7
-        slack_c = float(move[support].sum() - move[~support].sum()) + 1e-7
-        gap = population_risk(dist, phi @ m.lam, cp, "hinge") - risk0
+        gap = population_risk(ctx.dist, ctx.phi @ m.lam, ctx.cp,
+                              "hinge") - risk0
         trace.append((float(r), float(m.l1_norm()), float(gap)))
-        for tag, s in (("l1 shrinkage", slack_b), ("support cone", slack_c)):
-            if s < worst:
-                worst = s
-                witness = f"{tag} at r={r:.6g}"
+        slacks += [l1_0 - m.l1_norm() + 1e-7,
+                   float(move[support].sum() - move[~support].sum()) + 1e-7]
+        tags += [f"l1 shrinkage at r={r:.6g}", f"support cone at r={r:.6g}"]
     gaps = [g for _, _, g in trace]
     if l1_0 <= 10.0:
-        conv = min(gaps[-1] - gaps[0] + 1e-12, 1e-3 - gaps[0])
-        if conv < worst:
-            worst = conv
-            witness = f"risk convergence: gap({r_grid[0]:.3g})={gaps[0]:.3g}"
+        slacks.append(min(gaps[-1] - gaps[0] + 1e-12, 1e-3 - gaps[0]))
+        tags.append(f"risk convergence: gap({fits.r[0]:.3g})={gaps[0]:.3g}")
+    worst, witness = _worst_slack(slacks, tags.__getitem__)
     status = "pass" if worst >= 0.0 else "fail"
     return CheckReport("population_path_shrinkage", status, worst, witness,
                        {"trace": trace, "l1_at_zero": l1_0})
 
 
-def check_plateau(dist, dic, cp, r_grid, fits=None):
+def check_plateau(fits):
     """Verify the exact small-penalty plateau of the population solution.
 
-    Compares lambda(r) against lambda(0) in ascending r: the plateau extends
-    while the l1 distance and the unpenalized objective gap both stay within
-    1e-6.  fits optionally passes the population_path of r_grid, already
-    solved.
+    Compares lambda(r) against lambda(0) along the PopulationPath fits in
+    ascending r: the plateau extends while the l1 distance and the
+    unpenalized objective gap both stay within 1e-6.
     """
-    if fits is None:
-        fits = population_path(dist, dic, cp, r_grid)
     base = fits.base
-    extent = None
-    first_break = None
+    extent = first_break = None
     for r, m in zip(fits.r, fits.models):
         r = float(r)
         l1_dist = float(np.abs(m.lam - base.lam).sum())
@@ -406,15 +397,13 @@ def check_excess_domination(ctx, f_set=None, n_random=500, seed=0):
     f_set = np.atleast_2d(np.asarray(f_set, dtype=float))
     ell_0 = bayes_risk(ctx.dist, ctx.cp)
     phi_0 = bayes_phi_risk(ctx.dist, ctx.cp)
-    worst = math.inf
-    witness = "all candidates satisfied the bound"
+    slacks = []
     for f in f_set:
         d_ell = population_risk(ctx.dist, f, ctx.cp, "reject") - ell_0
         d_phi = population_risk(ctx.dist, f, ctx.cp, "hinge") - phi_0
-        slack = d_phi - d_ell
-        if slack < worst:
-            worst = slack
-            witness = f"f={np.array2string(f, precision=4)}"
+        slacks.append(d_phi - d_ell)
+    worst, witness = _worst_slack(
+        slacks, lambda k: f"f={np.array2string(f_set[k], precision=4)}")
     status = "pass" if worst >= -1e-12 else "fail"
     return CheckReport("excess_risk_domination", status, worst, witness,
                        {"n_checked": len(f_set)})

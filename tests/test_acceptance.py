@@ -36,6 +36,7 @@ from rejectsvm.theory import (
     check_lemma_a1,
     check_prop21,
     make_context,
+    population_path,
 )
 from rejectsvm.train import fit, fit_population, split_lp
 
@@ -196,7 +197,8 @@ def test_criterion_06_weighted_norm_lower_bound():
 def test_criterion_07_population_path_and_plateau():
     dist, dic, cp = plateau_fixture()
     grid = np.linspace(0.03, 0.6, 20)
-    rep = check_prop21(dist, dic, cp, grid)
+    ctx = make_context(dist, dic, cp)
+    rep = check_prop21(ctx, population_path(ctx, grid))
     ok = rep.status == "pass"
 
     base = fit_population(dist, dic, cp, 0.0)

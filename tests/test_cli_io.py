@@ -348,6 +348,11 @@ def test_cli_exit_codes(tmp_path, data_file, monkeypatch, capsys):
     wide.write_text("x1,x2,x3\n1.0,2.0,3.0\n")
     assert main(["predict", "--model", model_path, "--data",
                  str(wide)]) == 3
+    wide_labeled = tmp_path / "wide_labeled.csv"
+    wide_labeled.write_text("x1,x2,x3,y\n1.0,2.0,3.0,1\n")
+    for cmd in ("eval", "bounds"):
+        assert main([cmd, "--model", model_path, "--data",
+                     str(wide_labeled)]) == 3
     # lambda or M that does not fit the dictionary -> data
     with open(model_path) as fh:
         doc = json.load(fh)

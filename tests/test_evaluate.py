@@ -55,9 +55,6 @@ def test_report_counts_and_decomposition():
     assert rep.ell_risk == pytest.approx(rep.misclass_rate
                                          + CP.d * rep.reject_rate, abs=1e-15)
     assert rep.n_eval == 5
-    assert rep.excess_ell is None
-    with_ref = report_from_margins(y * f, f, CP, 5, bayes_risk=0.1)
-    assert with_ref.excess_ell == pytest.approx(rep.ell_risk - 0.1)
 
 
 def test_decomposition_on_random_margins():

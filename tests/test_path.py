@@ -10,7 +10,7 @@ from rejectsvm.dictionary import build_linear, build_rbf_lattice, evaluate
 from rejectsvm.losses import CostParams, DiscreteDistribution
 from rejectsvm.lp import LpPath, solve_lp
 from rejectsvm.sim import ExperimentConfig, gen_two_gaussian
-from rejectsvm.theory import population_path
+from rejectsvm.theory import make_context, population_path
 from rejectsvm.train import fit, fit_population, split_lp, walk_penalty_path
 
 from helpers import crash_basis, random_design
@@ -180,7 +180,7 @@ def test_population_path_matches_highs(solutions):
     dic = build_rbf_lattice((6, 6), x.min(axis=0), x.max(axis=0))
     phi = evaluate(dic, x).phi
     grid = np.geomspace(0.002, 0.6, 6)
-    fits = population_path(dist, dic, CP, grid)
+    fits = population_path(make_context(dist, dic, CP), grid)
     # the grid and then the r = 0 anchor are one warm path; the third step
     # ends in a dual repair, which clears the path, so the fourth restarts
     # from the crash basis

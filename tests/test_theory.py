@@ -1,5 +1,5 @@
 """Population-level structure: Gram matrix, cone constant, margin exponent,
-and the three distribution-level checks."""
+and the four distribution-level checks."""
 
 import math
 
@@ -9,8 +9,10 @@ import pytest
 from rejectsvm.dictionary import build_linear, build_rbf_lattice
 from rejectsvm.losses import CostParams, DiscreteDistribution
 from rejectsvm.theory import (
+    PopulationPath,
     check_excess_domination,
     check_lemma_a1,
+    check_plateau,
     check_prop21,
     complexity_estimate,
     gram_psi,
@@ -19,6 +21,7 @@ from rejectsvm.theory import (
     population_path,
     weighted_norm,
 )
+from rejectsvm.train import Model
 
 from helpers import plateau_fixture, random_distribution
 
@@ -170,7 +173,8 @@ def test_norm_excess_risk_check_skips_gapped_distributions():
 
 def test_population_path_check_passes_on_fixture():
     dist, dic, cp = plateau_fixture()
-    rep = check_prop21(dist, dic, cp, np.linspace(0.03, 0.6, 20))
+    ctx = make_context(dist, dic, cp)
+    rep = check_prop21(ctx, population_path(ctx, np.linspace(0.03, 0.6, 20)))
     assert rep.status == "pass"
     trace = rep.detail["trace"]
     assert len(trace) == 20
@@ -179,9 +183,50 @@ def test_population_path_check_passes_on_fixture():
     l1s = [row[1] for row in trace]
     assert all(a >= b - 1e-7 for a, b in zip(l1s, l1s[1:]))
     with pytest.raises(ValueError):
-        check_prop21(dist, dic, cp, [])
+        population_path(ctx, [])
     with pytest.raises(ValueError):
-        check_prop21(dist, dic, cp, [0.0, 0.1])
+        population_path(ctx, [0.0, 0.1])
+
+
+def _plateau_path(steps):
+    """Hand-built PopulationPath from (r, lam, unpenalized risk) steps.
+
+    lambda(0) is (1, 0) at risk 0.5; each step's objective is its risk plus
+    r times its l1 norm, as a population fit reports it.
+    """
+    def model(r, lam, risk):
+        lam = np.asarray(lam, dtype=float)
+        return Model(lam=lam, dic=None, cp=CostParams(0.25), r=r, n_train=0,
+                     objective=risk + r * float(np.abs(lam).sum()),
+                     iterations=0, c_f=1.0, c_f_estimated=False)
+
+    return PopulationPath(model(0.0, [1.0, 0.0], 0.5),
+                          np.array([r for r, _, _ in steps]),
+                          [model(*step) for step in steps])
+
+
+def test_plateau_check_passes_through_the_whole_grid():
+    rep = check_plateau(_plateau_path([(0.1, [1.0, 0.0], 0.5),
+                                       (0.2, [1.0, 0.0], 0.5 + 5e-7)]))
+    assert (rep.name, rep.status, rep.slack) == ("plateau", "pass", 0.2)
+    assert rep.witness == "plateau verified through r=0.2; grid exhausted"
+
+
+def test_plateau_check_reports_where_the_solution_breaks():
+    # at r = 0.3 the l1 distance moves, or the unpenalized risk alone
+    for moved in ((0.3, [0.9, 0.0], 0.5), (0.3, [1.0, 0.0], 0.5 + 2e-6)):
+        rep = check_plateau(_plateau_path([(0.1, [1.0, 0.0], 0.5),
+                                           (0.2, [1.0, 0.0], 0.5), moved,
+                                           (0.4, [0.0, 0.0], 1.0)]))
+        assert (rep.status, rep.slack) == ("pass", 0.2)
+        assert rep.witness == "plateau verified through r=0.2; breaks by r=0.3"
+
+
+def test_plateau_check_fails_when_the_first_fit_moved():
+    rep = check_plateau(_plateau_path([(0.1, [1.0, 2e-6], 0.5),
+                                       (0.2, [1.0, 0.0], 0.5)]))
+    assert (rep.status, rep.slack) == ("fail", 0.0)
+    assert rep.witness == "solution moved already at r=0.1"
 
 
 def test_population_path_repairs_dust_in_a_restored_basis():
@@ -196,7 +241,7 @@ def test_population_path_repairs_dust_in_a_restored_basis():
     dist = DiscreteDistribution(x=x, p=p / p.sum(), eta=eta)
     dic = build_rbf_lattice((6, 6), x.min(axis=0), x.max(axis=0))
     grid = np.geomspace(0.003, 3.0, 20)
-    fits = population_path(dist, dic, CostParams(0.25), grid)
+    fits = population_path(make_context(dist, dic, CostParams(0.25)), grid)
     assert list(fits.r) == list(grid)
     assert len(fits.models) == 20
     assert fits.base.r == 0.0
@@ -215,3 +260,13 @@ def test_domination_check_passes_on_fixture_and_random():
         rctx = make_context(rdist, build_linear(2), rcp)
         assert check_excess_domination(rctx, n_random=100,
                                        seed=1).status == "pass"
+
+
+def test_checks_without_candidates_report_an_infinite_slack():
+    dist, dic, cp = plateau_fixture()
+    ctx = make_context(dist, dic, cp)
+    for rep in (check_excess_domination(ctx, f_set=np.empty((0, 3))),
+                check_lemma_a1(ctx, lam_set=np.empty((0, 2)))):
+        assert (rep.status, rep.slack) == ("pass", math.inf)
+        assert rep.witness == "all candidates satisfied the bound"
+        assert rep.detail["n_checked"] == 0
