@@ -202,14 +202,15 @@ def cmd_diagnose(args):
     wanted = set(args.checks)
     if "all" in wanted:
         wanted = {"lemma_a1", "prop21", "domination", "plateau"}
-    if args.r_grid is not None:
-        r_grid = np.asarray([float(v) for v in args.r_grid.split(",")])
-    else:
-        design = dictionary.DesignMatrix(ctx.phi)
-        top = ctx.cp.a * dictionary.estimated_c_f(dic, design)
-        r_grid = np.linspace(top / 20.0, top, 20)
-    # prop21 and plateau read the same population fits, solved once
+    r_grid = (None if args.r_grid is None
+              else np.asarray([float(v) for v in args.r_grid.split(",")]))
+    # prop21 and plateau read the same population fits, solved once; only
+    # they need a grid
     if wanted & {"prop21", "plateau"}:
+        if r_grid is None:
+            design = dictionary.DesignMatrix(ctx.phi)
+            top = ctx.cp.a * dictionary.estimated_c_f(dic, design)
+            r_grid = np.linspace(top / 20.0, top, 20)
         fits = theory.population_path(ctx, r_grid)
     reports = []
     if "lemma_a1" in wanted:

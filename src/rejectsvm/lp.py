@@ -26,7 +26,7 @@ from scipy.sparse.linalg import splu
 
 from .constants import BLOWUP_LIMIT, FEAS_TOL, PIVOT_TOL
 
-_RELATIONS = ("<=", ">=", "=")
+_SENSE = {"<=": 1.0, ">=": -1.0, "=": 0.0}  # "=" rows are audited both ways
 
 # right-hand-side relaxations tried in turn: one relaxed attempt, then an
 # unrelaxed last resort; both run the same procedure
@@ -73,7 +73,7 @@ class LinearProgram:
         if self.rhs.shape != (m,):
             raise LpInputError(f"rhs has shape {self.rhs.shape}, expected ({m},)")
         for rel in self.relations:
-            if rel not in _RELATIONS:
+            if not isinstance(rel, str) or rel not in _SENSE:
                 raise LpInputError(f"unknown relation {rel!r}")
         if not np.all(np.isfinite(self.objective)):
             raise LpInputError("objective contains non-finite entries")
@@ -154,10 +154,10 @@ def _to_standard_form(lp):
     Every row gets a slack, row i's in column nv + i with coefficient
     sigma_i = +1 for <= and -1 for >=.  An = row becomes its <= half in
     place and its >= half after the user's rows; the <= rows of two-sided
-    variable bounds come last.  Returns (A, b, cmap, sigma).  The column
-    map cmap = (col, sign, shift, free) gives each original variable from
-    the standard form: x_j = sign_j x_std[col_j] + shift_j, minus
-    x_std[col_j + 1] when free_j.
+    variable bounds come last.  Returns (A, b, cmap, sigma, sense); sense
+    signs the user's rows for the audit, and the column map cmap = (col,
+    sign, shift, free) gives each original variable from the standard form:
+    x_j = sign_j x_std[col_j] + shift_j, minus x_std[col_j + 1] when free_j.
     """
     lo, up = lp.lower, lp.upper
     free = np.isneginf(lo) & np.isposinf(up)
@@ -168,10 +168,11 @@ def _to_standard_form(lp):
     col = np.cumsum(width) - width
     boxed = np.flatnonzero(np.isfinite(lo) & np.isfinite(up))
     nv = int(width.sum())
-    eq = np.array([i for i, rel in enumerate(lp.relations) if rel == "="], int)
+    sense = np.array([_SENSE[rel] for rel in lp.relations], float)
+    eq = np.flatnonzero(sense == 0.0)
     rows = np.vstack([lp.rows, lp.rows[eq]]) if eq.size else lp.rows
-    sigma = np.array([-1.0 if rel == ">=" else 1.0 for rel in lp.relations]
-                     + [-1.0] * eq.size + [1.0] * boxed.size)
+    sigma = np.concatenate([np.where(sense < 0.0, -1.0, 1.0),
+                            -np.ones(eq.size), np.ones(boxed.size)])
     m = sigma.size
     nonzero = rows != 0.0
     ri, vj = np.nonzero(nonzero)
@@ -187,7 +188,7 @@ def _to_standard_form(lp):
     for j in np.flatnonzero(shift):  # one column at a time, in column order
         b = b - lp.rows[:, j] * shift[j]
     b = np.concatenate([b, b[eq], up[boxed] - lo[boxed]])
-    return A, b, (col, sign, shift, free), sigma
+    return A, b, (col, sign, shift, free), sigma, sense
 
 
 def _standard_costs(objective, cmap, ncols):
@@ -206,11 +207,10 @@ def _recover_x(cmap, x_std):
     return x
 
 
-def _audit_feasible(lp, x):
-    """Raise LpNumericalError if x violates any original constraint or bound."""
+def _audit_feasible(lp, x, sense):
+    """Raise LpNumericalError if x breaks a row (signed by sense) or a bound."""
     res = lp.rows @ x - lp.rhs
-    rel = np.array(lp.relations, dtype=object)
-    excess = np.where(rel == ">=", -res, np.where(rel == "=", np.abs(res), res))
+    excess = np.where(sense == 0.0, np.abs(res), sense * res)
     bad = np.flatnonzero(excess > FEAS_TOL)
     if bad.size:
         raise LpNumericalError(
@@ -233,10 +233,10 @@ def _pivot(T, r, p):
     colv[r] = 0.0
     T[:, p] = 0.0
     T[r, p] = 1.0
-    T[r, :] /= piv
-    rowv = T[r, :].copy()
+    rowv = T[r]
+    rowv /= piv
     # in-place rank-1 update T -= colv * rowv'; T is Fortran-ordered
-    _blas.dger(-1.0, colv, rowv, a=T, overwrite_a=1)
+    _blas.dger(-1.0, colv, rowv.copy(), a=T, overwrite_a=1)
 
 
 def _counted_pivot(T, basis, nonbasic, r, p, state):
@@ -246,42 +246,50 @@ def _counted_pivot(T, basis, nonbasic, r, p, state):
     state["iter"] += 1
     if state["iter"] > state["max_iter"]:
         raise LpNumericalError("simplex iteration limit exceeded")
-    if state["iter"] % 64 == 0 and np.abs(T).max() > BLOWUP_LIMIT:
+    if state["iter"] % 64 == 0 and max(T.max(), -T.min()) > BLOWUP_LIMIT:
         raise LpNumericalError("tableau magnitude exceeded blow-up limit")
 
 
 def _lowest(nonbasic, values, among=None):
     """Column position of the least of values, exact ties to the lowest variable."""
-    among = np.arange(values.size) if among is None else among
-    tie = among[values == values.min()]
-    return int(tie[np.argmin(nonbasic[tie])])
+    tie = (values == values.min()).nonzero()[0]
+    tie = tie if among is None else among[tie]
+    return int(tie[0] if tie.size == 1 else tie[nonbasic[tie].argmin()])
 
 
 def _run_phase(T, basis, nonbasic, n_enter, state):
     """Pivot by steepest edge until optimal (None) or unbounded (the column).
 
     The objective is row m of T; only variables below n_enter may enter.
+    Of the columns with the least score d_j / sqrt(1 + |B^-1 a_j|^2), the
+    lowest variable enters.  Of the rows whose ratio rhs_i / col_i, over
+    col_i > PIVOT_TOL, is within 1e-12 of the least, the lowest basic
+    variable leaves.  A column with no entry above PIVOT_TOL is returned,
+    with no pivot taken.
     """
     m = basis.size
+    red, rhs, body = T[m, :-1], T[:m, -1], T[:m]
+    # pivots only swap entries of basis and nonbasic, so when no variable
+    # from n_enter up is there now, none can be offered in this phase
+    gated = max(basis.max(initial=-1), nonbasic.max(initial=-1)) >= n_enter
     while True:
-        red = T[m, :-1]
-        neg = np.flatnonzero((red < -PIVOT_TOL) & (nonbasic < n_enter))
+        neg = (red < -PIVOT_TOL).nonzero()[0]
+        if gated:
+            neg = neg[nonbasic[neg] < n_enter]
         if neg.size == 0:
             return None
-        # reduced cost per unit length of the edge, with each candidate's
-        # norm computed fresh from this tableau
-        cols = T[:m, neg]
-        gamma = np.einsum("ij,ij->j", cols, cols)
-        p = _lowest(nonbasic, red[neg] / np.sqrt(1.0 + gamma), neg)
-        col = T[:m, p]
-        pos = col > PIVOT_TOL
-        if not pos.any():
+        cols = body[:, neg]
+        score = np.einsum("ij,ij->j", cols, cols)
+        score += 1.0
+        np.divide(red[neg], np.sqrt(score, out=score), out=score)
+        p = _lowest(nonbasic, score, neg)
+        col = body[:, p]
+        pos = (col > PIVOT_TOL).nonzero()[0]
+        if pos.size == 0:
             return p
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[:m, -1][pos] / col[pos]
-        rmin = ratios.min()
-        cand = np.flatnonzero(ratios <= rmin + 1e-12)
-        r = int(cand[np.argmin(basis[cand])])  # lowest basic index breaks ties
+        rat = rhs[pos] / col[pos]
+        cand = pos[rat <= rat.min() + 1e-12]
+        r = int(cand[0] if cand.size == 1 else cand[basis[cand].argmin()])
         _counted_pivot(T, basis, nonbasic, r, p, state)
 
 
@@ -296,19 +304,17 @@ def _dual_repair(T, basis, nonbasic, x_b, state):
     The objective entry of T goes stale: the repaired tableau is not reused.
     """
     m = basis.size
-    T[:m, -1] = x_b
+    rhs = T[:m, -1]
+    rhs[:] = x_b
     while True:
-        rhs = T[:m, -1]
         r = int(np.argmin(rhs))
         if rhs[r] >= -PIVOT_TOL:
             return rhs
-        row = T[r, :-1]
-        neg = row < -PIVOT_TOL
-        if not neg.any():
+        neg = (T[r, :-1] < -PIVOT_TOL).nonzero()[0]
+        if neg.size == 0:
             raise LpNumericalError("dual repair found no entering column")
-        ratios = np.full(row.size, np.inf)
-        ratios[neg] = T[m, :-1][neg] / -row[neg]
-        _counted_pivot(T, basis, nonbasic, r, _lowest(nonbasic, ratios), state)
+        p = _lowest(nonbasic, T[m, neg] / -T[r, neg], neg)
+        _counted_pivot(T, basis, nonbasic, r, p, state)
 
 
 def _basis_solve(B, rhs):
@@ -332,6 +338,7 @@ def _warm_tableau(A, b, basis):
     A[:, nonbasic].toarray(out=rhs[:, :-1])
     rhs[:, -1] = b
     body = _basis_solve(A[:, basis], rhs)
+    del rhs  # freed before T is allocated: crash starts set the peak memory
     if body is None or np.any(body[:, -1] < -PIVOT_TOL):
         return None
     np.clip(body[:, -1], 0.0, None, out=body[:, -1])
@@ -388,11 +395,10 @@ def _simplex_core(A, b, c, initial_basis, state, warm=None):
                 raise LpNumericalError("phase 1 reported unbounded")
             if -T[m, -1] > FEAS_TOL:  # the audit's tolerance on a row residual
                 return "infeasible", None, None, None
-            at = np.flatnonzero(basis == ncols)
-            if at.size:  # B^-1 has no zero row, so its slack entries are not all 0
-                r = int(at[0])
-                _counted_pivot(T, basis, nonbasic, r,
-                               _lowest(nonbasic, -np.abs(T[r, :-1])), state)
+            # B^-1 has no zero row, so its slack entries are not all 0
+            for r in np.flatnonzero(basis == ncols):
+                p = _lowest(nonbasic, -np.abs(T[r, :-1]))
+                _counted_pivot(T, basis, nonbasic, int(r), p, state)
         keep = nonbasic != ncols  # drop the artificial
         T = np.asfortranarray(T[:, np.append(keep, True)])
         nonbasic = nonbasic[keep]
@@ -425,7 +431,10 @@ def solve_lp(lp, initial_basis=None, path=None):
     d_j / sqrt(1 + |B^-1 a_j|^2), the norms taken afresh from the tableau
     at every pivot, so no pricing state outlives a pivot); the first
     relaxes every right-hand side by tiny, deterministic, strictly
-    decreasing offsets, which removes ties from the ratio test.
+    decreasing offsets, which removes ties from the ratio test.  Ties
+    left are broken by index: of equal scores, and in the dual repair's
+    and the phase-1 drive-out's choice, the lowest variable enters; of
+    ratios within 1e-12 of the least, the lowest basic variable leaves.
     Each restores the true right-hand side from the original data through
     its final basis.  Reduced costs do not involve b, so that basis stays
     dual feasible: when no basic value is below -PIVOT_TOL it is optimal,
@@ -460,12 +469,12 @@ def solve_lp(lp, initial_basis=None, path=None):
     key = prior = None
     if path is not None:
         if path.matches(lp):
-            key = path.key
-            A, b_true, cmap, sigma = path.form
+            key, form = path.key, path.form
             prior = (path.tableau, path.basis, path.nonbasic, path.x_b)
         path.clear()  # refilled only by an unrepaired relaxed verdict below
     if key is None:
-        A, b_true, cmap, sigma = _to_standard_form(lp)
+        form = _to_standard_form(lp)
+    A, b_true, cmap, sigma, _ = form
     c = _standard_costs(lp.objective, cmap, A.shape[1])
     m, ncols = A.shape
     if initial_basis is not None:
@@ -484,9 +493,8 @@ def solve_lp(lp, initial_basis=None, path=None):
         state = {"iter": 0, "max_iter": _pivot_budget(m, ncols)}
         warm = prior if eps > 0.0 else None
         try:
-            status, x, kept = _attempt(lp, A, b_true + eps * sigma * profile,
-                                       b_true, c, cmap, eps > 0.0,
-                                       initial_basis, warm, state)
+            status, x, kept = _attempt(lp, form, b_true + eps * sigma * profile,
+                                       c, eps > 0.0, initial_basis, warm, state)
         except LpNumericalError as exc:
             passed_over.append(f"eps={eps:g}: {exc} after {state['iter']} pivots")
             continue
@@ -499,22 +507,22 @@ def solve_lp(lp, initial_basis=None, path=None):
                 # copies: a caller may edit the program in place and solve again
                 key = (lp.rows.copy(), lp.relations, lp.rhs.copy(),
                        lp.lower.copy(), lp.upper.copy())
-            path.key, path.form = key, (A, b_true, cmap, sigma)
+            path.key, path.form = key, form
             path.tableau, path.basis, path.nonbasic, path.x_b = kept
         return LpSolution("optimal", x, float(lp.objective @ x), total_iters,
                           eps, warm is not None)
     raise LpNumericalError("every solve attempt failed: " + "; ".join(passed_over))
 
 
-def _attempt(lp, A, b, b_true, c, cmap, relaxed, initial_basis, warm,
-             state):
-    """One solve attempt of the standard form (A, b_true, c) on the rhs b.
+def _attempt(lp, form, b, c, relaxed, initial_basis, warm, state):
+    """One solve attempt of form = (A, b_true, cmap, sigma, sense) on rhs b.
 
     warm, when given, is a path's (tableau, basis, nonbasic, x_b) for these
     constraints.  Returns (status, x, kept): x is the optimal point, and
     kept, when not None, the (tableau, basis, nonbasic, x_b) a path may
     reuse.  Raises LpNumericalError for every reason to hand over.
     """
+    A, b_true, cmap, _, sense = form
     status, basis, nonbasic, T = _simplex_core(
         A, b, c, initial_basis, state, None if warm is None else warm[:3])
     if status == "infeasible":
@@ -541,5 +549,5 @@ def _attempt(lp, A, b, b_true, c, cmap, relaxed, initial_basis, warm,
     x_std = np.zeros(A.shape[1])
     x_std[basis] = np.clip(x_b, 0.0, None)
     x = _recover_x(cmap, x_std)
-    _audit_feasible(lp, x)
+    _audit_feasible(lp, x, sense)
     return "optimal", x, kept

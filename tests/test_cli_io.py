@@ -325,6 +325,21 @@ def test_cli_diagnose_reports_plateau(tmp_path, capsys):
     assert all(",pass," in row or ",skipped," in row for row in rows)
 
 
+def test_cli_diagnose_builds_a_grid_only_for_the_path_checks(tmp_path,
+                                                            capsys):
+    # every feature is 0, so no sup-norm and no default grid can be had,
+    # but the domination check needs neither
+    dist_path = tmp_path / "zero.csv"
+    dist_path.write_text("p,eta,x1\n0.5,0.2,0.0\n0.5,0.8,0.0\n")
+    argv = ["diagnose", "--dist", str(dist_path), "--dict", "linear"]
+    assert main(argv + ["--checks", "domination"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "excess_risk_domination: pass ")
+    assert main(argv + ["--checks", "all"]) == 2
+    assert capsys.readouterr().err == ("usage error: cannot estimate a "
+                                       "positive sup-norm from this data\n")
+
+
 def test_cli_exit_codes(tmp_path, data_file, monkeypatch, capsys):
     model_path = str(tmp_path / "m.json")
     # parameter out of range -> usage

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 from rejectsvm import lp as lp_module
+from rejectsvm.constants import FEAS_TOL, PIVOT_TOL
 from rejectsvm.dictionary import (
     DesignMatrix,
     build_linear,
@@ -155,7 +156,7 @@ def test_singular_warm_start_falls_back():
                        rows=[[1.0, 2.0], [2.0, 4.0]],
                        relations=["<=", "<="], rhs=[4.0, 8.0],
                        lower=[0.0, 0.0])
-    A, b, _, _ = lp_module._to_standard_form(lp)
+    A, b = lp_module._to_standard_form(lp)[:2]
     assert lp_module._warm_tableau(A, b, np.array([0, 1])) is None
     sol = solve_lp(lp, initial_basis=[0, 1])
     assert sol.status == "optimal"
@@ -262,7 +263,7 @@ def _singular(B):
     raise RuntimeError("Factor is exactly singular")  # what splu raises
 
 
-def _failed_audit(lp, x):
+def _failed_audit(lp, x, sense):
     raise LpNumericalError("forced audit failure")
 
 
@@ -354,6 +355,82 @@ def test_dual_repair_ties_enter_the_lowest_variable():
     x_b = lp_module._dual_repair(T, basis, nonbasic, np.array([-1.0]), state)
     assert x_b.tolist() == [1.0] and state["iter"] == 1
     assert basis.tolist() == [2] and nonbasic.tolist() == [5, 3]
+
+
+def test_ratio_ties_within_1e_12_let_the_lowest_basic_variable_leave():
+    # one column over rows holding variables 7 and 3: row 1's ratio is
+    # 5e-13 above row 0's, so it ties, and variable 3 leaves from the
+    # later row.  Breaking this tie by the largest pivot element instead
+    # cycled on the seed-2024 study LP.
+    T = np.asfortranarray([[1.0, 1.0], [1.0, 1.0 + 5e-13], [-1.0, 0.0]])
+    basis, nonbasic = np.array([7, 3]), np.array([5])
+    state = {"iter": 0, "max_iter": 10}
+    assert lp_module._run_phase(T, basis, nonbasic, 8, state) is None
+    assert state["iter"] == 1
+    assert basis.tolist() == [7, 5] and nonbasic.tolist() == [3]
+
+
+def test_variables_from_n_enter_up_never_enter():
+    state = {"iter": 0, "max_iter": 10}
+    # variable 9 has the best score, but only variables below 8 may enter
+    T = np.asfortranarray([[1.0, 1.0, 1.0], [-5.0, -1.0, 0.0]])
+    basis, nonbasic = np.array([2]), np.array([9, 4])
+    assert lp_module._run_phase(T, basis, nonbasic, 8, state) is None
+    assert basis.tolist() == [4] and nonbasic.tolist() == [9, 2]
+    assert T[1, 0] == -4.0  # still priced to enter
+    # variable 9 starts basic, leaves at the first pivot and is priced to
+    # enter after the second, when it is the only candidate
+    T = np.asfortranarray([[1.0, 0.0, 1.0], [0.5, 0.1, 1.0],
+                           [-1.0, -0.5, 0.0]])
+    basis, nonbasic = np.array([9, 3]), np.array([4, 2])
+    state["iter"] = 0
+    assert lp_module._run_phase(T, basis, nonbasic, 8, state) is None
+    assert state["iter"] == 2
+    assert basis.tolist() == [4, 2] and nonbasic.tolist() == [9, 3]
+    assert T[2, 0] < -PIVOT_TOL and T[0, 0] > PIVOT_TOL
+
+
+def test_a_column_with_no_positive_entry_is_returned_unpivoted():
+    # variable 2 wins the pricing, and its column has no entry above
+    # PIVOT_TOL: the edge is a ray, returned as its column position
+    T = np.asfortranarray([[1.0, -1.0, 1.0], [1.0, PIVOT_TOL, 1.0],
+                           [-1.0, -2.0, 0.0]])
+    before = T.copy()
+    basis, nonbasic = np.array([0, 1]), np.array([5, 2])
+    state = {"iter": 0, "max_iter": 10}
+    assert lp_module._run_phase(T, basis, nonbasic, 6, state) == 1
+    assert state["iter"] == 0 and np.array_equal(T, before)
+    assert basis.tolist() == [0, 1] and nonbasic.tolist() == [5, 2]
+
+
+def _audited_program():
+    """x0 <= 1, x1 >= 1 and x2 = 1, with 0 <= x3 <= 1; x = 1 is feasible."""
+    return LinearProgram(objective=np.zeros(4), rows=np.eye(3, 4),
+                         relations=["<=", ">=", "="], rhs=np.ones(3),
+                         lower=np.zeros(4), upper=[np.inf] * 3 + [1.0])
+
+
+@pytest.mark.parametrize("moved, message", [
+    ({0: 1.5}, "violates row 0 by 5.000e-01"),
+    ({1: 0.5}, "violates row 1 by -5.000e-01"),
+    ({2: 1.5}, "violates row 2 by 5.000e-01"),
+    ({2: 0.5}, "violates row 2 by -5.000e-01"),
+    ({3: 1.5}, "violates a variable bound"),
+    ({3: -0.5}, "violates a variable bound"),
+    ({2: 0.5, 1: 0.5, 3: 2.0}, "violates row 1 by -5.000e-01"),  # the first
+])
+def test_feasibility_audit_names_the_violated_row(moved, message):
+    lp = _audited_program()
+    sense = lp_module._to_standard_form(lp)[-1]  # the row signs a solve uses
+    x = np.ones(4)
+    for k in range(4):  # within FEAS_TOL on either side of each bound
+        for step in (-0.5 * FEAS_TOL, 0.5 * FEAS_TOL):
+            x[k] = 1.0 + step
+            lp_module._audit_feasible(lp, x, sense)
+        x[k] = 1.0
+    x[list(moved)] = list(moved.values())
+    with pytest.raises(LpNumericalError, match=message + "$"):
+        lp_module._audit_feasible(lp, x, sense)
 
 
 def _gap_program(gap):
