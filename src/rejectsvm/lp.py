@@ -6,11 +6,12 @@ Problems are stated in general form,
     subject to  row . x  {<=, >=, =}  rhs      (one relation per row)
                 lower <= x <= upper            (entries may be infinite)
 
-The solver is deliberately plain -- a dense, condensed (dictionary) tableau
-of the nonbasic columns, B^-1 [N | b], pivoted by Jordan exchanges and
-started from the slack basis with one artificial variable, steepest-edge
-pricing, and a basic solution restored from the original data and repaired
-by dual simplex pivots -- so that small instances can be confirmed
+The solver is deliberately plain -- one attempt on a dense, condensed
+(dictionary) tableau of the nonbasic columns, B^-1 [N | b], pivoted by
+Jordan exchanges and started from the slack basis with one artificial
+variable, steepest-edge pricing, a Harris two-pass ratio test, and a basic
+solution restored from the original data and, if its drift calls for it,
+repaired by dual simplex pivots -- so that small instances can be confirmed
 independently by enumerating every basic solution of the standard form, as
 the test suite does with its own vertex-enumeration oracle.  Only the
 tableau is dense: every basis is gathered from the CSC standard form and
@@ -27,10 +28,6 @@ from scipy.sparse.linalg import splu
 from .constants import BLOWUP_LIMIT, FEAS_TOL, PIVOT_TOL
 
 _SENSE = {"<=": 1.0, ">=": -1.0, "=": 0.0}  # "=" rows are audited both ways
-
-# right-hand-side relaxations tried in turn: one relaxed attempt, then an
-# unrelaxed last resort; both run the same procedure
-_ATTEMPTS = (1e-7, 0.0)
 
 
 class LpError(Exception):
@@ -109,23 +106,23 @@ class LpSolution:
     x: np.ndarray = None           # defined iff optimal
     objective_value: float = None  # defined iff optimal
     iterations: int = 0
-    eps: float = None              # relaxation of the attempt that decided
-    warm: bool = False             # that attempt started from an LpPath tableau
+    warm: bool = False             # the solve started from an LpPath tableau
 
 
 class LpPath:
     """Warm-start state for a run of programs that differ only in cost.
 
-    After a solve that the relaxed attempt decided with no dual repair, it
-    keeps that program's constraints, their standard form, and the
-    attempt's final condensed (dictionary) tableau of the nonbasic columns,
-    its basis and nonbasic index arrays, and the basic solution for the true
-    right-hand side.  None of these involves the costs, so the next solve
-    with equal constraints reuses the standard form and starts its relaxed
-    attempt from the tableau, with only the cost row re-priced, pivoting it
-    in place; when no pivot is needed, the basic solution is reused too.
-    The unrelaxed attempt, and solves of other constraints, ignore the
-    state.  One tableau is live per path.
+    After every optimal solve, repaired or not, it keeps that program's
+    constraints, their standard form, and the solve's final condensed
+    (dictionary) tableau of the nonbasic columns, its basis and nonbasic
+    index arrays, and the basic solution restored from the original data,
+    clipped at 0, which also overwrites the tableau's right-hand-side
+    column.  None of these involves the costs, so the next solve with equal
+    constraints reuses the standard form and starts from the tableau, with
+    only the cost row re-priced, pivoting it in place from true basic
+    values; when no pivot is needed, the basic solution is reused too.
+    Solves of other constraints ignore the state.  One tableau is live per
+    path.
     """
 
     __slots__ = ("key", "form", "tableau", "basis", "nonbasic", "x_b")
@@ -240,7 +237,7 @@ def _pivot(T, r, p):
 
 
 def _counted_pivot(T, basis, nonbasic, r, p, state):
-    """Exchange row r and column p under the attempt's budget and blow-up guard."""
+    """Exchange row r and column p under the solve's budget and blow-up guard."""
     _pivot(T, r, p)
     basis[r], nonbasic[p] = nonbasic[p], basis[r]
     state["iter"] += 1
@@ -262,10 +259,14 @@ def _run_phase(T, basis, nonbasic, n_enter, state):
 
     The objective is row m of T; only variables below n_enter may enter.
     Of the columns with the least score d_j / sqrt(1 + |B^-1 a_j|^2), the
-    lowest variable enters.  Of the rows whose ratio rhs_i / col_i, over
-    col_i > PIVOT_TOL, is within 1e-12 of the least, the lowest basic
-    variable leaves.  A column with no entry above PIVOT_TOL is returned,
-    with no pivot taken.
+    lowest variable enters.  The leaving row comes from Harris's two-pass
+    ratio test over the entries col_i > PIVOT_TOL: pass 1 takes theta, the
+    least of (rhs_i + PIVOT_TOL) / col_i, so that no basic value falls
+    below -PIVOT_TOL; pass 2 keeps the rows with rhs_i / col_i <= theta, and
+    of those whose col_i is at least a tenth of their largest, the lowest
+    basic variable leaves.  A leaving value below 0 is set to 0 first, so
+    no step goes backwards.  A column with no entry above PIVOT_TOL is
+    returned, with no pivot taken.
     """
     m = basis.size
     red, rhs, body = T[m, :-1], T[:m, -1], T[:m]
@@ -287,21 +288,29 @@ def _run_phase(T, basis, nonbasic, n_enter, state):
         pos = (col > PIVOT_TOL).nonzero()[0]
         if pos.size == 0:
             return p
-        rat = rhs[pos] / col[pos]
-        cand = pos[rat <= rat.min() + 1e-12]
-        r = int(cand[0] if cand.size == 1 else cand[basis[cand].argmin()])
+        piv, val = col[pos], rhs[pos]
+        near = pos[val / piv <= ((val + PIVOT_TOL) / piv).min()]
+        if near.size > 1:
+            piv = col[near]
+            near = near[piv >= 0.1 * piv.max()]
+        r = int(near[0] if near.size == 1 else near[basis[near].argmin()])
+        if rhs[r] < 0.0:
+            rhs[r] = 0.0
         _counted_pivot(T, basis, nonbasic, r, p, state)
 
 
 def _dual_repair(T, basis, nonbasic, x_b, state):
     """Make the basic solution x_b non-negative by dual simplex pivots.
 
-    T is optimal for a relaxed rhs, and x_b is its basis's solution for the
-    true one.  Reduced costs do not involve b, so with x_b written into the
-    rhs column the cost row is still dual feasible.  The most negative basic
-    value leaves; the entering column wins the ratio test on the cost row,
-    the lowest variable breaking ties.  Returns the repaired basic solution.
-    The objective entry of T goes stale: the repaired tableau is not reused.
+    T is optimal, and x_b is its basis's solution restored from the
+    original data, which the tableau's own rhs column has drifted from
+    (Harris's ratio test also lets a basic value dip to -PIVOT_TOL).
+    Reduced costs do not involve b, so with x_b written into the rhs column
+    the cost row is still dual feasible.  The most negative basic value
+    leaves; the entering column wins the ratio test on the cost row, the
+    lowest variable breaking ties.  Returns the repaired basic solution, a
+    view of T's rhs column.  The objective entry of T goes stale; a path
+    that keeps the tableau re-prices the whole cost row before reuse.
     """
     m = basis.size
     rhs = T[:m, -1]
@@ -390,14 +399,22 @@ def _simplex_core(A, b, c, initial_basis, state, warm=None):
             r = int(np.argmin(T[:m, -1]))
             _counted_pivot(T, basis, nonbasic, r, k, state)
             _reprice(T, basis, nonbasic, np.eye(1, ncols + 1, ncols)[0])
+            start = basis.copy()
             # the artificial, variable ncols, may leave but never enter
             if _run_phase(T, basis, nonbasic, ncols, state) is not None:
                 raise LpNumericalError("phase 1 reported unbounded")
             if -T[m, -1] > FEAS_TOL:  # the audit's tolerance on a row residual
                 return "infeasible", None, None, None
-            # B^-1 has no zero row, so its slack entries are not all 0
+            # B^-1 has no zero row, so its slack entries are not all 0.  Of
+            # the entries within a tenth of the largest, the lowest variable
+            # enters, passing over those phase 1 drove out while others
+            # qualify: entering one would undo a phase-1 step
             for r in np.flatnonzero(basis == ncols):
-                p = _lowest(nonbasic, -np.abs(T[r, :-1]))
+                size = np.abs(T[r, :-1])
+                big = (size >= 0.1 * size.max()).nonzero()[0]
+                fresh = big[~np.isin(nonbasic[big], start)]
+                big = fresh if fresh.size else big
+                p = int(big[nonbasic[big].argmin()])
                 _counted_pivot(T, basis, nonbasic, int(r), p, state)
         keep = nonbasic != ncols  # drop the artificial
         T = np.asfortranarray(T[:, np.append(keep, True)])
@@ -412,12 +429,8 @@ def _simplex_core(A, b, c, initial_basis, state, warm=None):
     return "optimal", basis, nonbasic, T
 
 
-# deterministic jitter for the anti-degeneracy perturbation
-_GOLDEN = 0.6180339887498949
-
-
 def _pivot_budget(m, ncols):
-    """Pivots one solve attempt may take before it gives up."""
+    """Pivots one solve may take before it gives up."""
     return 50000 + 200 * (m + ncols)
 
 
@@ -425,30 +438,28 @@ def solve_lp(lp, initial_basis=None, path=None):
     """Solve a LinearProgram with a two-phase simplex method.
 
     The simplex pivots a condensed (dictionary) tableau of the nonbasic
-    columns; the basic unit columns are never stored.  A solve makes at
-    most two attempts, which differ only in eps.  Both price by steepest
+    columns; the basic unit columns are never stored.  It prices by steepest
     edge (the most negative reduced cost per unit length of the edge,
     d_j / sqrt(1 + |B^-1 a_j|^2), the norms taken afresh from the tableau
-    at every pivot, so no pricing state outlives a pivot); the first
-    relaxes every right-hand side by tiny, deterministic, strictly
-    decreasing offsets, which removes ties from the ratio test.  Ties
-    left are broken by index: of equal scores, and in the dual repair's
-    and the phase-1 drive-out's choice, the lowest variable enters; of
-    ratios within 1e-12 of the least, the lowest basic variable leaves.
-    Each restores the true right-hand side from the original data through
-    its final basis.  Reduced costs do not involve b, so that basis stays
-    dual feasible: when no basic value is below -PIVOT_TOL it is optimal,
-    and otherwise a few dual simplex pivots repair it.  Relaxation only
-    enlarges the feasible region, so an infeasible verdict under it is
-    already exact; phase 1 gives that verdict when its one artificial
-    variable ends above FEAS_TOL, the tolerance the feasibility audit allows
-    a row.  An unbounded verdict, from the last resort only, needs its ray
-    d to have c.d < -PIVOT_TOL and |A d| <= FEAS_TOL.  The relaxed attempt
-    hands over when it exhausts its pivot budget, fails a numerical guard,
-    finds the relaxation unbounded, restores a singular basis, fails the
-    repair or fails the feasibility audit; when the last resort fails too,
-    the error names the reason for each.  Identical inputs produce
-    bitwise-identical solutions.
+    at every pivot, so no pricing state outlives a pivot), and picks the
+    leaving row by Harris's two-pass ratio test with tolerance PIVOT_TOL,
+    which spreads degenerate ties over the rows whose ratio is within
+    reach and takes a pivot of useful size among them.  Ties left are
+    broken by index: of equal scores, and in the dual repair's choice, the
+    lowest variable enters; of the rows pass 2 keeps, and in the phase-1
+    drive-out's choice of entries within a tenth of the largest, the lowest
+    variable wins.  At the end the true basic solution is restored from the
+    original data through the final basis.  Reduced costs do not involve b,
+    so that basis stays dual feasible: when no basic value is below
+    -PIVOT_TOL it is optimal, and otherwise a few dual simplex pivots repair
+    the drift.  Phase 1 gives the infeasible verdict when its one
+    artificial variable ends above FEAS_TOL, the tolerance the feasibility
+    audit allows a row.  An unbounded verdict needs its ray d to have
+    c.d < -PIVOT_TOL and |A d| <= FEAS_TOL.  A solve that exhausts its
+    pivot budget, fails a numerical guard, restores a singular basis, fails
+    the repair, or fails the audit of its point or ray raises
+    LpNumericalError naming the reason and the pivots taken.  Identical
+    inputs produce bitwise-identical solutions.
 
     initial_basis optionally names standard-form columns forming a feasible
     starting basis, skipping phase 1.  Standard-form columns are: one per
@@ -460,21 +471,20 @@ def solve_lp(lp, initial_basis=None, path=None):
     slack basis and phase 1.
 
     path optionally carries an LpPath from a previous solve of the same
-    constraints under other costs; the relaxed attempt starts from its
-    tableau instead of initial_basis.  The path is left holding this
-    solve's tableau when the relaxed attempt decides optimal with no
-    repair, and is cleared otherwise.  iterations counts this solve's
-    pivots only.
+    constraints under other costs; the solve starts from its tableau
+    instead of initial_basis.  The path is left holding this solve's
+    tableau when it decides optimal, and is cleared otherwise.  iterations
+    counts this solve's pivots only.
     """
-    key = prior = None
+    key = warm = None
     if path is not None:
         if path.matches(lp):
             key, form = path.key, path.form
-            prior = (path.tableau, path.basis, path.nonbasic, path.x_b)
-        path.clear()  # refilled only by an unrepaired relaxed verdict below
+            warm = (path.tableau, path.basis, path.nonbasic, path.x_b)
+        path.clear()  # refilled only by an optimal verdict below
     if key is None:
         form = _to_standard_form(lp)
-    A, b_true, cmap, sigma, _ = form
+    A, b, cmap, _, sense = form
     c = _standard_costs(lp.objective, cmap, A.shape[1])
     m, ncols = A.shape
     if initial_basis is not None:
@@ -483,71 +493,39 @@ def solve_lp(lp, initial_basis=None, path=None):
             raise LpInputError("initial basis must name one distinct column per row")
         if m and (initial_basis.min() < 0 or initial_basis.max() >= ncols):
             raise LpInputError("initial basis column out of range")
-    # each row relaxes along its slack coefficient sigma
-    jitter = ((np.arange(m) + 1) * _GOLDEN) % 1.0
-    # strictly decreasing magnitudes keep structured warm starts feasible
-    profile = (1.0 + np.abs(b_true)) * (m - np.arange(m) + jitter) / max(m, 1)
-    total_iters = 0
-    passed_over = []  # why each attempt handed over
-    for eps in _ATTEMPTS:
-        state = {"iter": 0, "max_iter": _pivot_budget(m, ncols)}
-        warm = prior if eps > 0.0 else None
-        try:
-            status, x, kept = _attempt(lp, form, b_true + eps * sigma * profile,
-                                       c, eps > 0.0, initial_basis, warm, state)
-        except LpNumericalError as exc:
-            passed_over.append(f"eps={eps:g}: {exc} after {state['iter']} pivots")
-            continue
-        finally:
-            total_iters += state["iter"]
+    state = {"iter": 0, "max_iter": _pivot_budget(m, ncols)}
+    try:
+        status, basis, nonbasic, T = _simplex_core(
+            A, b, c, initial_basis, state, None if warm is None else warm[:3])
+        if status == "unbounded":
+            cost, residual = c @ basis, np.max(np.abs(A @ basis), initial=0.0)
+            if cost >= -PIVOT_TOL or residual > FEAS_TOL:  # basis holds the ray
+                raise LpNumericalError(f"unbounded ray fails its audit: c.d = "
+                                       f"{cost:.3e}, |A d| = {residual:.3e}")
         if status != "optimal":
-            return LpSolution(status, iterations=total_iters, eps=eps)
-        if path is not None and kept is not None:
-            if key is None:
-                # copies: a caller may edit the program in place and solve again
-                key = (lp.rows.copy(), lp.relations, lp.rhs.copy(),
-                       lp.lower.copy(), lp.upper.copy())
-            path.key, path.form = key, form
-            path.tableau, path.basis, path.nonbasic, path.x_b = kept
-        return LpSolution("optimal", x, float(lp.objective @ x), total_iters,
-                          eps, warm is not None)
-    raise LpNumericalError("every solve attempt failed: " + "; ".join(passed_over))
-
-
-def _attempt(lp, form, b, c, relaxed, initial_basis, warm, state):
-    """One solve attempt of form = (A, b_true, cmap, sigma, sense) on rhs b.
-
-    warm, when given, is a path's (tableau, basis, nonbasic, x_b) for these
-    constraints.  Returns (status, x, kept): x is the optimal point, and
-    kept, when not None, the (tableau, basis, nonbasic, x_b) a path may
-    reuse.  Raises LpNumericalError for every reason to hand over.
-    """
-    A, b_true, cmap, _, sense = form
-    status, basis, nonbasic, T = _simplex_core(
-        A, b, c, initial_basis, state, None if warm is None else warm[:3])
-    if status == "infeasible":
-        return status, None, None
-    if status == "unbounded":
-        if relaxed:
-            raise LpNumericalError("unbounded under relaxation")
-        cost, residual = c @ basis, np.max(np.abs(A @ basis), initial=0.0)
-        if cost >= -PIVOT_TOL or residual > FEAS_TOL:  # basis holds the ray
-            raise LpNumericalError(f"unbounded ray fails its audit: c.d = "
-                                   f"{cost:.3e}, |A d| = {residual:.3e}")
-        return status, None, None
-    if warm is not None and state["iter"] == 0:
-        x_b = warm[3]  # same basis as the last solve, same solution
-    else:
-        x_b = _basis_solve(A[:, basis], b_true)
-        if x_b is None:
-            raise LpNumericalError("singular restored basis")
-    kept = None
-    if np.any(x_b < -PIVOT_TOL):  # the repair's own exit test
-        x_b = _dual_repair(T, basis, nonbasic, x_b, state)
-    elif relaxed:
-        kept = (T, basis, nonbasic, x_b)
-    x_std = np.zeros(A.shape[1])
-    x_std[basis] = np.clip(x_b, 0.0, None)
-    x = _recover_x(cmap, x_std)
-    _audit_feasible(lp, x, sense)
-    return "optimal", x, kept
+            return LpSolution(status, iterations=state["iter"])
+        if warm is not None and state["iter"] == 0:
+            x_b = warm[3]  # same basis as the last solve, same solution
+        else:
+            x_b = _basis_solve(A[:, basis], b)
+            if x_b is None:
+                raise LpNumericalError("singular restored basis")
+            if np.any(x_b < -PIVOT_TOL):  # the repair's own exit test
+                x_b = _dual_repair(T, basis, nonbasic, x_b, state)
+            x_b = np.clip(x_b, 0.0, None)
+            T[:m, -1] = x_b
+        x_std = np.zeros(ncols)
+        x_std[basis] = x_b
+        x = _recover_x(cmap, x_std)
+        _audit_feasible(lp, x, sense)
+    except LpNumericalError as exc:
+        raise LpNumericalError(f"{exc} after {state['iter']} pivots") from exc
+    if path is not None:
+        if key is None:
+            # copies: a caller may edit the program in place and solve again
+            key = (lp.rows.copy(), lp.relations, lp.rhs.copy(),
+                   lp.lower.copy(), lp.upper.copy())
+        path.key, path.form = key, form
+        path.tableau, path.basis, path.nonbasic, path.x_b = T, basis, nonbasic, x_b
+    return LpSolution("optimal", x, float(lp.objective @ x), state["iter"],
+                      warm is not None)

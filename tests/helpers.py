@@ -82,6 +82,19 @@ def random_distribution(rng, k=None, dim=2):
     return DiscreteDistribution(x=x, p=p, eta=eta)
 
 
+def logistic_atoms(seed, atoms=200):
+    """Atoms uniform on [-2, 2]^2 with random masses and a noisy logistic eta.
+
+    The distributions of the diagnose benchmark are drawn the same way.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0, 2.0, size=(atoms, 2))
+    p = rng.uniform(0.5, 1.5, size=atoms)
+    eta = 1.0 / (1.0 + np.exp(-2.0 * (x[:, 0] + 0.5 * x[:, 1])
+                              - 0.3 * rng.normal(size=atoms)))
+    return DiscreteDistribution(x=x, p=p / p.sum(), eta=eta)
+
+
 def plateau_fixture():
     """Three collinear-feature atoms whose population solution is (1, 0).
 

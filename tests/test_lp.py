@@ -24,9 +24,9 @@ from rejectsvm.lp import (
     solve_lp,
 )
 from rejectsvm.sim import ExperimentConfig, gen_mixture, gen_two_gaussian
-from rejectsvm.train import default_r_grid, split_lp
+from rejectsvm.train import _hinge_lp, default_r_grid, split_lp
 
-from helpers import crash_basis, random_lp
+from helpers import crash_basis, logistic_atoms, random_lp
 from oracle import LpOversizeError, enumerate_vertices_oracle
 
 
@@ -68,7 +68,7 @@ def test_reports_unbounded():
                        relations=["<="], rhs=[0.0], lower=[0.0])
     sol = solve_lp(lp)
     assert sol.status == "unbounded"
-    assert sol.eps == 0.0  # the relaxed attempt hands its verdict over
+    assert sol.iterations == 0  # x enters the slack basis along a ray
 
 
 def test_two_sided_bounds_become_active():
@@ -203,7 +203,7 @@ def test_iteration_count_is_reported():
 
 
 # ---------------------------------------------------------------------------
-# two attempts: a relaxed one that hands over, then an unrelaxed last resort
+# one attempt: a failure names its reason and the pivots it took
 
 def _two_variable_program():
     return LinearProgram(objective=[-1.0, -1.0],
@@ -212,29 +212,24 @@ def _two_variable_program():
                          lower=[0.0, 0.0])
 
 
-def _budgets(monkeypatch, per_attempt):
-    """Give solve attempts the listed pivot budgets, in attempt order.
-
-    None keeps an attempt's own budget.
-    """
-    budgets = iter(per_attempt)
-    real = lp_module._pivot_budget
-
-    def budget(m, ncols):
-        given = next(budgets)
-        return real(m, ncols) if given is None else given
-
-    monkeypatch.setattr(lp_module, "_pivot_budget", budget)
+def _budget(monkeypatch, pivots):
+    """Give every solve a budget of the given number of pivots."""
+    monkeypatch.setattr(lp_module, "_pivot_budget", lambda m, ncols: pivots)
 
 
 def test_exhausted_relaxed_budget_hands_over(monkeypatch):
-    # the slack start needs two pivots; the relaxed attempt gets one
-    _budgets(monkeypatch, [1, 1000])
+    # the slack start needs two pivots; one budget covers the whole solve
+    _budget(monkeypatch, 2)
     sol = solve_lp(_two_variable_program(), initial_basis=[2, 3])
-    assert sol.status == "optimal"
-    assert sol.eps == 0.0
+    assert sol.status == "optimal" and sol.iterations == 2
     assert abs(sol.objective_value - (-14.0 / 5.0)) < 1e-12
-    assert sol.iterations == 2 + 2  # both attempts' pivots count
+    # with one pivot fewer the solve fails, and no second attempt follows
+    _budget(monkeypatch, 1)
+    path = LpPath()
+    with pytest.raises(LpNumericalError,
+                       match="^simplex iteration limit exceeded after 2 pivots$"):
+        solve_lp(_two_variable_program(), initial_basis=[2, 3], path=path)
+    assert path.key is None  # a failed solve leaves no tableau behind
 
 
 @pytest.mark.parametrize("message", [
@@ -243,20 +238,17 @@ def test_exhausted_relaxed_budget_hands_over(monkeypatch):
     "pivot element vanished",
 ])
 def test_relaxed_numerical_guard_hands_over(monkeypatch, message):
+    # a numerical guard ends the solve at once, with its reason
     calls = []
-    real = lp_module._run_phase
 
     def guarded(*args):
         calls.append(1)
-        if len(calls) == 1:  # the relaxed attempt's one phase from the slacks
-            raise LpNumericalError(message)
-        return real(*args)
+        raise LpNumericalError(message)
 
     monkeypatch.setattr(lp_module, "_run_phase", guarded)
-    sol = solve_lp(_two_variable_program(), initial_basis=[2, 3])
-    assert sol.status == "optimal"
-    assert sol.eps == 0.0
-    assert abs(sol.objective_value - (-14.0 / 5.0)) < 1e-12
+    with pytest.raises(LpNumericalError, match=f"^{message} after 0 pivots$"):
+        solve_lp(_two_variable_program(), initial_basis=[2, 3])
+    assert len(calls) == 1
 
 
 def _singular(B):
@@ -273,47 +265,23 @@ def _failed_audit(lp, x, sense):
 ], ids=["singular restore", "failed audit"])
 def test_restore_and_audit_failures_hand_over(monkeypatch, owner, name, fake,
                                               reason):
+    # the failure reaches the caller named, after the two pivots taken
     monkeypatch.setattr(owner, name, fake)
-    _budgets(monkeypatch, [1000, 1])  # the last resort fails too
-    with pytest.raises(LpNumericalError) as err:
+    with pytest.raises(LpNumericalError, match=f"^{reason} after 2 pivots$"):
         solve_lp(_two_variable_program(), initial_basis=[2, 3])
-    assert f"eps=1e-07: {reason} after 2 pivots" in str(err.value)
 
 
 def test_unrelaxed_failure_names_every_reason(monkeypatch):
-    _budgets(monkeypatch, [1, 1])
+    # the solve's one attempt is unrelaxed; its error is the one reason
+    # with its pivot count, and nothing else
+    _budget(monkeypatch, 0)
     with pytest.raises(LpNumericalError) as err:
         solve_lp(_two_variable_program(), initial_basis=[2, 3])
-    text = str(err.value)
-    assert text.startswith("every solve attempt failed")
-    assert "eps=1e-07: simplex iteration limit exceeded after 2 pivots" in text
-    assert "eps=0: simplex iteration limit exceeded after 2 pivots" in text
+    assert str(err.value) == "simplex iteration limit exceeded after 1 pivots"
 
 
-def test_phase_one_drive_out_pivots_are_counted(monkeypatch):
-    # x = y = 0 is the only feasible point; the relaxation makes the slack
-    # basis feasible, so there is no phase 1, and phase 2 takes two pivots
-    pivots = []
-    real = lp_module._pivot
-
-    def counting(T, r, c):
-        pivots.append(c)
-        return real(T, r, c)
-
-    monkeypatch.setattr(lp_module, "_pivot", counting)
-    sol = solve_lp(LinearProgram(objective=[-1.0, 0.0],
-                                 rows=[[2.0, 1.0], [-1.0, -2.0], [-2.0, 1.0]],
-                                 relations=[">=", "=", "="], rhs=[0.0] * 3,
-                                 lower=[0.0, 0.0]))
-    assert sol.status == "optimal" and sol.eps == 1e-7
-    assert sol.iterations == len(pivots) == 2
-
-
-def test_artificial_basic_at_zero_is_driven_out(monkeypatch):
-    # x + y = 1 becomes x + y <= 1 and x + y >= 1.  Unrelaxed, the
-    # artificial enters at the >= half; x then ties both rows in the ratio
-    # test, the slack leaves by the lowest-index rule, and the artificial
-    # stays basic at 0 until one more counted pivot drives it out
+def _entering(monkeypatch):
+    """Record the variable entering at every counted pivot."""
     entering = []
     real = lp_module._counted_pivot
 
@@ -322,13 +290,54 @@ def test_artificial_basic_at_zero_is_driven_out(monkeypatch):
         return real(T, basis, nonbasic, r, p, state)
 
     monkeypatch.setattr(lp_module, "_counted_pivot", counting)
-    monkeypatch.setattr(lp_module, "_ATTEMPTS", (0.0,))
+    return entering
+
+
+def _redundant_program():
+    """min x + 2y s.t. x + y = 1, 2x + 2y = 2, x - y <= 0.5, x, y >= 0.
+
+    The second equality row is redundant, but each of its halves keeps a
+    slack, so no row is dropped.  The optimum is (3/4, 1/4).
+    """
+    return LinearProgram(objective=[1.0, 2.0],
+                         rows=[[1.0, 1.0], [2.0, 2.0], [1.0, -1.0]],
+                         relations=["=", "=", "<="], rhs=[1.0, 2.0, 0.5],
+                         lower=[0.0, 0.0])
+
+
+def test_phase_one_drive_out_pivots_are_counted(monkeypatch):
+    # the artificial (variable 7) enters at the >= half of the second row;
+    # phase 1 enters x and y, which leaves the artificial basic at 0, and
+    # the drive-out pivot that removes it is counted with the rest
+    pivots = []
+    real = lp_module._pivot
+
+    def counting(T, r, c):
+        pivots.append(c)
+        return real(T, r, c)
+
+    monkeypatch.setattr(lp_module, "_pivot", counting)
+    entering = _entering(monkeypatch)
+    sol = solve_lp(_redundant_program())
+    assert sol.status == "optimal"
+    assert entering[:3] == [7, 0, 1] and 7 not in entering[3:]
+    assert sol.iterations == len(pivots) == len(entering) == 5
+
+
+def test_artificial_basic_at_zero_is_driven_out(monkeypatch):
+    # x + y = 1 becomes x + y <= 1 (slack 2) and x + y >= 1 (slack 3).
+    # The artificial, 4, enters at the >= half, in place of slack 3; x then
+    # ties both rows in the ratio test, and slack 2 leaves by the
+    # lowest-index rule.  The artificial stays basic at 0, and the
+    # drive-out enters slack 3, not slack 2, which phase 1 drove out: the
+    # basis {x, slack 3} is already optimal, so no swap-back follows
+    entering = _entering(monkeypatch)
     sol = solve_lp(LinearProgram(objective=[-1.0, 0.0], rows=[[1.0, 1.0]],
                                  relations=["="], rhs=[1.0], lower=[0.0, 0.0]))
     assert sol.status == "optimal"
     assert np.allclose(sol.x, [1.0, 0.0], atol=1e-12)
-    assert entering[:3] == [4, 0, 2]  # in, phase 1, out (4 is the artificial)
-    assert sol.iterations == len(entering)
+    assert entering == [4, 0, 3]  # in, phase 1, out
+    assert sol.iterations == 3
 
 
 def _tied_tableau(cost, row, basic):
@@ -357,17 +366,39 @@ def test_dual_repair_ties_enter_the_lowest_variable():
     assert basis.tolist() == [2] and nonbasic.tolist() == [5, 3]
 
 
-def test_ratio_ties_within_1e_12_let_the_lowest_basic_variable_leave():
-    # one column over rows holding variables 7 and 3: row 1's ratio is
-    # 5e-13 above row 0's, so it ties, and variable 3 leaves from the
-    # later row.  Breaking this tie by the largest pivot element instead
-    # cycled on the seed-2024 study LP.
-    T = np.asfortranarray([[1.0, 1.0], [1.0, 1.0 + 5e-13], [-1.0, 0.0]])
-    basis, nonbasic = np.array([7, 3]), np.array([5])
-    state = {"iter": 0, "max_iter": 10}
-    assert lp_module._run_phase(T, basis, nonbasic, 8, state) is None
+def _harris_pick(col, rhs, basis):
+    """The basis after one pivot of a column over rows holding basis.
+
+    The column is variable 9; its reduced cost is -1 and its ratio test
+    alone decides the leaving row.  Returns (basis, rhs column).
+    """
+    T = np.asfortranarray(np.column_stack([col + [-1.0], rhs + [0.0]]))
+    basis, nonbasic = np.array(basis), np.array([9])
+    state = {"iter": 0, "max_iter": 1}
+    assert lp_module._run_phase(T, basis, nonbasic, 10, state) is None
     assert state["iter"] == 1
-    assert basis.tolist() == [7, 5] and nonbasic.tolist() == [3]
+    return basis.tolist(), T[:-1, -1]
+
+
+def test_harris_ratio_test_takes_the_lowest_basic_variable_of_large_near_ties():
+    # row 1's ratio is 5e-13 above row 0's, inside pass 1's bound, so it
+    # ties, and variable 3 leaves from the later row.  Breaking this tie by
+    # the largest pivot element instead cycled on the seed-2024 study LP.
+    assert _harris_pick([1.0, 1.0], [1.0, 1.0 + 5e-13], [7, 3])[0] == [7, 9]
+    # a ratio PIVOT_TOL / col above the least is out of reach
+    assert _harris_pick([1.0, 1.0], [1.0, 1.0 + 2 * PIVOT_TOL],
+                        [7, 3])[0] == [9, 3]
+    # variable 2's row ties, but its entry is below a tenth of the largest,
+    # so it is passed over for the lowest of the others
+    # and its ratio is even the least; the step then takes its value just
+    # below 0, which pass 1's bound keeps above -PIVOT_TOL
+    basis, rhs = _harris_pick([1.0, 0.09, 1.0], [1.0, 0.09 - 5e-11, 1.0],
+                              [7, 2, 3])
+    assert basis == [7, 2, 9]
+    assert -PIVOT_TOL <= rhs[1] < 0.0
+    # a leaving value below 0 is set to 0 first: the step is not backwards
+    basis, rhs = _harris_pick([1.0, 1.0], [-0.5 * PIVOT_TOL, 1.0], [7, 3])
+    assert basis == [9, 3] and rhs.tolist() == [0.0, 1.0]
 
 
 def test_variables_from_n_enter_up_never_enter():
@@ -434,12 +465,7 @@ def test_feasibility_audit_names_the_violated_row(moved, message):
 
 
 def _gap_program(gap):
-    """x + y <= 1 and x + y >= 1 + gap: infeasible, but only by gap.
-
-    The relaxed rows overlap, so the relaxed attempt ends optimal on a
-    basis whose true basic solution is negative and that no dual pivot can
-    repair.
-    """
+    """x + y <= 1 and x + y >= 1 + gap: infeasible, but only by gap."""
     return LinearProgram(objective=[1.0, 1.0], rows=[[1.0, 1.0], [1.0, 1.0]],
                          relations=["<=", ">="], rhs=[1.0, 1.0 + gap],
                          lower=[0.0, 0.0])
@@ -451,16 +477,21 @@ def test_failed_repair_hands_over(gap):
     # gap just above FEAS_TOL is a verdict and not a numerical failure
     sol = solve_lp(_gap_program(gap))
     assert sol.status == "infeasible"
-    assert sol.eps == 0.0
+    assert sol.iterations == 2  # the artificial in, then x
 
 
 def test_failed_repair_is_named_when_the_last_resort_fails(monkeypatch):
-    _budgets(monkeypatch, [1000, 0])
-    with pytest.raises(LpNumericalError) as err:
-        solve_lp(_gap_program(3e-7))
-    text = str(err.value)
-    assert "eps=1e-07: dual repair found no entering column" in text
-    assert "eps=0: simplex iteration limit exceeded" in text
+    # min x s.t. x <= 1 is optimal at the slack basis; handed a restored
+    # value below -PIVOT_TOL, the repair finds no negative entry in the
+    # slack's row to pivot on, and the solve fails with that reason
+    monkeypatch.setattr(lp_module, "_basis_solve",
+                        lambda B, rhs: np.array([-2 * PIVOT_TOL]))
+    path = LpPath()
+    with pytest.raises(LpNumericalError, match="^dual repair found no "
+                                               "entering column after 0 pivots$"):
+        solve_lp(LinearProgram(objective=[1.0], rows=[[1.0]], relations=["<="],
+                               rhs=[1.0], lower=[0.0]), path=path)
+    assert path.key is None
 
 
 def _within_highs(lp, sol):
@@ -470,67 +501,123 @@ def _within_highs(lp, sol):
     return -1e-7 <= gap <= 1e-9  # HiGHS's own tolerance is 1e-7
 
 
-def _probe_program():
-    """Fold 0 of a 5-fold CV of the RBF mixture at r = 0.0965.
+def _probe_fold(index):
+    """Fold 0 of a 5-fold CV of the RBF mixture at grid point index of 10.
 
-    Its relaxed attempt ends on a basis that is infeasible for the true
-    right-hand side (basic values down to -2.7e-7), so the dual repair must
-    decide.  An attempt that restarted from the crash basis instead took
-    521 more pivots.
+    Returns the fold's LP and its crash basis.
     """
     x, y, _ = gen_mixture(200, 3)
     dic = build_rbf_lattice((10, 10), x.min(axis=0), x.max(axis=0), beta=2.0)
     cp = CostParams(d=0.25, tau=0.5)
     design = evaluate(dic, x, y)
-    r = float(default_r_grid(cp, estimated_c_f(dic, design), num=10)[6])
+    r = float(default_r_grid(cp, estimated_c_f(dic, design), num=10)[index])
     keep = np.arange(design.n) % 5 != 0
     fold = DesignMatrix(design.phi[keep], design.y[keep])
     return split_lp(fold, cp, r), crash_basis(fold.n, fold.M)
 
 
-def test_rejected_relaxed_basis_is_repaired():
-    lp, crash = _probe_program()
+def test_rejected_relaxed_basis_is_repaired(monkeypatch):
+    # a restored basic solution with a value below -PIVOT_TOL is repaired
+    # by dual pivots, and the repaired tableau stays on the path: the next
+    # solve starts warm from it
+    lp, crash = _probe_fold(6)
+    real_solve, real_repair = lp_module._basis_solve, lp_module._dual_repair
+    repairs = []
+
+    def dipped(B, rhs):
+        x_b = real_solve(B, rhs)
+        if x_b.ndim == 1:  # the restore, not the crash start's tableau
+            x_b[np.argmin(x_b)] = -2 * PIVOT_TOL  # a degenerate value, dipped
+        return x_b
+
+    def repair(*args):
+        repairs.append(1)
+        return real_repair(*args)
+
+    monkeypatch.setattr(lp_module, "_basis_solve", dipped)
+    monkeypatch.setattr(lp_module, "_dual_repair", repair)
     path = LpPath()
     sol = solve_lp(lp, initial_basis=crash, path=path)
-    assert sol.status == "optimal"
-    assert sol.eps == 1e-7
-    assert sol.iterations < 250  # 170 relaxed + 6 dual pivots when written
-    assert path.key is None  # a repaired tableau is not kept
+    assert sol.status == "optimal" and not sol.warm and repairs == [1]
     assert _within_highs(lp, sol)
+    # the path holds the repaired basis and its clipped basic solution,
+    # which is also the tableau's right-hand-side column
+    assert path.key is not None and path.x_b.min() >= 0.0
+    assert np.array_equal(path.tableau[:-1, -1], path.x_b)
+    monkeypatch.setattr(lp_module, "_basis_solve", real_solve)
+    nxt, _ = _probe_fold(7)
+    sol = solve_lp(nxt, initial_basis=crash, path=path)
+    assert sol.status == "optimal" and sol.warm and repairs == [1]
+    assert _within_highs(nxt, sol)
 
 
-def test_last_resort_solves_a_study_lp(monkeypatch):
-    # the relaxed attempt gets no pivot, so the unrelaxed one decides from
-    # the crash basis; under Bland's rule it used up 5,000 pivots here
+def _population_lp(seed, r, cp):
+    """The population hinge LP of logistic_atoms(seed) on a 6x6 RBF lattice."""
+    dist = logistic_atoms(seed)
+    dic = build_rbf_lattice((6, 6), dist.x.min(axis=0), dist.x.max(axis=0))
+    phi = evaluate(dic, dist.x).phi
+    lp = _hinge_lp(np.vstack([phi, -phi]),
+                   np.concatenate([dist.p * dist.eta,
+                                   dist.p * (1.0 - dist.eta)]), cp, r)
+    return lp, crash_basis(2 * dist.n_atoms, phi.shape[1])
+
+
+def _study_lp(d, r):
     config = ExperimentConfig("two_gaussian", repetitions=1)
     design = evaluate(build_linear(config.M), *gen_two_gaussian(
         config.n_train // 2, config.M, 2024)[:2])
-    lp = split_lp(design, CostParams(d=0.25, tau=0.5), 0.05)
-    _budgets(monkeypatch, [0, 5000])
-    sol = solve_lp(lp, initial_basis=crash_basis(design.n, design.M))
-    assert sol.status == "optimal" and sol.eps == 0.0
+    return (split_lp(design, CostParams(d=d, tau=0.5), r),
+            crash_basis(design.n, design.M))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _population_lp(4185785210, 0.0, CostParams(0.25)),
+    lambda: _population_lp(3939563265, 0.003, CostParams(0.25)),
+    lambda: _population_lp(3939563265, 0.0043, CostParams(0.25)),
+    lambda: _population_lp(3939563265, 0.0062, CostParams(0.25)),
+    lambda: _population_lp(3939563265, 0.0266, CostParams(0.25)),
+    lambda: _probe_fold(6),
+    lambda: _study_lp(0.25, 0.1077),
+], ids=["atoms 4185785210 r=0", "atoms 3939563265 r=0.003",
+        "atoms 3939563265 r=0.0043", "atoms 3939563265 r=0.0062",
+        "atoms 3939563265 r=0.0266", "probe fold r=0.0966",
+        "study d=0.25 r=0.1077"])
+def test_cold_start_decides_degenerate_package_lps(build):
+    # degenerate LPs the package builds, each solved once from the crash
+    # basis with no path; atoms 4185785210 and 3939563265 are the third and
+    # second distributions the diagnose benchmark draws at seed 7.  Without
+    # the Harris ratio test the first five outgrew the blow-up limit and the
+    # probe fold ended on a false ray; the study LP cycled when ties went
+    # to the largest pivot element
+    lp, crash = build()
+    sol = solve_lp(lp, initial_basis=crash)
+    assert sol.status == "optimal"
     assert _within_highs(lp, sol)
 
 
-def test_last_resort_audits_an_unbounded_ray(monkeypatch):
-    # every cost of the probe LP is >= 0, so it is bounded; the last
-    # resort's unbounded exit on it is a false ray
-    lp, crash = _probe_program()
-    _budgets(monkeypatch, [0, None])
+def test_unbounded_ray_is_audited(monkeypatch):
+    # min -x - y s.t. x - y <= 1: the edge x = y is a ray of the original
+    # data, so it passes the audit; the same ray reversed does not
+    lp = LinearProgram(objective=[-1.0, -1.0], rows=[[1.0, -1.0]],
+                       relations=["<="], rhs=[1.0], lower=[0.0, 0.0])
+    assert solve_lp(lp).status == "unbounded"
+    real = lp_module._simplex_core
+
+    def reversed_ray(*args):
+        status, ray, nonbasic, T = real(*args)
+        return status, -ray, nonbasic, T
+
+    monkeypatch.setattr(lp_module, "_simplex_core", reversed_ray)
     with pytest.raises(LpNumericalError,
-                       match="eps=0: unbounded ray fails its audit"):
-        solve_lp(lp, initial_basis=crash)
+                       match=r"^unbounded ray fails its audit: c\.d = "):
+        solve_lp(lp)
 
 
-def test_redundant_row_is_decided_by_the_relaxed_attempt():
-    # min x + 2y  s.t.  x + y = 1,  2x + 2y = 2,  x - y <= 0.5,  x, y >= 0:
-    # the second equality row is redundant, but each of its halves keeps a
-    # slack, so no row is dropped; the artificial enters and two more pivots
-    # reach the optimum (3/4, 1/4)
-    sol = solve_lp(LinearProgram(objective=[1.0, 2.0],
-                                 rows=[[1.0, 1.0], [2.0, 2.0], [1.0, -1.0]],
-                                 relations=["=", "=", "<="],
-                                 rhs=[1.0, 2.0, 0.5], lower=[0.0, 0.0]))
-    assert sol.status == "optimal" and sol.eps == 1e-7
+def test_redundant_row_is_decided_by_the_relaxed_attempt(monkeypatch):
+    # one attempt decides: the artificial enters, phase 1 and its drive-out
+    # take three pivots, and phase 2 one more to reach the optimum
+    entering = _entering(monkeypatch)
+    sol = solve_lp(_redundant_program())
+    assert sol.status == "optimal"
     assert np.allclose(sol.x, [0.75, 0.25], atol=1e-12)
-    assert sol.iterations == 3
+    assert sol.iterations == len(entering) == 5

@@ -23,7 +23,7 @@ from rejectsvm.theory import (
 )
 from rejectsvm.train import Model
 
-from helpers import plateau_fixture, random_distribution
+from helpers import logistic_atoms, plateau_fixture, random_distribution
 
 
 def test_gram_matrix_matches_double_loop():
@@ -233,13 +233,8 @@ def test_population_path_repairs_dust_in_a_restored_basis():
     # on this distribution a restored basis once held basic values in
     # [-FEAS_TOL, 0): clipped to 0 without a repair, they moved a row by
     # more than FEAS_TOL, the audit failed and the last resort blew up
-    rng = np.random.default_rng(3939563265)
-    x = rng.uniform(-2.0, 2.0, size=(200, 2))
-    p = rng.uniform(0.5, 1.5, size=200)
-    eta = 1.0 / (1.0 + np.exp(-2.0 * (x[:, 0] + 0.5 * x[:, 1])
-                              - 0.3 * rng.normal(size=200)))
-    dist = DiscreteDistribution(x=x, p=p / p.sum(), eta=eta)
-    dic = build_rbf_lattice((6, 6), x.min(axis=0), x.max(axis=0))
+    dist = logistic_atoms(3939563265)
+    dic = build_rbf_lattice((6, 6), dist.x.min(axis=0), dist.x.max(axis=0))
     grid = np.geomspace(0.003, 3.0, 20)
     fits = population_path(make_context(dist, dic, CostParams(0.25)), grid)
     assert list(fits.r) == list(grid)
