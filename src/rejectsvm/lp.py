@@ -44,7 +44,8 @@ class LpNumericalError(LpError):
 
 @dataclass
 class LinearProgram:
-    """General-form LP data.  Arrays are coerced to float and validated."""
+    """General-form LP data, coerced to float and validated.  rows, rhs,
+    lower and upper are read-only copies; only the objective may change."""
 
     objective: np.ndarray
     rows: np.ndarray
@@ -56,11 +57,11 @@ class LinearProgram:
     def __post_init__(self):
         self.objective = np.atleast_1d(np.asarray(self.objective, dtype=float))
         n = self.objective.size
-        self.rows = np.asarray(self.rows, dtype=float)
+        self.rows = np.array(self.rows, dtype=float)
         if self.rows.size == 0:
             self.rows = self.rows.reshape(0, n)
         self.rows = np.atleast_2d(self.rows)
-        self.rhs = np.atleast_1d(np.asarray(self.rhs, dtype=float))
+        self.rhs = np.atleast_1d(np.array(self.rhs, dtype=float))
         self.relations = tuple(self.relations)
         m = len(self.relations)
         if self.rows.shape != (m, n):
@@ -82,14 +83,16 @@ class LinearProgram:
             self.lower = np.full(n, -np.inf)
         if self.upper is None:
             self.upper = np.full(n, np.inf)
-        self.lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        self.upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        self.lower = np.atleast_1d(np.array(self.lower, dtype=float))
+        self.upper = np.atleast_1d(np.array(self.upper, dtype=float))
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise LpInputError("variable bounds must have one entry per variable")
         if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
             raise LpInputError("variable bounds contain NaN")
         if np.any(self.lower > self.upper):
             raise LpInputError("some lower bound exceeds its upper bound")
+        for fixed in (self.rows, self.rhs, self.lower, self.upper):
+            fixed.flags.writeable = False
 
     @property
     def nvar(self):
@@ -110,39 +113,28 @@ class LpSolution:
 
 
 class LpPath:
-    """Warm-start state for a run of programs that differ only in cost.
+    """Warm-start state for one program object whose objective alone changes.
 
-    After every optimal solve, repaired or not, it keeps that program's
-    constraints, their standard form, and the solve's final condensed
-    (dictionary) tableau of the nonbasic columns, its basis and nonbasic
-    index arrays, and the basic solution restored from the original data,
-    clipped at 0, which also overwrites the tableau's right-hand-side
-    column.  None of these involves the costs, so the next solve with equal
-    constraints reuses the standard form and starts from the tableau, with
-    only the cost row re-priced, pivoting it in place from true basic
-    values; when no pivot is needed, the basic solution is reused too.
-    Solves of other constraints ignore the state.  One tableau is live per
-    path.
+    After every optimal solve, repaired or not, it keeps the program object,
+    its standard form, and the solve's final condensed (dictionary) tableau
+    of the nonbasic columns, its basis and nonbasic index arrays, and the
+    basic solution restored from the original data, clipped at 0, which
+    also overwrites the tableau's right-hand-side column.  None of these
+    involves the costs, so the next solve of the same object starts from
+    the tableau with only the cost row re-priced, and reuses the basic
+    solution when no pivot is needed.  Any other program, equal or not,
+    ignores the state.  owner is the caller's note of what built program;
+    every solve clears it.  One tableau is live per path.
     """
 
-    __slots__ = ("key", "form", "tableau", "basis", "nonbasic", "x_b")
+    __slots__ = "program", "owner", "form", "tableau", "basis", "nonbasic", "x_b"
 
     def __init__(self):
         self.clear()
 
     def clear(self):
-        self.key = self.form = None
+        self.program = self.owner = self.form = None
         self.tableau = self.basis = self.nonbasic = self.x_b = None
-
-    def matches(self, lp):
-        """True when the state holds a tableau for lp's constraints."""
-        if self.key is None:
-            return False
-        rows, relations, rhs, lower, upper = self.key
-        return (lp.relations == relations and np.array_equal(lp.rows, rows)
-                and np.array_equal(lp.rhs, rhs)
-                and np.array_equal(lp.lower, lower)
-                and np.array_equal(lp.upper, upper))
 
 
 def _to_standard_form(lp):
@@ -470,20 +462,19 @@ def solve_lp(lp, initial_basis=None, path=None):
     with two finite bounds.  An unusable basis silently falls back to the
     slack basis and phase 1.
 
-    path optionally carries an LpPath from a previous solve of the same
-    constraints under other costs; the solve starts from its tableau
-    instead of initial_basis.  The path is left holding this solve's
-    tableau when it decides optimal, and is cleared otherwise.  iterations
-    counts this solve's pivots only.
+    path optionally carries an LpPath; if its last optimal solve was of
+    this very object (path.program is lp), whose objective may have changed
+    since, the solve starts from its tableau instead of initial_basis.  The
+    path is left holding lp and its tableau when the solve decides optimal,
+    and is cleared otherwise.  iterations counts this solve's pivots only.
     """
-    key = warm = None
+    form = warm = None
     if path is not None:
-        if path.matches(lp):
-            key, form = path.key, path.form
+        if path.program is lp:
+            form = path.form
             warm = (path.tableau, path.basis, path.nonbasic, path.x_b)
         path.clear()  # refilled only by an optimal verdict below
-    if key is None:
-        form = _to_standard_form(lp)
+    form = form or _to_standard_form(lp)
     A, b, cmap, _, sense = form
     c = _standard_costs(lp.objective, cmap, A.shape[1])
     m, ncols = A.shape
@@ -521,11 +512,7 @@ def solve_lp(lp, initial_basis=None, path=None):
     except LpNumericalError as exc:
         raise LpNumericalError(f"{exc} after {state['iter']} pivots") from exc
     if path is not None:
-        if key is None:
-            # copies: a caller may edit the program in place and solve again
-            key = (lp.rows.copy(), lp.relations, lp.rhs.copy(),
-                   lp.lower.copy(), lp.upper.copy())
-        path.key, path.form = key, form
+        path.program, path.form = lp, form
         path.tableau, path.basis, path.nonbasic, path.x_b = T, basis, nonbasic, x_b
     return LpSolution("optimal", x, float(lp.objective @ x), state["iter"],
                       warm is not None)

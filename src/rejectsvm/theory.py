@@ -307,8 +307,8 @@ def population_path(ctx, r_grid):
     solves a fit twice.
     """
     r_grid = np.asarray(r_grid, dtype=float)
-    if r_grid.size == 0 or np.any(r_grid <= 0.0):
-        raise ValueError("r_grid must be positive and non-empty")
+    if r_grid.size == 0 or not np.all(np.isfinite(r_grid) & (r_grid > 0.0)):
+        raise ValueError("r_grid must be finite, positive and non-empty")
     r_grid = np.sort(r_grid)
     models = walk_penalty_path(
         np.append(r_grid, 0.0),

@@ -12,11 +12,11 @@ fit_population solves the population minimizer with the same LP: each atom
 appears twice, once per label, weighted by its probability of that label.
 Both fits start from the same crash basis (lambda = 0).
 
-r enters the LP only through the objective, so every point of a penalty
-grid shares one set of constraints and the optimal basis at one r is
-feasible at the next.  walk_penalty_path exploits this: it solves a grid
-from the largest r down, each step starting from the previous optimal
-tableau with only its cost row re-priced.
+r enters the LP only through the objective, so a penalty grid is one
+program whose optimal basis at one r is feasible at the next.
+walk_penalty_path solves a grid from the largest r down: the first fit on a
+path builds the program, and each later fit of the same input objects
+writes r into it and starts from the last optimal tableau, re-priced.
 """
 
 import math
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SUPPORT_TOL
-from .dictionary import estimated_c_f, evaluate
+from .dictionary import DesignMatrix, estimated_c_f, evaluate
 from .losses import CostParams, gen_hinge, reject_loss
 from .lp import LinearProgram, LpNumericalError, LpPath, solve_lp
 
@@ -80,12 +80,21 @@ def split_lp(design, cp, r):
                      np.full(design.n, 1.0 / design.n), cp, r)
 
 
-def _solve_hinge_lp(lp, cp, path, what):
-    """Solve a _hinge_lp program from its crash basis.
+def _fit_hinge_lp(path, owner, build, cp, r, what):
+    """Solve a _hinge_lp program at penalty r from its crash basis.
 
-    Returns (lambda, objective, pivots), with the penalized risk at lambda
-    re-evaluated from the program's data and checked against the LP value.
+    If a fit of the same owner objects (compared with is) last filled path,
+    r goes into its program's penalty costs; otherwise, or if r is not
+    finite and >= 0, build(r) makes the program or raises.  Returns
+    (program, lambda, objective, pivots), objective re-evaluated at lambda.
     """
+    kept = getattr(path, "owner", None)
+    if (kept and len(kept) == len(owner) and 0 <= r < math.inf
+            and all(a is b for a, b in zip(kept, owner))):
+        lp = path.program
+        lp.objective[:lp.nvar - lp.ncon // 2] = r
+    else:
+        lp = build(r)
     n = lp.ncon // 2
     M = (lp.nvar - n) // 2
     # lambda = 0, xi = 1 is a vertex: hinge slacks basic in the steeper
@@ -94,6 +103,8 @@ def _solve_hinge_lp(lp, cp, path, what):
     sol = solve_lp(lp, initial_basis=start, path=path)
     if sol.status != "optimal":
         raise LpNumericalError(f"{what} LP reported {sol.status}")
+    if path is not None:
+        path.owner = owner
     lam = sol.x[:M] - sol.x[M:2 * M]
     # _hinge_lp's data: yphi heads the first n rows; costs are r and weights
     yphi, weights, r = lp.rows[:n, :M], lp.objective[2 * M:], lp.objective[0]
@@ -104,18 +115,18 @@ def _solve_hinge_lp(lp, cp, path, what):
             f"{what} LP objective disagrees with the re-evaluated penalized "
             f"risk: {sol.objective_value!r} vs {objective!r}"
         )
-    return lam, objective, sol.iterations
+    return lp, lam, objective, sol.iterations
 
 
 def fit(design, cp, r, dic=None, path=None):
     """Minimize the penalized empirical hinge risk exactly.
 
-    path optionally passes an LpPath from a fit of the same design and cost
-    at another r (see walk_penalty_path); without one, the solve starts from
-    the crash basis.
+    path optionally passes an LpPath (see walk_penalty_path): if a fit of
+    this design and cp object last filled it, the fit re-costs its program
+    and starts warm.  A design edited in place mid-walk is not detected.
     """
-    lam, objective, pivots = _solve_hinge_lp(split_lp(design, cp, r), cp, path,
-                                             "training")
+    _, lam, objective, pivots = _fit_hinge_lp(
+        path, (design, cp), lambda r: split_lp(design, cp, r), cp, r, "training")
     if dic is not None:
         c_f = estimated_c_f(dic, design)
         flagged = dic.C_F_estimated
@@ -134,13 +145,16 @@ def fit_population(dist, dic, cp, r, path=None):
 
     Solves the training LP on a design that lists each atom twice, once
     with y = +1 and weight p(x) eta(x) and once with y = -1 and weight
-    p(x)(1 - eta(x)).  path works as in fit.
+    p(x)(1 - eta(x)).  path works as in fit, for the same dist, dic and cp.
     """
-    phi = evaluate(dic, dist.x).phi
-    lp = _hinge_lp(np.vstack([phi, -phi]),
-                   np.concatenate([dist.p * dist.eta, dist.p * (1.0 - dist.eta)]),
-                   cp, r)
-    lam, objective, pivots = _solve_hinge_lp(lp, cp, path, "population")
+    def build(r):
+        phi = evaluate(dic, dist.x).phi
+        weights = np.concatenate([dist.p * dist.eta, dist.p * (1.0 - dist.eta)])
+        return _hinge_lp(np.vstack([phi, -phi]), weights, cp, r)
+
+    lp, lam, objective, pivots = _fit_hinge_lp(path, (dist, dic, cp), build,
+                                               cp, r, "population")
+    phi = lp.rows[:dist.n_atoms, :lam.size]  # the first copy of each atom
     return Model(
         lam=lam, dic=dic, cp=cp, r=float(r), n_train=dist.n_atoms,
         objective=objective, iterations=pivots,
@@ -153,8 +167,8 @@ def walk_penalty_path(r_grid, *solvers):
     """Call each solver at every r of r_grid, from the largest r down.
 
     A solver is called as solver(r, path) and passes path on to fit or
-    fit_population; each solver keeps its own LpPath for the whole walk, so
-    every step after its first starts from its last optimal tableau.  At
+    fit_population; each solver keeps its own LpPath, so one that fits the
+    same inputs at every r builds one program and re-costs it later.  At
     each r the solvers run in the order given.  The walk starts at the
     largest r, where the crash basis (lambda = 0) is optimal or nearly so.
     Returns one list per solver of its results in grid order.
@@ -187,10 +201,9 @@ def cross_validate(design, cp, r_grid, folds=10):
     if folds > n:
         raise ValueError(f"{folds} folds but only {n} rows")
     r_grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
-    if r_grid.size == 0 or np.any(r_grid < 0):
-        raise ValueError("r_grid must be non-empty and non-negative")
+    if r_grid.size == 0 or not np.all(np.isfinite(r_grid) & (r_grid >= 0)):
+        raise ValueError("r_grid must be finite, non-negative and non-empty")
     fold_of = np.arange(n) % folds
-    from .dictionary import DesignMatrix
 
     risks = np.zeros(r_grid.size)
     for f in range(folds):

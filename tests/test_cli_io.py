@@ -325,6 +325,17 @@ def test_cli_diagnose_reports_plateau(tmp_path, capsys):
     assert all(",pass," in row or ",skipped," in row for row in rows)
 
 
+@pytest.mark.parametrize("grid", ["0.1,nan", "0.1,inf", "0.1,0"])
+def test_cli_diagnose_rejects_a_grid_point_that_is_not_positive(tmp_path,
+                                                                capsys, grid):
+    dist_path = tmp_path / "dist.csv"
+    dist_path.write_text(DIST_CSV)
+    assert main(["diagnose", "--dist", str(dist_path), "--dict", "linear",
+                 "--checks", "prop21", "--r-grid", grid]) == 2
+    assert capsys.readouterr().err == ("usage error: r_grid must be finite, "
+                                       "positive and non-empty\n")
+
+
 def test_cli_diagnose_builds_a_grid_only_for_the_path_checks(tmp_path,
                                                             capsys):
     # every feature is 0, so no sup-norm and no default grid can be had,

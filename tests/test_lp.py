@@ -217,7 +217,7 @@ def _budget(monkeypatch, pivots):
     monkeypatch.setattr(lp_module, "_pivot_budget", lambda m, ncols: pivots)
 
 
-def test_exhausted_relaxed_budget_hands_over(monkeypatch):
+def test_exhausted_pivot_budget_ends_the_solve(monkeypatch):
     # the slack start needs two pivots; one budget covers the whole solve
     _budget(monkeypatch, 2)
     sol = solve_lp(_two_variable_program(), initial_basis=[2, 3])
@@ -229,7 +229,7 @@ def test_exhausted_relaxed_budget_hands_over(monkeypatch):
     with pytest.raises(LpNumericalError,
                        match="^simplex iteration limit exceeded after 2 pivots$"):
         solve_lp(_two_variable_program(), initial_basis=[2, 3], path=path)
-    assert path.key is None  # a failed solve leaves no tableau behind
+    assert path.program is None  # a failed solve leaves no tableau behind
 
 
 @pytest.mark.parametrize("message", [
@@ -271,7 +271,7 @@ def test_restore_and_audit_failures_hand_over(monkeypatch, owner, name, fake,
         solve_lp(_two_variable_program(), initial_basis=[2, 3])
 
 
-def test_unrelaxed_failure_names_every_reason(monkeypatch):
+def test_failure_names_its_one_reason_and_pivots(monkeypatch):
     # the solve's one attempt is unrelaxed; its error is the one reason
     # with its pivot count, and nothing else
     _budget(monkeypatch, 0)
@@ -480,7 +480,7 @@ def test_failed_repair_hands_over(gap):
     assert sol.iterations == 2  # the artificial in, then x
 
 
-def test_failed_repair_is_named_when_the_last_resort_fails(monkeypatch):
+def test_failed_dual_repair_is_named(monkeypatch):
     # min x s.t. x <= 1 is optimal at the slack basis; handed a restored
     # value below -PIVOT_TOL, the repair finds no negative entry in the
     # slack's row to pivot on, and the solve fails with that reason
@@ -491,7 +491,7 @@ def test_failed_repair_is_named_when_the_last_resort_fails(monkeypatch):
                                                "entering column after 0 pivots$"):
         solve_lp(LinearProgram(objective=[1.0], rows=[[1.0]], relations=["<="],
                                rhs=[1.0], lower=[0.0]), path=path)
-    assert path.key is None
+    assert path.program is None
 
 
 def _within_highs(lp, sol):
@@ -504,23 +504,24 @@ def _within_highs(lp, sol):
 def _probe_fold(index):
     """Fold 0 of a 5-fold CV of the RBF mixture at grid point index of 10.
 
-    Returns the fold's LP and its crash basis.
+    Returns the fold's LP, its crash basis and its penalty grid.
     """
     x, y, _ = gen_mixture(200, 3)
     dic = build_rbf_lattice((10, 10), x.min(axis=0), x.max(axis=0), beta=2.0)
     cp = CostParams(d=0.25, tau=0.5)
     design = evaluate(dic, x, y)
-    r = float(default_r_grid(cp, estimated_c_f(dic, design), num=10)[index])
+    grid = default_r_grid(cp, estimated_c_f(dic, design), num=10)
     keep = np.arange(design.n) % 5 != 0
     fold = DesignMatrix(design.phi[keep], design.y[keep])
-    return split_lp(fold, cp, r), crash_basis(fold.n, fold.M)
+    lp = split_lp(fold, cp, float(grid[index]))
+    return lp, crash_basis(fold.n, fold.M), grid
 
 
-def test_rejected_relaxed_basis_is_repaired(monkeypatch):
+def test_negative_restored_value_is_repaired_and_kept_on_the_path(monkeypatch):
     # a restored basic solution with a value below -PIVOT_TOL is repaired
     # by dual pivots, and the repaired tableau stays on the path: the next
-    # solve starts warm from it
-    lp, crash = _probe_fold(6)
+    # solve, of the same program re-costed, starts warm from it
+    lp, crash, grid = _probe_fold(6)
     real_solve, real_repair = lp_module._basis_solve, lp_module._dual_repair
     repairs = []
 
@@ -542,13 +543,13 @@ def test_rejected_relaxed_basis_is_repaired(monkeypatch):
     assert _within_highs(lp, sol)
     # the path holds the repaired basis and its clipped basic solution,
     # which is also the tableau's right-hand-side column
-    assert path.key is not None and path.x_b.min() >= 0.0
+    assert path.program is lp and path.x_b.min() >= 0.0
     assert np.array_equal(path.tableau[:-1, -1], path.x_b)
     monkeypatch.setattr(lp_module, "_basis_solve", real_solve)
-    nxt, _ = _probe_fold(7)
-    sol = solve_lp(nxt, initial_basis=crash, path=path)
+    lp.objective[:lp.nvar - lp.ncon // 2] = grid[7]  # the penalty costs
+    sol = solve_lp(lp, initial_basis=crash, path=path)
     assert sol.status == "optimal" and sol.warm and repairs == [1]
-    assert _within_highs(nxt, sol)
+    assert _within_highs(lp, sol)
 
 
 def _population_lp(seed, r, cp):
@@ -576,7 +577,7 @@ def _study_lp(d, r):
     lambda: _population_lp(3939563265, 0.0043, CostParams(0.25)),
     lambda: _population_lp(3939563265, 0.0062, CostParams(0.25)),
     lambda: _population_lp(3939563265, 0.0266, CostParams(0.25)),
-    lambda: _probe_fold(6),
+    lambda: _probe_fold(6)[:2],
     lambda: _study_lp(0.25, 0.1077),
 ], ids=["atoms 4185785210 r=0", "atoms 3939563265 r=0.003",
         "atoms 3939563265 r=0.0043", "atoms 3939563265 r=0.0062",
@@ -613,7 +614,7 @@ def test_unbounded_ray_is_audited(monkeypatch):
         solve_lp(lp)
 
 
-def test_redundant_row_is_decided_by_the_relaxed_attempt(monkeypatch):
+def test_redundant_row_is_decided_by_one_attempt(monkeypatch):
     # one attempt decides: the artificial enters, phase 1 and its drive-out
     # take three pivots, and phase 2 one more to reach the optimum
     entering = _entering(monkeypatch)

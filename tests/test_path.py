@@ -8,7 +8,7 @@ from rejectsvm import lp as lp_module
 from rejectsvm import train
 from rejectsvm.dictionary import build_linear, build_rbf_lattice, evaluate
 from rejectsvm.losses import CostParams, DiscreteDistribution
-from rejectsvm.lp import LpPath, solve_lp
+from rejectsvm.lp import LinearProgram, LpInputError, LpPath, solve_lp
 from rejectsvm.sim import ExperimentConfig, gen_two_gaussian
 from rejectsvm.theory import make_context, population_path
 from rejectsvm.train import fit, fit_population, split_lp, walk_penalty_path
@@ -67,11 +67,24 @@ def test_program_edited_in_place_is_not_matched():
     lp = split_lp(design, CP, 0.1)
     path = LpPath()
     solve_lp(lp, path=path)
-    lp.rows[0, 0] += 0.5
-    again = solve_lp(lp, path=path)
-    assert not again.warm
-    fresh = solve_lp(split_lp(design, CP, 0.1), path=path)
-    assert not fresh.warm  # the state now belongs to the edited program
+    # the program's constraints are read-only: no edit can reach a kept path
+    for name in ("rows", "rhs", "lower", "upper"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(lp, name)[0] += 0.5
+    # the program holds its own copies: editing the caller's arrays after
+    # construction leaves it unchanged
+    rows, rhs = np.eye(2), np.ones(2)
+    own = LinearProgram([1.0, 1.0], rows, [">=", ">="], rhs, lower=np.zeros(2))
+    rows[0, 0], rhs[0] = 5.0, 3.0
+    assert np.array_equal(own.rows, np.eye(2))
+    assert np.array_equal(own.rhs, np.ones(2))
+    assert solve_lp(own).x.tolist() == [1.0, 1.0]
+    # a path belongs to one program object: an equal but distinct program
+    # starts cold, and the state then belongs to it
+    again = split_lp(design, CP, 0.1)
+    fresh = solve_lp(again, path=path)
+    assert not fresh.warm and path.program is again
+    assert solve_lp(again, path=path).warm
 
 
 def test_repeated_r_reprices_without_pivots(solutions, monkeypatch):
@@ -92,6 +105,63 @@ def test_repeated_r_reprices_without_pivots(solutions, monkeypatch):
     # same basis, so the same restored vertex, bit for bit
     assert again.lam.tobytes() == first.lam.tobytes()
     assert repr(again.objective) == repr(first.objective)
+
+
+def _counted(monkeypatch, module, name):
+    """Rebind module.name to a wrapper that counts its calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_a_walk_builds_one_program_per_solver(monkeypatch, solutions):
+    design = random_design(np.random.default_rng(9), 30, 8)
+    builds = _counted(monkeypatch, train, "split_lp")
+    grid = np.geomspace(0.003, 0.5, 7)
+    walk_penalty_path(grid, lambda r, path: fit(design, CP, r, path=path),
+                      lambda r, path: fit(design, CP_PLAIN, r, path=path))
+    assert len(builds) == 2
+    assert [s.warm for s in solutions] == [False] * 2 + [True] * 12
+
+
+def test_a_population_path_evaluates_the_dictionary_once(monkeypatch):
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-1.0, 1.0, size=(40, 2))
+    dist = DiscreteDistribution(x=x, p=np.full(40, 1.0 / 40),
+                                eta=1.0 / (1.0 + np.exp(-3.0 * x[:, 0])))
+    dic = build_linear(2)  # C_F is estimated from phi
+    ctx = make_context(dist, dic, CP)
+    evaluations = _counted(monkeypatch, train, "evaluate")
+    builds = _counted(monkeypatch, train, "_hinge_lp")
+    fits = population_path(ctx, np.geomspace(0.003, 0.5, 7))
+    assert len(evaluations) == len(builds) == 1
+    # C_F comes from the program's own copy of phi, the same bits
+    assert dic.C_F_estimated
+    phi = evaluate(dic, x).phi
+    assert fits.base.c_f == float(np.abs(phi).max())
+    assert all(m.c_f == fits.base.c_f for m in fits.models)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+def test_a_re_costed_walk_rejects_r_as_a_build_does(bad, solutions):
+    design = random_design(np.random.default_rng(10), 20, 5)
+    with pytest.raises((ValueError, LpInputError)) as cold:
+        fit(design, CP, bad)
+    path = LpPath()
+    fit(design, CP, 0.3, path=path)
+    with pytest.raises(cold.type) as warm:
+        fit(design, CP, bad, path=path)
+    assert str(warm.value) == str(cold.value)
+    # the rejected r left the program's costs and the path as they were
+    assert np.all(path.program.objective[:2 * design.M] == 0.3)
+    assert fit(design, CP, 0.3, path=path).iterations == 0
+    assert solutions[-1].warm
 
 
 def test_walk_returns_grid_order_and_starts_at_the_largest_r():

@@ -162,6 +162,16 @@ def test_cross_validation_tie_goes_to_larger_penalty():
         cross_validate(design, CP, [], folds=3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+def test_cross_validation_rejects_a_grid_point_that_is_not_a_penalty(bad):
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(12, 2))
+    design = evaluate(build_linear(2), x, np.where(x[:, 0] > 0, 1.0, -1.0))
+    with pytest.raises(ValueError, match="^r_grid must be finite, "
+                                         "non-negative and non-empty$"):
+        cross_validate(design, CP, [0.1, bad], folds=3)
+
+
 def test_default_grid_spans_up_to_the_shutoff():
     grid = default_r_grid(CP, 2.0, num=10)
     assert grid[0] == pytest.approx(1e-4)
