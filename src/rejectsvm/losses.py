@@ -149,14 +149,18 @@ def _loss_values(z, loss, cp, gamma):
 def population_risk(dist, f_values, cp, loss="hinge", gamma=None):
     """Exact E[loss(Y f(X))] over a finite-support distribution.
 
-    f_values holds f at every atom, in atom order.
+    f_values holds f at every atom, in atom order, and gives a float.  A
+    (k, atoms) array holds k such rows and gives an array of k risks, each
+    summed over its own contiguous row, so with the bits of that row's
+    1-D call.
     """
     f = np.atleast_1d(np.asarray(f_values, dtype=float))
-    if f.shape != (dist.n_atoms,):
-        raise ValueError("f_values must hold one value per atom")
+    if f.ndim > 2 or f.shape[-1] != dist.n_atoms:
+        raise ValueError("f_values must hold one value per atom in each row")
     pos = _loss_values(f, loss, cp, gamma)
     neg = _loss_values(-f, loss, cp, gamma)
-    return float(np.sum(dist.p * (dist.eta * pos + (1.0 - dist.eta) * neg)))
+    risk = np.sum(dist.p * (dist.eta * pos + (1.0 - dist.eta) * neg), axis=-1)
+    return float(risk) if f.ndim == 1 else risk
 
 
 def bayes_risk(dist, cp):

@@ -94,15 +94,34 @@ def gram_psi(dist, dic):
 
 
 def weighted_norm(dist, values):
-    """Seminorm sqrt(sum_x p(x) g(x)^2 eta(1-eta)) of per-atom values g."""
+    """Seminorm sqrt(sum_x p(x) g(x)^2 eta(1-eta)) of per-atom values g.
+
+    A (k, atoms) array gives an array of k norms, one per row, each with
+    the bits of that row's 1-D call.
+    """
     values = np.asarray(values, dtype=float)
-    return math.sqrt(float(np.sum(dist.p * values**2 * dist.omega())))
+    if values.ndim > 2:
+        raise ValueError("values must be a vector or a (k, atoms) array")
+    sq = np.sum(dist.p * values**2 * dist.omega(), axis=-1)
+    return math.sqrt(float(sq)) if values.ndim < 2 else np.sqrt(sq)
 
 
 def make_context(dist, dic, cp):
     """Evaluate the dictionary on the atoms and the optimal rule, once."""
     phi = _evaluate_dictionary(dic, dist.x).phi
     return TheoryContext(dist, dic, cp, bayes_rule(dist.eta, cp), phi)
+
+
+def _scores(ctx, lams):
+    """The (k, atoms) table of phi @ lam, one mat-vec per coefficient row.
+
+    A single lams @ phi.T would round many rows differently from the
+    mat-vec; filling an allocated table keeps an empty lams working.
+    """
+    scores = np.empty((len(lams), ctx.dist.n_atoms))
+    for k, lam in enumerate(lams):
+        scores[k] = ctx.phi @ lam
+    return scores
 
 
 def _worst_slack(slacks, witness):
@@ -272,13 +291,18 @@ def check_lemma_a1(ctx, lam_set=None, n_random=200, seed=0, t_grid=None):
     alpha, a_const = est.alpha, est.a_const
     d = ctx.cp.d
     base = bayes_phi_risk(ctx.dist, ctx.cp)
+    scores = _scores(ctx, lam_set)
+    g = scores - ctx.f0_values
+    norms = weighted_norm(ctx.dist, g)
+    excesses = population_risk(ctx.dist, scores, ctx.cp, "hinge") - base
+    sups = np.abs(g).max(axis=-1, initial=0.0)
+    # the powers stay on Python floats: numpy's array power can round
+    # differently from libm's pow
     slacks = []
-    for lam in lam_set:
-        g = ctx.phi @ lam - ctx.f0_values
-        lhs = weighted_norm(ctx.dist, g) ** (2.0 + 2.0 * alpha)
-        excess = population_risk(ctx.dist, ctx.phi @ lam, ctx.cp, "hinge") - base
+    for norm, excess, sup in zip(norms.tolist(), excesses.tolist(),
+                                 sups.tolist()):
+        lhs = norm ** (2.0 + 2.0 * alpha)
         excess = max(excess, 0.0)  # exact arithmetic dust guard
-        sup = float(np.abs(g).max(initial=0.0))
         rhs = 4.0 * a_const * (2.0 * d) ** alpha * sup ** (2.0 + alpha) \
             * excess**alpha
         slacks.append(rhs - lhs)
@@ -330,19 +354,19 @@ def check_prop21(ctx, fits):
     biggest r).
     """
     base = fits.base
-    risk0 = population_risk(ctx.dist, ctx.phi @ base.lam, ctx.cp, "hinge")
+    risks = population_risk(
+        ctx.dist, _scores(ctx, [base.lam] + [m.lam for m in fits.models]),
+        ctx.cp, "hinge")
     l1_0 = base.l1_norm()
     support = np.abs(base.lam) > 1e-8
     slacks, tags, trace = [], [], []
-    for r, m in zip(fits.r, fits.models):
+    gaps = (risks[1:] - risks[0]).tolist()
+    for r, m, gap in zip(fits.r, fits.models, gaps):
         move = np.abs(m.lam - base.lam)
-        gap = population_risk(ctx.dist, ctx.phi @ m.lam, ctx.cp,
-                              "hinge") - risk0
-        trace.append((float(r), float(m.l1_norm()), float(gap)))
+        trace.append((float(r), float(m.l1_norm()), gap))
         slacks += [l1_0 - m.l1_norm() + 1e-7,
                    float(move[support].sum() - move[~support].sum()) + 1e-7]
         tags += [f"l1 shrinkage at r={r:.6g}", f"support cone at r={r:.6g}"]
-    gaps = [g for _, _, g in trace]
     if l1_0 <= 10.0:
         slacks.append(min(gaps[-1] - gaps[0] + 1e-12, 1e-3 - gaps[0]))
         tags.append(f"risk convergence: gap({fits.r[0]:.3g})={gaps[0]:.3g}")
@@ -397,13 +421,11 @@ def check_excess_domination(ctx, f_set=None, n_random=500, seed=0):
     f_set = np.atleast_2d(np.asarray(f_set, dtype=float))
     ell_0 = bayes_risk(ctx.dist, ctx.cp)
     phi_0 = bayes_phi_risk(ctx.dist, ctx.cp)
-    slacks = []
-    for f in f_set:
-        d_ell = population_risk(ctx.dist, f, ctx.cp, "reject") - ell_0
-        d_phi = population_risk(ctx.dist, f, ctx.cp, "hinge") - phi_0
-        slacks.append(d_phi - d_ell)
+    d_ell = population_risk(ctx.dist, f_set, ctx.cp, "reject") - ell_0
+    d_phi = population_risk(ctx.dist, f_set, ctx.cp, "hinge") - phi_0
     worst, witness = _worst_slack(
-        slacks, lambda k: f"f={np.array2string(f_set[k], precision=4)}")
+        (d_phi - d_ell).tolist(),
+        lambda k: f"f={np.array2string(f_set[k], precision=4)}")
     status = "pass" if worst >= -1e-12 else "fail"
     return CheckReport("excess_risk_domination", status, worst, witness,
                        {"n_checked": len(f_set)})

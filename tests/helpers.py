@@ -82,6 +82,11 @@ def random_distribution(rng, k=None, dim=2):
     return DiscreteDistribution(x=x, p=p, eta=eta)
 
 
+def hex_bits(values):
+    """float.hex of each value: equal lists hold bit-identical floats."""
+    return [float.hex(float(v)) for v in values]
+
+
 def logistic_atoms(seed, atoms=200):
     """Atoms uniform on [-2, 2]^2 with random masses and a noisy logistic eta.
 

@@ -16,6 +16,9 @@ from rejectsvm.losses import (
     reject_loss,
 )
 
+import check_oracle
+from helpers import hex_bits, random_distribution
+
 
 GRID = np.linspace(-4.0, 4.0, 10_001)
 
@@ -114,6 +117,36 @@ def test_population_risk_hand_example():
         population_risk(dist, [1.0, 2.0], cp)
     with pytest.raises(ValueError):
         population_risk(dist, [1.0], cp, loss="ramp_upper")  # gamma missing
+
+
+@pytest.mark.parametrize("loss, gamma", [
+    ("hinge", None), ("reject", None), ("ramp_upper", 0.3),
+    ("ramp_reject", 0.3),
+])
+def test_population_risk_rows_have_the_bits_of_one_dimensional_calls(
+        loss, gamma):
+    # each row of a (k, atoms) table is summed on its own, so it rounds as
+    # the 1-D call of that row does; sizes cover numpy's unrolled and
+    # pairwise sums
+    rng = np.random.default_rng(5)
+    cp = CostParams(d=0.2, tau=0.5)
+    for atoms in (1, 7, 200, 1000):
+        dist = random_distribution(rng, k=atoms)
+        f = rng.uniform(-3.0, 3.0, size=(40, atoms))
+        f[:3] = np.round(f[:3] * 2.0) / 4.0  # margins on the kinks
+        rows = population_risk(dist, f, cp, loss, gamma)
+        assert rows.shape == (40,)
+        one = [population_risk(dist, row, cp, loss, gamma) for row in f]
+        assert all(type(v) is float for v in one)
+        assert hex_bits(rows) == hex_bits(one)
+        if gamma is None:
+            assert hex_bits(one) == hex_bits(
+                check_oracle.risk(dist, row, cp, loss) for row in f)
+        assert population_risk(dist, f[:0], cp, loss, gamma).shape == (0,)
+        with pytest.raises(ValueError):
+            population_risk(dist, f.reshape(2, 20, atoms), cp, loss, gamma)
+        with pytest.raises(ValueError):
+            population_risk(dist, np.zeros((40, atoms + 1)), cp, loss, gamma)
 
 
 def test_bayes_risks_on_three_atom_fixture():

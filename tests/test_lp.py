@@ -237,7 +237,7 @@ def test_exhausted_pivot_budget_ends_the_solve(monkeypatch):
     "tableau magnitude exceeded blow-up limit",
     "pivot element vanished",
 ])
-def test_relaxed_numerical_guard_hands_over(monkeypatch, message):
+def test_numerical_guard_ends_the_solve_with_its_reason(monkeypatch, message):
     # a numerical guard ends the solve at once, with its reason
     calls = []
 
@@ -263,8 +263,8 @@ def _failed_audit(lp, x, sense):
     (lp_module, "splu", _singular, "singular restored basis"),
     (lp_module, "_audit_feasible", _failed_audit, "forced audit failure"),
 ], ids=["singular restore", "failed audit"])
-def test_restore_and_audit_failures_hand_over(monkeypatch, owner, name, fake,
-                                              reason):
+def test_restore_and_audit_failures_end_the_solve_named(monkeypatch, owner,
+                                                       name, fake, reason):
     # the failure reaches the caller named, after the two pivots taken
     monkeypatch.setattr(owner, name, fake)
     with pytest.raises(LpNumericalError, match=f"^{reason} after 2 pivots$"):
@@ -472,7 +472,7 @@ def _gap_program(gap):
 
 
 @pytest.mark.parametrize("gap", [1.5e-7, 3e-7])
-def test_failed_repair_hands_over(gap):
+def test_gap_just_above_feas_tol_is_an_infeasible_verdict(gap):
     # phase 1 judges infeasibility at the audit's absolute tolerance, so a
     # gap just above FEAS_TOL is a verdict and not a numerical failure
     sol = solve_lp(_gap_program(gap))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import rejectsvm.theory as theory_module
 from rejectsvm.dictionary import build_linear, build_rbf_lattice
 from rejectsvm.losses import CostParams, DiscreteDistribution
 from rejectsvm.theory import (
@@ -23,7 +24,13 @@ from rejectsvm.theory import (
 )
 from rejectsvm.train import Model
 
-from helpers import logistic_atoms, plateau_fixture, random_distribution
+import check_oracle
+from helpers import (
+    hex_bits,
+    logistic_atoms,
+    plateau_fixture,
+    random_distribution,
+)
 
 
 def test_gram_matrix_matches_double_loop():
@@ -47,6 +54,21 @@ def test_gram_matrix_on_plateau_fixture():
     psi = gram_psi(dist, dic)
     # outer atoms carry omega = 0.09, middle one 0.25, each with mass 1/3
     assert np.allclose(psi, np.diag([4 * 2 * 0.09 / 3, 4 * 0.25 / 3]))
+
+
+def test_weighted_norm_rows_have_the_bits_of_one_dimensional_calls():
+    rng = np.random.default_rng(31)
+    for atoms in (1, 9, 200, 1000):
+        dist = random_distribution(rng, k=atoms)
+        g = rng.normal(size=(30, atoms))
+        rows = weighted_norm(dist, g)
+        one = [weighted_norm(dist, row) for row in g]
+        assert all(type(v) is float for v in one)
+        assert hex_bits(rows) == hex_bits(one)
+        assert hex_bits(one) == hex_bits(
+            check_oracle.norm(dist, row) for row in g)
+    with pytest.raises(ValueError):
+        weighted_norm(dist, g.reshape(2, 15, atoms))
 
 
 def test_weighted_norm_is_a_seminorm():
@@ -265,3 +287,44 @@ def test_checks_without_candidates_report_an_infinite_slack():
         assert (rep.status, rep.slack) == ("pass", math.inf)
         assert rep.witness == "all candidates satisfied the bound"
         assert rep.detail["n_checked"] == 0
+
+
+def _captured_slacks(monkeypatch):
+    """The slack list each check hands to theory._worst_slack, in order."""
+    seen, real = [], theory_module._worst_slack
+
+    def spy(slacks, witness):
+        seen.append(list(slacks))
+        return real(seen[-1], witness)
+
+    monkeypatch.setattr(theory_module, "_worst_slack", spy)
+    return seen
+
+
+@pytest.mark.parametrize("seed, d", [(7, 0.25), (11, 0.1), (1301, 0.4),
+                                     (2024, 0.2)])
+@pytest.mark.parametrize("lattice", [None, (4, 4)], ids=["linear", "rbf"])
+def test_checks_match_their_per_candidate_loops_bit_for_bit(monkeypatch, seed,
+                                                            d, lattice):
+    # every slack and the prop21 trace, against one candidate at a time
+    dist = logistic_atoms(seed, atoms=60)
+    dic = (build_linear(2) if lattice is None else
+           build_rbf_lattice(lattice, dist.x.min(axis=0), dist.x.max(axis=0)))
+    ctx = make_context(dist, dic, CostParams(d))
+    rng = np.random.default_rng(seed)
+    lam_set = rng.normal(scale=2.0, size=(50, ctx.phi.shape[1]))
+    f_set = rng.uniform(-3.0, 3.0, size=(100, dist.n_atoms))
+    fits = population_path(ctx, np.geomspace(0.01, 1.0, 4))
+    seen = _captured_slacks(monkeypatch)
+    lemma = check_lemma_a1(ctx, lam_set=lam_set)
+    prop = check_prop21(ctx, fits)
+    check_excess_domination(ctx, f_set=f_set)
+    assert lemma.status != "skipped"
+    assert hex_bits(seen[0]) == hex_bits(
+        check_oracle.lemma_a1_slacks(ctx, lam_set))
+    slacks, trace = check_oracle.prop21_slacks(ctx, fits)
+    assert hex_bits(seen[1]) == hex_bits(slacks)
+    assert [hex_bits(row) for row in prop.detail["trace"]] == [
+        hex_bits(row) for row in trace]
+    assert hex_bits(seen[2]) == hex_bits(
+        check_oracle.domination_slacks(ctx, f_set))
