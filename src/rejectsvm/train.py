@@ -5,18 +5,22 @@ fit(design, cp, r) returns a coefficient vector minimizing
     (1/n) sum_i gen_hinge(y_i f(x_i)) + r ||lambda||_1,
 
 exactly, as the solution of a linear program.  One builder, _hinge_lp,
-states the weighted hinge risk with lambda split into positive and negative
-parts and one slack per sample; at any simplex vertex the two parts cannot
-both be positive, so the l1 penalty is exact.  fit weights every sample 1/n.
-fit_population solves the population minimizer with the same LP: each atom
-appears twice, once per label, weighted by its probability of that label.
-Both fits start from the same crash basis (lambda = 0).
+states a weighted hinge risk over points, each with features, a mass and a
+probability eta of the label +1, with lambda split into positive and
+negative parts and one epigraph column per point, bounded below by one row
+per linear piece of the point's loss; at any simplex vertex the two parts
+of lambda cannot both be positive, so the l1 penalty is exact.  fit passes
+each sample with mass 1/n and eta 1 or 0 by its label, which gives the two
+sample hinge rows; fit_population passes each atom once, with its mass and
+eta, which gives four rows where 0 < eta < 1.  Both fits start from the
+same crash basis (lambda = 0).
 
 r enters the LP only through the objective, so a penalty grid is one
 program whose optimal basis at one r is feasible at the next.
 walk_penalty_path solves a grid from the largest r down: the first fit on a
 path builds the program, and each later fit of the same input objects
-writes r into it and starts from the last optimal tableau, re-priced.
+writes r into its 2M penalty costs and starts from the last optimal
+tableau, re-priced.
 """
 
 import math
@@ -49,73 +53,103 @@ class Model:
         return int(np.sum(np.abs(self.lam) > tol))
 
 
-def _hinge_lp(yphi, weights, cp, r):
-    """Weighted penalized hinge LP over [u, v, xi] with lambda = u - v.
+def _hinge_lp(phi, mass, eta, cp, r):
+    """Penalized hinge LP over [u, v, t] with lambda = u - v, in epigraph form.
 
-    Minimizes weights . xi + r sum(u + v) subject to xi_i >= 1 - yphi_i lambda
-    and xi_i >= 1 - a yphi_i lambda, with u, v, xi >= 0.  Row i of yphi is
-    y_i phi(x_i); at the optimum xi_i is the hinge gen_hinge(y_i f(x_i)).
+    Point k has features phi_k, mass w_k and probability eta_k of the label
+    +1.  Its loss eta_k gen_hinge(z) + (1 - eta_k) gen_hinge(-z), at
+    z = phi_k lambda, is convex and piecewise linear with breakpoints -1, 0
+    and 1, and t_k >= 0, at cost w_k, is its epigraph: one row
+    t_k - s phi_k lambda >= c per linear piece s z + c.  The program
+    minimizes mass . t + r sum(u + v).  Every point has two rows for the
+    middle pieces, slopes 1 - eta - a eta on [-1, 0] and a (1 - eta) - eta
+    on [0, 1], both with intercept 1: one in rows 0..n-1 and the other in
+    rows n..2n-1, where t_k starts basic.  With eta in {0, 1} the second is
+    the steeper, and the two rows are the sample hinge rows
+    t >= 1 - y phi lambda and t >= 1 - a y phi lambda of the label
+    y = 2 eta - 1.  With 0 < eta < 1 the second is the plainer, on the side
+    of the likelier label, so that z can move that way without a degenerate
+    pivot; on diagnose's population paths this start takes less than half
+    the pivots of the steeper one.  Such a point also gets the outer pieces
+    -a eta z + eta and a (1 - eta) z + 1 - eta, one row each, after all the
+    middle rows: first every left piece, then every right one.
     """
     if r < 0:
         raise ValueError("penalty weight r must be non-negative")
-    n, M = yphi.shape
-    nvar = 2 * M + n
-    rows = np.zeros((2 * n, nvar))
-    rows[:n, :M] = yphi
-    rows[:n, M:2 * M] = -yphi
-    rows[:n, 2 * M:] = np.eye(n)
-    rows[n:, :M] = cp.a * yphi
-    rows[n:, M:2 * M] = -cp.a * yphi
-    rows[n:, 2 * M:] = np.eye(n)
-    rhs = np.ones(2 * n)
-    objective = np.concatenate([np.full(2 * M, r), weights])
-    return LinearProgram(objective, rows, [">="] * (2 * n), rhs, lower=np.zeros(nvar))
+    n, M = phi.shape
+    a = cp.a
+    left = 1.0 - eta - a * eta
+    right = a * (1.0 - eta) - eta
+    mixed = (eta > 0.0) & (eta < 1.0)
+    left_second = (np.abs(left) >= np.abs(right)) != mixed
+    both = np.flatnonzero(mixed)
+    outer = eta[both]
+    slopes = np.concatenate([np.where(left_second, right, left),
+                             np.where(left_second, left, right),
+                             -a * outer, a * (1.0 - outer)])
+    rhs = np.concatenate([np.ones(2 * n), outer, 1.0 - outer])
+    point = np.concatenate([np.arange(n), np.arange(n), both, both])
+    rows = np.zeros((point.size, 2 * M + n))
+    rows[:, :M] = -slopes[:, None] * phi[point]
+    rows[:, M:2 * M] = -rows[:, :M]
+    rows[np.arange(point.size), 2 * M + point] = 1.0
+    objective = np.concatenate([np.full(2 * M, r), mass])
+    return LinearProgram(objective, rows, [">="] * point.size, rhs,
+                         lower=np.zeros(2 * M + n))
+
+
+def _labeled_points(design):
+    """A labeled design as _hinge_lp's points: mass 1/n, eta = (1 + y) / 2."""
+    if design.y is None:
+        raise ValueError("training requires labeled data")
+    return design.phi, np.full(design.n, 1.0 / design.n), (1.0 + design.y) / 2.0
 
 
 def split_lp(design, cp, r):
     """The training LP: _hinge_lp with every sample weighted 1/n."""
-    if design.y is None:
-        raise ValueError("training requires labeled data")
-    return _hinge_lp(design.y[:, None] * design.phi,
-                     np.full(design.n, 1.0 / design.n), cp, r)
+    return _hinge_lp(*_labeled_points(design), cp, r)
 
 
 def _fit_hinge_lp(path, owner, build, cp, r, what):
     """Solve a _hinge_lp program at penalty r from its crash basis.
 
-    If a fit of the same owner objects (compared with is) last filled path,
-    r goes into its program's penalty costs; otherwise, or if r is not
-    finite and >= 0, build(r) makes the program or raises.  Returns
-    (program, lambda, objective, pivots), objective re-evaluated at lambda.
+    build(r) returns the program and its points, the (phi, mass, eta) it
+    was built from.  If a fit of the same owner objects (compared with is)
+    last filled path, r goes into the program's 2M penalty costs and the
+    kept points are reused; otherwise, or if r is not finite and >= 0,
+    build(r) makes the program or raises.  Returns (points, lambda,
+    objective, pivots), objective re-evaluated at lambda from the points.
     """
-    kept = getattr(path, "owner", None)
-    if (kept and len(kept) == len(owner) and 0 <= r < math.inf
+    kept, points = getattr(path, "owner", None) or ((), None)
+    if (len(kept) == len(owner) and 0 <= r < math.inf
             and all(a is b for a, b in zip(kept, owner))):
         lp = path.program
-        lp.objective[:lp.nvar - lp.ncon // 2] = r
+        lp.objective[:2 * points[0].shape[1]] = r
     else:
-        lp = build(r)
-    n = lp.ncon // 2
-    M = (lp.nvar - n) // 2
-    # lambda = 0, xi = 1 is a vertex: hinge slacks basic in the steeper
-    # rows, surpluses basic (at 0) in the plainer ones; skips phase 1
-    start = np.concatenate([lp.nvar + np.arange(n), 2 * M + np.arange(n)])
+        lp, points = build(r)
+    phi, mass, eta = points
+    n, M = phi.shape
+    # lambda = 0, t = 1 is a vertex: t basic in rows n..2n-1, surpluses
+    # basic in the others, at 0 in the first middle rows and at eta or
+    # 1 - eta in the outer ones; skips phase 1
+    start = np.concatenate([lp.nvar + np.arange(n), 2 * M + np.arange(n),
+                            lp.nvar + np.arange(2 * n, lp.ncon)])
     sol = solve_lp(lp, initial_basis=start, path=path)
     if sol.status != "optimal":
         raise LpNumericalError(f"{what} LP reported {sol.status}")
     if path is not None:
-        path.owner = owner
+        path.owner = owner, points
     lam = sol.x[:M] - sol.x[M:2 * M]
-    # _hinge_lp's data: yphi heads the first n rows; costs are r and weights
-    yphi, weights, r = lp.rows[:n, :M], lp.objective[2 * M:], lp.objective[0]
-    objective = (float(weights @ gen_hinge(yphi @ lam, cp))
+    z = phi @ lam
+    pos, neg = gen_hinge(np.stack([z, -z]), cp)
+    objective = (float(mass @ (eta * pos + (1.0 - eta) * neg))
                  + float(r) * float(np.abs(lam).sum()))
     if abs(objective - sol.objective_value) > 1e-6 * (1.0 + abs(objective)):
         raise LpNumericalError(
             f"{what} LP objective disagrees with the re-evaluated penalized "
             f"risk: {sol.objective_value!r} vs {objective!r}"
         )
-    return lp, lam, objective, sol.iterations
+    return points, lam, objective, sol.iterations
 
 
 def fit(design, cp, r, dic=None, path=None):
@@ -126,7 +160,9 @@ def fit(design, cp, r, dic=None, path=None):
     and starts warm.  A design edited in place mid-walk is not detected.
     """
     _, lam, objective, pivots = _fit_hinge_lp(
-        path, (design, cp), lambda r: split_lp(design, cp, r), cp, r, "training")
+        path, (design, cp),
+        lambda r: (split_lp(design, cp, r), _labeled_points(design)),
+        cp, r, "training")
     if dic is not None:
         c_f = estimated_c_f(dic, design)
         flagged = dic.C_F_estimated
@@ -143,18 +179,16 @@ def fit(design, cp, r, dic=None, path=None):
 def fit_population(dist, dic, cp, r, path=None):
     """Exact population minimizer lambda(r) for a finite-support distribution.
 
-    Solves the training LP on a design that lists each atom twice, once
-    with y = +1 and weight p(x) eta(x) and once with y = -1 and weight
-    p(x)(1 - eta(x)).  path works as in fit, for the same dist, dic and cp.
+    Solves _hinge_lp with one point per atom, of mass p(x) and probability
+    eta(x) of the label +1: four rows where 0 < eta(x) < 1, two where eta(x)
+    is 0 or 1.  path works as in fit, for the same dist, dic and cp.
     """
     def build(r):
-        phi = evaluate(dic, dist.x).phi
-        weights = np.concatenate([dist.p * dist.eta, dist.p * (1.0 - dist.eta)])
-        return _hinge_lp(np.vstack([phi, -phi]), weights, cp, r)
+        points = evaluate(dic, dist.x).phi, dist.p, dist.eta
+        return _hinge_lp(*points, cp, r), points
 
-    lp, lam, objective, pivots = _fit_hinge_lp(path, (dist, dic, cp), build,
-                                               cp, r, "population")
-    phi = lp.rows[:dist.n_atoms, :lam.size]  # the first copy of each atom
+    (phi, _, _), lam, objective, pivots = _fit_hinge_lp(
+        path, (dist, dic, cp), build, cp, r, "population")
     return Model(
         lam=lam, dic=dic, cp=cp, r=float(r), n_train=dist.n_atoms,
         objective=objective, iterations=pivots,

@@ -28,13 +28,16 @@ def random_lp(rng, max_vars=6, max_cons=8):
                          lower=lower, upper=upper)
 
 
-def crash_basis(n, M):
-    """The crash basis train starts a hinge LP from (lambda = 0, xi = 1).
+def crash_basis(n, M, mixed=0):
+    """The crash basis train starts a hinge LP from (lambda = 0, t = 1).
 
-    Hinge slacks are basic in the n steeper rows and surpluses, at 0, in
-    the n plainer ones; M is the number of features.
+    t is basic in rows n..2n-1 and surpluses in the other rows: at 0 in
+    rows 0..n-1 and above 0 in the 2 * mixed outer rows of the points with
+    0 < eta < 1.  M is the number of features.
     """
-    return np.concatenate([2 * M + n + np.arange(n), 2 * M + np.arange(n)])
+    nvar = 2 * M + n
+    return np.concatenate([nvar + np.arange(n), 2 * M + np.arange(n),
+                           nvar + 2 * n + np.arange(2 * mixed)])
 
 
 def assemble_lp(design, cp, r):

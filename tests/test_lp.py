@@ -504,7 +504,8 @@ def _within_highs(lp, sol):
 def _probe_fold(index):
     """Fold 0 of a 5-fold CV of the RBF mixture at grid point index of 10.
 
-    Returns the fold's LP, its crash basis and its penalty grid.
+    Returns the fold's LP, its crash basis, its penalty grid and its
+    number of features.
     """
     x, y, _ = gen_mixture(200, 3)
     dic = build_rbf_lattice((10, 10), x.min(axis=0), x.max(axis=0), beta=2.0)
@@ -514,14 +515,14 @@ def _probe_fold(index):
     keep = np.arange(design.n) % 5 != 0
     fold = DesignMatrix(design.phi[keep], design.y[keep])
     lp = split_lp(fold, cp, float(grid[index]))
-    return lp, crash_basis(fold.n, fold.M), grid
+    return lp, crash_basis(fold.n, fold.M), grid, fold.M
 
 
 def test_negative_restored_value_is_repaired_and_kept_on_the_path(monkeypatch):
     # a restored basic solution with a value below -PIVOT_TOL is repaired
     # by dual pivots, and the repaired tableau stays on the path: the next
     # solve, of the same program re-costed, starts warm from it
-    lp, crash, grid = _probe_fold(6)
+    lp, crash, grid, M = _probe_fold(6)
     real_solve, real_repair = lp_module._basis_solve, lp_module._dual_repair
     repairs = []
 
@@ -546,7 +547,7 @@ def test_negative_restored_value_is_repaired_and_kept_on_the_path(monkeypatch):
     assert path.program is lp and path.x_b.min() >= 0.0
     assert np.array_equal(path.tableau[:-1, -1], path.x_b)
     monkeypatch.setattr(lp_module, "_basis_solve", real_solve)
-    lp.objective[:lp.nvar - lp.ncon // 2] = grid[7]  # the penalty costs
+    lp.objective[:2 * M] = grid[7]  # the penalty costs
     sol = solve_lp(lp, initial_basis=crash, path=path)
     assert sol.status == "optimal" and sol.warm and repairs == [1]
     assert _within_highs(lp, sol)
@@ -557,10 +558,9 @@ def _population_lp(seed, r, cp):
     dist = logistic_atoms(seed)
     dic = build_rbf_lattice((6, 6), dist.x.min(axis=0), dist.x.max(axis=0))
     phi = evaluate(dic, dist.x).phi
-    lp = _hinge_lp(np.vstack([phi, -phi]),
-                   np.concatenate([dist.p * dist.eta,
-                                   dist.p * (1.0 - dist.eta)]), cp, r)
-    return lp, crash_basis(2 * dist.n_atoms, phi.shape[1])
+    mixed = int(np.sum((dist.eta > 0.0) & (dist.eta < 1.0)))
+    return (_hinge_lp(phi, dist.p, dist.eta, cp, r),
+            crash_basis(dist.n_atoms, phi.shape[1], mixed))
 
 
 def _study_lp(d, r):
@@ -587,9 +587,11 @@ def test_cold_start_decides_degenerate_package_lps(build):
     # degenerate LPs the package builds, each solved once from the crash
     # basis with no path; atoms 4185785210 and 3939563265 are the third and
     # second distributions the diagnose benchmark draws at seed 7.  Without
-    # the Harris ratio test the first five outgrew the blow-up limit and the
-    # probe fold ended on a false ray; the study LP cycled when ties went
-    # to the largest pivot element
+    # the Harris ratio test the first five, then built with two rows per
+    # atom and label, outgrew the blow-up limit, and the probe fold ended
+    # on a false ray; the study LP cycled when ties went to the largest
+    # pivot element.  In the epigraph form the first five take 213, 166,
+    # 166, 154 and 118 pivots
     lp, crash = build()
     sol = solve_lp(lp, initial_basis=crash)
     assert sol.status == "optimal"

@@ -141,7 +141,7 @@ def test_a_population_path_evaluates_the_dictionary_once(monkeypatch):
     builds = _counted(monkeypatch, train, "_hinge_lp")
     fits = population_path(ctx, np.geomspace(0.003, 0.5, 7))
     assert len(evaluations) == len(builds) == 1
-    # C_F comes from the program's own copy of phi, the same bits
+    # C_F comes from the phi the path keeps, the same bits
     assert dic.C_F_estimated
     phi = evaluate(dic, x).phi
     assert fits.base.c_f == float(np.abs(phi).max())
@@ -225,7 +225,11 @@ def test_study_paths_match_highs(solutions):
 
 
 def _population_highs(dist, phi, cp, r):
-    """Population LP over [u, v, t, s] built here, apart from train."""
+    """Population LP over [u, v, t, s] built here, apart from train.
+
+    The two-copy form: each atom once per label, with one hinge slack per
+    copy, t for y = +1 at cost p eta and s for y = -1 at cost p (1 - eta).
+    """
     k, M = phi.shape
     rows = np.zeros((4 * k, 2 * M + 2 * k))
     for block, (sign, slope) in enumerate(
@@ -240,7 +244,8 @@ def _population_highs(dist, phi, cp, r):
     return _highs(objective, rows, np.ones(4 * k))
 
 
-def test_population_path_matches_highs(solutions):
+def _lattice_atoms():
+    """200 atoms with a noisy logistic eta on a 6x6 RBF lattice: dist, dic, phi."""
     rng = np.random.default_rng(11)
     x = rng.uniform(-2.0, 2.0, size=(200, 2))
     p = rng.uniform(0.5, 1.5, size=200)
@@ -248,7 +253,11 @@ def test_population_path_matches_highs(solutions):
                               - 0.3 * rng.normal(size=200)))
     dist = DiscreteDistribution(x=x, p=p / p.sum(), eta=eta)
     dic = build_rbf_lattice((6, 6), x.min(axis=0), x.max(axis=0))
-    phi = evaluate(dic, x).phi
+    return dist, dic, evaluate(dic, x).phi
+
+
+def test_population_path_matches_highs(solutions):
+    dist, dic, phi = _lattice_atoms()
     grid = np.geomspace(0.002, 0.6, 6)
     fits = population_path(make_context(dist, dic, CP), grid)
     # the grid and then the r = 0 anchor are one warm path
@@ -258,8 +267,32 @@ def test_population_path_matches_highs(solutions):
     for r, model in path:
         assert _within_highs(model.objective,
                              _population_highs(dist, phi, CP, r))
-    # 516 pivots when written
-    assert sum(model.iterations for _, model in path) <= 1000
+    # 253 pivots when written
+    assert sum(model.iterations for _, model in path) <= 400
+
+
+def test_a_re_costed_population_walk_keeps_the_atom_masses(monkeypatch,
+                                                            solutions):
+    # a re-cost writes r into the 2M penalty costs only: the atom masses,
+    # the costs of the epigraph columns, keep their bits at every step
+    dist, dic, phi = _lattice_atoms()
+    M = phi.shape[1]
+    builds = _counted(monkeypatch, train, "_hinge_lp")
+    grid = np.geomspace(0.002, 0.6, 6)
+
+    def step(r, path):
+        model = fit_population(dist, dic, CP, r, path=path)
+        costs = path.program.objective
+        assert np.all(costs[:2 * M] == r)
+        assert costs[2 * M:].tobytes() == dist.p.tobytes()
+        return model
+
+    models = walk_penalty_path(grid, step)[0]
+    assert len(builds) == 1
+    assert [s.warm for s in solutions] == [False] + [True] * 5
+    for r, model in zip(grid, models):
+        assert _within_highs(model.objective,
+                             _population_highs(dist, phi, CP, r))
 
 
 def test_population_fit_with_zero_weight_atoms_matches_highs():

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from rejectsvm.dictionary import DesignMatrix, build_linear, evaluate
-from rejectsvm.losses import CostParams, gen_hinge
+from rejectsvm.losses import (
+    CostParams,
+    DiscreteDistribution,
+    gen_hinge,
+    population_risk,
+)
 from rejectsvm.lp import solve_lp
 from rejectsvm.train import (
+    _hinge_lp,
     concentration_bracket,
     cross_validate,
     default_r_grid,
@@ -108,6 +114,99 @@ def test_objective_equals_risk_plus_penalty():
     emp = float(np.mean(gen_hinge(margins, CP)))
     assert model.objective == pytest.approx(emp + 0.2 * model.l1_norm(),
                                             abs=1e-12)
+
+
+def test_training_objective_keeps_the_sample_form_bits():
+    # a training fit's objective is re-evaluated from its points with
+    # eta = (1 + y) / 2, and keeps the bits of the sample form
+    # (1/n) . gen_hinge(y phi lambda) + r |lambda|_1
+    for seed in range(4):
+        design = random_design(np.random.default_rng(40 + seed), 25, 6)
+        yphi = design.y[:, None] * design.phi
+        weights = np.full(design.n, 1.0 / design.n)
+        for cp in (CP, CostParams(d=0.5)):
+            for r in (0.0, 0.03, 0.3):
+                model = fit(design, cp, r)
+                want = (float(weights @ gen_hinge(yphi @ model.lam, cp))
+                        + r * float(np.abs(model.lam).sum()))
+                assert repr(model.objective) == repr(want)
+
+
+def test_split_lp_is_the_sample_hinge_build_byte_for_byte():
+    # with eta in {0, 1} the epigraph build gives the two sample hinge
+    # rows per point, written out here for a design with both labels
+    design = random_design(np.random.default_rng(21), 12, 4)
+    assert set(design.y.tolist()) == {-1.0, 1.0}
+    n, M, r = design.n, design.M, 0.07
+    yphi = design.y[:, None] * design.phi
+    for cp in (CP, CostParams(d=0.5), CostParams(d=0.1)):
+        rows = np.zeros((2 * n, 2 * M + n))
+        rows[:n, :M], rows[:n, M:2 * M] = yphi, -yphi
+        rows[n:, :M], rows[n:, M:2 * M] = cp.a * yphi, -cp.a * yphi
+        rows[:n, 2 * M:] = rows[n:, 2 * M:] = np.eye(n)
+        want = {"objective": np.concatenate([np.full(2 * M, r),
+                                             np.full(n, 1.0 / n)]),
+                "rows": rows, "rhs": np.ones(2 * n),
+                "lower": np.zeros(2 * M + n),
+                "upper": np.full(2 * M + n, np.inf)}
+        lp = split_lp(design, cp, r)
+        assert lp.relations == (">=",) * (2 * n)
+        for name, array in want.items():
+            got = getattr(lp, name)
+            assert got.dtype == array.dtype and got.shape == array.shape
+            assert got.tobytes() == array.tobytes(), name
+
+
+def test_population_program_has_one_epigraph_column_per_atom():
+    # 2M + atoms variables: four rows for an atom with 0 < eta < 1, two
+    # for one with eta in {0, 1}, and the largest of an atom's rows and its
+    # bound t >= 0 is its loss eta gen_hinge(z) + (1 - eta) gen_hinge(-z)
+    rng = np.random.default_rng(8)
+    atoms = 30
+    x = rng.uniform(-1.0, 1.0, size=(atoms, 2))
+    eta = rng.uniform(0.05, 0.95, size=atoms)
+    eta[:4], eta[4:9] = 0.0, 1.0
+    eta[9] = 0.5
+    p = rng.uniform(0.5, 1.5, size=atoms)
+    dist = DiscreteDistribution(x=x, p=p / p.sum(), eta=eta)
+    phi = evaluate(build_linear(2), x).phi
+    M = phi.shape[1]
+    for cp in (CP, CostParams(d=0.5)):
+        lp = _hinge_lp(phi, dist.p, dist.eta, cp, 0.1)
+        assert lp.nvar == 2 * M + atoms and lp.ncon == 2 * 9 + 4 * 21
+        epigraph = lp.rows[:, 2 * M:]
+        assert np.all(np.sort(epigraph, axis=1)[:, :-1] == 0.0)
+        atom = epigraph.argmax(axis=1)
+        assert np.all(epigraph[np.arange(lp.ncon), atom] == 1.0)
+        assert np.bincount(atom).tolist() == [2] * 9 + [4] * 21
+        assert lp.objective[2 * M:].tobytes() == dist.p.tobytes()
+        # lambda = 0, t = 1 is tight on the 2 * atoms middle rows only
+        residual = lp.rows @ np.append(np.zeros(2 * M), np.ones(atoms)) - lp.rhs
+        assert np.all(residual[:2 * atoms] == 0.0)
+        assert np.all(residual[2 * atoms:] > 0.0)
+        for lam in 3.0 * rng.normal(size=(6, M)):
+            z = phi @ lam
+            pieces = lp.rhs - lp.rows[:, :M] @ lam
+            top = lp.lower[2 * M:].copy()
+            np.maximum.at(top, atom, pieces)
+            loss = eta * gen_hinge(z, cp) + (1.0 - eta) * gen_hinge(-z, cp)
+            assert np.allclose(top, loss, rtol=0.0, atol=1e-12)
+
+
+def test_population_objective_is_the_penalized_population_risk():
+    rng = np.random.default_rng(19)
+    x = rng.uniform(-2.0, 2.0, size=(50, 2))
+    p = rng.uniform(0.5, 1.5, size=50)
+    eta = 1.0 / (1.0 + np.exp(-2.0 * x[:, 0] - rng.normal(size=50)))
+    dist = DiscreteDistribution(x=x, p=p / p.sum(), eta=eta)
+    dic = build_linear(2)
+    phi = evaluate(dic, x).phi
+    for r in (0.0, 0.02, 0.2):
+        model = fit_population(dist, dic, CP, r)
+        want = (population_risk(dist, phi @ model.lam, CP)
+                + r * model.l1_norm())
+        assert model.objective == pytest.approx(want, rel=1e-14, abs=1e-15)
+        assert model.c_f == float(np.abs(phi).max())
 
 
 def test_fit_validation():
