@@ -8,14 +8,14 @@ Problems are stated in general form,
 
 The solver is deliberately plain -- one attempt on a dense, condensed
 (dictionary) tableau of the nonbasic columns, B^-1 [N | b], pivoted by
-Jordan exchanges and started from the slack basis with one artificial
-variable, steepest-edge pricing, a Harris two-pass ratio test, and a basic
-solution restored from the original data and, if its drift calls for it,
-repaired by dual simplex pivots -- so that small instances can be confirmed
-independently by enumerating every basic solution of the standard form, as
-the test suite does with its own vertex-enumeration oracle.  Only the
-tableau is dense: every basis is gathered from the CSC standard form and
-factored by a sparse LU.
+Jordan exchanges and started from one factored basis, with one artificial
+variable when that basis is infeasible, steepest-edge pricing, a Harris
+two-pass ratio test, and a basic solution restored from the original data
+and, if its drift calls for it, repaired by dual simplex pivots -- so that
+small instances can be confirmed independently by enumerating every basic
+solution of the standard form, as the test suite does with its own
+vertex-enumeration oracle.  Only the tableau is dense: every basis is
+gathered from the CSC standard form and factored by a sparse LU.
 """
 
 from dataclasses import dataclass
@@ -117,24 +117,24 @@ class LpPath:
 
     After every optimal solve, repaired or not, it keeps the program object,
     its standard form, and the solve's final condensed (dictionary) tableau
-    of the nonbasic columns, its basis and nonbasic index arrays, and the
-    basic solution restored from the original data, clipped at 0, which
-    also overwrites the tableau's right-hand-side column.  None of these
-    involves the costs, so the next solve of the same object starts from
-    the tableau with only the cost row re-priced, and reuses the basic
-    solution when no pivot is needed.  Any other program, equal or not,
+    of the nonbasic columns and its basis and nonbasic index arrays; the
+    tableau's right-hand-side column holds the basic solution restored
+    from the original data, clipped at 0.  None of these involves the
+    costs, so the next solve of the same object starts from the tableau
+    with only the cost row re-priced, and reuses the basic solution when
+    no pivot is needed.  Any other program, equal or not,
     ignores the state.  owner is the caller's note of what built program;
     every solve clears it.  One tableau is live per path.
     """
 
-    __slots__ = "program", "owner", "form", "tableau", "basis", "nonbasic", "x_b"
+    __slots__ = "program", "owner", "form", "tableau", "basis", "nonbasic"
 
     def __init__(self):
         self.clear()
 
     def clear(self):
         self.program = self.owner = self.form = None
-        self.tableau = self.basis = self.nonbasic = self.x_b = None
+        self.tableau = self.basis = self.nonbasic = None
 
 
 def _to_standard_form(lp):
@@ -143,7 +143,7 @@ def _to_standard_form(lp):
     Every row gets a slack, row i's in column nv + i with coefficient
     sigma_i = +1 for <= and -1 for >=.  An = row becomes its <= half in
     place and its >= half after the user's rows; the <= rows of two-sided
-    variable bounds come last.  Returns (A, b, cmap, sigma, sense); sense
+    variable bounds come last.  Returns (A, b, cmap, sense); sense
     signs the user's rows for the audit, and the column map cmap = (col,
     sign, shift, free) gives each original variable from the standard form:
     x_j = sign_j x_std[col_j] + shift_j, minus x_std[col_j + 1] when free_j.
@@ -177,7 +177,7 @@ def _to_standard_form(lp):
     for j in np.flatnonzero(shift):  # one column at a time, in column order
         b = b - lp.rows[:, j] * shift[j]
     b = np.concatenate([b, b[eq], up[boxed] - lo[boxed]])
-    return A, b, (col, sign, shift, free), sigma, sense
+    return A, b, (col, sign, shift, free), sense
 
 
 def _standard_costs(objective, cmap, ncols):
@@ -326,12 +326,13 @@ def _basis_solve(B, rhs):
         return None
 
 
-def _warm_tableau(A, b, basis):
-    """Condensed tableau and nonbasic columns for a feasible basis, or None.
+def _start_tableau(A, b, basis):
+    """Condensed tableau and nonbasic columns of a cold start, or None.
 
-    Returns None when the basis is singular or its basic solution has a
-    value below -PIVOT_TOL, in which case the ordinary two-phase route runs
-    instead.  Smaller negative values are roundoff dust, set to 0.
+    Returns None when the basis is singular.  Basic values in
+    [-PIVOT_TOL, 0) are roundoff dust, set to 0.  If a value is below
+    -PIVOT_TOL, phase 1's artificial variable, ncols, is the last nonbasic
+    column, -1 in each such row.
     """
     m, ncols = A.shape
     nonbasic = np.setdiff1d(np.arange(ncols), basis)
@@ -340,11 +341,16 @@ def _warm_tableau(A, b, basis):
     rhs[:, -1] = b
     body = _basis_solve(A[:, basis], rhs)
     del rhs  # freed before T is allocated: crash starts set the peak memory
-    if body is None or np.any(body[:, -1] < -PIVOT_TOL):
+    if body is None:
         return None
-    np.clip(body[:, -1], 0.0, None, out=body[:, -1])
-    T = np.zeros((m + 1, nonbasic.size + 1), order="F")
-    T[:m] = body
+    below = body[:, -1] < -PIVOT_TOL
+    np.clip(body[:, -1], 0.0, None, out=body[:, -1], where=~below)
+    k = nonbasic.size
+    T = np.zeros((m + 1, k + 1 + below.any()), order="F")
+    T[:m, :k], T[:m, -1] = body[:, :-1], body[:, -1]
+    if below.any():
+        T[:m, k][below] = -1.0
+        nonbasic = np.append(nonbasic, ncols)
     return T, nonbasic
 
 
@@ -357,57 +363,52 @@ def _reprice(T, basis, nonbasic, c):
 
 
 def _simplex_core(A, b, c, initial_basis, state, warm=None):
-    """Run the (possibly warm-started) two-phase simplex on standard form.
+    """Run the two-phase simplex on standard form, from a cold or path start.
 
     The tableau is B^-1 [N | b] over the nonbasic columns N, which the
     array nonbasic names, above the cost row.  warm, when given, is such a
     (tableau, basis, nonbasic) for (A, b); it is pivoted in place.
-    Otherwise initial_basis, when usable, seeds a fresh tableau.  When it is
-    not, the tableau starts from the slack basis; if a slack starts below 0,
-    phase 1 adds one artificial variable, ncols, -1 in each such row, pivots
-    it in at the most negative row, minimizes it and drops it.  Phase 2
-    starts from the cost row priced for c.
+    Otherwise the tableau is built for initial_basis, or for the slack
+    basis when none is given or initial_basis is singular.  If the basic
+    solution has a value below -PIVOT_TOL, phase 1 pivots the artificial
+    variable in at the most negative row, minimizes it and drops it.
+    Phase 2 starts from the cost row priced for c.
 
     Returns (status, basis, nonbasic, tableau); for "unbounded", basis is
     instead the ray of the edge.
     """
     m, ncols = A.shape
-    T = None
     if warm is not None:
         T, basis, nonbasic = warm
-    elif initial_basis is not None:
-        basis = initial_basis.copy()
-        T, nonbasic = _warm_tableau(A, b, basis) or (None, None)
-    if T is None:
-        k = ncols - m
-        basis, nonbasic = k + np.arange(m), np.append(np.arange(k), ncols)
-        sigma = A[:, basis].diagonal()  # the slack block, its own inverse
-        T = np.zeros((m + 1, k + 2), order="F")
-        T[:m, :k] = sigma[:, None] * A[:, :k].toarray()
-        T[:m, -1] = sigma * b
-        below = T[:m, -1] < 0.0
-        if below.any():
-            T[:m, k] = np.where(below, -1.0, 0.0)
-            r = int(np.argmin(T[:m, -1]))
-            _counted_pivot(T, basis, nonbasic, r, k, state)
-            _reprice(T, basis, nonbasic, np.eye(1, ncols + 1, ncols)[0])
-            start = basis.copy()
-            # the artificial, variable ncols, may leave but never enter
-            if _run_phase(T, basis, nonbasic, ncols, state) is not None:
-                raise LpNumericalError("phase 1 reported unbounded")
-            if -T[m, -1] > FEAS_TOL:  # the audit's tolerance on a row residual
-                return "infeasible", None, None, None
-            # B^-1 has no zero row, so its slack entries are not all 0.  Of
-            # the entries within a tenth of the largest, the lowest variable
-            # enters, passing over those phase 1 drove out while others
-            # qualify: entering one would undo a phase-1 step
-            for r in np.flatnonzero(basis == ncols):
-                size = np.abs(T[r, :-1])
-                big = (size >= 0.1 * size.max()).nonzero()[0]
-                fresh = big[~np.isin(nonbasic[big], start)]
-                big = fresh if fresh.size else big
-                p = int(big[nonbasic[big].argmin()])
-                _counted_pivot(T, basis, nonbasic, int(r), p, state)
+    else:
+        slacks = ncols - m + np.arange(m)
+        basis = slacks if initial_basis is None else initial_basis.copy()
+        built = _start_tableau(A, b, basis)
+        if built is None:  # a singular basis; the slacks never are
+            basis = slacks
+            built = _start_tableau(A, b, basis)
+        T, nonbasic = built
+    if nonbasic[-1] == ncols:  # only a cold start holds the artificial
+        r = int(np.argmin(T[:m, -1]))
+        _counted_pivot(T, basis, nonbasic, r, nonbasic.size - 1, state)
+        _reprice(T, basis, nonbasic, np.eye(1, ncols + 1, ncols)[0])
+        start = basis.copy()
+        # the artificial, variable ncols, may leave but never enter
+        if _run_phase(T, basis, nonbasic, ncols, state) is not None:
+            raise LpNumericalError("phase 1 reported unbounded")
+        if -T[m, -1] > FEAS_TOL:  # the audit's tolerance on a row residual
+            return "infeasible", None, None, None
+        # B^-1 has no zero row, so its slack entries are not all 0.  Of
+        # the entries within a tenth of the largest, the lowest variable
+        # enters, passing over those phase 1 drove out while others
+        # qualify: entering one would undo a phase-1 step
+        for r in np.flatnonzero(basis == ncols):
+            size = np.abs(T[r, :-1])
+            big = (size >= 0.1 * size.max()).nonzero()[0]
+            fresh = big[~np.isin(nonbasic[big], start)]
+            big = fresh if fresh.size else big
+            p = int(big[nonbasic[big].argmin()])
+            _counted_pivot(T, basis, nonbasic, int(r), p, state)
         keep = nonbasic != ncols  # drop the artificial
         T = np.asfortranarray(T[:, np.append(keep, True)])
         nonbasic = nonbasic[keep]
@@ -453,14 +454,14 @@ def solve_lp(lp, initial_basis=None, path=None):
     LpNumericalError naming the reason and the pivots taken.  Identical
     inputs produce bitwise-identical solutions.
 
-    initial_basis optionally names standard-form columns forming a feasible
-    starting basis, skipping phase 1.  Standard-form columns are: one per
-    variable in declared order, except free variables contribute two
-    adjacent columns (positive then negative part), followed by one slack
-    column per standard-form row: the user's rows in order (an = row as its
-    <= half), then the >= half of each = row, then one <= row per variable
-    with two finite bounds.  An unusable basis silently falls back to the
-    slack basis and phase 1.
+    initial_basis optionally names standard-form columns forming the
+    starting basis, the slack basis by default.  Standard-form columns are:
+    one per variable in declared order, except free variables contribute
+    two adjacent columns (positive then negative part), followed by one
+    slack column per standard-form row: the user's rows in order (an = row
+    as its <= half), then the >= half of each = row, then one <= row per
+    variable with two finite bounds.  Phase 1 runs from an infeasible
+    basis; only a singular initial_basis falls back to the slack basis.
 
     path optionally carries an LpPath; if its last optimal solve was of
     this very object (path.program is lp), whose objective may have changed
@@ -472,10 +473,10 @@ def solve_lp(lp, initial_basis=None, path=None):
     if path is not None:
         if path.program is lp:
             form = path.form
-            warm = (path.tableau, path.basis, path.nonbasic, path.x_b)
+            warm = path.tableau, path.basis, path.nonbasic
         path.clear()  # refilled only by an optimal verdict below
     form = form or _to_standard_form(lp)
-    A, b, cmap, _, sense = form
+    A, b, cmap, sense = form
     c = _standard_costs(lp.objective, cmap, A.shape[1])
     m, ncols = A.shape
     if initial_basis is not None:
@@ -487,7 +488,7 @@ def solve_lp(lp, initial_basis=None, path=None):
     state = {"iter": 0, "max_iter": _pivot_budget(m, ncols)}
     try:
         status, basis, nonbasic, T = _simplex_core(
-            A, b, c, initial_basis, state, None if warm is None else warm[:3])
+            A, b, c, initial_basis, state, warm)
         if status == "unbounded":
             cost, residual = c @ basis, np.max(np.abs(A @ basis), initial=0.0)
             if cost >= -PIVOT_TOL or residual > FEAS_TOL:  # basis holds the ray
@@ -495,24 +496,21 @@ def solve_lp(lp, initial_basis=None, path=None):
                                        f"{cost:.3e}, |A d| = {residual:.3e}")
         if status != "optimal":
             return LpSolution(status, iterations=state["iter"])
-        if warm is not None and state["iter"] == 0:
-            x_b = warm[3]  # same basis as the last solve, same solution
-        else:
+        if warm is None or state["iter"]:  # else T's rhs is the last restore
             x_b = _basis_solve(A[:, basis], b)
             if x_b is None:
                 raise LpNumericalError("singular restored basis")
             if np.any(x_b < -PIVOT_TOL):  # the repair's own exit test
                 x_b = _dual_repair(T, basis, nonbasic, x_b, state)
-            x_b = np.clip(x_b, 0.0, None)
-            T[:m, -1] = x_b
+            np.clip(x_b, 0.0, None, out=T[:m, -1])
         x_std = np.zeros(ncols)
-        x_std[basis] = x_b
+        x_std[basis] = T[:m, -1]
         x = _recover_x(cmap, x_std)
         _audit_feasible(lp, x, sense)
     except LpNumericalError as exc:
         raise LpNumericalError(f"{exc} after {state['iter']} pivots") from exc
     if path is not None:
         path.program, path.form = lp, form
-        path.tableau, path.basis, path.nonbasic, path.x_b = T, basis, nonbasic, x_b
+        path.tableau, path.basis, path.nonbasic = T, basis, nonbasic
     return LpSolution("optimal", x, float(lp.objective @ x), state["iter"],
                       warm is not None)

@@ -13,7 +13,8 @@ of lambda cannot both be positive, so the l1 penalty is exact.  fit passes
 each sample with mass 1/n and eta 1 or 0 by its label, which gives the two
 sample hinge rows; fit_population passes each atom once, with its mass and
 eta, which gives four rows where 0 < eta < 1.  Both fits start from the
-same crash basis (lambda = 0).
+same crash basis (lambda = 0), each t basic in its point's plainer middle
+row.
 
 r enters the LP only through the objective, so a penalty grid is one
 program whose optimal basis at one r is feasible at the next.
@@ -63,14 +64,12 @@ def _hinge_lp(phi, mass, eta, cp, r):
     t_k - s phi_k lambda >= c per linear piece s z + c.  The program
     minimizes mass . t + r sum(u + v).  Every point has two rows for the
     middle pieces, slopes 1 - eta - a eta on [-1, 0] and a (1 - eta) - eta
-    on [0, 1], both with intercept 1: one in rows 0..n-1 and the other in
-    rows n..2n-1, where t_k starts basic.  With eta in {0, 1} the second is
-    the steeper, and the two rows are the sample hinge rows
-    t >= 1 - y phi lambda and t >= 1 - a y phi lambda of the label
-    y = 2 eta - 1.  With 0 < eta < 1 the second is the plainer, on the side
-    of the likelier label, so that z can move that way without a degenerate
-    pivot; on diagnose's population paths this start takes less than half
-    the pivots of the steeper one.  Such a point also gets the outer pieces
+    on [0, 1], both with intercept 1: the steeper in rows 0..n-1 and the
+    plainer, on the side of the likelier label, in rows n..2n-1, where t_k
+    starts basic, so that z can move that way without a degenerate pivot.
+    With eta in {0, 1} they are the sample hinge rows
+    t >= 1 - a y phi lambda and t >= 1 - y phi lambda of the label
+    y = 2 eta - 1.  A point with 0 < eta < 1 also gets the outer pieces
     -a eta z + eta and a (1 - eta) z + 1 - eta, one row each, after all the
     middle rows: first every left piece, then every right one.
     """
@@ -80,9 +79,8 @@ def _hinge_lp(phi, mass, eta, cp, r):
     a = cp.a
     left = 1.0 - eta - a * eta
     right = a * (1.0 - eta) - eta
-    mixed = (eta > 0.0) & (eta < 1.0)
-    left_second = (np.abs(left) >= np.abs(right)) != mixed
-    both = np.flatnonzero(mixed)
+    left_second = np.abs(left) < np.abs(right)
+    both = np.flatnonzero((eta > 0.0) & (eta < 1.0))
     outer = eta[both]
     slopes = np.concatenate([np.where(left_second, right, left),
                              np.where(left_second, left, right),

@@ -1,6 +1,7 @@
 """Shared fixtures and generators used across the test modules."""
 
 import numpy as np
+from scipy.optimize import linprog
 
 from rejectsvm.dictionary import DesignMatrix, build_linear
 from rejectsvm.losses import CostParams, DiscreteDistribution
@@ -38,6 +39,21 @@ def crash_basis(n, M, mixed=0):
     nvar = 2 * M + n
     return np.concatenate([nvar + np.arange(n), 2 * M + np.arange(n),
                            nvar + 2 * n + np.arange(2 * mixed)])
+
+
+def within_highs(ours, objective, rows, rhs):
+    """Whether ours is HiGHS's optimum of the program over x >= 0.
+
+    The program minimizes objective . x subject to rows x >= rhs.  HiGHS's
+    own tolerance is 1e-7, and ours is an exact vertex, so ours may lie at
+    most 1e-7 below HiGHS's value and 1e-9 above it, relative to
+    1 + |HiGHS's value|.
+    """
+    res = linprog(objective, A_ub=-rows, b_ub=-rhs, bounds=(0, None),
+                  method="highs")
+    assert res.status == 0, res.message
+    gap = (ours - res.fun) / (1.0 + abs(res.fun))
+    return -1e-7 <= gap <= 1e-9
 
 
 def assemble_lp(design, cp, r):

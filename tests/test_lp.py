@@ -4,7 +4,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from rejectsvm import lp as lp_module
 from rejectsvm.constants import FEAS_TOL, PIVOT_TOL
@@ -26,7 +25,7 @@ from rejectsvm.lp import (
 from rejectsvm.sim import ExperimentConfig, gen_mixture, gen_two_gaussian
 from rejectsvm.train import _hinge_lp, default_r_grid, split_lp
 
-from helpers import crash_basis, logistic_atoms, random_lp
+from helpers import crash_basis, logistic_atoms, random_lp, within_highs
 from oracle import LpOversizeError, enumerate_vertices_oracle
 
 
@@ -112,7 +111,7 @@ def test_bitwise_determinism():
         assert repr(again.objective_value) == repr(ref.objective_value)
 
 
-def test_warm_start_reaches_the_same_optimum():
+def test_initial_basis_reaches_the_same_optimum():
     # x1 + 2y <= 4 and 3x + y <= 6 with slacks in columns 2 and 3;
     # the slack basis (origin vertex) is feasible, so phase 1 is skipped
     lp = LinearProgram(objective=[-1.0, -1.0],
@@ -124,7 +123,7 @@ def test_warm_start_reaches_the_same_optimum():
     assert abs(sol.objective_value - (-14.0 / 5.0)) < 1e-12
 
 
-def test_warm_start_validation():
+def test_initial_basis_validation():
     lp = LinearProgram(objective=[-1.0, -1.0],
                        rows=[[1.0, 2.0], [3.0, 1.0]],
                        relations=["<=", "<="], rhs=[4.0, 6.0],
@@ -137,28 +136,62 @@ def test_warm_start_validation():
         solve_lp(lp, initial_basis=[0, 99])  # out of range
 
 
-def test_unusable_warm_start_falls_back():
-    # basis [0, 1] solves to x=(8/5, 6/5) which is feasible, but [0, 2]
-    # yields a negative basic value; the solver must still find the optimum
-    lp = LinearProgram(objective=[-1.0, -1.0],
-                       rows=[[1.0, 2.0], [3.0, 1.0]],
-                       relations=["<=", "<="], rhs=[4.0, 6.0],
-                       lower=[0.0, 0.0])
-    sol = solve_lp(lp, initial_basis=[1, 2])
+def _started(monkeypatch):
+    """Record the basis of every tableau a cold start builds."""
+    bases = []
+    real = lp_module._start_tableau
+
+    def recording(A, b, basis):
+        bases.append(basis.tolist())
+        return real(A, b, basis)
+
+    monkeypatch.setattr(lp_module, "_start_tableau", recording)
+    return bases
+
+
+def test_infeasible_initial_basis_runs_phase_one_from_itself(monkeypatch):
+    # basis [0, 1] solves to x=(8/5, 6/5), which is feasible, but [1, 2]
+    # (y and the first slack) puts y = 6 and that slack at -8: phase 1
+    # starts from this basis, with the artificial (variable 4) entering at
+    # the slack's row, and the slack tableau is never built
+    bases = _started(monkeypatch)
+    entering = _entering(monkeypatch)
+    sol = solve_lp(_two_variable_program(), initial_basis=[1, 2])
+    assert bases == [[1, 2]]
+    assert entering[0] == 4 and 4 not in entering[1:]
     assert sol.status == "optimal"
     assert abs(sol.objective_value - (-14.0 / 5.0)) < 1e-12
+    assert np.allclose(sol.x, [8.0 / 5.0, 6.0 / 5.0], atol=1e-12)
 
 
-def test_singular_warm_start_falls_back():
+def test_slack_start_with_roundoff_dust_takes_no_phase_one_pivot(monkeypatch):
+    # a shifted bound leaves -2.2e-16 in one slack's starting value; that is
+    # set to 0, so the slack start is feasible and the artificial never enters
+    lp = random_lp(np.random.default_rng(1509), 12, 14)
+    A, b = lp_module._to_standard_form(lp)[:2]
+    m, ncols = A.shape
+    start = A[:, ncols - m:].diagonal() * b  # the slack basis is diagonal
+    assert np.all(start >= -PIVOT_TOL) and start.min() < 0.0
+    entering = _entering(monkeypatch)
+    sol = solve_lp(lp)
+    assert ncols not in entering and sol.iterations == len(entering)
+    ref = enumerate_vertices_oracle(lp)
+    assert sol.status == ref.status == "optimal"
+    assert abs(sol.objective_value - ref.objective_value) < 1e-9
+
+
+def test_singular_initial_basis_falls_back_to_the_slacks(monkeypatch):
     # the second row is twice the first, so the basis [0, 1] is singular:
-    # its sparse factor is refused and the two-phase route decides
+    # its sparse factor is refused and the slack basis starts the solve
     lp = LinearProgram(objective=[-1.0, -1.0],
                        rows=[[1.0, 2.0], [2.0, 4.0]],
                        relations=["<=", "<="], rhs=[4.0, 8.0],
                        lower=[0.0, 0.0])
     A, b = lp_module._to_standard_form(lp)[:2]
-    assert lp_module._warm_tableau(A, b, np.array([0, 1])) is None
+    assert lp_module._start_tableau(A, b, np.array([0, 1])) is None
+    bases = _started(monkeypatch)
     sol = solve_lp(lp, initial_basis=[0, 1])
+    assert bases == [[0, 1], [2, 3]]
     assert sol.status == "optimal"
     assert np.allclose(sol.x, [4.0, 0.0], atol=1e-12)
     assert abs(sol.objective_value - (-4.0)) < 1e-12
@@ -251,8 +284,12 @@ def test_numerical_guard_ends_the_solve_with_its_reason(monkeypatch, message):
     assert len(calls) == 1
 
 
-def _singular(B):
-    raise RuntimeError("Factor is exactly singular")  # what splu raises
+_real_basis_solve = lp_module._basis_solve
+
+
+def _singular_restore(B, rhs):
+    """Find the restore's basis singular; a cold start (2-D rhs) factors."""
+    return None if rhs.ndim == 1 else _real_basis_solve(B, rhs)
 
 
 def _failed_audit(lp, x, sense):
@@ -260,7 +297,7 @@ def _failed_audit(lp, x, sense):
 
 
 @pytest.mark.parametrize("owner, name, fake, reason", [
-    (lp_module, "splu", _singular, "singular restored basis"),
+    (lp_module, "_basis_solve", _singular_restore, "singular restored basis"),
     (lp_module, "_audit_feasible", _failed_audit, "forced audit failure"),
 ], ids=["singular restore", "failed audit"])
 def test_restore_and_audit_failures_end_the_solve_named(monkeypatch, owner,
@@ -484,21 +521,15 @@ def test_failed_dual_repair_is_named(monkeypatch):
     # min x s.t. x <= 1 is optimal at the slack basis; handed a restored
     # value below -PIVOT_TOL, the repair finds no negative entry in the
     # slack's row to pivot on, and the solve fails with that reason
-    monkeypatch.setattr(lp_module, "_basis_solve",
-                        lambda B, rhs: np.array([-2 * PIVOT_TOL]))
+    monkeypatch.setattr(lp_module, "_basis_solve", lambda B, rhs: (
+        np.array([-2 * PIVOT_TOL]) if rhs.ndim == 1
+        else _real_basis_solve(B, rhs)))
     path = LpPath()
     with pytest.raises(LpNumericalError, match="^dual repair found no "
                                                "entering column after 0 pivots$"):
         solve_lp(LinearProgram(objective=[1.0], rows=[[1.0]], relations=["<="],
                                rhs=[1.0], lower=[0.0]), path=path)
     assert path.program is None
-
-
-def _within_highs(lp, sol):
-    ref = linprog(lp.objective, A_ub=-lp.rows, b_ub=-lp.rhs, bounds=(0, None),
-                  method="highs")
-    gap = (sol.objective_value - ref.fun) / (1.0 + abs(ref.fun))
-    return -1e-7 <= gap <= 1e-9  # HiGHS's own tolerance is 1e-7
 
 
 def _probe_fold(index):
@@ -541,16 +572,18 @@ def test_negative_restored_value_is_repaired_and_kept_on_the_path(monkeypatch):
     path = LpPath()
     sol = solve_lp(lp, initial_basis=crash, path=path)
     assert sol.status == "optimal" and not sol.warm and repairs == [1]
-    assert _within_highs(lp, sol)
-    # the path holds the repaired basis and its clipped basic solution,
-    # which is also the tableau's right-hand-side column
-    assert path.program is lp and path.x_b.min() >= 0.0
-    assert np.array_equal(path.tableau[:-1, -1], path.x_b)
+    assert within_highs(sol.objective_value, lp.objective, lp.rows, lp.rhs)
+    # the path holds the repaired basis, and its clipped basic solution is
+    # the tableau's right-hand-side column
+    assert path.program is lp and path.tableau[:-1, -1].min() >= 0.0
+    x_std = np.zeros(path.form[0].shape[1])
+    x_std[path.basis] = path.tableau[:-1, -1]
+    assert np.array_equal(x_std[:lp.nvar], sol.x)  # every bound is 0
     monkeypatch.setattr(lp_module, "_basis_solve", real_solve)
     lp.objective[:2 * M] = grid[7]  # the penalty costs
     sol = solve_lp(lp, initial_basis=crash, path=path)
     assert sol.status == "optimal" and sol.warm and repairs == [1]
-    assert _within_highs(lp, sol)
+    assert within_highs(sol.objective_value, lp.objective, lp.rows, lp.rhs)
 
 
 def _population_lp(seed, r, cp):
@@ -595,7 +628,7 @@ def test_cold_start_decides_degenerate_package_lps(build):
     lp, crash = build()
     sol = solve_lp(lp, initial_basis=crash)
     assert sol.status == "optimal"
-    assert _within_highs(lp, sol)
+    assert within_highs(sol.objective_value, lp.objective, lp.rows, lp.rhs)
 
 
 def test_unbounded_ray_is_audited(monkeypatch):

@@ -134,15 +134,16 @@ def test_training_objective_keeps_the_sample_form_bits():
 
 def test_split_lp_is_the_sample_hinge_build_byte_for_byte():
     # with eta in {0, 1} the epigraph build gives the two sample hinge
-    # rows per point, written out here for a design with both labels
+    # rows per point, written out here for a design with both labels: the
+    # a-slope rows first, then the unit-slope rows, where t starts basic
     design = random_design(np.random.default_rng(21), 12, 4)
     assert set(design.y.tolist()) == {-1.0, 1.0}
     n, M, r = design.n, design.M, 0.07
     yphi = design.y[:, None] * design.phi
     for cp in (CP, CostParams(d=0.5), CostParams(d=0.1)):
         rows = np.zeros((2 * n, 2 * M + n))
-        rows[:n, :M], rows[:n, M:2 * M] = yphi, -yphi
-        rows[n:, :M], rows[n:, M:2 * M] = cp.a * yphi, -cp.a * yphi
+        rows[:n, :M], rows[:n, M:2 * M] = cp.a * yphi, -cp.a * yphi
+        rows[n:, :M], rows[n:, M:2 * M] = yphi, -yphi
         rows[:n, 2 * M:] = rows[n:, 2 * M:] = np.eye(n)
         want = {"objective": np.concatenate([np.full(2 * M, r),
                                              np.full(n, 1.0 / n)]),
