@@ -106,11 +106,12 @@ def _model_and_data(args, require_y=False):
 def cmd_predict(args):
     model, x, _ = _model_and_data(args)
     dec, f = evaluate.predict(model, x)
-    rows = [{"margin": mi, "decision": int(di)} for mi, di in zip(f, dec)]
+    # int() refuses the nan decision of a nan margin (x @ lam at inf - inf)
+    decision = np.array([int(d) for d in dec.tolist()])
     if args.out:
-        write_rows_csv(args.out, rows, ("margin", "decision"))
+        write_rows_csv(args.out, {"margin": f, "decision": decision})
     counts = {v: int(np.sum(dec == v)) for v in (-1, 0, 1)}
-    print(f"rows={len(rows)} predicted -1:{counts[-1]} "
+    print(f"rows={len(f)} predicted -1:{counts[-1]} "
           f"reject:{counts[0]} +1:{counts[1]}")
     return EXIT_OK
 
@@ -124,10 +125,10 @@ def cmd_eval(args):
     print(f"misclass_rate={rep.misclass_rate!r}")
     print(f"reject_rate={rep.reject_rate!r}")
     if args.out:
-        row = {"n_eval": rep.n_eval, "phi_risk": rep.phi_risk,
-               "ell_risk": rep.ell_risk, "misclass_rate": rep.misclass_rate,
-               "reject_rate": rep.reject_rate}
-        write_rows_csv(args.out, [row], tuple(row))
+        write_rows_csv(args.out, {
+            "n_eval": [rep.n_eval], "phi_risk": [rep.phi_risk],
+            "ell_risk": [rep.ell_risk], "misclass_rate": [rep.misclass_rate],
+            "reject_rate": [rep.reject_rate]})
     return EXIT_OK
 
 
@@ -141,22 +142,26 @@ def cmd_bounds(args):
     print(f"confidence: holds with probability >= "
           f"{1.0 - args.delta - len(x) ** -args.p!r}")
     if args.out:
-        row = {
-            "bound_misclass": rep.bound_misclass,
-            "bound_reject": rep.bound_reject,
-            "gamma_star_misclass": rep.gamma_star_misclass,
-            "gamma_star_reject": rep.gamma_star_reject,
-            "empirical_misclass": rep.components_misclass[0],
-            "penalty_misclass": rep.components_misclass[1],
-            "tail_misclass": rep.components_misclass[2],
-            "empirical_reject": rep.components_reject[0],
-            "penalty_reject": rep.components_reject[1],
-            "tail_reject": rep.components_reject[2],
-            "delta": rep.delta,
-            "p": rep.p,
-        }
-        write_rows_csv(args.out, [row], tuple(row))
+        write_rows_csv(args.out, {
+            "bound_misclass": [rep.bound_misclass],
+            "bound_reject": [rep.bound_reject],
+            "gamma_star_misclass": [rep.gamma_star_misclass],
+            "gamma_star_reject": [rep.gamma_star_reject],
+            "empirical_misclass": [rep.components_misclass[0]],
+            "penalty_misclass": [rep.components_misclass[1]],
+            "tail_misclass": [rep.components_misclass[2]],
+            "empirical_reject": [rep.components_reject[0]],
+            "penalty_reject": [rep.components_reject[1]],
+            "tail_reject": [rep.components_reject[2]],
+            "delta": [rep.delta],
+            "p": [rep.p],
+        })
     return EXIT_OK
+
+
+def _columns(rows, names):
+    """Dict rows as the {name: cells} table write_rows_csv takes."""
+    return {c: [row[c] for row in rows] for c in names}
 
 
 def cmd_simulate(args):
@@ -183,11 +188,11 @@ def cmd_simulate(args):
         raise DataError(f"bad config field: {exc}") from exc
     if args.scenario == "two_gaussian":
         rows = sim.run_reject_vs_plain(config)
-        write_rows_csv(args.out, rows, sim.RESULT_COLUMNS)
+        write_rows_csv(args.out, _columns(rows, sim.RESULT_COLUMNS))
         print(f"wrote {len(rows)} result rows to {args.out}")
     else:
         rows, info = sim.run_mixture_boundaries(config)
-        write_rows_csv(args.out, rows, sim.GRID_COLUMNS)
+        write_rows_csv(args.out, _columns(rows, sim.GRID_COLUMNS))
         agree = [r for r in rows if r["estimated"] == r["optimal"]]
         print(f"wrote {len(rows)} grid rows to {args.out}")
         print(f"cv picked r={info['r_star']!r}; "

@@ -3,11 +3,18 @@
 All floats are serialized with Python's shortest round-trip repr, so every
 double survives save -> load -> save byte-identically and files diff cleanly
 across runs.
+
+Data and distribution files parse in numpy's C reader.  A file it refuses is
+read again cell by cell with csv.reader and float(), which gives the same
+values and names the first bad cell by file line and column.  Result files
+are written as one joined string, string cells quoted as csv.writer quotes
+them.
 """
 
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 
@@ -177,25 +184,36 @@ def _read_table(path):
 
 
 def _read_floats(path):
-    """Header, every cell as one finite float array, and the line numbers.
+    """Header and every cell as one finite float array.
 
-    numpy converts the whole table at once; only when it fails, or yields a
-    non-finite value, does the cell-by-cell parse run, to name the first
-    bad cell.
+    The header is read by csv.reader and the body by numpy's C reader.  A
+    body numpy refuses, or that yields no row, a row of other than the
+    header's width or a non-finite value, is read again cell by cell
+    (csv.reader and float()): that read gives the same values and names the
+    first bad cell by line and column.
     """
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise DataError("empty file")
+        try:
+            with warnings.catch_warnings():
+                # an empty body is refused below, without numpy's warning
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", comments=None,
+                                   quotechar='"', ndmin=2)
+        except ValueError:
+            table = None
+    if (table is not None and len(table) and table.shape[1] == len(header)
+            and np.isfinite(table).all()):
+        return [h.strip() for h in header], table
     header, rows, lines = _read_table(path)
-    try:
-        table = np.asarray(rows, dtype=float)
-        if np.isfinite(table).all():
-            return header, table, lines
-    except ValueError:
-        pass
     table = np.array([
         [_parse_float(token, f"line {line}, column {name}")
          for name, token in zip(header, row)]
         for line, row in zip(lines, rows)
     ])
-    return header, table, lines
+    return header, table
 
 
 def load_data(path, require_y=False):
@@ -205,7 +223,7 @@ def load_data(path, require_y=False):
     other columns are features in file order.  Any missing, non-numeric or
     non-finite cell is an error.
     """
-    header, table, lines = _read_floats(path)
+    header, table = _read_floats(path)
     if "y" in header:
         y_col = header.index("y")
     else:
@@ -222,14 +240,15 @@ def load_data(path, require_y=False):
     bad = np.flatnonzero((y != -1.0) & (y != 1.0))
     if bad.size:
         i = int(bad[0])
-        raise DataError(f"line {lines[i]}: label {float(y[i])!r} "
+        line = _read_table(path)[2][i]
+        raise DataError(f"line {line}: label {float(y[i])!r} "
                         "is not -1 or +1")
     return x, y
 
 
 def load_distribution(path):
     """Read a finite-support distribution CSV: columns p, eta, features."""
-    header, table, _ = _read_floats(path)
+    header, table = _read_floats(path)
     for col in ("p", "eta"):
         if col not in header:
             raise DataError(f"distribution file lacks the {col} column")
@@ -245,9 +264,16 @@ def load_distribution(path):
         raise DataError(f"invalid distribution: {exc}") from exc
 
 
+def _quoted(text):
+    """A string cell as csv.writer's minimal quoting writes it."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _cell(value):
     if isinstance(value, str):
-        return value
+        return _quoted(value)
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value))
     if isinstance(value, (int, np.integer)):
@@ -255,20 +281,37 @@ def _cell(value):
     return repr(float(value))
 
 
-def write_rows_csv(path, rows, columns):
-    """Write dict rows under a fixed column order with repr-exact floats."""
+def _column_cells(values):
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
+        # tolist() gives Python bools, ints and floats, whose reprs are the
+        # cells _cell writes
+        return list(map(repr, values.tolist()))
+    return [_cell(v) for v in values]
+
+
+def write_rows_csv(path, columns):
+    """Write a table given as {column name: cells}, with repr-exact floats.
+
+    Columns are written in the mapping's order and must be of one length.
+    Numbers are written as their shortest round-trip repr, booleans as True
+    or False, and strings as csv.writer writes them.
+    """
+    cells = [[_quoted(name), *_column_cells(values)]
+             for name, values in columns.items()]
+    lines = map(",".join, zip(*cells, strict=True))
+    if len(cells) == 1:
+        # csv.writer quotes a lone empty cell, so the row does not read as
+        # a blank line
+        lines = (line or '""' for line in lines)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row[c]) for c in columns])
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_reports_csv(path, reports):
     """One row per check: name, status, slack, witness."""
-    rows = [
-        {"name": rep.name, "status": rep.status, "slack": rep.slack,
-         "witness": rep.witness}
-        for rep in reports
-    ]
-    write_rows_csv(path, rows, ("name", "status", "slack", "witness"))
+    write_rows_csv(path, {
+        "name": [rep.name for rep in reports],
+        "status": [rep.status for rep in reports],
+        "slack": [rep.slack for rep in reports],
+        "witness": [rep.witness for rep in reports],
+    })

@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
+import csv_oracle
+from rejectsvm import model_io, sim
 from rejectsvm.cli import main, parse_dict_spec
 from rejectsvm.dictionary import build_rbf_lattice, evaluate as dic_eval
+from rejectsvm.evaluate import predict
 from rejectsvm.losses import CostParams
 from rejectsvm.lp import LpNumericalError
 from rejectsvm.model_io import (
@@ -15,8 +18,10 @@ from rejectsvm.model_io import (
     load_distribution,
     load_model,
     save_model,
+    write_reports_csv,
     write_rows_csv,
 )
+from rejectsvm.theory import CheckReport
 from rejectsvm.train import fit
 
 TRAIN_CSV = """x1,x2,y
@@ -86,6 +91,106 @@ def test_data_loader_rejects_bad_files(tmp_path):
     assert y is None
     with pytest.raises(DataError):
         load_data(str(unlabeled), require_y=True)
+
+
+@pytest.mark.parametrize("text, message", [
+    # numpy parses this row, at width 3
+    ("x0,y\n1,1,1\n", "line 2: expected 2 fields, got 3"),
+    ("x0\n1\n \n2\n", "missing value at line 3, column x0"),
+    ("x0,y\nnan,1\n", "non-finite value 'nan' at line 2, column x0"),
+    ("x0,y\n1,1\ninfinity,-1\n",
+     "non-finite value 'infinity' at line 3, column x0"),
+    ("x0,y\r\n1,1\r\n\r\n\r\n2,3\r\n", "line 5: label 3.0 is not -1 or +1"),
+])
+def test_data_loader_messages_are_word_for_word(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, newline="")
+    with pytest.raises(DataError) as exc:
+        load_data(str(path))
+    assert str(exc.value) == message
+
+
+def test_well_formed_data_is_read_once_by_numpy(tmp_path, data_file,
+                                                monkeypatch):
+    read_table, read_by_cells = model_io._read_table, []
+
+    def counted(path):
+        read_by_cells.append(path)
+        return read_table(path)
+
+    monkeypatch.setattr(model_io, "_read_table", counted)
+    x, y = load_data(data_file)
+    assert x.shape == (6, 2) and read_by_cells == []
+    # only a bad label has the file read again, for its line number
+    bad = tmp_path / "label.csv"
+    bad.write_text("x0,y\n1,1\n2,0\n")
+    with pytest.raises(DataError, match="line 3: label 0.0"):
+        load_data(str(bad))
+    assert read_by_cells == [str(bad)]
+
+
+_ODD_CELLS = ("1_000", "\u0661", "1e-320", "-0", "nan", "inf", "-Infinity",
+              "1e400", "", " ", "0x10", '"1,5"', "abc")
+
+
+def _fuzz_cell(rng):
+    if rng.random() < 0.04:
+        return str(rng.choice(_ODD_CELLS))
+    value = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-310, 308))
+    token = str(rng.choice([repr(value), "%.17g" % value, "%.25e" % value,
+                            "%.3f" % value, str(int(rng.integers(-5, 6)))]))
+    if token[0] not in "+-" and rng.random() < 0.1:
+        token = str(rng.choice(["+", "-"])) + token
+    decor = rng.random()
+    if decor < 0.1:
+        token = f'"{token}"'
+    elif decor < 0.2:
+        token = str(rng.choice([" ", "\t", "\xa0", "\x1c"])) + token + " "
+    elif decor < 0.22:
+        token = "\ufeff" + token
+    elif decor < 0.23:
+        token = f'"{token}\n"'
+    return token
+
+
+def _fuzz_table(rng):
+    width = int(rng.integers(1, 4))
+    lines = [",".join(f"x{j}" for j in range(width))]
+    if rng.random() < 0.1:
+        lines[0] = "\ufeff" + lines[0]
+    for _ in range(int(rng.integers(0, 9))):
+        if rng.random() < 0.06:
+            lines.append(str(rng.choice(["", "", "  "])))
+        n = width
+        if rng.random() < 0.03:
+            n = max(1, width + int(rng.choice([-1, 1])))
+        lines.append(",".join(_fuzz_cell(rng) for _ in range(n)))
+    end = str(rng.choice(["\n", "\r\n", "\r"]))
+    return end.join(lines) + (end if rng.random() < 0.8 else "")
+
+
+def _outcome(read, path):
+    try:
+        header, table = read(path)
+    except DataError as exc:
+        return "error", str(exc)
+    return "ok", header, table.shape, table.tobytes()
+
+
+def test_data_reader_fuzz_matches_the_cell_by_cell_oracle(tmp_path):
+    """Every table reads to the oracle's bits or fails with its message."""
+    rng = np.random.default_rng(2021)
+    path = str(tmp_path / "fuzz.csv")
+    kinds = []
+    for _ in range(1500):
+        text = _fuzz_table(rng)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        want = _outcome(csv_oracle.read_floats, path)
+        assert _outcome(model_io._read_floats, path) == want, repr(text)
+        kinds.append(want[0])
+    # both sides of the fuzz are exercised
+    assert 400 < kinds.count("ok") < 1100
 
 
 def test_distribution_loader(tmp_path):
@@ -188,12 +293,76 @@ def test_model_loader_rejects_corruption(tmp_path, data_file):
 
 def test_row_writer_uses_exact_reprs(tmp_path):
     path = tmp_path / "rows.csv"
-    write_rows_csv(str(path), [{"a": 0.1, "b": 3, "c": "x"}],
-                   ("a", "b", "c"))
+    write_rows_csv(str(path), {"a": [0.1], "b": [3], "c": ["x"]})
     text = path.read_text()
     assert text == "a,b,c\n0.1,3,x\n"
-    write_rows_csv(str(path), [{"v": 1.0 / 3.0}], ("v",))
+    write_rows_csv(str(path), {"v": [1.0 / 3.0]})
     assert path.read_text() == "v\n0.3333333333333333\n"
+
+
+def test_result_files_match_the_csv_writer_reference(tmp_path, data_file,
+                                                     capsys):
+    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+
+    def same_bytes(rows, columns):
+        csv_oracle.write_rows(str(ref), rows, columns)
+        return out.read_bytes() == ref.read_bytes()
+
+    model_path = str(tmp_path / "model.json")
+    assert main(["train", "--data", data_file, "--r", "0.1", "--out",
+                 model_path]) == 0
+    score = tmp_path / "score.csv"
+    x = np.random.default_rng(3).normal(size=(300, 2))
+    score.write_text("x1,x2\n" + "".join(f"{a!r},{b!r}\n"
+                                          for a, b in x.tolist()))
+    assert main(["predict", "--model", model_path, "--data", str(score),
+                 "--out", str(out)]) == 0
+    dec, f = predict(load_model(model_path), x)
+    assert same_bytes([{"margin": m, "decision": int(d)}
+                       for m, d in zip(f, dec)], ("margin", "decision"))
+
+    for scenario, cfg, study, columns in (
+            ("two_gaussian", {"repetitions": 1, "n_test": 200, "n_train": 12,
+                              "M": 3, "r_grid": [0.2, 0.5]},
+             lambda c: sim.run_reject_vs_plain(c), sim.RESULT_COLUMNS),
+            ("mixture", {"n_train": 60, "r_grid": [0.05, 0.2]},
+             lambda c: sim.run_mixture_boundaries(c)[0], sim.GRID_COLUMNS)):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--scenario", scenario, "--config",
+                     str(cfg_path), "--seed", "4", "--out", str(out)]) == 0
+        config = sim.ExperimentConfig(scenario=scenario, seed=4, **{
+            **cfg, "r_grid": tuple(cfg["r_grid"])})
+        assert same_bytes(study(config), columns), scenario
+    capsys.readouterr()
+
+    reports = [CheckReport("prop21", "pass", 0.25,
+                           'worst at x=(1.0, 2.0), the "far" atom'),
+               CheckReport("plateau", "fail", -1e-300, ""),
+               CheckReport("lemma_a1", "skipped", float("nan"),
+                           "two\nlines, one\rcarriage return")]
+    write_reports_csv(str(out), reports)
+    assert same_bytes([{"name": r.name, "status": r.status, "slack": r.slack,
+                        "witness": r.witness} for r in reports],
+                      ("name", "status", "slack", "witness"))
+
+    # string cells against csv.writer's quoting, beside numeric columns
+    # given as arrays or as lists of numpy scalars
+    rng = np.random.default_rng(5)
+    for width in (1, 1, 2, 3) * 25:
+        n = int(rng.integers(0, 5))
+        names = [f"c{j}" for j in range(width)]
+        columns = {name: ["".join(rng.choice(list(',"\n\r a\t'),
+                                             int(rng.integers(0, 4))))
+                          for _ in range(n)] for name in names}
+        if width > 1:
+            columns[names[0]] = rng.choice(
+                [0.1, -0.0, 1e-320, np.inf, np.nan, 7.0], n)
+            columns[names[-1]] = list(rng.integers(-3, 3, n)) if n % 2 \
+                else rng.random(n) < 0.5
+        write_rows_csv(str(out), columns)
+        rows = [{name: columns[name][i] for name in names} for i in range(n)]
+        assert same_bytes(rows, names), columns
 
 
 def test_dict_spec_parsing():
