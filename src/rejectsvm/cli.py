@@ -177,7 +177,8 @@ def cmd_simulate(args):
         if "r_grid" in overrides:
             grid = overrides["r_grid"]
             if not isinstance(grid, list) or not all(
-                    isinstance(v, (int, float, str)) for v in grid):
+                    isinstance(v, (int, float, str))
+                    and not isinstance(v, bool) for v in grid):
                 raise ValueError(f"r_grid must be a list of numbers, "
                                  f"got {grid!r}")
             overrides["r_grid"] = tuple(float(v) for v in grid)
@@ -258,21 +259,18 @@ def build_parser():
     p.add_argument("--cv-points", type=int, default=30,
                    help="size of the cross-validation r grid")
     p.add_argument("--out", required=True, help="model file to write")
-    add_seed(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="margins and decisions for a CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", help="per-row CSV: margin, decision")
-    add_seed(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="risk report on labeled data")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", help="one-row CSV of the report")
-    add_seed(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bounds", help="data-driven error/reject bounds")
@@ -281,7 +279,6 @@ def build_parser():
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--out", help="one-row CSV of the bounds")
-    add_seed(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("simulate", help="run a synthetic study, write CSV")
@@ -313,7 +310,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is None:
+        if "seed" in args and args.seed is None:  # simulate and diagnose
             args.seed = _default_seed()
         return args.func(args)
     except (DataError, OSError) as exc:

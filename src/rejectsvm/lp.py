@@ -10,12 +10,13 @@ The solver is deliberately plain -- one attempt on a dense, condensed
 (dictionary) tableau of the nonbasic columns, B^-1 [N | b], pivoted by
 Jordan exchanges and started from one factored basis, with one artificial
 variable when that basis is infeasible, steepest-edge pricing, a Harris
-two-pass ratio test, and a basic solution restored from the original data
-and, if its drift calls for it, repaired by dual simplex pivots -- so that
-small instances can be confirmed independently by enumerating every basic
-solution of the standard form, as the test suite does with its own
-vertex-enumeration oracle.  Only the tableau is dense: every basis is
-gathered from the CSC standard form and factored by a sparse LU.
+two-pass ratio test, and, after any pivot, a basic solution restored from
+the original data and, if its drift calls for it, repaired by dual simplex
+pivots -- so that small instances can be confirmed independently by
+enumerating every basic solution of the standard form, as the test suite
+does with its own vertex-enumeration oracle.  Only the tableau is dense:
+every basis is gathered from the CSC standard form and factored by a sparse
+LU.
 """
 
 from dataclasses import dataclass
@@ -118,13 +119,14 @@ class LpPath:
     After every optimal solve, repaired or not, it keeps the program object,
     its standard form, and the solve's final condensed (dictionary) tableau
     of the nonbasic columns and its basis and nonbasic index arrays; the
-    tableau's right-hand-side column holds the basic solution restored
-    from the original data, clipped at 0.  None of these involves the
-    costs, so the next solve of the same object starts from the tableau
+    tableau's right-hand-side column holds the basic solution, clipped at
+    0, as restored from the original data after the last pivot, or as the
+    cold start factored it when no pivot was taken.  None of these involves
+    the costs, so the next solve of the same object starts from the tableau
     with only the cost row re-priced, and reuses the basic solution when
-    no pivot is needed.  Any other program, equal or not,
-    ignores the state.  owner is the caller's note of what built program;
-    every solve clears it.  One tableau is live per path.
+    no pivot is needed.  Any other program, equal or not, ignores the
+    state.  owner is the caller's note of what built program; every solve
+    clears it.  One tableau is live per path.
     """
 
     __slots__ = "program", "owner", "form", "tableau", "basis", "nonbasic"
@@ -246,29 +248,24 @@ def _lowest(nonbasic, values, among=None):
     return int(tie[0] if tie.size == 1 else tie[nonbasic[tie].argmin()])
 
 
-def _run_phase(T, basis, nonbasic, n_enter, state):
+def _run_phase(T, basis, nonbasic, state):
     """Pivot by steepest edge until optimal (None) or unbounded (the column).
 
-    The objective is row m of T; only variables below n_enter may enter.
-    Of the columns with the least score d_j / sqrt(1 + |B^-1 a_j|^2), the
-    lowest variable enters.  The leaving row comes from Harris's two-pass
-    ratio test over the entries col_i > PIVOT_TOL: pass 1 takes theta, the
-    least of (rhs_i + PIVOT_TOL) / col_i, so that no basic value falls
-    below -PIVOT_TOL; pass 2 keeps the rows with rhs_i / col_i <= theta, and
-    of those whose col_i is at least a tenth of their largest, the lowest
-    basic variable leaves.  A leaving value below 0 is set to 0 first, so
-    no step goes backwards.  A column with no entry above PIVOT_TOL is
-    returned, with no pivot taken.
+    The objective is row m of T.  Of the columns with the least score
+    d_j / sqrt(1 + |B^-1 a_j|^2), the lowest variable enters.  The leaving
+    row comes from Harris's two-pass ratio test over the entries
+    col_i > PIVOT_TOL: pass 1 takes theta, the least of
+    (rhs_i + PIVOT_TOL) / col_i, so that no basic value falls below
+    -PIVOT_TOL; pass 2 keeps the rows with rhs_i / col_i <= theta, and of
+    those whose col_i is at least a tenth of their largest, the lowest basic
+    variable leaves.  A leaving value below 0 is set to 0 first, so no step
+    goes backwards.  A column with no entry above PIVOT_TOL is returned,
+    with no pivot taken.
     """
     m = basis.size
     red, rhs, body = T[m, :-1], T[:m, -1], T[:m]
-    # pivots only swap entries of basis and nonbasic, so when no variable
-    # from n_enter up is there now, none can be offered in this phase
-    gated = max(basis.max(initial=-1), nonbasic.max(initial=-1)) >= n_enter
     while True:
         neg = (red < -PIVOT_TOL).nonzero()[0]
-        if gated:
-            neg = neg[nonbasic[neg] < n_enter]
         if neg.size == 0:
             return None
         cols = body[:, neg]
@@ -393,8 +390,9 @@ def _simplex_core(A, b, c, initial_basis, state, warm=None):
         _counted_pivot(T, basis, nonbasic, r, nonbasic.size - 1, state)
         _reprice(T, basis, nonbasic, np.eye(1, ncols + 1, ncols)[0])
         start = basis.copy()
-        # the artificial, variable ncols, may leave but never enter
-        if _run_phase(T, basis, nonbasic, ncols, state) is not None:
+        # once the artificial, variable ncols, leaves, c_B = 0: its reduced
+        # cost is positive and the others are 0, so it never enters again
+        if _run_phase(T, basis, nonbasic, state) is not None:
             raise LpNumericalError("phase 1 reported unbounded")
         if -T[m, -1] > FEAS_TOL:  # the audit's tolerance on a row residual
             return "infeasible", None, None, None
@@ -413,7 +411,7 @@ def _simplex_core(A, b, c, initial_basis, state, warm=None):
         T = np.asfortranarray(T[:, np.append(keep, True)])
         nonbasic = nonbasic[keep]
     _reprice(T, basis, nonbasic, c)
-    p = _run_phase(T, basis, nonbasic, ncols, state)
+    p = _run_phase(T, basis, nonbasic, state)
     if p is not None:
         ray = np.zeros(ncols)
         ray[basis] = -T[:-1, p]
@@ -441,11 +439,12 @@ def solve_lp(lp, initial_basis=None, path=None):
     broken by index: of equal scores, and in the dual repair's choice, the
     lowest variable enters; of the rows pass 2 keeps, and in the phase-1
     drive-out's choice of entries within a tenth of the largest, the lowest
-    variable wins.  At the end the true basic solution is restored from the
-    original data through the final basis.  Reduced costs do not involve b,
-    so that basis stays dual feasible: when no basic value is below
-    -PIVOT_TOL it is optimal, and otherwise a few dual simplex pivots repair
-    the drift.  Phase 1 gives the infeasible verdict when its one
+    variable wins.  A solve that pivoted restores the true basic solution
+    from the original data through the final basis; one that did not keeps
+    its start's, B^-1 b from a factor of that same basis.  Reduced costs do
+    not involve b, so that basis stays dual feasible: when no basic value is
+    below -PIVOT_TOL it is optimal, and otherwise a few dual simplex pivots
+    repair the drift.  Phase 1 gives the infeasible verdict when its one
     artificial variable ends above FEAS_TOL, the tolerance the feasibility
     audit allows a row.  An unbounded verdict needs its ray d to have
     c.d < -PIVOT_TOL and |A d| <= FEAS_TOL.  A solve that exhausts its
@@ -496,7 +495,7 @@ def solve_lp(lp, initial_basis=None, path=None):
                                        f"{cost:.3e}, |A d| = {residual:.3e}")
         if status != "optimal":
             return LpSolution(status, iterations=state["iter"])
-        if warm is None or state["iter"]:  # else T's rhs is the last restore
+        if state["iter"]:  # else T's rhs is the start's or the last restore
             x_b = _basis_solve(A[:, basis], b)
             if x_b is None:
                 raise LpNumericalError("singular restored basis")

@@ -74,7 +74,8 @@ class ExperimentConfig:
         ints = ("n_train", "n_test", "M", "repetitions", "seed")
         for name in ints + ("d", "tau"):
             kind = numbers.Integral if name in ints else numbers.Real
-            if not isinstance(getattr(self, name), kind):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"{name} must be {kind.__name__.lower()}")
         if self.scenario == "two_gaussian" and self.n_train % 2 != 0:
             raise ValueError("balanced design needs an even n_train")

@@ -8,7 +8,12 @@ import pytest
 import csv_oracle
 from rejectsvm import model_io, sim
 from rejectsvm.cli import main, parse_dict_spec
-from rejectsvm.dictionary import build_rbf_lattice, evaluate as dic_eval
+from rejectsvm.dictionary import (
+    build_linear,
+    build_rbf_lattice,
+    estimated_c_f,
+    evaluate as dic_eval,
+)
 from rejectsvm.evaluate import predict
 from rejectsvm.losses import CostParams
 from rejectsvm.lp import LpNumericalError
@@ -22,7 +27,7 @@ from rejectsvm.model_io import (
     write_rows_csv,
 )
 from rejectsvm.theory import CheckReport
-from rejectsvm.train import fit
+from rejectsvm.train import cross_validate, default_r_grid, fit
 
 TRAIN_CSV = """x1,x2,y
 1.0,0.2,1
@@ -231,7 +236,6 @@ def test_model_roundtrip_is_byte_identical(tmp_path, data_file):
 
 def test_model_loader_rejects_corruption(tmp_path, data_file):
     x, y = load_data(data_file)
-    from rejectsvm.dictionary import build_linear
     dic = build_linear(2)
     model = fit(dic_eval(dic, x, y), CostParams(d=0.25), 0.1, dic=dic)
     path = tmp_path / "model.json"
@@ -419,6 +423,23 @@ def test_cli_train_predict_eval_roundtrip(tmp_path, data_file, capsys):
         rep["misclass_rate"] + 0.25 * rep["reject_rate"], abs=1e-15)
 
 
+def test_cli_train_cv_saves_the_fit_at_the_picked_r(tmp_path, data_file,
+                                                    capsys):
+    model_path = str(tmp_path / "model.json")
+    assert main(["train", "--cv", "--data", data_file, "--folds", "2",
+                 "--cv-points", "4", "--out", model_path]) == 0
+    x, y = load_data(data_file)
+    dic = build_linear(2)
+    cp = CostParams(d=0.25, tau=0.5)
+    design = dic_eval(dic, x, y)
+    grid = default_r_grid(cp, estimated_c_f(dic, design), num=4)
+    r_star, table = cross_validate(design, cp, grid, folds=2)
+    assert (f"cross-validation picked r={r_star!r} over {len(table)} grid "
+            f"points") in capsys.readouterr().out
+    lam = load_model(model_path).lam
+    assert lam.tobytes() == fit(design, cp, r_star).lam.tobytes()
+
+
 def test_cli_bounds_and_simulate(tmp_path, data_file, capsys):
     model_path = str(tmp_path / "model.json")
     main(["train", "--data", data_file, "--d", "0.25", "--r", "0.1",
@@ -463,6 +484,9 @@ def test_cli_bounds_and_simulate(tmp_path, data_file, capsys):
     ("two_gaussian", "M", 2.5),
     ("two_gaussian", "repetitions", 1.5),
     ("two_gaussian", "seed", 1.5),
+    ("two_gaussian", "repetitions", True),
+    ("two_gaussian", "seed", True),
+    ("two_gaussian", "r_grid", [True]),
     ("two_gaussian", "d", None),
     ("mixture", "n_train", 60.5),
 ])
@@ -492,6 +516,20 @@ def test_cli_diagnose_reports_plateau(tmp_path, capsys):
     rows = text.strip().splitlines()[1:]
     assert len(rows) == 4
     assert all(",pass," in row or ",skipped," in row for row in rows)
+
+
+def test_cli_diagnose_builds_its_default_grid(tmp_path, capsys):
+    # without --r-grid the path checks walk 20 points up to a * C_F
+    dist_path = tmp_path / "dist.csv"
+    dist_path.write_text(DIST_CSV)
+    assert main(["diagnose", "--dist", str(dist_path), "--checks", "prop21",
+                 "plateau"]) == 0
+    shrink, plateau = capsys.readouterr().out.splitlines()
+    # a * C_F is 3 here, so the grid steps by 0.15
+    assert shrink.startswith("population_path_shrinkage: pass ")
+    assert shrink.endswith(" at r=0.15")
+    assert plateau.startswith("plateau: pass ")
+    assert "verified through r=0.3;" in plateau
 
 
 @pytest.mark.parametrize("grid", ["0.1,nan", "0.1,inf", "0.1,0"])
@@ -591,7 +629,7 @@ def test_cli_exit_codes(tmp_path, data_file, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_cli_seed_env_var(tmp_path, monkeypatch, capsys):
+def test_cli_seed_env_var(tmp_path, data_file, monkeypatch, capsys):
     dist_path = tmp_path / "dist.csv"
     dist_path.write_text(DIST_CSV)
     monkeypatch.setenv("REJECTSVM_SEED", "17")
@@ -600,4 +638,15 @@ def test_cli_seed_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REJECTSVM_SEED", "lots")
     assert main(["diagnose", "--dist", str(dist_path), "--checks",
                  "domination"]) == 2
+    # only simulate and diagnose draw; the other commands neither read the
+    # variable nor take --seed
+    model_path = str(tmp_path / "m.json")
+    assert main(["train", "--data", data_file, "--r", "0.1", "--out",
+                 model_path]) == 0
+    for cmd in ("predict", "eval", "bounds"):
+        assert main([cmd, "--model", model_path, "--data", data_file]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--model", model_path, "--data", data_file,
+              "--seed", "1"])
+    assert exc.value.code == 2
     capsys.readouterr()

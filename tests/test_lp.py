@@ -79,15 +79,34 @@ def test_two_sided_bounds_become_active():
     assert np.allclose(sol.x, [-2.0, 0.5], atol=1e-12)
 
 
-def test_matches_enumeration_oracle_on_random_programs():
+def test_matches_enumeration_oracle_on_random_programs(monkeypatch):
     t0 = time.time()
     rng = np.random.default_rng(7)
     small = np.random.default_rng(21)
     programs = [random_lp(rng) for _ in range(250)]
     programs += [random_lp(small, max_vars=4, max_cons=5) for _ in range(40)]
     statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    moves = []  # (leaving, entering) variable of every pivot of a solve
+    real = lp_module._counted_pivot
+
+    def counting(T, basis, nonbasic, r, p, state):
+        moves.append((int(basis[r]), int(nonbasic[p])))
+        return real(T, basis, nonbasic, r, p, state)
+
+    monkeypatch.setattr(lp_module, "_counted_pivot", counting)
+    left = 0
     for lp in programs:
+        moves.clear()
         sol = solve_lp(lp)
+        # phase 1's artificial, variable ncols, never enters again once
+        # it has left the basis
+        artificial = lp_module._to_standard_form(lp)[0].shape[1]
+        out = [k for k, (leaving, _) in enumerate(moves)
+               if leaving == artificial]
+        if out:
+            left += 1
+            assert all(entering != artificial
+                       for _, entering in moves[out[0]:])
         ref = enumerate_vertices_oracle(lp)
         assert sol.status == ref.status
         statuses[sol.status] += 1
@@ -96,6 +115,7 @@ def test_matches_enumeration_oracle_on_random_programs():
             # the reported point must itself be feasible and consistent
             assert abs(float(lp.objective @ sol.x) - sol.objective_value) < 1e-9
     assert min(statuses.values()) > 5  # all three verdicts exercised
+    assert left > 5
     assert time.time() - t0 < 10.0
 
 
@@ -389,7 +409,7 @@ def _tied_tableau(cost, row, basic):
 def test_steepest_edge_ties_enter_the_lowest_variable():
     T, basis, nonbasic = _tied_tableau([-1.0, -1.0], [1.0, 1.0], 0)
     state = {"iter": 0, "max_iter": 10}
-    assert lp_module._run_phase(T, basis, nonbasic, 6, state) is None
+    assert lp_module._run_phase(T, basis, nonbasic, state) is None
     assert state["iter"] == 1
     # variable 2 entered from position 1, not variable 5 from position 0
     assert basis.tolist() == [2] and nonbasic.tolist() == [5, 0]
@@ -412,7 +432,7 @@ def _harris_pick(col, rhs, basis):
     T = np.asfortranarray(np.column_stack([col + [-1.0], rhs + [0.0]]))
     basis, nonbasic = np.array(basis), np.array([9])
     state = {"iter": 0, "max_iter": 1}
-    assert lp_module._run_phase(T, basis, nonbasic, 10, state) is None
+    assert lp_module._run_phase(T, basis, nonbasic, state) is None
     assert state["iter"] == 1
     return basis.tolist(), T[:-1, -1]
 
@@ -438,26 +458,6 @@ def test_harris_ratio_test_takes_the_lowest_basic_variable_of_large_near_ties():
     assert basis == [9, 3] and rhs.tolist() == [0.0, 1.0]
 
 
-def test_variables_from_n_enter_up_never_enter():
-    state = {"iter": 0, "max_iter": 10}
-    # variable 9 has the best score, but only variables below 8 may enter
-    T = np.asfortranarray([[1.0, 1.0, 1.0], [-5.0, -1.0, 0.0]])
-    basis, nonbasic = np.array([2]), np.array([9, 4])
-    assert lp_module._run_phase(T, basis, nonbasic, 8, state) is None
-    assert basis.tolist() == [4] and nonbasic.tolist() == [9, 2]
-    assert T[1, 0] == -4.0  # still priced to enter
-    # variable 9 starts basic, leaves at the first pivot and is priced to
-    # enter after the second, when it is the only candidate
-    T = np.asfortranarray([[1.0, 0.0, 1.0], [0.5, 0.1, 1.0],
-                           [-1.0, -0.5, 0.0]])
-    basis, nonbasic = np.array([9, 3]), np.array([4, 2])
-    state["iter"] = 0
-    assert lp_module._run_phase(T, basis, nonbasic, 8, state) is None
-    assert state["iter"] == 2
-    assert basis.tolist() == [4, 2] and nonbasic.tolist() == [9, 3]
-    assert T[2, 0] < -PIVOT_TOL and T[0, 0] > PIVOT_TOL
-
-
 def test_a_column_with_no_positive_entry_is_returned_unpivoted():
     # variable 2 wins the pricing, and its column has no entry above
     # PIVOT_TOL: the edge is a ray, returned as its column position
@@ -466,7 +466,7 @@ def test_a_column_with_no_positive_entry_is_returned_unpivoted():
     before = T.copy()
     basis, nonbasic = np.array([0, 1]), np.array([5, 2])
     state = {"iter": 0, "max_iter": 10}
-    assert lp_module._run_phase(T, basis, nonbasic, 6, state) == 1
+    assert lp_module._run_phase(T, basis, nonbasic, state) == 1
     assert state["iter"] == 0 and np.array_equal(T, before)
     assert basis.tolist() == [0, 1] and nonbasic.tolist() == [5, 2]
 
@@ -518,16 +518,16 @@ def test_gap_just_above_feas_tol_is_an_infeasible_verdict(gap):
 
 
 def test_failed_dual_repair_is_named(monkeypatch):
-    # min x s.t. x <= 1 is optimal at the slack basis; handed a restored
-    # value below -PIVOT_TOL, the repair finds no negative entry in the
-    # slack's row to pivot on, and the solve fails with that reason
+    # min -x s.t. x <= 1 is optimal after x enters for the slack; handed a
+    # restored value below -PIVOT_TOL, the repair finds no negative entry
+    # in x's row to pivot on, and the solve fails with that reason
     monkeypatch.setattr(lp_module, "_basis_solve", lambda B, rhs: (
         np.array([-2 * PIVOT_TOL]) if rhs.ndim == 1
         else _real_basis_solve(B, rhs)))
     path = LpPath()
     with pytest.raises(LpNumericalError, match="^dual repair found no "
-                                               "entering column after 0 pivots$"):
-        solve_lp(LinearProgram(objective=[1.0], rows=[[1.0]], relations=["<="],
+                                               "entering column after 1 pivots$"):
+        solve_lp(LinearProgram(objective=[-1.0], rows=[[1.0]], relations=["<="],
                                rhs=[1.0], lower=[0.0]), path=path)
     assert path.program is None
 
