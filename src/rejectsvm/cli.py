@@ -32,10 +32,11 @@ EXIT_NUMERICAL = 4
 SEED_ENV_VAR = "REJECTSVM_SEED"
 
 
-def _default_seed():
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
+def _seed(args):
+    """--seed if given, else $REJECTSVM_SEED, else 0; read only to draw."""
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get(SEED_ENV_VAR, "0")
     try:
         return int(raw)
     except ValueError:
@@ -182,7 +183,8 @@ def cmd_simulate(args):
                 raise ValueError(f"r_grid must be a list of numbers, "
                                  f"got {grid!r}")
             overrides["r_grid"] = tuple(float(v) for v in grid)
-    overrides.setdefault("seed", args.seed)
+    if "seed" not in overrides:  # a config's seed wins over --seed
+        overrides["seed"] = _seed(args)
     try:
         config = sim.ExperimentConfig(scenario=args.scenario, **overrides)
     except TypeError as exc:
@@ -202,12 +204,13 @@ def cmd_simulate(args):
 
 
 def cmd_diagnose(args):
-    dist = load_distribution(args.dist)
-    dic = parse_dict_spec(args.dict, dist.x)
-    ctx = theory.make_context(dist, dic, CostParams(d=args.d, tau=args.tau))
     wanted = set(args.checks)
     if "all" in wanted:
         wanted = {"lemma_a1", "prop21", "domination", "plateau"}
+    seed = _seed(args) if wanted & {"lemma_a1", "domination"} else None
+    dist = load_distribution(args.dist)
+    dic = parse_dict_spec(args.dict, dist.x)
+    ctx = theory.make_context(dist, dic, CostParams(d=args.d, tau=args.tau))
     r_grid = (None if args.r_grid is None
               else np.asarray([float(v) for v in args.r_grid.split(",")]))
     # prop21 and plateau read the same population fits, solved once; only
@@ -220,11 +223,11 @@ def cmd_diagnose(args):
         fits = theory.population_path(ctx, r_grid)
     reports = []
     if "lemma_a1" in wanted:
-        reports.append(theory.check_lemma_a1(ctx, seed=args.seed))
+        reports.append(theory.check_lemma_a1(ctx, seed=seed))
     if "prop21" in wanted:
         reports.append(theory.check_prop21(ctx, fits))
     if "domination" in wanted:
-        reports.append(theory.check_excess_domination(ctx, seed=args.seed))
+        reports.append(theory.check_excess_domination(ctx, seed=seed))
     if "plateau" in wanted:
         reports.append(theory.check_plateau(fits))
     for rep in reports:
@@ -310,8 +313,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "seed" in args and args.seed is None:  # simulate and diagnose
-            args.seed = _default_seed()
         return args.func(args)
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,10 +3,11 @@
 Four kinds are supported: raw coordinates ("linear"), a constant column plus
 coordinates ("constant_linear"), Gaussian bumps on a box lattice
 ("rbf_lattice"), and Gaussian bumps at user-supplied centers ("custom_rbf").
-Gaussian dictionaries have sup-norm exactly 1; for unbounded dictionaries the
-sup-norm bound C_F is flagged as estimated and taken from training data.
+The kind fixes the sup-norm bound C_F: exactly 1 for Gaussian bumps; for the
+unbounded kinds it is flagged as estimated and taken from training data.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +18,11 @@ _KINDS = ("linear", "constant_linear", "rbf_lattice", "custom_rbf")
 
 @dataclass(frozen=True)
 class Dictionary:
+    """A dictionary, checked in full on construction; its kind fixes C_F."""
+
     kind: str
     dim: int
     M: int
-    C_F: float
-    C_F_estimated: bool
     centers: np.ndarray = None   # rbf kinds only
     beta: float = None           # rbf kinds only
     grid: tuple = None           # rbf_lattice only: counts per axis
@@ -30,8 +31,36 @@ class Dictionary:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown dictionary kind {self.kind!r}")
+        if self.dim < 1:
+            raise ValueError("dim must be at least 1")
         if self.M < 1:
             raise ValueError("dictionary must contain at least one function")
+        if self.kind == "linear":
+            implied = self.dim
+        elif self.kind == "constant_linear":
+            implied = self.dim + 1
+        else:
+            beta, centers = self.beta, self.centers
+            if beta is None or not (math.isfinite(beta) and beta > 0.0):
+                raise ValueError(f"rbf beta must be a finite number > 0, "
+                                 f"not {beta!r}")
+            if (centers is None or centers.ndim != 2
+                    or centers.shape[1] != self.dim
+                    or not np.all(np.isfinite(centers))):
+                raise ValueError(f"rbf centers must be a finite "
+                                 f"(M, {self.dim}) array")
+            implied = len(centers)
+        if self.M != implied:
+            raise ValueError(f"dictionary M is {self.M}, but its kind and "
+                             f"shape give {implied} functions")
+
+    @property
+    def C_F_estimated(self):
+        return self.kind in ("linear", "constant_linear")
+
+    @property
+    def C_F(self):
+        return 0.0 if self.C_F_estimated else 1.0
 
 
 @dataclass(frozen=True)
@@ -65,16 +94,12 @@ class DesignMatrix:
 
 def build_linear(dim):
     """Coordinate functions f_j(x) = x_j; C_F must be estimated from data."""
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    return Dictionary("linear", dim, dim, 0.0, True)
+    return Dictionary("linear", dim, dim)
 
 
 def build_constant_linear(dim):
     """A constant function 1 followed by the coordinates."""
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    return Dictionary("constant_linear", dim, dim + 1, 0.0, True)
+    return Dictionary("constant_linear", dim, dim + 1)
 
 
 def build_rbf_lattice(grid, box_lower, box_upper, beta=2.0):
@@ -91,8 +116,8 @@ def build_rbf_lattice(grid, box_lower, box_upper, beta=2.0):
         raise ValueError("box corners must match the grid dimension")
     if any(g < 1 for g in grid):
         raise ValueError("grid counts must be at least 1")
-    if beta <= 0:
-        raise ValueError("bandwidth beta must be positive")
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("box corners must be finite")
     for ax in range(dim):
         if hi[ax] < lo[ax] or (hi[ax] == lo[ax] and grid[ax] > 1):
             raise ValueError(f"degenerate box on axis {ax}")
@@ -100,21 +125,15 @@ def build_rbf_lattice(grid, box_lower, box_upper, beta=2.0):
     mesh = np.meshgrid(*axes, indexing="ij")
     centers = np.stack([m.ravel() for m in mesh], axis=1)
     box = np.vstack([lo, hi])
-    return Dictionary(
-        "rbf_lattice", dim, centers.shape[0], 1.0, False,
-        centers=centers, beta=float(beta), grid=grid, box=box,
-    )
+    return Dictionary("rbf_lattice", dim, centers.shape[0], centers=centers,
+                      beta=float(beta), grid=grid, box=box)
 
 
 def build_custom_rbf(centers, beta=2.0):
-    """Gaussian bumps at arbitrary centers; sup-norm is exactly 1."""
+    """Gaussian bumps at the rows of centers; Dictionary checks them."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    if beta <= 0:
-        raise ValueError("bandwidth beta must be positive")
-    return Dictionary(
-        "custom_rbf", centers.shape[1], centers.shape[0], 1.0, False,
-        centers=centers, beta=float(beta),
-    )
+    return Dictionary("custom_rbf", centers.shape[1], centers.shape[0],
+                      centers=centers, beta=float(beta))
 
 
 def evaluate(dic, X, y=None):

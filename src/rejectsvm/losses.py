@@ -60,6 +60,9 @@ class DiscreteDistribution:
         eta = np.atleast_1d(np.asarray(self.eta, dtype=float))
         if x.shape[0] != p.size or eta.size != p.size:
             raise ValueError("atoms, probabilities and eta must align")
+        for name, values in (("x", x), ("p", p), ("eta", eta)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} contains non-finite values")
         if np.any(p <= 0):
             raise ValueError("atom probabilities must be positive")
         if abs(p.sum() - 1.0) > 1e-12:

@@ -68,7 +68,7 @@ def save_model(model, path):
         "tau": float(model.cp.tau),
         "r": float(model.r),
         "c_f": float(model.c_f),
-        "c_f_estimated": bool(model.c_f_estimated),
+        "c_f_estimated": bool(dic.C_F_estimated),
         "train_meta": {
             "n": int(model.n_train),
             "objective": float(model.objective),
@@ -81,7 +81,8 @@ def save_model(model, path):
 
 
 def load_model(path):
-    """Read a model file back; re-validates the cost-parameter identity."""
+    """Read a model file back, re-validated by Dictionary and CostParams;
+    C_F flags that do not fit the dictionary's kind are a DataError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -94,11 +95,7 @@ def load_model(path):
             )
         spec = doc["dictionary"]
         dic = Dictionary(
-            kind=spec["kind"],
-            dim=int(spec["dim"]),
-            M=int(spec["M"]),
-            C_F=float(spec["C_F"]),
-            C_F_estimated=bool(spec["C_F_estimated"]),
+            spec["kind"], int(spec["dim"]), int(spec["M"]),
             centers=None if spec["centers"] is None
             else np.asarray(spec["centers"], dtype=float),
             beta=None if spec["beta"] is None else float(spec["beta"]),
@@ -106,25 +103,10 @@ def load_model(path):
             box=None if spec["box"] is None
             else np.asarray(spec["box"], dtype=float),
         )
-        if dic.kind == "linear":
-            implied = dic.dim
-        elif dic.kind == "constant_linear":
-            implied = dic.dim + 1
-        else:  # the rbf kinds
-            beta = dic.beta
-            if beta is None or not (math.isfinite(beta) and beta > 0.0):
-                raise DataError(f"rbf beta must be a finite number > 0, "
-                                f"not {spec['beta']!r}")
-            centers = dic.centers
-            if (centers is None or centers.ndim != 2
-                    or centers.shape[1] != dic.dim
-                    or not np.all(np.isfinite(centers))):
-                raise DataError(f"rbf centers must be a finite "
-                                f"(M, {dic.dim}) array")
-            implied = len(centers)
-        if dic.M != implied:
-            raise DataError(f"dictionary M is {dic.M}, but its kind and "
-                            f"shape give {implied} functions")
+        flags = spec["C_F"], spec["C_F_estimated"], doc["c_f_estimated"]
+        if flags != (dic.C_F, dic.C_F_estimated, dic.C_F_estimated):
+            raise DataError(f"C_F, C_F_estimated and c_f_estimated {flags} "
+                            f"do not fit a {dic.kind} dictionary")
         lam = np.asarray(doc["lambda"], dtype=float)
         if lam.shape != (dic.M,) or not np.all(np.isfinite(lam)):
             raise DataError(f"lambda must hold {dic.M} finite coefficients")
@@ -141,7 +123,6 @@ def load_model(path):
             objective=float(meta["objective"]),
             iterations=int(meta["iterations"]),
             c_f=float(doc["c_f"]),
-            c_f_estimated=bool(doc["c_f_estimated"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file: {exc}") from exc

@@ -37,6 +37,8 @@ from .lp import LinearProgram, LpNumericalError, LpPath, solve_lp
 
 @dataclass
 class Model:
+    """A fit; c_f is the rates' sup-norm bound, from data unless dic fixes it."""
+
     lam: np.ndarray
     dic: object
     cp: CostParams
@@ -45,7 +47,6 @@ class Model:
     objective: float
     iterations: int
     c_f: float
-    c_f_estimated: bool
 
     def l1_norm(self):
         return float(np.abs(self.lam).sum())
@@ -161,16 +162,11 @@ def fit(design, cp, r, dic=None, path=None):
         path, (design, cp),
         lambda r: (split_lp(design, cp, r), _labeled_points(design)),
         cp, r, "training")
-    if dic is not None:
-        c_f = estimated_c_f(dic, design)
-        flagged = dic.C_F_estimated
-    else:
-        c_f = float(np.abs(design.phi).max())
-        flagged = True
+    c_f = (float(np.abs(design.phi).max()) if dic is None
+           else estimated_c_f(dic, design))
     return Model(
         lam=lam, dic=dic, cp=cp, r=float(r), n_train=design.n,
-        objective=objective, iterations=pivots,
-        c_f=c_f, c_f_estimated=flagged,
+        objective=objective, iterations=pivots, c_f=c_f,
     )
 
 
@@ -191,7 +187,6 @@ def fit_population(dist, dic, cp, r, path=None):
         lam=lam, dic=dic, cp=cp, r=float(r), n_train=dist.n_atoms,
         objective=objective, iterations=pivots,
         c_f=float(np.abs(phi).max()) if dic.C_F_estimated else dic.C_F,
-        c_f_estimated=dic.C_F_estimated,
     )
 
 

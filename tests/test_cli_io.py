@@ -9,6 +9,7 @@ import csv_oracle
 from rejectsvm import model_io, sim
 from rejectsvm.cli import main, parse_dict_spec
 from rejectsvm.dictionary import (
+    build_constant_linear,
     build_linear,
     build_rbf_lattice,
     estimated_c_f,
@@ -293,6 +294,53 @@ def test_model_loader_rejects_corruption(tmp_path, data_file):
     bad.write_text(json.dumps(doc))
     with pytest.raises(DataError):
         load_model(str(bad))
+
+
+def test_constant_linear_model_roundtrip_and_wrong_m(tmp_path, data_file):
+    x, y = load_data(data_file)
+    dic = build_constant_linear(2)
+    model = fit(dic_eval(dic, x, y), CostParams(d=0.25), 0.1, dic=dic)
+    first, second = tmp_path / "model.json", tmp_path / "model2.json"
+    save_model(model, str(first))
+    loaded = load_model(str(first))
+    save_model(loaded, str(second))
+    assert first.read_bytes() == second.read_bytes()
+    assert loaded.dic == dic
+    assert loaded.lam.tobytes() == model.lam.tobytes()
+    doc = json.loads(first.read_text())
+    # M must be dim + 1 for constant_linear, here 3
+    for m in (2, 4):
+        first.write_text(json.dumps({
+            **doc, "dictionary": {**doc["dictionary"], "M": m},
+            "lambda": [0.0] * m}))
+        with pytest.raises(DataError, match=f"malformed model file: "
+                                            f"dictionary M is {m}, but its "
+                                            f"kind and shape give 3"):
+            load_model(str(first))
+
+
+def test_model_loader_refuses_c_f_flags_that_do_not_fit_the_kind(tmp_path,
+                                                                data_file):
+    x, y = load_data(data_file)
+    path = tmp_path / "model.json"
+    for dic in (build_linear(2),
+                build_rbf_lattice((2, 2), x.min(axis=0), x.max(axis=0))):
+        save_model(fit(dic_eval(dic, x, y), CostParams(d=0.25), 0.1,
+                       dic=dic), str(path))
+        doc = json.loads(path.read_text())
+        spec = doc["dictionary"]
+        flag = spec["C_F_estimated"]
+        assert (spec["C_F"], flag, doc["c_f_estimated"]) == \
+            (dic.C_F, dic.C_F_estimated, dic.C_F_estimated)
+        assert load_model(str(path)).dic.kind == dic.kind
+        for edit in [{"dictionary": {**spec, "C_F": 0.5}},
+                     {"dictionary": {**spec, "C_F": float("nan")}},
+                     {"dictionary": {**spec, "C_F_estimated": not flag}},
+                     {"c_f_estimated": not flag}]:
+            path.write_text(json.dumps({**doc, **edit}))
+            with pytest.raises(DataError, match=f"do not fit a {dic.kind} "
+                                                f"dictionary"):
+                load_model(str(path))
 
 
 def test_row_writer_uses_exact_reprs(tmp_path):
@@ -626,6 +674,75 @@ def test_cli_exit_codes(tmp_path, data_file, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--data", data_file, "--out", model_path])
     assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_cli_train_refuses_a_beta_that_is_not_finite(tmp_path, data_file,
+                                                     capsys):
+    model_path = tmp_path / "m.json"
+    for beta in ("inf", "nan", "0"):
+        assert main(["train", "--data", data_file, "--r", "0.1", "--dict",
+                     f"rbf_lattice:3x3,{beta}", "--out",
+                     str(model_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: rbf beta must be a finite number > 0, "
+            f"not {float(beta)!r}\n")
+        assert not model_path.exists()
+
+
+def test_cli_train_warns_that_r_0_has_no_penalty(tmp_path, data_file,
+                                                capsys):
+    assert main(["train", "--data", data_file, "--r", "0", "--out",
+                 str(tmp_path / "m.json")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: r=0 trains without a penalty; the solution may be "
+        "non-unique\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "error: config is not valid JSON: "),
+    ('{"repetitions": 1, "colour": "red"}', "error: bad config field: "),
+])
+def test_cli_simulate_refuses_an_unreadable_config(tmp_path, capsys, text,
+                                                   message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--scenario", "two_gaussian", "--config",
+                 str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+def test_cli_seed_env_var_is_read_only_by_a_check_that_draws(tmp_path,
+                                                             monkeypatch,
+                                                             capsys):
+    dist_path = tmp_path / "dist.csv"
+    dist_path.write_text(DIST_CSV)
+    monkeypatch.setenv("REJECTSVM_SEED", "lots")
+    argv = ["diagnose", "--dist", str(dist_path), "--r-grid", "0.1,0.2",
+            "--checks"]
+    assert main(argv + ["plateau"]) == 0
+    assert capsys.readouterr().out.startswith("plateau: pass ")
+    assert main(argv + ["prop21", "plateau"]) == 0
+    capsys.readouterr()
+    for check in ("lemma_a1", "domination", "all"):
+        assert main(argv + [check]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: REJECTSVM_SEED must be an integer, got 'lots'\n")
+    # --seed wins over the variable
+    assert main(argv + ["lemma_a1", "--seed", "3"]) == 0
+    capsys.readouterr()
+    # simulate draws with its config's seed when the config gives one
+    cfg = tmp_path / "cfg.json"
+    sim_argv = ["simulate", "--scenario", "two_gaussian", "--config",
+                str(cfg), "--out", str(tmp_path / "sim.csv")]
+    settings = {"repetitions": 1, "n_train": 12, "M": 3, "r_grid": [0.2]}
+    cfg.write_text(json.dumps(settings))
+    assert main(sim_argv) == 2
+    assert "REJECTSVM_SEED must be an integer" in capsys.readouterr().err
+    cfg.write_text(json.dumps({**settings, "seed": 4}))
+    assert main(sim_argv) == 0
     capsys.readouterr()
 
 

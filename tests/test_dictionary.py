@@ -1,5 +1,8 @@
 """Dictionary construction and evaluation fixtures."""
 
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -66,7 +69,62 @@ def test_lattice_validation():
     with pytest.raises(ValueError):
         build_linear(0)
     with pytest.raises(ValueError):
-        Dictionary("fourier", 1, 1, 1.0, False)
+        Dictionary("fourier", 1, 1)
+
+
+def test_the_kind_fixes_c_f():
+    # C_F is no field: 1 for Gaussian bumps, 0 (estimated from data) for
+    # the linear kinds
+    assert "C_F" not in {f.name for f in fields(Dictionary)}
+    for dic in (build_linear(2), build_constant_linear(2)):
+        assert (dic.C_F, dic.C_F_estimated) == (0.0, True)
+    for dic in (build_custom_rbf([[0.0, 0.0]]),
+                build_rbf_lattice((2, 2), [0.0, 0.0], [1.0, 1.0])):
+        assert (dic.C_F, dic.C_F_estimated) == (1.0, False)
+
+
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_rbf_builders_refuse_a_beta_that_is_not_finite_and_positive(beta):
+    message = f"rbf beta must be a finite number > 0, not {beta!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_custom_rbf([[0.0, 0.0]], beta=beta)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_rbf_lattice((3, 3), [0.0, 0.0], [1.0, 1.0], beta=beta)
+
+
+def test_rbf_builders_refuse_non_finite_centers_and_box_corners():
+    with pytest.raises(ValueError, match=r"rbf centers must be a finite "
+                                         r"\(M, 2\) array"):
+        build_custom_rbf([[0.0, 0.0], [np.nan, 1.0]])
+    with pytest.raises(ValueError, match="rbf centers"):
+        build_custom_rbf([[np.inf]])
+    # a single count keeps only the lower corner, so the upper one must be
+    # checked as given
+    for lo, hi, grid in [([np.nan, 0.0], [1.0, 1.0], (2, 2)),
+                         ([0.0, 0.0], [1.0, np.nan], (2, 2)),
+                         ([0.0], [np.nan], (1,)),
+                         ([0.0], [np.inf], (1,))]:
+        with pytest.raises(ValueError, match="box corners must be finite"):
+            build_rbf_lattice(grid, lo, hi)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    (("linear", 0, 0), {}, "dim must be at least 1"),
+    (("custom_rbf", 1, 0), {"centers": np.zeros((0, 1)), "beta": 1.0},
+     "at least one function"),
+    (("linear", 2, 3), {}, "dictionary M is 3, but its kind and shape give 2"),
+    (("constant_linear", 2, 2), {}, "dictionary M is 2, but its kind and "
+                                    "shape give 3"),
+    (("custom_rbf", 2, 2), {"centers": np.zeros((3, 2)), "beta": 1.0},
+     "dictionary M is 2, but its kind and shape give 3"),
+    (("custom_rbf", 2, 1), {"beta": 1.0}, "rbf centers"),
+    (("custom_rbf", 2, 1), {"centers": np.zeros((1, 3)), "beta": 1.0},
+     "rbf centers"),
+    (("rbf_lattice", 2, 1), {"centers": np.zeros((1, 2))}, "rbf beta"),
+])
+def test_dictionary_refuses_fields_that_do_not_fit(args, kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Dictionary(*args, **kwargs)
 
 
 def test_evaluate_checks_feature_count():

@@ -24,7 +24,7 @@ def toy_model(lam, dic=None, cp=CP, n_train=10, c_f=1.0):
     if dic is None:
         dic = build_linear(lam.size)
     return Model(lam=lam, dic=dic, cp=cp, r=0.1, n_train=n_train,
-                 objective=0.0, iterations=0, c_f=c_f, c_f_estimated=False)
+                 objective=0.0, iterations=0, c_f=c_f)
 
 
 def test_margins_are_linear_scores():
@@ -32,7 +32,7 @@ def test_margins_are_linear_scores():
     x = np.array([[1.0, 1.0], [0.5, 0.0]])
     assert np.allclose(margins(model, x), [1.0, 1.0])
     bare = Model(lam=np.ones(2), dic=None, cp=CP, r=0.0, n_train=1,
-                 objective=0.0, iterations=0, c_f=1.0, c_f_estimated=True)
+                 objective=0.0, iterations=0, c_f=1.0)
     with pytest.raises(ValueError):
         margins(bare, x)
 

@@ -107,6 +107,23 @@ def test_nan_margins_rejected():
         gen_hinge(np.array([0.0, np.nan]), cp)
 
 
+@pytest.mark.parametrize("x, p, eta, message", [
+    ([[0.0], [1.0]], [1.0], [0.5], "must align"),
+    ([[0.0]], [1.0], [0.5, 0.5], "must align"),
+    ([[0.0], [1.0]], [1.0, 0.0], [0.5, 0.5], "must be positive"),
+    ([[0.0], [1.0]], [1.5, -0.5], [0.5, 0.5], "must be positive"),
+    ([[0.0], [1.0]], [0.5, 0.5], [0.5, 1.5], r"must lie in \[0, 1\]"),
+    ([[0.0], [1.0]], [0.5, 0.5], [-0.1, 0.5], r"must lie in \[0, 1\]"),
+    ([[0.0], [np.nan]], [0.5, 0.5], [0.5, 0.5], "x contains non-finite"),
+    ([[0.0], [np.inf]], [0.5, 0.5], [0.5, 0.5], "x contains non-finite"),
+    ([[0.0], [1.0]], [0.5, np.nan], [0.5, 0.5], "p contains non-finite"),
+    ([[0.0], [1.0]], [0.5, 0.5], [np.nan, 0.5], "eta contains non-finite"),
+])
+def test_discrete_distribution_refuses_bad_atoms(x, p, eta, message):
+    with pytest.raises(ValueError, match=message):
+        DiscreteDistribution(x=x, p=p, eta=eta)
+
+
 def test_population_risk_hand_example():
     # single atom, eta = 0.9, f = 1: risk = 0.9*phi(1) + 0.1*phi(-1)
     cp = CostParams(d=0.25, tau=0.5)

@@ -236,6 +236,29 @@ def test_rejects_malformed_input():
                       lower=[0.0, 2.0], upper=[1.0, 1.0])
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"rhs": [1.0, 2.0]}, r"rhs has shape \(2,\), expected \(1,\)"),
+    ({"rows": [[1.0, np.nan]]}, "constraint rows contain non-finite"),
+    ({"rows": [[1.0, np.inf]]}, "constraint rows contain non-finite"),
+    ({"lower": [0.0]}, "one entry per variable"),
+    ({"upper": [1.0, 1.0, 1.0]}, "one entry per variable"),
+    ({"lower": [0.0, np.nan]}, "variable bounds contain NaN"),
+    ({"upper": [np.nan, 1.0]}, "variable bounds contain NaN"),
+])
+def test_rejects_malformed_rhs_rows_and_bounds(kwargs, message):
+    data = {"objective": [1.0, 1.0], "rows": [[1.0, 1.0]],
+            "relations": ["<="], "rhs": [1.0], **kwargs}
+    with pytest.raises(LpInputError, match=message):
+        LinearProgram(**data)
+
+
+def test_variables_default_to_free():
+    lp = LinearProgram(objective=[1.0, 1.0], rows=[[1.0, 1.0]],
+                       relations=[">="], rhs=[1.0])
+    assert np.array_equal(lp.lower, [-np.inf, -np.inf])
+    assert np.array_equal(lp.upper, [np.inf, np.inf])
+
+
 def test_oracle_refuses_oversized_problems():
     rng = np.random.default_rng(0)
     lp = LinearProgram(objective=rng.normal(size=30),

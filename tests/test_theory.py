@@ -220,7 +220,7 @@ def _plateau_path(steps):
         lam = np.asarray(lam, dtype=float)
         return Model(lam=lam, dic=None, cp=CostParams(0.25), r=r, n_train=0,
                      objective=risk + r * float(np.abs(lam).sum()),
-                     iterations=0, c_f=1.0, c_f_estimated=False)
+                     iterations=0, c_f=1.0)
 
     return PopulationPath(model(0.0, [1.0, 0.0], 0.5),
                           np.array([r for r, _, _ in steps]),
