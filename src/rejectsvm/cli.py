@@ -280,7 +280,9 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--p", type=float, default=1.0)
+    p.add_argument("--p", type=float, default=1.0,
+                   help="tail exponent, a finite number > 0: the bounds "
+                        "add n^-p")
     p.add_argument("--out", help="one-row CSV of the bounds")
     p.set_defaults(func=cmd_bounds)
 

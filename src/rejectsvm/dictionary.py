@@ -8,7 +8,7 @@ unbounded kinds it is flagged as estimated and taken from training data.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -16,13 +16,31 @@ from scipy.spatial.distance import cdist
 _KINDS = ("linear", "constant_linear", "rbf_lattice", "custom_rbf")
 
 
+def _check_lattice(dim, grid, box):
+    """rbf_lattice's rules: dim grid counts of at least 1, and a finite
+    (2, dim) box, lower <= upper, < on every axis of more than one count."""
+    if grid is None or len(grid) != dim:
+        raise ValueError(f"rbf_lattice grid must hold {dim} counts")
+    if any(g < 1 for g in grid):
+        raise ValueError("grid counts must be at least 1")
+    if box is None or np.shape(box) != (2, dim):
+        raise ValueError(f"rbf_lattice box must be a (2, {dim}) array")
+    if not np.all(np.isfinite(box)):
+        raise ValueError("box corners must be finite")
+    for ax, (lo, hi) in enumerate(zip(*box)):
+        if hi < lo or (hi == lo and grid[ax] > 1):
+            raise ValueError(f"degenerate box on axis {ax}")
+
+
 @dataclass(frozen=True)
 class Dictionary:
-    """A dictionary, checked in full on construction; its kind fixes C_F."""
+    """A dictionary, checked in full on construction; its kind fixes C_F,
+    its kind and shape M, and a kind leaves the fields it does not use None."""
 
     kind: str
     dim: int
-    M: int
+    M: int = field(init=False)   # worked out from kind and shape
+    _: KW_ONLY
     centers: np.ndarray = None   # rbf kinds only
     beta: float = None           # rbf kinds only
     grid: tuple = None           # rbf_lattice only: counts per axis
@@ -33,12 +51,11 @@ class Dictionary:
             raise ValueError(f"unknown dictionary kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
-        if self.M < 1:
-            raise ValueError("dictionary must contain at least one function")
-        if self.kind == "linear":
-            implied = self.dim
-        elif self.kind == "constant_linear":
-            implied = self.dim + 1
+        if self.kind in ("linear", "constant_linear"):
+            if self.centers is not None or self.beta is not None:
+                raise ValueError(f"a {self.kind} dictionary has no centers "
+                                 f"or beta")
+            M = self.dim if self.kind == "linear" else self.dim + 1
         else:
             beta, centers = self.beta, self.centers
             if beta is None or not (math.isfinite(beta) and beta > 0.0):
@@ -49,10 +66,17 @@ class Dictionary:
                     or not np.all(np.isfinite(centers))):
                 raise ValueError(f"rbf centers must be a finite "
                                  f"(M, {self.dim}) array")
-            implied = len(centers)
-        if self.M != implied:
-            raise ValueError(f"dictionary M is {self.M}, but its kind and "
-                             f"shape give {implied} functions")
+            M = len(centers)
+        if M < 1:
+            raise ValueError("dictionary must contain at least one function")
+        if self.kind == "rbf_lattice":
+            _check_lattice(self.dim, self.grid, self.box)
+            if math.prod(self.grid) != M:
+                raise ValueError(f"rbf_lattice grid {tuple(self.grid)} gives "
+                                 f"{math.prod(self.grid)} centers, not {M}")
+        elif self.grid is not None or self.box is not None:
+            raise ValueError(f"a {self.kind} dictionary has no grid or box")
+        object.__setattr__(self, "M", M)
 
     @property
     def C_F_estimated(self):
@@ -94,12 +118,12 @@ class DesignMatrix:
 
 def build_linear(dim):
     """Coordinate functions f_j(x) = x_j; C_F must be estimated from data."""
-    return Dictionary("linear", dim, dim)
+    return Dictionary("linear", dim)
 
 
 def build_constant_linear(dim):
     """A constant function 1 followed by the coordinates."""
-    return Dictionary("constant_linear", dim, dim + 1)
+    return Dictionary("constant_linear", dim)
 
 
 def build_rbf_lattice(grid, box_lower, box_upper, beta=2.0):
@@ -114,26 +138,20 @@ def build_rbf_lattice(grid, box_lower, box_upper, beta=2.0):
     dim = len(grid)
     if lo.shape != (dim,) or hi.shape != (dim,):
         raise ValueError("box corners must match the grid dimension")
-    if any(g < 1 for g in grid):
-        raise ValueError("grid counts must be at least 1")
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ValueError("box corners must be finite")
-    for ax in range(dim):
-        if hi[ax] < lo[ax] or (hi[ax] == lo[ax] and grid[ax] > 1):
-            raise ValueError(f"degenerate box on axis {ax}")
+    box = np.vstack([lo, hi])
+    _check_lattice(dim, grid, box)
     axes = [np.linspace(lo[ax], hi[ax], grid[ax]) for ax in range(dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     centers = np.stack([m.ravel() for m in mesh], axis=1)
-    box = np.vstack([lo, hi])
-    return Dictionary("rbf_lattice", dim, centers.shape[0], centers=centers,
-                      beta=float(beta), grid=grid, box=box)
+    return Dictionary("rbf_lattice", dim, centers=centers, beta=float(beta),
+                      grid=grid, box=box)
 
 
 def build_custom_rbf(centers, beta=2.0):
     """Gaussian bumps at the rows of centers; Dictionary checks them."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    return Dictionary("custom_rbf", centers.shape[1], centers.shape[0],
-                      centers=centers, beta=float(beta))
+    return Dictionary("custom_rbf", centers.shape[1], centers=centers,
+                      beta=float(beta))
 
 
 def evaluate(dic, X, y=None):

@@ -108,41 +108,37 @@ def rate_r(gamma, n, M, c_f, delta, p=1.0):
     return c_f / gamma * concentration_bracket(n, M, delta, p)
 
 
-def default_gamma_grid(num=25):
-    """Log-spaced ramp widths searched by bounds()."""
-    return np.geomspace(0.02, 2.0, num)
+def default_gamma_grid():
+    """The 25 log-spaced ramp widths, 0.02 to 2, that bounds() searches."""
+    return np.geomspace(0.02, 2.0, 25)
 
 
-def bounds(model, x, y, gamma_grid=None, delta=0.05, p=1.0):
+def bounds(model, x, y, delta=0.05, p=1.0):
     """Data-driven upper bounds on the true error and reject rates.
 
-    For each grid width gamma the candidate bound is the training rate of
-    margins within gamma of the threshold plus rate_r(gamma) * ||lam||_1;
-    the minimum over the grid plus n^-p upper-bounds the corresponding true
-    rate with probability at least 1 - delta.  Any single grid point already
-    yields a valid bound, so the grid search only tightens the result.
+    For each width gamma of default_gamma_grid(), fixed before the data
+    are seen, the candidate bound is the training rate of margins within
+    gamma of the threshold plus rate_r(gamma) * ||lam||_1; the minimum over
+    the grid plus n^-p upper-bounds the corresponding true rate with
+    probability at least 1 - delta.  Any single grid point already yields
+    a valid bound, so the grid search only tightens the result.
     """
-    if gamma_grid is None:
-        gamma_grid = default_gamma_grid()
-    gamma_grid = np.asarray(gamma_grid, dtype=float)
-    if gamma_grid.size == 0:
-        raise ValueError("gamma grid must be non-empty")
-    if np.any(gamma_grid <= 0.0):
-        raise ValueError("ramp widths must be positive")
+    gamma_grid = default_gamma_grid()
     y = np.asarray(y, dtype=float)
     f = margins(model, x)
     yf = y * f
     n = y.size
     tau = model.cp.tau
     l1 = model.l1_norm()
-    tail = float(n) ** (-p)
 
     emp_mis = np.array([np.mean(yf <= -tau + g) for g in gamma_grid])
     emp_rej = np.array([np.mean(np.abs(f) <= tau + g) for g in gamma_grid])
     M = len(model.lam)
+    # rate_r refuses a p that is not finite and > 0 before n^-p is taken
     penalty = np.array(
         [rate_r(g, n, M, model.c_f, delta, p) * l1 for g in gamma_grid]
     )
+    tail = float(n) ** (-p)
 
     def side(emp):
         k = int(np.argmin(emp + penalty))

@@ -13,37 +13,32 @@ with slope a = (1 - d) / d >= 1.  Two auxiliary ramp losses sandwich the
 error and reject indicators for the data-driven rate bounds.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class CostParams:
-    """Rejection cost d in (0, 1/2], threshold tau in [d, 1-d], slope a.
+    """Rejection cost d in (0, 1/2] and threshold tau in [d, 1-d].
 
-    a is derived from d when omitted; passing it explicitly (e.g. when
-    loading a stored model) re-validates consistency to 1e-12 relative.
+    The slope a = (1 - d) / d is worked out from d, not passed.
     """
 
     d: float
     tau: float = 0.5
-    a: float = None
+    a: float = field(init=False)
 
     def __post_init__(self):
         d = float(self.d)
         if not 0.0 < d <= 0.5:
             raise ValueError(f"rejection cost d={d} outside (0, 0.5]")
-        a = (1.0 - d) / d
-        if self.a is None:
-            object.__setattr__(self, "a", a)
-        elif abs(self.a - a) > 1e-12 * max(1.0, a):
-            raise ValueError(f"slope a={self.a} inconsistent with d={d}")
         tau = float(self.tau)
         if not d <= tau <= 1.0 - d:
             raise ValueError(f"threshold tau={tau} outside [{d}, {1.0 - d}]")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "a", (1.0 - d) / d)
 
 
 @dataclass(frozen=True)

@@ -81,8 +81,9 @@ def save_model(model, path):
 
 
 def load_model(path):
-    """Read a model file back, re-validated by Dictionary and CostParams;
-    C_F flags that do not fit the dictionary's kind are a DataError."""
+    """Read a model file back, re-validated by Dictionary and CostParams; a
+    stored M, a, C_F flag or c_f (1 for Gaussian kinds, finite and > 0 for
+    linear ones) that does not fit the file's other fields is a DataError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -95,7 +96,7 @@ def load_model(path):
             )
         spec = doc["dictionary"]
         dic = Dictionary(
-            spec["kind"], int(spec["dim"]), int(spec["M"]),
+            spec["kind"], int(spec["dim"]),
             centers=None if spec["centers"] is None
             else np.asarray(spec["centers"], dtype=float),
             beta=None if spec["beta"] is None else float(spec["beta"]),
@@ -103,6 +104,9 @@ def load_model(path):
             box=None if spec["box"] is None
             else np.asarray(spec["box"], dtype=float),
         )
+        if spec["M"] != dic.M:
+            raise ValueError(f"dictionary M is {spec['M']}, but its kind and "
+                             f"shape give {dic.M} functions")
         flags = spec["C_F"], spec["C_F_estimated"], doc["c_f_estimated"]
         if flags != (dic.C_F, dic.C_F_estimated, dic.C_F_estimated):
             raise DataError(f"C_F, C_F_estimated and c_f_estimated {flags} "
@@ -110,9 +114,14 @@ def load_model(path):
         lam = np.asarray(doc["lambda"], dtype=float)
         if lam.shape != (dic.M,) or not np.all(np.isfinite(lam)):
             raise DataError(f"lambda must hold {dic.M} finite coefficients")
-        # a and tau are cross-checked against d here
-        cp = CostParams(d=float(doc["d"]), tau=float(doc["tau"]),
-                        a=float(doc["a"]))
+        cp = CostParams(d=float(doc["d"]), tau=float(doc["tau"]))
+        a = float(doc["a"])
+        if not abs(a - cp.a) <= 1e-12 * max(1.0, cp.a):
+            raise ValueError(f"slope a={a} inconsistent with d={cp.d}")
+        c_f = float(doc["c_f"])
+        if not (0.0 < c_f < math.inf if dic.C_F_estimated else c_f == 1.0):
+            raise ValueError(f"c_f={c_f!r} does not fit a {dic.kind} "
+                             f"dictionary")
         meta = doc["train_meta"]
         return Model(
             lam=lam,
@@ -122,7 +131,7 @@ def load_model(path):
             n_train=int(meta["n"]),
             objective=float(meta["objective"]),
             iterations=int(meta["iterations"]),
-            c_f=float(doc["c_f"]),
+            c_f=c_f,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file: {exc}") from exc

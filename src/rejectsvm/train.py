@@ -51,8 +51,9 @@ class Model:
     def l1_norm(self):
         return float(np.abs(self.lam).sum())
 
-    def support_size(self, tol=SUPPORT_TOL):
-        return int(np.sum(np.abs(self.lam) > tol))
+    def support_size(self):
+        """The number of coefficients whose magnitude exceeds SUPPORT_TOL."""
+        return int(np.sum(np.abs(self.lam) > SUPPORT_TOL))
 
 
 def _hinge_lp(phi, mass, eta, cp, r):
@@ -261,6 +262,8 @@ def concentration_bracket(n, M, delta, p=1.0):
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"p must be a finite number > 0, not {p!r}")
     if n < 1 or M < 1:
         raise ValueError("n and M must be at least 1")
     big = max(M, n)

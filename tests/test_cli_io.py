@@ -243,11 +243,13 @@ def test_model_loader_rejects_corruption(tmp_path, data_file):
     save_model(model, str(path))
     doc = json.loads(path.read_text())
 
-    doc["a"] = 2.5  # breaks the slope identity a = (1 - d) / d
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    with pytest.raises(DataError):
-        load_model(str(bad))
+    for a in (2.5, float("nan")):  # break the slope identity a = (1 - d) / d
+        doc["a"] = a
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"slope a={a} inconsistent "
+                                            f"with d=0.25"):
+            load_model(str(bad))
 
     doc["a"] = 3.0
     doc["format_version"] = 99
@@ -272,6 +274,10 @@ def test_model_loader_rejects_corruption(tmp_path, data_file):
                                "lambda": doc["lambda"] + [0.0]}))
     with pytest.raises(DataError, match="dictionary M is 3"):
         load_model(str(bad))
+    bad.write_text(json.dumps({**doc, "dictionary": {**doc["dictionary"],
+                                                      "M": 2.5}}))
+    with pytest.raises(DataError, match="dictionary M is 2.5"):
+        load_model(str(bad))
     # an rbf model needs a finite beta > 0 and finite (M, dim) centers
     rbf = build_rbf_lattice((2, 2), x.min(axis=0), x.max(axis=0))
     save_model(fit(dic_eval(rbf, x, y), CostParams(d=0.25), 0.1, dic=rbf),
@@ -289,6 +295,12 @@ def test_model_loader_rejects_corruption(tmp_path, data_file):
                                    "dictionary": {**spec, **edit}}))
         with pytest.raises(DataError, match=message):
             load_model(str(bad))
+    # M must be the number of centers, here 4
+    bad.write_text(json.dumps({**rbf_doc, "dictionary": {**spec, "M": 5},
+                               "lambda": rbf_doc["lambda"] + [0.0]}))
+    with pytest.raises(DataError, match="dictionary M is 5, but its kind "
+                                        "and shape give 4 functions"):
+        load_model(str(bad))
 
     del doc["format_version"]
     bad.write_text(json.dumps(doc))
@@ -341,6 +353,45 @@ def test_model_loader_refuses_c_f_flags_that_do_not_fit_the_kind(tmp_path,
             with pytest.raises(DataError, match=f"do not fit a {dic.kind} "
                                                 f"dictionary"):
                 load_model(str(path))
+
+
+def test_model_loader_refuses_a_c_f_that_does_not_fit_the_kind(tmp_path,
+                                                               data_file):
+    x, y = load_data(data_file)
+    path = tmp_path / "model.json"
+    nan, inf = float("nan"), float("inf")
+    for dic, bad_values in [
+            (build_linear(2), (nan, -1.0, 0.0, inf)),
+            (build_rbf_lattice((2, 2), x.min(axis=0), x.max(axis=0)), (7.0,))]:
+        save_model(fit(dic_eval(dic, x, y), CostParams(d=0.25), 0.1,
+                       dic=dic), str(path))
+        doc = json.loads(path.read_text())
+        assert load_model(str(path)).c_f == doc["c_f"]
+        for c_f in bad_values:
+            path.write_text(json.dumps({**doc, "c_f": c_f}))
+            with pytest.raises(DataError, match=f"c_f={c_f!r} does not fit "
+                                                f"a {dic.kind} dictionary"):
+                load_model(str(path))
+
+
+def test_model_loader_refuses_a_grid_box_or_unused_field_that_does_not_fit(
+        tmp_path, data_file):
+    x, y = load_data(data_file)
+    path = tmp_path / "model.json"
+    for dic, edit, message in [
+            (build_rbf_lattice((4, 4), x.min(axis=0), x.max(axis=0)),
+             {"grid": [9, 9], "box": [[5.0, 5.0], [-5.0, -5.0]]},
+             "degenerate box on axis 0"),
+            (build_linear(2), {"beta": -3.0,
+                               "centers": [[float("nan")] * 2] * 2},
+             "a linear dictionary has no centers or beta")]:
+        save_model(fit(dic_eval(dic, x, y), CostParams(d=0.25), 0.1,
+                       dic=dic), str(path))
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "dictionary": {
+            **doc["dictionary"], **edit}}))
+        with pytest.raises(DataError, match=message):
+            load_model(str(path))
 
 
 def test_row_writer_uses_exact_reprs(tmp_path):
@@ -688,6 +739,22 @@ def test_cli_train_refuses_a_beta_that_is_not_finite(tmp_path, data_file,
             f"usage error: rbf beta must be a finite number > 0, "
             f"not {float(beta)!r}\n")
         assert not model_path.exists()
+
+
+def test_cli_bounds_refuses_a_p_that_is_not_finite_and_positive(
+        tmp_path, data_file, capsys):
+    model_path = str(tmp_path / "m.json")
+    assert main(["train", "--data", data_file, "--r", "0.1", "--out",
+                 model_path]) == 0
+    out = tmp_path / "bounds.csv"
+    for p in ("nan", "inf", "0", "-1"):
+        capsys.readouterr()
+        assert main(["bounds", "--model", model_path, "--data", data_file,
+                     "--p", p, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: p must be a finite number > 0, "
+            f"not {float(p)!r}\n")
+        assert not out.exists()
 
 
 def test_cli_train_warns_that_r_0_has_no_penalty(tmp_path, data_file,

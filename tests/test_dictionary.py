@@ -69,7 +69,7 @@ def test_lattice_validation():
     with pytest.raises(ValueError):
         build_linear(0)
     with pytest.raises(ValueError):
-        Dictionary("fourier", 1, 1)
+        Dictionary("fourier", 1)
 
 
 def test_the_kind_fixes_c_f():
@@ -108,23 +108,63 @@ def test_rbf_builders_refuse_non_finite_centers_and_box_corners():
             build_rbf_lattice(grid, lo, hi)
 
 
+LATTICE = {"centers": np.zeros((4, 2)), "beta": 1.0, "grid": (2, 2),
+           "box": np.array([[0.0, 0.0], [1.0, 1.0]])}
+
+
 @pytest.mark.parametrize("args, kwargs, message", [
-    (("linear", 0, 0), {}, "dim must be at least 1"),
-    (("custom_rbf", 1, 0), {"centers": np.zeros((0, 1)), "beta": 1.0},
+    (("linear", 0), {}, "dim must be at least 1"),
+    (("custom_rbf", 1), {"centers": np.zeros((0, 1)), "beta": 1.0},
      "at least one function"),
-    (("linear", 2, 3), {}, "dictionary M is 3, but its kind and shape give 2"),
-    (("constant_linear", 2, 2), {}, "dictionary M is 2, but its kind and "
-                                    "shape give 3"),
-    (("custom_rbf", 2, 2), {"centers": np.zeros((3, 2)), "beta": 1.0},
-     "dictionary M is 2, but its kind and shape give 3"),
-    (("custom_rbf", 2, 1), {"beta": 1.0}, "rbf centers"),
-    (("custom_rbf", 2, 1), {"centers": np.zeros((1, 3)), "beta": 1.0},
+    (("linear", 2), {"centers": np.zeros((2, 2))},
+     "a linear dictionary has no centers or beta"),
+    (("constant_linear", 2), {"beta": 1.0},
+     "a constant_linear dictionary has no centers or beta"),
+    (("custom_rbf", 2), {"centers": np.zeros((1, 2)), "beta": 1.0,
+                         "grid": (1, 1)},
+     "a custom_rbf dictionary has no grid or box"),
+    (("custom_rbf", 2), {"beta": 1.0}, "rbf centers"),
+    (("custom_rbf", 2), {"centers": np.zeros((1, 3)), "beta": 1.0},
      "rbf centers"),
-    (("rbf_lattice", 2, 1), {"centers": np.zeros((1, 2))}, "rbf beta"),
+    (("rbf_lattice", 2), {"centers": np.zeros((1, 2))}, "rbf beta"),
+    (("rbf_lattice", 2), {**LATTICE, "grid": (4,)},
+     "rbf_lattice grid must hold 2 counts"),
+    (("rbf_lattice", 2), {**LATTICE, "grid": (4, 0)},
+     "grid counts must be at least 1"),
+    (("rbf_lattice", 2), {**LATTICE, "grid": (3, 3)},
+     "rbf_lattice grid (3, 3) gives 9 centers, not 4"),
+    (("rbf_lattice", 2), {**LATTICE, "box": None},
+     "rbf_lattice box must be a (2, 2) array"),
+    (("rbf_lattice", 2), {**LATTICE, "box": np.zeros((2, 3))},
+     "rbf_lattice box must be a (2, 2) array"),
+    (("rbf_lattice", 2), {**LATTICE, "box": np.array([[0.0, 0.0],
+                                                      [np.inf, 1.0]])},
+     "box corners must be finite"),
+    (("rbf_lattice", 2), {**LATTICE, "box": np.array([[0.0, 1.0],
+                                                      [1.0, 0.0]])},
+     "degenerate box on axis 1"),
+    (("rbf_lattice", 2), {**LATTICE, "grid": (4, 1), "box": np.ones((2, 2))},
+     "degenerate box on axis 0"),
 ])
 def test_dictionary_refuses_fields_that_do_not_fit(args, kwargs, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         Dictionary(*args, **kwargs)
+
+
+def test_kind_and_shape_fix_m():
+    assert build_linear(3).M == 3
+    assert build_constant_linear(3).M == 4
+    assert build_custom_rbf(np.zeros((5, 2))).M == 5
+    # a single-count axis may have equal corners
+    dic = Dictionary("rbf_lattice", 2, **{**LATTICE, "grid": (4, 1),
+                                         "box": np.array([[0.0, 1.0],
+                                                          [1.0, 1.0]])})
+    assert dic.M == 4
+    # M, like C_F, is worked out and not taken
+    with pytest.raises(TypeError):
+        Dictionary("linear", 2, 2)
+    with pytest.raises(TypeError):
+        Dictionary("linear", 2, M=2)
 
 
 def test_evaluate_checks_feature_count():

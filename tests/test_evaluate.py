@@ -144,11 +144,13 @@ def test_bound_tightens_with_looser_confidence():
     assert loose.bound_reject <= strict.bound_reject
 
 
-def test_bounds_grid_validation():
-    model = toy_model([1.0])
-    x = np.ones((3, 1))
-    y = np.ones(3)
-    with pytest.raises(ValueError):
-        bounds(model, x, y, gamma_grid=[])
-    with pytest.raises(ValueError):
-        bounds(model, x, y, gamma_grid=[0.5, -1.0])
+def test_the_gamma_grid_and_the_support_tolerance_are_constants():
+    grid = default_gamma_grid()
+    assert grid.size == 25
+    assert (grid[0], grid[-1]) == pytest.approx((0.02, 2.0))
+    model = toy_model([1.0, 1e-9])
+    assert model.support_size() == 1  # SUPPORT_TOL is 1e-8
+    with pytest.raises(TypeError):
+        bounds(model, np.ones((3, 2)), np.ones(3), gamma_grid=[1.0])
+    with pytest.raises(TypeError):
+        model.support_size(tol=0.1)

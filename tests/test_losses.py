@@ -34,10 +34,9 @@ def test_cost_params_validation():
         CostParams(d=0.25, tau=0.1)  # below d
     with pytest.raises(ValueError):
         CostParams(d=0.25, tau=0.8)  # above 1 - d
-    with pytest.raises(ValueError):
-        CostParams(d=0.25, a=2.0)  # inconsistent slope
-    # explicit consistent slope accepted
-    assert CostParams(d=0.25, a=3.0).a == 3.0
+    # the slope is worked out from d, not taken
+    with pytest.raises(TypeError):
+        CostParams(d=0.25, a=3.0)
 
 
 def test_hinge_values_at_named_points():

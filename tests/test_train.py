@@ -1,5 +1,8 @@
 """Training optimality against independent oracles, and path properties."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -294,6 +297,10 @@ def test_concentration_bracket_validation_and_shrinkage():
         concentration_bracket(100, 200, 1.0)
     with pytest.raises(ValueError):
         concentration_bracket(0, 200, 0.1)
+    for p in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match=re.escape(
+                f"p must be a finite number > 0, not {p!r}")):
+            concentration_bracket(100, 200, 0.1, p)
     a = concentration_bracket(100, 200, 0.1)
     b = concentration_bracket(10_000, 200, 0.1)
     assert b < a  # more data, tighter deviation term
