@@ -8,7 +8,7 @@ unbounded kinds it is flagged as estimated and taken from training data.
 """
 
 import math
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import KW_ONLY, dataclass, field, fields
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -77,6 +77,13 @@ class Dictionary:
         elif self.grid is not None or self.box is not None:
             raise ValueError(f"a {self.kind} dictionary has no grid or box")
         object.__setattr__(self, "M", M)
+
+    def __eq__(self, other):
+        """Field by field, array fields by np.array_equal."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
     @property
     def C_F_estimated(self):

@@ -44,6 +44,13 @@ def _array_field(value):
     return None if value is None else np.asarray(value, dtype=float).tolist()
 
 
+def _int_field(value, name):
+    """value if it was a JSON integer; a bool, float or other is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 def save_model(model, path):
     """Write a fitted model as deterministic, sorted, indented JSON."""
     dic = model.dic
@@ -83,7 +90,8 @@ def save_model(model, path):
 def load_model(path):
     """Read a model file back, re-validated by Dictionary and CostParams; a
     stored M, a, C_F flag or c_f (1 for Gaussian kinds, finite and > 0 for
-    linear ones) that does not fit the file's other fields is a DataError."""
+    linear ones) that does not fit the file's other fields, or a dim, grid
+    count, n or iterations that is not a JSON integer, is a DataError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -96,11 +104,12 @@ def load_model(path):
             )
         spec = doc["dictionary"]
         dic = Dictionary(
-            spec["kind"], int(spec["dim"]),
+            spec["kind"], _int_field(spec["dim"], "dim"),
             centers=None if spec["centers"] is None
             else np.asarray(spec["centers"], dtype=float),
             beta=None if spec["beta"] is None else float(spec["beta"]),
-            grid=None if spec["grid"] is None else tuple(spec["grid"]),
+            grid=None if spec["grid"] is None
+            else tuple(_int_field(g, "grid count") for g in spec["grid"]),
             box=None if spec["box"] is None
             else np.asarray(spec["box"], dtype=float),
         )
@@ -128,9 +137,9 @@ def load_model(path):
             dic=dic,
             cp=cp,
             r=float(doc["r"]),
-            n_train=int(meta["n"]),
+            n_train=_int_field(meta["n"], "n"),
             objective=float(meta["objective"]),
-            iterations=int(meta["iterations"]),
+            iterations=_int_field(meta["iterations"], "iterations"),
             c_f=c_f,
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -12,9 +12,10 @@ per linear piece of the point's loss; at any simplex vertex the two parts
 of lambda cannot both be positive, so the l1 penalty is exact.  fit passes
 each sample with mass 1/n and eta 1 or 0 by its label, which gives the two
 sample hinge rows; fit_population passes each atom once, with its mass and
-eta, which gives four rows where 0 < eta < 1.  Both fits start from the
-same crash basis (lambda = 0), each t basic in its point's plainer middle
-row.
+eta, which gives four rows where 0 < eta < 1.  Where a = 1 (d = 1/2) the
+two middle pieces are one, so a point has one row fewer.  Both fits start
+from the crash basis the builder states (lambda = 0), each t basic in its
+point's plainer middle row.
 
 r enters the LP only through the objective, so a penalty grid is one
 program whose optimal basis at one r is feasible at the next.
@@ -25,7 +26,7 @@ tableau, re-priced.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,6 +57,14 @@ class Model:
         return int(np.sum(np.abs(self.lam) > SUPPORT_TOL))
 
 
+@dataclass
+class HingeProgram(LinearProgram):
+    """A _hinge_lp program with its crash basis: for each row, the
+    standard-form column basic at lambda = 0, t = 1."""
+
+    crash: np.ndarray = field(kw_only=True)
+
+
 def _hinge_lp(phi, mass, eta, cp, r):
     """Penalized hinge LP over [u, v, t] with lambda = u - v, in epigraph form.
 
@@ -64,16 +73,20 @@ def _hinge_lp(phi, mass, eta, cp, r):
     z = phi_k lambda, is convex and piecewise linear with breakpoints -1, 0
     and 1, and t_k >= 0, at cost w_k, is its epigraph: one row
     t_k - s phi_k lambda >= c per linear piece s z + c.  The program
-    minimizes mass . t + r sum(u + v).  Every point has two rows for the
-    middle pieces, slopes 1 - eta - a eta on [-1, 0] and a (1 - eta) - eta
-    on [0, 1], both with intercept 1: the steeper in rows 0..n-1 and the
-    plainer, on the side of the likelier label, in rows n..2n-1, where t_k
-    starts basic, so that z can move that way without a degenerate pivot.
-    With eta in {0, 1} they are the sample hinge rows
+    minimizes mass . t + r sum(u + v).  The middle pieces have slopes
+    1 - eta - a eta on [-1, 0] and a (1 - eta) - eta on [0, 1], both with
+    intercept 1.  Every point has a row for the plainer, on the side of the
+    likelier label, where t_k starts basic, so that z can move that way
+    without a degenerate pivot; where the two slopes differ (a != 1) the
+    steeper gets a row too.  The steeper rows come first, then the n
+    plainer ones.  With eta in {0, 1} they are the sample hinge rows
     t >= 1 - a y phi lambda and t >= 1 - y phi lambda of the label
-    y = 2 eta - 1.  A point with 0 < eta < 1 also gets the outer pieces
-    -a eta z + eta and a (1 - eta) z + 1 - eta, one row each, after all the
-    middle rows: first every left piece, then every right one.
+    y = 2 eta - 1, one row where a = 1.  A point with 0 < eta < 1 also gets
+    the outer pieces -a eta z + eta and a (1 - eta) z + 1 - eta, one row
+    each, after all the middle rows: first every left piece, then every
+    right one.  The crash basis (lambda = 0, t = 1) is a vertex: t basic in
+    the plainer rows, surpluses basic in the others, at 0 in the steeper
+    rows and at eta or 1 - eta in the outer ones; it skips phase 1.
     """
     if r < 0:
         raise ValueError("penalty weight r must be non-negative")
@@ -82,20 +95,24 @@ def _hinge_lp(phi, mass, eta, cp, r):
     left = 1.0 - eta - a * eta
     right = a * (1.0 - eta) - eta
     left_second = np.abs(left) < np.abs(right)
+    steep = np.flatnonzero(left != right)
     both = np.flatnonzero((eta > 0.0) & (eta < 1.0))
     outer = eta[both]
-    slopes = np.concatenate([np.where(left_second, right, left),
+    slopes = np.concatenate([np.where(left_second, right, left)[steep],
                              np.where(left_second, left, right),
                              -a * outer, a * (1.0 - outer)])
-    rhs = np.concatenate([np.ones(2 * n), outer, 1.0 - outer])
-    point = np.concatenate([np.arange(n), np.arange(n), both, both])
+    rhs = np.concatenate([np.ones(steep.size + n), outer, 1.0 - outer])
+    point = np.concatenate([steep, np.arange(n), both, both])
     rows = np.zeros((point.size, 2 * M + n))
     rows[:, :M] = -slopes[:, None] * phi[point]
     rows[:, M:2 * M] = -rows[:, :M]
     rows[np.arange(point.size), 2 * M + point] = 1.0
     objective = np.concatenate([np.full(2 * M, r), mass])
-    return LinearProgram(objective, rows, [">="] * point.size, rhs,
-                         lower=np.zeros(2 * M + n))
+    nvar, s = 2 * M + n, steep.size
+    crash = np.concatenate([nvar + np.arange(s), 2 * M + np.arange(n),
+                            nvar + np.arange(s + n, point.size)])
+    return HingeProgram(objective, rows, [">="] * point.size, rhs,
+                        lower=np.zeros(nvar), crash=crash)
 
 
 def _labeled_points(design):
@@ -128,13 +145,8 @@ def _fit_hinge_lp(path, owner, build, cp, r, what):
     else:
         lp, points = build(r)
     phi, mass, eta = points
-    n, M = phi.shape
-    # lambda = 0, t = 1 is a vertex: t basic in rows n..2n-1, surpluses
-    # basic in the others, at 0 in the first middle rows and at eta or
-    # 1 - eta in the outer ones; skips phase 1
-    start = np.concatenate([lp.nvar + np.arange(n), 2 * M + np.arange(n),
-                            lp.nvar + np.arange(2 * n, lp.ncon)])
-    sol = solve_lp(lp, initial_basis=start, path=path)
+    M = phi.shape[1]
+    sol = solve_lp(lp, initial_basis=lp.crash, path=path)
     if sol.status != "optimal":
         raise LpNumericalError(f"{what} LP reported {sol.status}")
     if path is not None:
@@ -176,7 +188,8 @@ def fit_population(dist, dic, cp, r, path=None):
 
     Solves _hinge_lp with one point per atom, of mass p(x) and probability
     eta(x) of the label +1: four rows where 0 < eta(x) < 1, two where eta(x)
-    is 0 or 1.  path works as in fit, for the same dist, dic and cp.
+    is 0 or 1, and one fewer each where a = 1.  path works as in fit, for
+    the same dist, dic and cp.
     """
     def build(r):
         points = evaluate(dic, dist.x).phi, dist.p, dist.eta

@@ -3,7 +3,7 @@
 import numpy as np
 from scipy.optimize import linprog
 
-from rejectsvm.dictionary import DesignMatrix, build_linear
+from rejectsvm.dictionary import DesignMatrix, build_linear, evaluate
 from rejectsvm.losses import CostParams, DiscreteDistribution
 from rejectsvm.lp import LinearProgram
 
@@ -29,44 +29,62 @@ def random_lp(rng, max_vars=6, max_cons=8):
                          lower=lower, upper=upper)
 
 
-def crash_basis(n, M, mixed=0):
+def crash_basis(n, M, cp, mixed=0):
     """The crash basis train starts a hinge LP from (lambda = 0, t = 1).
 
-    t is basic in rows n..2n-1 and surpluses in the other rows: at 0 in
-    rows 0..n-1 and above 0 in the 2 * mixed outer rows of the points with
-    0 < eta < 1.  M is the number of features.
+    Where a != 1 every point has two middle rows: t is basic in rows
+    n..2n-1 and surpluses, at 0, in rows 0..n-1.  Where a = 1 the two are
+    one, rows 0..n-1, with t basic.  Surpluses are basic, above 0, in the
+    2 * mixed outer rows of the points with 0 < eta < 1, which come last.
+    M is the number of features.
     """
     nvar = 2 * M + n
-    return np.concatenate([nvar + np.arange(n), 2 * M + np.arange(n),
-                           nvar + 2 * n + np.arange(2 * mixed)])
+    steep = n if cp.a != 1.0 else 0
+    return np.concatenate([nvar + np.arange(steep), 2 * M + np.arange(n),
+                           nvar + steep + n + np.arange(2 * mixed)])
 
 
-def within_highs(ours, objective, rows, rhs):
-    """Whether ours is HiGHS's optimum of the program over x >= 0.
+def within_highs(ours, data, cp, r, dic=None):
+    """Whether ours is HiGHS's optimum of the penalized hinge risk.
 
-    The program minimizes objective . x subject to rows x >= rhs.  HiGHS's
+    The program is assemble_lp's, of the labeled design data, or of the
+    distribution data under the dictionary dic, with its bounds.  HiGHS's
     own tolerance is 1e-7, and ours is an exact vertex, so ours may lie at
     most 1e-7 below HiGHS's value and 1e-9 above it, relative to
     1 + |HiGHS's value|.
     """
-    res = linprog(objective, A_ub=-rows, b_ub=-rhs, bounds=(0, None),
-                  method="highs")
+    lp = assemble_lp(data, cp, r, dic)
+    res = linprog(lp.objective, A_ub=-lp.rows, b_ub=-lp.rhs,
+                  bounds=list(zip(lp.lower, lp.upper)), method="highs")
     assert res.status == 0, res.message
     gap = (ours - res.fun) / (1.0 + abs(res.fun))
     return -1e-7 <= gap <= 1e-9
 
 
-def assemble_lp(design, cp, r):
-    """Slack-variable LP for the penalized empirical risk, the reference build.
+def assemble_lp(data, cp, r, dic=None):
+    """Slack-variable LP for the penalized hinge risk, the reference build.
 
-    Variables are [lambda (free), xi_1..xi_n, xi_{n+1}..xi_{n+M}] with
-    xi_i covering the hinge at sample i (xi_i >= 0, >= 1 - y_i h_i,
-    >= 1 - a y_i h_i) and xi_{n+j} covering |lambda_j|.  The objective
-    (1/n) sum xi_i + r sum xi_{n+j} equals the penalized risk at the optimum,
-    so it must agree with train.split_lp's.
+    data is a labeled design, each sample of weight 1/n, or a distribution,
+    whose atoms dic evaluates, each once per label y of positive weight:
+    p eta for y = +1 and p (1 - eta) for y = -1.  Variables are
+    [lambda (free), xi_1..xi_K, xi_{K+1}..xi_{K+M}] with xi_k covering the
+    hinge of the k-th weighted sample or atom copy (xi_k >= 0,
+    >= 1 - y_k h_k, >= 1 - a y_k h_k) and xi_{K+j} covering |lambda_j|.
+    The objective, weights . xi_{1..K} + r sum xi_{K+j}, equals the
+    penalized risk at the optimum, so it must agree with train's programs.
     """
-    n, M = design.n, design.M
-    yphi = design.y[:, None] * design.phi
+    if dic is None:
+        phi, y = data.phi, data.y
+        weight = np.full(data.n, 1.0 / data.n)
+    else:
+        atoms = evaluate(dic, data.x).phi
+        copies = np.concatenate([data.p * data.eta, data.p * (1.0 - data.eta)])
+        keep = np.flatnonzero(copies > 0.0)
+        phi = np.concatenate([atoms, atoms])[keep]
+        y = np.repeat([1.0, -1.0], data.n_atoms)[keep]
+        weight = copies[keep]
+    n, M = phi.shape
+    yphi = y[:, None] * phi
     nvar = M + n + M
     rows = np.zeros((2 * n + 2 * M, nvar))
     rows[:n, :M] = yphi
@@ -78,7 +96,7 @@ def assemble_lp(design, cp, r):
     rows[2 * n + M:, :M] = np.eye(M)
     rows[2 * n + M:, M + n:] = np.eye(M)
     rhs = np.concatenate([np.ones(2 * n), np.zeros(2 * M)])
-    objective = np.concatenate([np.zeros(M), np.full(n, 1.0 / n), np.full(M, r)])
+    objective = np.concatenate([np.zeros(M), weight, np.full(M, r)])
     lower = np.concatenate([np.full(M, -np.inf), np.zeros(n + M)])
     return LinearProgram(objective, rows, [">="] * (2 * n + 2 * M), rhs, lower=lower)
 

@@ -230,8 +230,7 @@ def test_model_roundtrip_is_byte_identical(tmp_path, data_file):
     save_model(loaded, str(second))
     assert first.read_bytes() == second.read_bytes()
     assert np.array_equal(loaded.lam, model.lam)
-    assert loaded.dic.kind == "rbf_lattice"
-    assert np.array_equal(loaded.dic.centers, dic.centers)
+    assert loaded.dic == dic
     assert loaded.cp.a == model.cp.a
 
 
@@ -278,7 +277,21 @@ def test_model_loader_rejects_corruption(tmp_path, data_file):
                                                       "M": 2.5}}))
     with pytest.raises(DataError, match="dictionary M is 2.5"):
         load_model(str(bad))
-    # an rbf model needs a finite beta > 0 and finite (M, dim) centers
+    # dim, n and iterations are JSON integers: no float, bool or infinity
+    for edit, message in [
+            ({"dictionary": {**doc["dictionary"], "dim": 2.7}}, "dim"),
+            ({"dictionary": {**doc["dictionary"], "dim": 2.0}}, "dim"),
+            ({"dictionary": {**doc["dictionary"], "dim": True}}, "dim"),
+            ({"train_meta": {**doc["train_meta"], "n": 59.9}}, "n"),
+            ({"train_meta": {**doc["train_meta"], "n": "60"}}, "n"),
+            ({"train_meta": {**doc["train_meta"],
+                             "iterations": float("inf")}}, "iterations")]:
+        bad.write_text(json.dumps({**doc, **edit}))
+        with pytest.raises(DataError, match=f"malformed model file: "
+                                            f"{message} must be an integer"):
+            load_model(str(bad))
+    # an rbf model needs a finite beta > 0, finite (M, dim) centers and
+    # integer grid counts
     rbf = build_rbf_lattice((2, 2), x.min(axis=0), x.max(axis=0))
     save_model(fit(dic_eval(rbf, x, y), CostParams(d=0.25), 0.1, dic=rbf),
                str(path))
@@ -290,7 +303,11 @@ def test_model_loader_rejects_corruption(tmp_path, data_file):
                           ({"beta": float("inf")}, "rbf beta"),
                           ({"centers": wide}, "rbf centers"),
                           ({"centers": [[float("nan")] * 2] * 4},
-                           "rbf centers")]:
+                           "rbf centers"),
+                          ({"grid": [2.0, 2.0]}, "grid count must be an "
+                                                 "integer, not 2.0"),
+                          ({"grid": [True, 4]}, "grid count must be an "
+                                                "integer, not True")]:
         bad.write_text(json.dumps({**rbf_doc,
                                    "dictionary": {**spec, **edit}}))
         with pytest.raises(DataError, match=message):
@@ -685,13 +702,18 @@ def test_cli_exit_codes(tmp_path, data_file, monkeypatch, capsys):
     for cmd in ("eval", "bounds"):
         assert main([cmd, "--model", model_path, "--data",
                      str(wide_labeled)]) == 3
-    # lambda or M that does not fit the dictionary -> data
+    # lambda or M that does not fit the dictionary, or a dim or iterations
+    # that is not an integer -> data
     with open(model_path) as fh:
         doc = json.load(fh)
     for cmd, edit in [("predict", {"lambda": doc["lambda"][:1]}),
                       ("predict", {"lambda": [float("nan")] * 2}),
                       ("bounds", {"dictionary": {**doc["dictionary"],
-                                                 "M": 7}})]:
+                                                 "M": 7}}),
+                      ("bounds", {"dictionary": {**doc["dictionary"],
+                                                 "dim": 2.7}}),
+                      ("bounds", {"train_meta": {**doc["train_meta"],
+                                                 "iterations": float("inf")}})]:
         bad_model.write_text(json.dumps({**doc, **edit}))
         assert main([cmd, "--model", str(bad_model), "--data",
                      data_file]) == 3

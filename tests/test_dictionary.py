@@ -167,6 +167,21 @@ def test_kind_and_shape_fix_m():
         Dictionary("linear", 2, M=2)
 
 
+def test_dictionaries_compare_by_value():
+    # == compares every field, arrays by value, for every kind
+    lattice = build_rbf_lattice((2, 2), [0, 0], [1, 1])
+    assert lattice == build_rbf_lattice((2, 2), [0, 0], [1, 1])
+    assert lattice != build_rbf_lattice((2, 2), [0, 0], [1, 2])
+    assert lattice != build_rbf_lattice((2, 2), [0, 0], [1, 1], beta=1.5)
+    rbf = build_custom_rbf(np.array([[0.0, 1.0]]))
+    assert rbf == build_custom_rbf(np.array([[0.0, 1.0]]))
+    assert rbf != build_custom_rbf(np.array([[0.0, 2.0]]))
+    assert rbf != build_custom_rbf(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert build_linear(2) == build_linear(2) != build_constant_linear(2)
+    assert build_linear(2) != build_linear(3)
+    assert lattice != "rbf_lattice" and lattice != build_linear(2)
+
+
 def test_evaluate_checks_feature_count():
     dic = build_linear(2)
     with pytest.raises(ValueError):

@@ -558,8 +558,8 @@ def test_failed_dual_repair_is_named(monkeypatch):
 def _probe_fold(index):
     """Fold 0 of a 5-fold CV of the RBF mixture at grid point index of 10.
 
-    Returns the fold's LP, its crash basis, its penalty grid and its
-    number of features.
+    Returns the fold's LP, its crash basis, its HiGHS reference (fold, cost
+    and r, as within_highs takes them) and its penalty grid.
     """
     x, y, _ = gen_mixture(200, 3)
     dic = build_rbf_lattice((10, 10), x.min(axis=0), x.max(axis=0), beta=2.0)
@@ -568,15 +568,16 @@ def _probe_fold(index):
     grid = default_r_grid(cp, estimated_c_f(dic, design), num=10)
     keep = np.arange(design.n) % 5 != 0
     fold = DesignMatrix(design.phi[keep], design.y[keep])
-    lp = split_lp(fold, cp, float(grid[index]))
-    return lp, crash_basis(fold.n, fold.M), grid, fold.M
+    r = float(grid[index])
+    return (split_lp(fold, cp, r), crash_basis(fold.n, fold.M, cp),
+            (fold, cp, r), grid)
 
 
 def test_negative_restored_value_is_repaired_and_kept_on_the_path(monkeypatch):
     # a restored basic solution with a value below -PIVOT_TOL is repaired
     # by dual pivots, and the repaired tableau stays on the path: the next
     # solve, of the same program re-costed, starts warm from it
-    lp, crash, grid, M = _probe_fold(6)
+    lp, crash, (fold, cp, r), grid = _probe_fold(6)
     real_solve, real_repair = lp_module._basis_solve, lp_module._dual_repair
     repairs = []
 
@@ -595,7 +596,7 @@ def test_negative_restored_value_is_repaired_and_kept_on_the_path(monkeypatch):
     path = LpPath()
     sol = solve_lp(lp, initial_basis=crash, path=path)
     assert sol.status == "optimal" and not sol.warm and repairs == [1]
-    assert within_highs(sol.objective_value, lp.objective, lp.rows, lp.rhs)
+    assert within_highs(sol.objective_value, fold, cp, r)
     # the path holds the repaired basis, and its clipped basic solution is
     # the tableau's right-hand-side column
     assert path.program is lp and path.tableau[:-1, -1].min() >= 0.0
@@ -603,28 +604,30 @@ def test_negative_restored_value_is_repaired_and_kept_on_the_path(monkeypatch):
     x_std[path.basis] = path.tableau[:-1, -1]
     assert np.array_equal(x_std[:lp.nvar], sol.x)  # every bound is 0
     monkeypatch.setattr(lp_module, "_basis_solve", real_solve)
-    lp.objective[:2 * M] = grid[7]  # the penalty costs
+    lp.objective[:2 * fold.M] = grid[7]  # the penalty costs
     sol = solve_lp(lp, initial_basis=crash, path=path)
     assert sol.status == "optimal" and sol.warm and repairs == [1]
-    assert within_highs(sol.objective_value, lp.objective, lp.rows, lp.rhs)
+    assert within_highs(sol.objective_value, fold, cp, grid[7])
 
 
 def _population_lp(seed, r, cp):
-    """The population hinge LP of logistic_atoms(seed) on a 6x6 RBF lattice."""
+    """The population hinge LP of logistic_atoms(seed) on a 6x6 RBF lattice,
+    its crash basis and its HiGHS reference."""
     dist = logistic_atoms(seed)
     dic = build_rbf_lattice((6, 6), dist.x.min(axis=0), dist.x.max(axis=0))
     phi = evaluate(dic, dist.x).phi
     mixed = int(np.sum((dist.eta > 0.0) & (dist.eta < 1.0)))
     return (_hinge_lp(phi, dist.p, dist.eta, cp, r),
-            crash_basis(dist.n_atoms, phi.shape[1], mixed))
+            crash_basis(dist.n_atoms, dic.M, cp, mixed), (dist, cp, r, dic))
 
 
 def _study_lp(d, r):
     config = ExperimentConfig("two_gaussian", repetitions=1)
     design = evaluate(build_linear(config.M), *gen_two_gaussian(
         config.n_train // 2, config.M, 2024)[:2])
-    return (split_lp(design, CostParams(d=d, tau=0.5), r),
-            crash_basis(design.n, design.M))
+    cp = CostParams(d=d, tau=0.5)
+    return (split_lp(design, cp, r), crash_basis(design.n, design.M, cp),
+            (design, cp, r))
 
 
 @pytest.mark.parametrize("build", [
@@ -633,7 +636,7 @@ def _study_lp(d, r):
     lambda: _population_lp(3939563265, 0.0043, CostParams(0.25)),
     lambda: _population_lp(3939563265, 0.0062, CostParams(0.25)),
     lambda: _population_lp(3939563265, 0.0266, CostParams(0.25)),
-    lambda: _probe_fold(6)[:2],
+    lambda: _probe_fold(6)[:3],
     lambda: _study_lp(0.25, 0.1077),
 ], ids=["atoms 4185785210 r=0", "atoms 3939563265 r=0.003",
         "atoms 3939563265 r=0.0043", "atoms 3939563265 r=0.0062",
@@ -648,10 +651,10 @@ def test_cold_start_decides_degenerate_package_lps(build):
     # on a false ray; the study LP cycled when ties went to the largest
     # pivot element.  In the epigraph form the first five take 213, 166,
     # 166, 154 and 118 pivots
-    lp, crash = build()
+    lp, crash, reference = build()
     sol = solve_lp(lp, initial_basis=crash)
     assert sol.status == "optimal"
-    assert within_highs(sol.objective_value, lp.objective, lp.rows, lp.rhs)
+    assert within_highs(sol.objective_value, *reference)
 
 
 def test_unbounded_ray_is_audited(monkeypatch):

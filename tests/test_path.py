@@ -42,7 +42,7 @@ def test_fit_without_state_is_the_crash_basis_solve():
     for r in (0.02, 0.2):
         model = fit(design, CP, r)
         sol = solve_lp(split_lp(design, CP, r),
-                       initial_basis=crash_basis(design.n, M))
+                       initial_basis=crash_basis(design.n, M, CP))
         lam = sol.x[:M] - sol.x[M:2 * M]
         assert model.lam.tobytes() == lam.tobytes()
         assert model.iterations == sol.iterations
@@ -199,40 +199,18 @@ def test_study_paths_match_highs(solutions):
         # the walk ran from the largest r down, each later step warm
         assert [s.warm for s in solutions] == [False] + [True] * 6
         for r, model in zip(grid, models):
-            lp = split_lp(design, cp, r)
-            assert within_highs(model.objective, lp.objective, lp.rows, lp.rhs)
+            assert within_highs(model.objective, design, cp, r)
         path_pivots = sum(m.iterations for m in models)
         cold_pivots = sum(fit(design, cp, r).iterations for r in grid)
         assert path_pivots < cold_pivots
         total_path_pivots += path_pivots
-    # 652 pivots for both arms when written (721 with t starting in the
-    # steeper row of each sample)
+    # 670 pivots for both arms when written (721 with t starting in the
+    # steeper row of each sample, 652 with two middle rows at a = 1)
     assert total_path_pivots <= 1000
 
 
-def _population_program(dist, phi, cp, r):
-    """Population LP over [u, v, t, s] built here, apart from train.
-
-    The two-copy form: each atom once per label, with one hinge slack per
-    copy, t for y = +1 at cost p eta and s for y = -1 at cost p (1 - eta).
-    Returns its objective, >= rows and rhs.
-    """
-    k, M = phi.shape
-    rows = np.zeros((4 * k, 2 * M + 2 * k))
-    for block, (sign, slope) in enumerate(
-            [(1.0, 1.0), (1.0, cp.a), (-1.0, 1.0), (-1.0, cp.a)]):
-        sl = slice(block * k, (block + 1) * k)
-        rows[sl, :M] = sign * slope * phi
-        rows[sl, M:2 * M] = -sign * slope * phi
-        col = 2 * M + (0 if block < 2 else k)
-        rows[sl, col:col + k] = np.eye(k)
-    objective = np.concatenate([np.full(2 * M, r), dist.p * dist.eta,
-                                dist.p * (1.0 - dist.eta)])
-    return objective, rows, np.ones(4 * k)
-
-
 def _lattice_atoms():
-    """200 atoms with a noisy logistic eta on a 6x6 RBF lattice: dist, dic, phi."""
+    """200 atoms with a noisy logistic eta on a 6x6 RBF lattice: dist, dic."""
     rng = np.random.default_rng(11)
     x = rng.uniform(-2.0, 2.0, size=(200, 2))
     p = rng.uniform(0.5, 1.5, size=200)
@@ -240,11 +218,11 @@ def _lattice_atoms():
                               - 0.3 * rng.normal(size=200)))
     dist = DiscreteDistribution(x=x, p=p / p.sum(), eta=eta)
     dic = build_rbf_lattice((6, 6), x.min(axis=0), x.max(axis=0))
-    return dist, dic, evaluate(dic, x).phi
+    return dist, dic
 
 
 def test_population_path_matches_highs(solutions):
-    dist, dic, phi = _lattice_atoms()
+    dist, dic = _lattice_atoms()
     grid = np.geomspace(0.002, 0.6, 6)
     fits = population_path(make_context(dist, dic, CP), grid)
     # the grid and then the r = 0 anchor are one warm path
@@ -252,8 +230,7 @@ def test_population_path_matches_highs(solutions):
     assert list(fits.r) == sorted(grid)
     path = [(0.0, fits.base)] + list(zip(fits.r, fits.models))
     for r, model in path:
-        assert within_highs(model.objective,
-                            *_population_program(dist, phi, CP, r))
+        assert within_highs(model.objective, dist, CP, r, dic)
     # 253 pivots when written
     assert sum(model.iterations for _, model in path) <= 400
 
@@ -262,8 +239,8 @@ def test_a_re_costed_population_walk_keeps_the_atom_masses(monkeypatch,
                                                             solutions):
     # a re-cost writes r into the 2M penalty costs only: the atom masses,
     # the costs of the epigraph columns, keep their bits at every step
-    dist, dic, phi = _lattice_atoms()
-    M = phi.shape[1]
+    dist, dic = _lattice_atoms()
+    M = dic.M
     builds = _counted(monkeypatch, train, "_hinge_lp")
     grid = np.geomspace(0.002, 0.6, 6)
 
@@ -278,13 +255,12 @@ def test_a_re_costed_population_walk_keeps_the_atom_masses(monkeypatch,
     assert len(builds) == 1
     assert [s.warm for s in solutions] == [False] + [True] * 5
     for r, model in zip(grid, models):
-        assert within_highs(model.objective,
-                            *_population_program(dist, phi, CP, r))
+        assert within_highs(model.objective, dist, CP, r, dic)
 
 
 def test_population_fit_with_zero_weight_atoms_matches_highs():
-    # eta in {0, 1} at a third of the atoms: one of their two hinge slacks
-    # costs nothing in the LP
+    # eta in {0, 1} at a third of the atoms: each has one label of weight
+    # 0, and only two middle rows in the LP
     rng = np.random.default_rng(5)
     x = rng.uniform(-2.0, 2.0, size=(60, 2))
     eta = 1.0 / (1.0 + np.exp(-2.0 * x[:, 0]))
@@ -292,8 +268,6 @@ def test_population_fit_with_zero_weight_atoms_matches_highs():
     p = rng.uniform(0.5, 1.5, size=60)
     dist = DiscreteDistribution(x=x, p=p / p.sum(), eta=eta)
     dic = build_rbf_lattice((4, 4), x.min(axis=0), x.max(axis=0))
-    phi = evaluate(dic, x).phi
     for r in (0.0, 0.01, 0.1):
         model = fit_population(dist, dic, CP, r)
-        assert within_highs(model.objective,
-                            *_population_program(dist, phi, CP, r))
+        assert within_highs(model.objective, dist, CP, r, dic)

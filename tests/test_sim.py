@@ -1,10 +1,15 @@
 """Synthetic scenario generators and study runners."""
 
+import math
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from rejectsvm.losses import CostParams, gen_hinge
 from rejectsvm.sim import (
@@ -155,6 +160,36 @@ def test_closed_form_risks_of_the_zero_rule():
     assert _gaussian_risks(0.0, 0.0, cp, cp.tau) == (1.0, 0.25, 0.0, 1.0)
     assert _gaussian_risks(0.0, 0.0, CostParams(d=0.5), 0.0) == (
         1.0, 0.5, 0.5, 0.0)
+
+
+def test_two_gaussian_bayes_risk_matches_adaptive_quadrature():
+    # the closed-form middle and the Gauss-Legendre tails against quad over
+    # the whole integrand, kinks at -b, 0 and b
+    from scipy.integrate import quad
+    for d in (0.05, 0.1, 0.25, 0.4, 0.49):
+        b = 0.5 * math.log((1.0 - d) / d)
+        want, _ = quad(lambda t: (min(expit(-2.0 * abs(t)), d)
+                                  * math.exp(-0.5 * (t - 1.0) ** 2)),
+                       -11.0, 13.0, points=(-b, 0.0, b))
+        want /= math.sqrt(2.0 * math.pi)
+        got = _two_gaussian_bayes_risk(d)
+        assert abs(got - want) <= 1e-13 * want, (d, got, want)
+
+
+def test_the_study_leaves_scipy_integrate_unloaded():
+    # in a fresh process, as a command or a benchmark runs it
+    code = ("import sys\n"
+            "from rejectsvm.sim import ExperimentConfig, run_reject_vs_plain\n"
+            "run_reject_vs_plain(ExperimentConfig('two_gaussian', n_train=8,"
+            " M=3, repetitions=1, r_grid=(0.2,)))\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[:2] == ['scipy', 'integrate']))\n")
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def test_reject_vs_plain_is_deterministic():

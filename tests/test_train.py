@@ -6,14 +6,21 @@ import re
 import numpy as np
 import pytest
 
-from rejectsvm.dictionary import DesignMatrix, build_linear, evaluate
+from rejectsvm.constants import SUPPORT_TOL
+from rejectsvm.dictionary import (
+    DesignMatrix,
+    build_linear,
+    build_rbf_lattice,
+    evaluate,
+)
 from rejectsvm.losses import (
     CostParams,
     DiscreteDistribution,
     gen_hinge,
     population_risk,
 )
-from rejectsvm.lp import solve_lp
+from rejectsvm.lp import LinearProgram, solve_lp
+from rejectsvm.sim import ExperimentConfig, gen_two_gaussian
 from rejectsvm.train import (
     _hinge_lp,
     concentration_bracket,
@@ -25,7 +32,13 @@ from rejectsvm.train import (
     theoretical_r,
 )
 
-from helpers import assemble_lp, plateau_fixture, random_design
+from helpers import (
+    assemble_lp,
+    crash_basis,
+    logistic_atoms,
+    plateau_fixture,
+    random_design,
+)
 from oracle import enumerate_vertices_oracle
 
 CP = CostParams(d=0.25, tau=0.5)
@@ -138,23 +151,28 @@ def test_training_objective_keeps_the_sample_form_bits():
 def test_split_lp_is_the_sample_hinge_build_byte_for_byte():
     # with eta in {0, 1} the epigraph build gives the two sample hinge
     # rows per point, written out here for a design with both labels: the
-    # a-slope rows first, then the unit-slope rows, where t starts basic
+    # a-slope rows first, then the unit-slope rows, where t starts basic;
+    # where a = 1 the two are one, the unit-slope rows alone
     design = random_design(np.random.default_rng(21), 12, 4)
     assert set(design.y.tolist()) == {-1.0, 1.0}
     n, M, r = design.n, design.M, 0.07
     yphi = design.y[:, None] * design.phi
     for cp in (CP, CostParams(d=0.5), CostParams(d=0.1)):
-        rows = np.zeros((2 * n, 2 * M + n))
-        rows[:n, :M], rows[:n, M:2 * M] = cp.a * yphi, -cp.a * yphi
-        rows[n:, :M], rows[n:, M:2 * M] = yphi, -yphi
-        rows[:n, 2 * M:] = rows[n:, 2 * M:] = np.eye(n)
+        slopes = [cp.a, 1.0] if cp.a != 1.0 else [1.0]
+        m = n * len(slopes)
+        rows = np.zeros((m, 2 * M + n))
+        for block, slope in enumerate(slopes):
+            sl = slice(block * n, (block + 1) * n)
+            rows[sl, :M], rows[sl, M:2 * M] = slope * yphi, -slope * yphi
+            rows[sl, 2 * M:] = np.eye(n)
         want = {"objective": np.concatenate([np.full(2 * M, r),
                                              np.full(n, 1.0 / n)]),
-                "rows": rows, "rhs": np.ones(2 * n),
+                "rows": rows, "rhs": np.ones(m),
                 "lower": np.zeros(2 * M + n),
-                "upper": np.full(2 * M + n, np.inf)}
+                "upper": np.full(2 * M + n, np.inf),
+                "crash": crash_basis(n, M, cp)}
         lp = split_lp(design, cp, r)
-        assert lp.relations == (">=",) * (2 * n)
+        assert lp.relations == (">=",) * m
         for name, array in want.items():
             got = getattr(lp, name)
             assert got.dtype == array.dtype and got.shape == array.shape
@@ -163,8 +181,9 @@ def test_split_lp_is_the_sample_hinge_build_byte_for_byte():
 
 def test_population_program_has_one_epigraph_column_per_atom():
     # 2M + atoms variables: four rows for an atom with 0 < eta < 1, two
-    # for one with eta in {0, 1}, and the largest of an atom's rows and its
-    # bound t >= 0 is its loss eta gen_hinge(z) + (1 - eta) gen_hinge(-z)
+    # for one with eta in {0, 1}, one fewer each where a = 1, and the
+    # largest of an atom's rows and its bound t >= 0 is its loss
+    # eta gen_hinge(z) + (1 - eta) gen_hinge(-z)
     rng = np.random.default_rng(8)
     atoms = 30
     x = rng.uniform(-1.0, 1.0, size=(atoms, 2))
@@ -176,18 +195,21 @@ def test_population_program_has_one_epigraph_column_per_atom():
     phi = evaluate(build_linear(2), x).phi
     M = phi.shape[1]
     for cp in (CP, CostParams(d=0.5)):
+        middle = 2 if cp.a != 1.0 else 1
         lp = _hinge_lp(phi, dist.p, dist.eta, cp, 0.1)
-        assert lp.nvar == 2 * M + atoms and lp.ncon == 2 * 9 + 4 * 21
+        assert lp.nvar == 2 * M + atoms
+        assert lp.ncon == middle * 9 + (middle + 2) * 21
+        assert lp.crash.tobytes() == crash_basis(atoms, M, cp, 21).tobytes()
         epigraph = lp.rows[:, 2 * M:]
         assert np.all(np.sort(epigraph, axis=1)[:, :-1] == 0.0)
         atom = epigraph.argmax(axis=1)
         assert np.all(epigraph[np.arange(lp.ncon), atom] == 1.0)
-        assert np.bincount(atom).tolist() == [2] * 9 + [4] * 21
+        assert np.bincount(atom).tolist() == [middle] * 9 + [middle + 2] * 21
         assert lp.objective[2 * M:].tobytes() == dist.p.tobytes()
-        # lambda = 0, t = 1 is tight on the 2 * atoms middle rows only
+        # lambda = 0, t = 1 is tight on the middle rows only
         residual = lp.rows @ np.append(np.zeros(2 * M), np.ones(atoms)) - lp.rhs
-        assert np.all(residual[:2 * atoms] == 0.0)
-        assert np.all(residual[2 * atoms:] > 0.0)
+        assert np.all(residual[:middle * atoms] == 0.0)
+        assert np.all(residual[middle * atoms:] > 0.0)
         for lam in 3.0 * rng.normal(size=(6, M)):
             z = phi @ lam
             pieces = lp.rhs - lp.rows[:, :M] @ lam
@@ -195,6 +217,81 @@ def test_population_program_has_one_epigraph_column_per_atom():
             np.maximum.at(top, atom, pieces)
             loss = eta * gen_hinge(z, cp) + (1.0 - eta) * gen_hinge(-z, cp)
             assert np.allclose(top, loss, rtol=0.0, atol=1e-12)
+
+
+def _two_middle_rows(phi, mass, eta, cp, r):
+    """The hinge LP with both middle rows at every point, a = 1 or not.
+
+    The steeper rows, then the plainer ones, then the left and the right
+    outer rows of the points with 0 < eta < 1.  Returns the program and
+    its crash basis: surpluses in the steeper and outer rows, t in the
+    plainer ones.
+    """
+    n, M = phi.shape
+    left = 1.0 - eta - cp.a * eta
+    right = cp.a * (1.0 - eta) - eta
+    left_second = np.abs(left) < np.abs(right)
+    both = np.flatnonzero((eta > 0.0) & (eta < 1.0))
+    outer = eta[both]
+    slopes = np.concatenate([np.where(left_second, right, left),
+                             np.where(left_second, left, right),
+                             -cp.a * outer, cp.a * (1.0 - outer)])
+    point = np.concatenate([np.arange(n), np.arange(n), both, both])
+    rows = np.zeros((point.size, 2 * M + n))
+    rows[:, :M] = -slopes[:, None] * phi[point]
+    rows[:, M:2 * M] = -rows[:, :M]
+    rows[np.arange(point.size), 2 * M + point] = 1.0
+    lp = LinearProgram(np.concatenate([np.full(2 * M, r), mass]), rows,
+                       [">="] * point.size,
+                       np.concatenate([np.ones(2 * n), outer, 1.0 - outer]),
+                       lower=np.zeros(2 * M + n))
+    nvar = 2 * M + n
+    crash = np.concatenate([nvar + np.arange(n), 2 * M + np.arange(n),
+                            nvar + np.arange(2 * n, point.size)])
+    return lp, crash
+
+
+def test_a_point_has_one_middle_row_where_a_is_1():
+    # at d = 1/2 the two middle rows of a point are one: a sample has one
+    # row and a mixed atom three, and both fits match the program with
+    # both rows; at any other d the program keeps its bytes
+    config = ExperimentConfig("two_gaussian", repetitions=1)
+    design = evaluate(build_linear(config.M), *gen_two_gaussian(
+        config.n_train // 2, config.M, 2024)[:2])
+    base = logistic_atoms(3)
+    eta = base.eta.copy()
+    eta[:20] = np.repeat([0.0, 1.0], 10)
+    dist = DiscreteDistribution(x=base.x, p=base.p, eta=eta)
+    lattice = build_rbf_lattice((6, 6), dist.x.min(axis=0),
+                                dist.x.max(axis=0))
+    samples = (design.phi, np.full(design.n, 1.0 / design.n),
+               (1.0 + design.y) / 2.0)
+    atoms = (evaluate(lattice, dist.x).phi, dist.p, dist.eta)
+    mixed = dist.n_atoms - 20
+    plain = CostParams(d=0.5)
+    assert split_lp(design, plain, 0.1).ncon == design.n
+    lp = _hinge_lp(*atoms, plain, 0.1)
+    assert lp.ncon == dist.n_atoms + 2 * mixed
+    assert np.bincount(lp.rows[:, 2 * lattice.M:].argmax(axis=1)).tolist() \
+        == [1] * 20 + [3] * mixed
+    for points in (samples, atoms):
+        new = _hinge_lp(*points, CP, 0.1)
+        old, crash = _two_middle_rows(*points, CP, 0.1)
+        assert new.relations == old.relations
+        for name in ("objective", "rows", "rhs", "lower", "upper"):
+            assert getattr(new, name).tobytes() == getattr(old, name).tobytes()
+        assert new.crash.tobytes() == crash.tobytes()
+    for r in (0.005, 0.02, 0.1, 0.5):
+        for model, points in ((fit(design, plain, r), samples),
+                              (fit_population(dist, lattice, plain, r), atoms)):
+            old, crash = _two_middle_rows(*points, plain, r)
+            sol = solve_lp(old, initial_basis=crash)
+            M = points[0].shape[1]
+            lam = sol.x[:M] - sol.x[M:2 * M]
+            assert abs(model.objective - sol.objective_value) <= \
+                1e-12 * abs(sol.objective_value)
+            assert np.array_equal(np.abs(model.lam) > SUPPORT_TOL,
+                                  np.abs(lam) > SUPPORT_TOL)
 
 
 def test_population_objective_is_the_penalized_population_risk():
