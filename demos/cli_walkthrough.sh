@@ -46,6 +46,13 @@ rejectsvm bounds --model "$WORK/model.json" --data "$WORK/train.csv" \
     --delta 0.1
 
 echo
+echo "== an RBF lattice model: train, predict, bounds =="
+rejectsvm train --data "$WORK/train.csv" --dict rbf_lattice:3x3 --d 0.25 \
+    --r 0.1 --out "$WORK/model_rbf.json"
+rejectsvm predict --model "$WORK/model_rbf.json" --data "$WORK/train.csv"
+rejectsvm bounds --model "$WORK/model_rbf.json" --data "$WORK/train.csv"
+
+echo
 echo "== diagnose on a three-atom distribution =="
 cat > "$WORK/dist.csv" <<'EOF'
 p,eta,x1,x2

@@ -32,10 +32,19 @@ def _check_lattice(dim, grid, box):
             raise ValueError(f"degenerate box on axis {ax}")
 
 
+def _lattice_centers(grid, box):
+    """The rbf_lattice centers of a checked grid and box: equally spaced
+    along each axis, corners included, in C order over the axes."""
+    axes = [np.linspace(lo, hi, g) for lo, hi, g in zip(*box, grid)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
 @dataclass(frozen=True)
 class Dictionary:
     """A dictionary, checked in full on construction; its kind fixes C_F,
-    its kind and shape M, and a kind leaves the fields it does not use None."""
+    its kind and shape M, and a kind leaves the fields it does not use None;
+    an rbf_lattice's centers are exactly the lattice of its grid and box."""
 
     kind: str
     dim: int
@@ -74,6 +83,10 @@ class Dictionary:
             if math.prod(self.grid) != M:
                 raise ValueError(f"rbf_lattice grid {tuple(self.grid)} gives "
                                  f"{math.prod(self.grid)} centers, not {M}")
+            if not np.array_equal(self.centers,
+                                  _lattice_centers(self.grid, self.box)):
+                raise ValueError("rbf_lattice centers must be the lattice "
+                                 "its grid and box give")
         elif self.grid is not None or self.box is not None:
             raise ValueError(f"a {self.kind} dictionary has no grid or box")
         object.__setattr__(self, "M", M)
@@ -147,11 +160,8 @@ def build_rbf_lattice(grid, box_lower, box_upper, beta=2.0):
         raise ValueError("box corners must match the grid dimension")
     box = np.vstack([lo, hi])
     _check_lattice(dim, grid, box)
-    axes = [np.linspace(lo[ax], hi[ax], grid[ax]) for ax in range(dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([m.ravel() for m in mesh], axis=1)
-    return Dictionary("rbf_lattice", dim, centers=centers, beta=float(beta),
-                      grid=grid, box=box)
+    return Dictionary("rbf_lattice", dim, centers=_lattice_centers(grid, box),
+                      beta=float(beta), grid=grid, box=box)
 
 
 def build_custom_rbf(centers, beta=2.0):

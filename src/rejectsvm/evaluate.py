@@ -55,13 +55,16 @@ class BoundReport:
     p: float
 
 
-def margins(model, x):
-    """Raw scores f(x) of a fitted model on feature rows x."""
+def _phi(model, x):
+    """The model's dictionary evaluated on feature rows x."""
     if model.dic is None:
         raise ValueError("model carries no dictionary; cannot score raw inputs")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    phi = _evaluate_dictionary(model.dic, x).phi
-    return phi @ model.lam
+    return _evaluate_dictionary(model.dic, x).phi
+
+
+def margins(model, x):
+    """Raw scores f(x) of a fitted model on feature rows x."""
+    return _phi(model, x) @ model.lam
 
 
 def predict(model, x):
@@ -121,11 +124,16 @@ def bounds(model, x, y, delta=0.05, p=1.0):
     gamma of the threshold plus rate_r(gamma) * ||lam||_1; the minimum over
     the grid plus n^-p upper-bounds the corresponding true rate with
     probability at least 1 - delta.  Any single grid point already yields
-    a valid bound, so the grid search only tightens the result.
+    a valid bound, so the grid search only tightens the result.  Where the
+    dictionary's kind estimates C_F, the rates take no c_f below this
+    sample's largest |f_j(x_i)|.
     """
     gamma_grid = default_gamma_grid()
     y = np.asarray(y, dtype=float)
-    f = margins(model, x)
+    phi = _phi(model, x)
+    f = phi @ model.lam
+    c_f = (max(model.c_f, float(np.abs(phi).max()))
+           if model.dic.C_F_estimated else model.c_f)
     yf = y * f
     n = y.size
     tau = model.cp.tau
@@ -136,7 +144,7 @@ def bounds(model, x, y, delta=0.05, p=1.0):
     M = len(model.lam)
     # rate_r refuses a p that is not finite and > 0 before n^-p is taken
     penalty = np.array(
-        [rate_r(g, n, M, model.c_f, delta, p) * l1 for g in gamma_grid]
+        [rate_r(g, n, M, c_f, delta, p) * l1 for g in gamma_grid]
     )
     tail = float(n) ** (-p)
 

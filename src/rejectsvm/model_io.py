@@ -1,8 +1,8 @@
 """File formats: model JSON, data CSV, distribution CSV, result CSV.
 
-All floats are serialized with Python's shortest round-trip repr, so every
-double survives save -> load -> save byte-identically and files diff cleanly
-across runs.
+All floats are written as Python's shortest round-trip repr, so files diff
+cleanly across runs.  A model file loads only if it is, type for type, the
+document save_model writes for the model it describes.
 
 Data and distribution files parse in numpy's C reader.  A file it refuses is
 read again cell by cell with csv.reader and float(), which gives the same
@@ -44,19 +44,10 @@ def _array_field(value):
     return None if value is None else np.asarray(value, dtype=float).tolist()
 
 
-def _int_field(value, name):
-    """value if it was a JSON integer; a bool, float or other is refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    return value
-
-
-def save_model(model, path):
-    """Write a fitted model as deterministic, sorted, indented JSON."""
+def _doc(model):
+    """The model file's document: every field save_model writes."""
     dic = model.dic
-    if dic is None:
-        raise DataError("model has no dictionary attached; cannot persist")
-    doc = {
+    return {
         "format_version": FORMAT_VERSION,
         "dictionary": {
             "kind": dic.kind,
@@ -82,68 +73,75 @@ def save_model(model, path):
             "iterations": int(model.iterations),
         },
     }
+
+
+def save_model(model, path):
+    """Write a fitted model as deterministic, sorted, indented JSON."""
+    if model.dic is None:
+        raise DataError("model has no dictionary attached; cannot persist")
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        json.dump(_doc(model), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
+def _text(value):
+    """JSON text, in which a bool, an int, a float and a string differ."""
+    return json.dumps(value, sort_keys=True)
+
+
+def _mismatch(got, want, where=""):
+    """The first field, in sorted order, where two documents differ, as
+    'field is got, not want' in JSON text; an absent field reads missing."""
+    for key in sorted(got.keys() | want.keys()):
+        g, w = got.get(key), want.get(key)
+        if isinstance(g, dict) and isinstance(w, dict):
+            if found := _mismatch(g, w, f"{where}{key}."):
+                return found
+        else:
+            g, w = (_text(d[key]) if key in d else "missing"
+                    for d in (got, want))
+            if g != w:
+                return f"{where}{key} is {g}, not {w}"
+
+
+def _floats(value):
+    return None if value is None else np.asarray(value, dtype=float)
+
+
 def load_model(path):
-    """Read a model file back, re-validated by Dictionary and CostParams; a
-    stored M, a, C_F flag or c_f (1 for Gaussian kinds, finite and > 0 for
-    linear ones) that does not fit the file's other fields, or a dim, grid
-    count, n or iterations that is not a JSON integer, is a DataError."""
+    """Read a model file back.  The model is built from the file's primary
+    fields and checked by Dictionary, CostParams and Model; the file must
+    then be the document save_model writes for that model, type for type,
+    so a float field written as a JSON integer is refused.  Anything else
+    is a DataError that names the first field that differs."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"not a model file: {exc}") from exc
     try:
-        if doc["format_version"] != FORMAT_VERSION:
-            raise DataError(
-                f"unsupported format version {doc['format_version']!r}"
-            )
-        spec = doc["dictionary"]
+        spec, meta = doc["dictionary"], doc["train_meta"]
         dic = Dictionary(
-            spec["kind"], _int_field(spec["dim"], "dim"),
-            centers=None if spec["centers"] is None
-            else np.asarray(spec["centers"], dtype=float),
+            spec["kind"], int(spec["dim"]), centers=_floats(spec["centers"]),
             beta=None if spec["beta"] is None else float(spec["beta"]),
             grid=None if spec["grid"] is None
-            else tuple(_int_field(g, "grid count") for g in spec["grid"]),
-            box=None if spec["box"] is None
-            else np.asarray(spec["box"], dtype=float),
+            else tuple(int(g) for g in spec["grid"]),
+            box=_floats(spec["box"]),
         )
-        if spec["M"] != dic.M:
-            raise ValueError(f"dictionary M is {spec['M']}, but its kind and "
-                             f"shape give {dic.M} functions")
-        flags = spec["C_F"], spec["C_F_estimated"], doc["c_f_estimated"]
-        if flags != (dic.C_F, dic.C_F_estimated, dic.C_F_estimated):
-            raise DataError(f"C_F, C_F_estimated and c_f_estimated {flags} "
-                            f"do not fit a {dic.kind} dictionary")
-        lam = np.asarray(doc["lambda"], dtype=float)
-        if lam.shape != (dic.M,) or not np.all(np.isfinite(lam)):
-            raise DataError(f"lambda must hold {dic.M} finite coefficients")
-        cp = CostParams(d=float(doc["d"]), tau=float(doc["tau"]))
-        a = float(doc["a"])
-        if not abs(a - cp.a) <= 1e-12 * max(1.0, cp.a):
-            raise ValueError(f"slope a={a} inconsistent with d={cp.d}")
-        c_f = float(doc["c_f"])
-        if not (0.0 < c_f < math.inf if dic.C_F_estimated else c_f == 1.0):
-            raise ValueError(f"c_f={c_f!r} does not fit a {dic.kind} "
-                             f"dictionary")
-        meta = doc["train_meta"]
-        return Model(
-            lam=lam,
-            dic=dic,
-            cp=cp,
-            r=float(doc["r"]),
-            n_train=_int_field(meta["n"], "n"),
-            objective=float(meta["objective"]),
-            iterations=_int_field(meta["iterations"], "iterations"),
-            c_f=c_f,
+        model = Model(
+            lam=_floats(doc["lambda"]), dic=dic,
+            cp=CostParams(d=float(doc["d"]), tau=float(doc["tau"])),
+            r=float(doc["r"]), n_train=meta["n"],
+            objective=float(meta["objective"]), iterations=meta["iterations"],
+            # the Gaussian kinds fix c_f; the file's is compared, not read
+            c_f=float(doc["c_f"]) if dic.C_F_estimated else dic.C_F,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        want = _doc(model)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed model file: {exc}") from exc
+    if _text(doc) != _text(want):
+        raise DataError(f"malformed model file: {_mismatch(doc, want)}")
+    return model
 
 
 def _parse_float(token, where):

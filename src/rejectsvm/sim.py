@@ -8,6 +8,7 @@ itself Gaussian, so that study's risks are computed in closed form; the
 mixture map compares the fitted rule with the optimal rule read off eta.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -20,6 +21,9 @@ from .dictionary import build_linear, build_rbf_lattice, evaluate
 from .evaluate import predict
 from .losses import CostParams, bayes_rule
 from .train import cross_validate, fit, walk_penalty_path
+
+# Gauss-Legendre rules, each computed on first use
+_leggauss = functools.cache(leggauss)
 
 __all__ = [
     "ExperimentConfig",
@@ -174,7 +178,7 @@ def _two_gaussian_bayes_risk(d):
     with adaptive quadrature of the whole integral within 1e-13 relative.
     """
     b = 0.5 * math.log((1.0 - d) / d)
-    nodes, weights = leggauss(64)
+    nodes, weights = _leggauss(64)
     tails = 0.0
     for lo, hi in ((b, max(b, 13.0)), (min(-b, -11.0), -b)):
         half = 0.5 * (hi - lo)

@@ -38,7 +38,14 @@ from .lp import LinearProgram, LpNumericalError, LpPath, solve_lp
 
 @dataclass
 class Model:
-    """A fit; c_f is the rates' sup-norm bound, from data unless dic fixes it."""
+    """A fit; c_f is the rates' sup-norm bound, from data unless dic fixes it.
+
+    Checked on construction: lam is a finite 1-D array, of dic.M entries
+    when dic is given; r is finite and >= 0; n_train is an int >= 1 and
+    iterations an int >= 0; objective is finite; and c_f, when dic is given,
+    is finite and > 0.  Without a dictionary (cross-validation's folds) the
+    design may be all zero, with no positive sup-norm.
+    """
 
     lam: np.ndarray
     dic: object
@@ -48,6 +55,25 @@ class Model:
     objective: float
     iterations: int
     c_f: float
+
+    def __post_init__(self):
+        dic = self.dic
+        size = "" if dic is None else f"{dic.M} "
+        if (np.ndim(self.lam) != 1 or not np.all(np.isfinite(self.lam))
+                or dic is not None and len(self.lam) != dic.M):
+            raise ValueError(f"lambda must hold {size}finite coefficients")
+        if not 0.0 <= self.r < math.inf:
+            raise ValueError(f"r must be finite and >= 0, not {self.r!r}")
+        for name, least in (("n_train", 1), ("iterations", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, "
+                                 f"not {value!r}")
+        if not math.isfinite(self.objective):
+            raise ValueError(f"objective must be finite, not "
+                             f"{self.objective!r}")
+        if dic is not None and not 0.0 < self.c_f < math.inf:
+            raise ValueError(f"c_f must be finite and > 0, not {self.c_f!r}")
 
     def l1_norm(self):
         return float(np.abs(self.lam).sum())
@@ -200,7 +226,7 @@ def fit_population(dist, dic, cp, r, path=None):
     return Model(
         lam=lam, dic=dic, cp=cp, r=float(r), n_train=dist.n_atoms,
         objective=objective, iterations=pivots,
-        c_f=float(np.abs(phi).max()) if dic.C_F_estimated else dic.C_F,
+        c_f=estimated_c_f(dic, DesignMatrix(phi)),
     )
 
 

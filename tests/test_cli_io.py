@@ -1,6 +1,7 @@
 """File formats and the command-line surface, including exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from rejectsvm import model_io, sim
 from rejectsvm.cli import main, parse_dict_spec
 from rejectsvm.dictionary import (
     build_constant_linear,
+    build_custom_rbf,
     build_linear,
     build_rbf_lattice,
     estimated_c_f,
@@ -243,11 +245,12 @@ def test_model_loader_rejects_corruption(tmp_path, data_file):
     doc = json.loads(path.read_text())
 
     bad = tmp_path / "bad.json"
-    for a in (2.5, float("nan")):  # break the slope identity a = (1 - d) / d
+    # the slope a is worked out from d: a = (1 - d) / d = 3
+    for a, shown in ((2.5, "2.5"), (float("nan"), "NaN")):
         doc["a"] = a
         bad.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match=f"slope a={a} inconsistent "
-                                            f"with d=0.25"):
+        with pytest.raises(DataError, match=f"malformed model file: a is "
+                                            f"{shown}, not 3.0"):
             load_model(str(bad))
 
     doc["a"] = 3.0
@@ -267,47 +270,68 @@ def test_model_loader_rejects_corruption(tmp_path, data_file):
         bad.write_text(json.dumps({**doc, key: value}))
         with pytest.raises(DataError, match="lambda must hold 2 finite"):
             load_model(str(bad))
-    # M must be what the kind implies: dim for linear, here 2
-    bad.write_text(json.dumps({**doc, "dictionary": {**doc["dictionary"],
-                                                      "M": 3},
-                               "lambda": doc["lambda"] + [0.0]}))
-    with pytest.raises(DataError, match="dictionary M is 3"):
-        load_model(str(bad))
-    bad.write_text(json.dumps({**doc, "dictionary": {**doc["dictionary"],
-                                                      "M": 2.5}}))
-    with pytest.raises(DataError, match="dictionary M is 2.5"):
-        load_model(str(bad))
-    # dim, n and iterations are JSON integers: no float, bool or infinity
+    # M is what the kind implies: dim for linear, here 2; lambda holds M
+    # coefficients
+    spec = doc["dictionary"]
     for edit, message in [
-            ({"dictionary": {**doc["dictionary"], "dim": 2.7}}, "dim"),
-            ({"dictionary": {**doc["dictionary"], "dim": 2.0}}, "dim"),
-            ({"dictionary": {**doc["dictionary"], "dim": True}}, "dim"),
-            ({"train_meta": {**doc["train_meta"], "n": 59.9}}, "n"),
-            ({"train_meta": {**doc["train_meta"], "n": "60"}}, "n"),
-            ({"train_meta": {**doc["train_meta"],
-                             "iterations": float("inf")}}, "iterations")]:
+            ({"dictionary": {**spec, "M": 3}}, "dictionary.M is 3, not 2"),
+            ({"dictionary": {**spec, "M": 3}, "lambda": doc["lambda"] + [0.0]},
+             "lambda must hold 2 finite"),
+            ({"dictionary": {**spec, "M": 2.5}},
+             "dictionary.M is 2.5, not 2")]:
         bad.write_text(json.dumps({**doc, **edit}))
         with pytest.raises(DataError, match=f"malformed model file: "
-                                            f"{message} must be an integer"):
+                                            f"{message}"):
             load_model(str(bad))
-    # an rbf model needs a finite beta > 0, finite (M, dim) centers and
-    # integer grid counts
+    # dim, n and iterations are JSON integers: no float, bool or infinity
+    meta = doc["train_meta"]
+    for edit, message in [
+            ({"dictionary": {**spec, "dim": 2.7}},
+             "dictionary.dim is 2.7, not 2"),
+            ({"dictionary": {**spec, "dim": 2.0}},
+             "dictionary.dim is 2.0, not 2"),
+            # dim 1 leaves room for one coefficient, not the file's 2
+            ({"dictionary": {**spec, "dim": True}}, "lambda must hold 1 "),
+            ({"dictionary": {**spec, "dim": float("inf")}},
+             "cannot convert float infinity to integer"),
+            ({"train_meta": {**meta, "n": 59.9}},
+             "n_train must be an integer >= 1, not 59.9"),
+            ({"train_meta": {**meta, "n": "60"}},
+             "n_train must be an integer >= 1, not '60'"),
+            ({"train_meta": {**meta, "n": True}},
+             "train_meta.n is true, not 1"),
+            ({"train_meta": {**meta, "iterations": float("inf")}},
+             "iterations must be an integer >= 0, not inf")]:
+        bad.write_text(json.dumps({**doc, **edit}))
+        with pytest.raises(DataError, match=f"malformed model file: "
+                                            f"{message}"):
+            load_model(str(bad))
+    # an rbf model needs a finite beta > 0, finite (M, dim) centers that,
+    # on a lattice, are the lattice its integer grid counts and box give
     rbf = build_rbf_lattice((2, 2), x.min(axis=0), x.max(axis=0))
     save_model(fit(dic_eval(rbf, x, y), CostParams(d=0.25), 0.1, dic=rbf),
                str(path))
     rbf_doc = json.loads(path.read_text())
     spec = rbf_doc["dictionary"]
     wide = [row + [0.0] for row in spec["centers"]]
+    shifted = [[c + 1.0 for c in row] for row in spec["centers"]]
+    moved = [[b + 0.5 for b in row] for row in spec["box"]]
     for edit, message in [({"beta": None}, "rbf beta"),
                           ({"beta": -1.0}, "rbf beta"),
                           ({"beta": float("inf")}, "rbf beta"),
                           ({"centers": wide}, "rbf centers"),
                           ({"centers": [[float("nan")] * 2] * 4},
                            "rbf centers"),
-                          ({"grid": [2.0, 2.0]}, "grid count must be an "
-                                                 "integer, not 2.0"),
-                          ({"grid": [True, 4]}, "grid count must be an "
-                                                "integer, not True")]:
+                          ({"centers": shifted}, "rbf_lattice centers must "
+                                                 "be the lattice"),
+                          ({"box": moved}, "rbf_lattice centers must be "
+                                           "the lattice"),
+                          ({"grid": [2.0, 2.0]},
+                           re.escape("dictionary.grid is [2.0, 2.0], "
+                                     "not [2, 2]")),
+                          # a 1 x 4 lattice: 4 centers, but not these
+                          ({"grid": [True, 4]}, "rbf_lattice centers must "
+                                                "be the lattice")]:
         bad.write_text(json.dumps({**rbf_doc,
                                    "dictionary": {**spec, **edit}}))
         with pytest.raises(DataError, match=message):
@@ -315,8 +339,7 @@ def test_model_loader_rejects_corruption(tmp_path, data_file):
     # M must be the number of centers, here 4
     bad.write_text(json.dumps({**rbf_doc, "dictionary": {**spec, "M": 5},
                                "lambda": rbf_doc["lambda"] + [0.0]}))
-    with pytest.raises(DataError, match="dictionary M is 5, but its kind "
-                                        "and shape give 4 functions"):
+    with pytest.raises(DataError, match="lambda must hold 4 finite"):
         load_model(str(bad))
 
     del doc["format_version"]
@@ -337,15 +360,17 @@ def test_constant_linear_model_roundtrip_and_wrong_m(tmp_path, data_file):
     assert loaded.dic == dic
     assert loaded.lam.tobytes() == model.lam.tobytes()
     doc = json.loads(first.read_text())
-    # M must be dim + 1 for constant_linear, here 3
+    # M must be dim + 1 for constant_linear, here 3, alone or with lambda
     for m in (2, 4):
-        first.write_text(json.dumps({
-            **doc, "dictionary": {**doc["dictionary"], "M": m},
-            "lambda": [0.0] * m}))
-        with pytest.raises(DataError, match=f"malformed model file: "
-                                            f"dictionary M is {m}, but its "
-                                            f"kind and shape give 3"):
-            load_model(str(first))
+        for lam in (doc["lambda"], [0.0] * m):
+            first.write_text(json.dumps({
+                **doc, "dictionary": {**doc["dictionary"], "M": m},
+                "lambda": lam}))
+            message = (f"dictionary.M is {m}, not 3" if len(lam) == 3
+                       else "lambda must hold 3 finite")
+            with pytest.raises(DataError, match=f"malformed model file: "
+                                                f"{message}"):
+                load_model(str(first))
 
 
 def test_model_loader_refuses_c_f_flags_that_do_not_fit_the_kind(tmp_path,
@@ -362,13 +387,19 @@ def test_model_loader_refuses_c_f_flags_that_do_not_fit_the_kind(tmp_path,
         assert (spec["C_F"], flag, doc["c_f_estimated"]) == \
             (dic.C_F, dic.C_F_estimated, dic.C_F_estimated)
         assert load_model(str(path)).dic.kind == dic.kind
-        for edit in [{"dictionary": {**spec, "C_F": 0.5}},
-                     {"dictionary": {**spec, "C_F": float("nan")}},
-                     {"dictionary": {**spec, "C_F_estimated": not flag}},
-                     {"c_f_estimated": not flag}]:
+        have, other = json.dumps(flag), json.dumps(not flag)
+        for edit, message in [
+                ({"dictionary": {**spec, "C_F": 0.5}},
+                 f"dictionary.C_F is 0.5, not {dic.C_F}"),
+                ({"dictionary": {**spec, "C_F": float("nan")}},
+                 f"dictionary.C_F is NaN, not {dic.C_F}"),
+                ({"dictionary": {**spec, "C_F_estimated": not flag}},
+                 f"dictionary.C_F_estimated is {other}, not {have}"),
+                ({"c_f_estimated": not flag},
+                 f"c_f_estimated is {other}, not {have}")]:
             path.write_text(json.dumps({**doc, **edit}))
-            with pytest.raises(DataError, match=f"do not fit a {dic.kind} "
-                                                f"dictionary"):
+            with pytest.raises(DataError, match=f"malformed model file: "
+                                                f"{message}"):
                 load_model(str(path))
 
 
@@ -377,17 +408,24 @@ def test_model_loader_refuses_a_c_f_that_does_not_fit_the_kind(tmp_path,
     x, y = load_data(data_file)
     path = tmp_path / "model.json"
     nan, inf = float("nan"), float("inf")
+    # a linear kind's c_f is read and must be finite and > 0; a Gaussian
+    # kind's is 1, from the kind
     for dic, bad_values in [
-            (build_linear(2), (nan, -1.0, 0.0, inf)),
-            (build_rbf_lattice((2, 2), x.min(axis=0), x.max(axis=0)), (7.0,))]:
+            (build_linear(2), ((nan, "c_f must be finite and > 0, not nan"),
+                               (-1.0, "c_f must be finite and > 0, not -1.0"),
+                               (0.0, "c_f must be finite and > 0, not 0.0"),
+                               (inf, "c_f must be finite and > 0, not inf"),
+                               (1, "c_f is 1, not 1.0"))),
+            (build_rbf_lattice((2, 2), x.min(axis=0), x.max(axis=0)),
+             ((7.0, "c_f is 7.0, not 1.0"),))]:
         save_model(fit(dic_eval(dic, x, y), CostParams(d=0.25), 0.1,
                        dic=dic), str(path))
         doc = json.loads(path.read_text())
         assert load_model(str(path)).c_f == doc["c_f"]
-        for c_f in bad_values:
+        for c_f, message in bad_values:
             path.write_text(json.dumps({**doc, "c_f": c_f}))
-            with pytest.raises(DataError, match=f"c_f={c_f!r} does not fit "
-                                                f"a {dic.kind} dictionary"):
+            with pytest.raises(DataError, match=f"malformed model file: "
+                                                f"{message}"):
                 load_model(str(path))
 
 
@@ -409,6 +447,111 @@ def test_model_loader_refuses_a_grid_box_or_unused_field_that_does_not_fit(
             **doc["dictionary"], **edit}}))
         with pytest.raises(DataError, match=message):
             load_model(str(path))
+
+
+def _edits(node, path=()):
+    """(path, value) for each fuzz edit under a JSON node: every leaf is
+    shifted, scaled and negated when it is a number and replaced by 0, NaN,
+    inf, +-1e300, "1", true, an object and null; every list is shortened
+    and lengthened."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _edits(value, path + (key,))
+        return
+    if isinstance(node, list):
+        yield path, node[:-1]
+        yield path, node + node[-1:]
+        for i, value in enumerate(node):
+            yield from _edits(value, path + (i,))
+        return
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        for value in (node + 1, node + 0.7, node + 0.5, node * 1.5, -node):
+            yield path, value
+    for value in (0, float("nan"), float("inf"), 1e300, -1e300, "1", True,
+                  {}, None):
+        yield path, value
+
+
+def _edited(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def test_model_file_fuzz_is_refused_or_resaved_unchanged(tmp_path,
+                                                         data_file):
+    # every edit of a saved file is refused with a DataError, or loads a
+    # model whose file is the edited document, type for type
+    x, y = load_data(data_file)
+    dics = [build_linear(2), build_constant_linear(2),
+            build_rbf_lattice((3, 3), x.min(axis=0), x.max(axis=0), beta=0.7),
+            build_custom_rbf(x[:3], beta=1.5)]
+    path, again = tmp_path / "model.json", tmp_path / "again.json"
+    counts = {"refused": 0, "loaded": 0}
+    for dic in dics:
+        save_model(fit(dic_eval(dic, x, y), CostParams(d=0.25), 0.1,
+                       dic=dic), str(path))
+        save_model(load_model(str(path)), str(again))
+        assert again.read_bytes() == path.read_bytes()
+        doc = json.loads(path.read_text())
+        for edit_path, value in _edits(doc):
+            edited = _edited(doc, edit_path, value)
+            path.write_text(json.dumps(edited))
+            try:
+                model = load_model(str(path))
+            except DataError:
+                counts["refused"] += 1
+                continue
+            counts["loaded"] += 1
+            save_model(model, str(again))
+            assert (json.dumps(json.loads(again.read_text()), sort_keys=True)
+                    == json.dumps(edited, sort_keys=True)), edit_path
+    assert counts["refused"] > 1000 and counts["loaded"] > 100, counts
+
+
+def test_cli_refuses_edited_model_files_with_exit_3(tmp_path, data_file,
+                                                   capsys):
+    model_path = tmp_path / "m.json"
+    assert main(["train", "--data", data_file, "--dict", "rbf_lattice:3x3",
+                 "--r", "0.1", "--out", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    spec = doc["dictionary"]
+    capsys.readouterr()
+    for edit, message in [
+            ({"r": "1"}, 'r is "1", not 1.0'),
+            ({"train_meta": {**doc["train_meta"], "objective": True}},
+             "train_meta.objective is true, not 1.0"),
+            ({"dictionary": {**spec, "centers": [[c + 1.0 for c in row]
+                                                 for row in spec["centers"]]}},
+             "rbf_lattice centers must be the lattice its grid and box "
+             "give")]:
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**doc, **edit}))
+        assert main(["bounds", "--model", str(bad), "--data",
+                     data_file]) == 3
+        assert capsys.readouterr().err == (f"error: malformed model file: "
+                                           f"{message}\n")
+
+
+def test_bounds_take_c_f_from_the_sample_when_the_kind_estimates_it(
+        tmp_path, data_file, capsys):
+    # a linear file whose c_f was edited down gives, on its training
+    # sample, the bounds of the untampered file
+    model_path = tmp_path / "m.json"
+    assert main(["train", "--data", data_file, "--r", "0.05", "--out",
+                 str(model_path)]) == 0
+    capsys.readouterr()
+    assert main(["bounds", "--model", str(model_path), "--data",
+                 data_file]) == 0
+    untampered = capsys.readouterr().out
+    doc = json.loads(model_path.read_text())
+    model_path.write_text(json.dumps({**doc, "c_f": 1e-9}))
+    assert main(["bounds", "--model", str(model_path), "--data",
+                 data_file]) == 0
+    assert capsys.readouterr().out == untampered
 
 
 def test_row_writer_uses_exact_reprs(tmp_path):
@@ -670,6 +813,10 @@ def test_cli_diagnose_builds_a_grid_only_for_the_path_checks(tmp_path,
     assert capsys.readouterr().out.startswith(
         "excess_risk_domination: pass ")
     assert main(argv + ["--checks", "all"]) == 2
+    assert capsys.readouterr().err == ("usage error: cannot estimate a "
+                                       "positive sup-norm from this data\n")
+    # with a grid given, a population fit still needs a positive c_f
+    assert main(argv + ["--checks", "prop21", "--r-grid", "0.1"]) == 2
     assert capsys.readouterr().err == ("usage error: cannot estimate a "
                                        "positive sup-norm from this data\n")
 

@@ -145,6 +145,8 @@ LATTICE = {"centers": np.zeros((4, 2)), "beta": 1.0, "grid": (2, 2),
      "degenerate box on axis 1"),
     (("rbf_lattice", 2), {**LATTICE, "grid": (4, 1), "box": np.ones((2, 2))},
      "degenerate box on axis 0"),
+    (("rbf_lattice", 2), LATTICE,
+     "rbf_lattice centers must be the lattice its grid and box give"),
 ])
 def test_dictionary_refuses_fields_that_do_not_fit(args, kwargs, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -156,7 +158,9 @@ def test_kind_and_shape_fix_m():
     assert build_constant_linear(3).M == 4
     assert build_custom_rbf(np.zeros((5, 2))).M == 5
     # a single-count axis may have equal corners
-    dic = Dictionary("rbf_lattice", 2, **{**LATTICE, "grid": (4, 1),
+    centers = np.column_stack([np.linspace(0.0, 1.0, 4), np.ones(4)])
+    dic = Dictionary("rbf_lattice", 2, **{**LATTICE, "centers": centers,
+                                         "grid": (4, 1),
                                          "box": np.array([[0.0, 1.0],
                                                           [1.0, 1.0]])})
     assert dic.M == 4

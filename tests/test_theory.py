@@ -218,7 +218,7 @@ def _plateau_path(steps):
     """
     def model(r, lam, risk):
         lam = np.asarray(lam, dtype=float)
-        return Model(lam=lam, dic=None, cp=CostParams(0.25), r=r, n_train=0,
+        return Model(lam=lam, dic=None, cp=CostParams(0.25), r=r, n_train=1,
                      objective=risk + r * float(np.abs(lam).sum()),
                      iterations=0, c_f=1.0)
 
