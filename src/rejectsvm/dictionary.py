@@ -17,12 +17,16 @@ _KINDS = ("linear", "constant_linear", "rbf_lattice", "custom_rbf")
 
 
 def _check_lattice(dim, grid, box):
-    """rbf_lattice's rules: dim grid counts of at least 1, and a finite
-    (2, dim) box, lower <= upper, < on every axis of more than one count."""
+    """rbf_lattice's rules: dim grid counts of at least 1, few enough that
+    numpy can index the float centers array, and a finite (2, dim) box,
+    lower <= upper, < on every axis of more than one count."""
     if grid is None or len(grid) != dim:
         raise ValueError(f"rbf_lattice grid must hold {dim} counts")
     if any(g < 1 for g in grid):
         raise ValueError("grid counts must be at least 1")
+    if math.prod(map(int, grid)) * dim * 8 > np.iinfo(np.intp).max:
+        raise ValueError(f"rbf_lattice grid {tuple(grid)} has more centers "
+                         "than numpy can index")
     if box is None or np.shape(box) != (2, dim):
         raise ValueError(f"rbf_lattice box must be a (2, {dim}) array")
     if not np.all(np.isfinite(box)):

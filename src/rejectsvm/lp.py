@@ -1,4 +1,4 @@
-"""Two-phase simplex on a condensed tableau, with bases factored sparse.
+"""Simplex method on a condensed tableau, with bases factored sparse.
 
 Problems are stated in general form,
 
@@ -8,15 +8,14 @@ Problems are stated in general form,
 
 The solver is deliberately plain -- one attempt on a dense, condensed
 (dictionary) tableau of the nonbasic columns, B^-1 [N | b], pivoted by
-Jordan exchanges and started from one factored basis, with one artificial
-variable when that basis is infeasible, steepest-edge pricing, a Harris
-two-pass ratio test, and, after any pivot, a basic solution restored from
-the original data and, if its drift calls for it, repaired by dual simplex
-pivots -- so that small instances can be confirmed independently by
-enumerating every basic solution of the standard form, as the test suite
-does with its own vertex-enumeration oracle.  Only the tableau is dense:
-every basis is gathered from the CSC standard form and factored by a sparse
-LU.
+Jordan exchanges and started from one factored basis, steepest-edge
+pricing, a Harris two-pass ratio test, and one dual simplex routine that
+makes an infeasible start feasible and repairs the drift of the basic
+solution restored from the original data after any pivot -- so that
+small instances can be confirmed independently by enumerating every basic
+solution of the standard form, as the test suite does with its own
+vertex-enumeration oracle.  Only the tableau is dense: every basis is
+gathered from the CSC standard form and factored by a sparse LU.
 """
 
 from dataclasses import dataclass
@@ -288,29 +287,28 @@ def _run_phase(T, basis, nonbasic, state):
         _counted_pivot(T, basis, nonbasic, r, p, state)
 
 
-def _dual_repair(T, basis, nonbasic, x_b, state):
-    """Make the basic solution x_b non-negative by dual simplex pivots.
+def _dual_simplex(T, basis, nonbasic, state):
+    """Raise every basic value to -PIVOT_TOL or above by dual simplex pivots.
 
-    T is optimal, and x_b is its basis's solution restored from the
-    original data, which the tableau's own rhs column has drifted from
-    (Harris's ratio test also lets a basic value dip to -PIVOT_TOL).
-    Reduced costs do not involve b, so with x_b written into the rhs column
-    the cost row is still dual feasible.  The most negative basic value
-    leaves; the entering column wins the ratio test on the cost row, the
-    lowest variable breaking ties.  Returns the repaired basic solution, a
-    view of T's rhs column.  The objective entry of T goes stale; a path
-    that keeps the tableau re-prices the whole cost row before reuse.
+    T's cost row must be dual feasible: a cold start's row of zeros, or an
+    optimal row, which stays so when the rhs column is rewritten, since
+    reduced costs do not involve b.  Of the basic values below -PIVOT_TOL,
+    the lowest variable's row leaves (Bland's rule); the entering column
+    wins the ratio test on the cost row, the lowest variable breaking ties.
+    Returns True once no value is below -PIVOT_TOL, and False at a row that
+    no column can raise: it has no entry below -PIVOT_TOL.  The objective
+    entry of T goes stale; the cost row is re-priced before its next use.
     """
     m = basis.size
     rhs = T[:m, -1]
-    rhs[:] = x_b
     while True:
-        r = int(np.argmin(rhs))
-        if rhs[r] >= -PIVOT_TOL:
-            return rhs
+        low = (rhs < -PIVOT_TOL).nonzero()[0]
+        if low.size == 0:
+            return True
+        r = int(low[basis[low].argmin()])
         neg = (T[r, :-1] < -PIVOT_TOL).nonzero()[0]
         if neg.size == 0:
-            raise LpNumericalError("dual repair found no entering column")
+            return False
         p = _lowest(nonbasic, T[m, neg] / -T[r, neg], neg)
         _counted_pivot(T, basis, nonbasic, r, p, state)
 
@@ -327,9 +325,7 @@ def _start_tableau(A, b, basis):
     """Condensed tableau and nonbasic columns of a cold start, or None.
 
     Returns None when the basis is singular.  Basic values in
-    [-PIVOT_TOL, 0) are roundoff dust, set to 0.  If a value is below
-    -PIVOT_TOL, phase 1's artificial variable, ncols, is the last nonbasic
-    column, -1 in each such row.
+    [-PIVOT_TOL, 0) are roundoff dust, set to 0.  The cost row is 0.
     """
     m, ncols = A.shape
     nonbasic = np.setdiff1d(np.arange(ncols), basis)
@@ -340,14 +336,10 @@ def _start_tableau(A, b, basis):
     del rhs  # freed before T is allocated: crash starts set the peak memory
     if body is None:
         return None
-    below = body[:, -1] < -PIVOT_TOL
-    np.clip(body[:, -1], 0.0, None, out=body[:, -1], where=~below)
-    k = nonbasic.size
-    T = np.zeros((m + 1, k + 1 + below.any()), order="F")
-    T[:m, :k], T[:m, -1] = body[:, :-1], body[:, -1]
-    if below.any():
-        T[:m, k][below] = -1.0
-        nonbasic = np.append(nonbasic, ncols)
+    x_b = body[:, -1]
+    np.clip(x_b, 0.0, None, out=x_b, where=x_b >= -PIVOT_TOL)
+    T = np.zeros((m + 1, nonbasic.size + 1), order="F")
+    T[:m] = body
     return T, nonbasic
 
 
@@ -360,16 +352,16 @@ def _reprice(T, basis, nonbasic, c):
 
 
 def _simplex_core(A, b, c, initial_basis, state, warm=None):
-    """Run the two-phase simplex on standard form, from a cold or path start.
+    """Run the simplex method on standard form, from a cold or path start.
 
     The tableau is B^-1 [N | b] over the nonbasic columns N, which the
     array nonbasic names, above the cost row.  warm, when given, is such a
     (tableau, basis, nonbasic) for (A, b); it is pivoted in place.
     Otherwise the tableau is built for initial_basis, or for the slack
-    basis when none is given or initial_basis is singular.  If the basic
-    solution has a value below -PIVOT_TOL, phase 1 pivots the artificial
-    variable in at the most negative row, minimizes it and drops it.
-    Phase 2 starts from the cost row priced for c.
+    basis when none is given or initial_basis is singular, and the dual
+    simplex, on its cost row of zeros, raises any basic value below
+    -PIVOT_TOL or finds the row that proves the program infeasible.  The
+    primal simplex then starts from the cost row priced for c.
 
     Returns (status, basis, nonbasic, tableau); for "unbounded", basis is
     instead the ray of the edge.
@@ -385,31 +377,8 @@ def _simplex_core(A, b, c, initial_basis, state, warm=None):
             basis = slacks
             built = _start_tableau(A, b, basis)
         T, nonbasic = built
-    if nonbasic[-1] == ncols:  # only a cold start holds the artificial
-        r = int(np.argmin(T[:m, -1]))
-        _counted_pivot(T, basis, nonbasic, r, nonbasic.size - 1, state)
-        _reprice(T, basis, nonbasic, np.eye(1, ncols + 1, ncols)[0])
-        start = basis.copy()
-        # once the artificial, variable ncols, leaves, c_B = 0: its reduced
-        # cost is positive and the others are 0, so it never enters again
-        if _run_phase(T, basis, nonbasic, state) is not None:
-            raise LpNumericalError("phase 1 reported unbounded")
-        if -T[m, -1] > FEAS_TOL:  # the audit's tolerance on a row residual
+        if not _dual_simplex(T, basis, nonbasic, state):
             return "infeasible", None, None, None
-        # B^-1 has no zero row, so its slack entries are not all 0.  Of
-        # the entries within a tenth of the largest, the lowest variable
-        # enters, passing over those phase 1 drove out while others
-        # qualify: entering one would undo a phase-1 step
-        for r in np.flatnonzero(basis == ncols):
-            size = np.abs(T[r, :-1])
-            big = (size >= 0.1 * size.max()).nonzero()[0]
-            fresh = big[~np.isin(nonbasic[big], start)]
-            big = fresh if fresh.size else big
-            p = int(big[nonbasic[big].argmin()])
-            _counted_pivot(T, basis, nonbasic, int(r), p, state)
-        keep = nonbasic != ncols  # drop the artificial
-        T = np.asfortranarray(T[:, np.append(keep, True)])
-        nonbasic = nonbasic[keep]
     _reprice(T, basis, nonbasic, c)
     p = _run_phase(T, basis, nonbasic, state)
     if p is not None:
@@ -426,7 +395,7 @@ def _pivot_budget(m, ncols):
 
 
 def solve_lp(lp, initial_basis=None, path=None):
-    """Solve a LinearProgram with a two-phase simplex method.
+    """Solve a LinearProgram with the simplex method.
 
     The simplex pivots a condensed (dictionary) tableau of the nonbasic
     columns; the basic unit columns are never stored.  It prices by steepest
@@ -436,22 +405,27 @@ def solve_lp(lp, initial_basis=None, path=None):
     leaving row by Harris's two-pass ratio test with tolerance PIVOT_TOL,
     which spreads degenerate ties over the rows whose ratio is within
     reach and takes a pivot of useful size among them.  Ties left are
-    broken by index: of equal scores, and in the dual repair's choice, the
-    lowest variable enters; of the rows pass 2 keeps, and in the phase-1
-    drive-out's choice of entries within a tenth of the largest, the lowest
-    variable wins.  A solve that pivoted restores the true basic solution
-    from the original data through the final basis; one that did not keeps
-    its start's, B^-1 b from a factor of that same basis.  Reduced costs do
-    not involve b, so that basis stays dual feasible: when no basic value is
-    below -PIVOT_TOL it is optimal, and otherwise a few dual simplex pivots
-    repair the drift.  Phase 1 gives the infeasible verdict when its one
-    artificial variable ends above FEAS_TOL, the tolerance the feasibility
-    audit allows a row.  An unbounded verdict needs its ray d to have
-    c.d < -PIVOT_TOL and |A d| <= FEAS_TOL.  A solve that exhausts its
-    pivot budget, fails a numerical guard, restores a singular basis, fails
-    the repair, or fails the audit of its point or ray raises
-    LpNumericalError naming the reason and the pivots taken.  Identical
-    inputs produce bitwise-identical solutions.
+    broken by index: of equal scores the lowest variable enters, and of the
+    rows pass 2 keeps the lowest basic variable leaves.
+
+    One dual simplex routine handles every basic value below -PIVOT_TOL:
+    the lowest such variable leaves (Bland's rule), and the entering column
+    wins the ratio test on the cost row, the lowest variable breaking ties.
+    It runs in two places.  A cold start runs it with a cost row of zeros,
+    which is dual feasible; it either makes the start feasible, and the
+    primal simplex then prices for c, or stops at a row that no column can
+    raise, which is the infeasible verdict.  A solve that pivoted restores
+    the true basic solution from the original data through the final basis
+    (one that did not keeps its start's, B^-1 b from a factor of that same
+    basis); reduced costs do not involve b, so that basis stays dual
+    feasible, and the routine repairs any drift.
+
+    An unbounded verdict needs its ray d to have c.d < -PIVOT_TOL and
+    |A d| <= FEAS_TOL.  A solve that exhausts its pivot budget, fails a
+    numerical guard, restores a singular basis, fails the repair, or fails
+    the audit of its point or ray raises LpNumericalError naming the reason
+    and the pivots taken.  Identical inputs produce bitwise-identical
+    solutions.
 
     initial_basis optionally names standard-form columns forming the
     starting basis, the slack basis by default.  Standard-form columns are:
@@ -459,8 +433,9 @@ def solve_lp(lp, initial_basis=None, path=None):
     two adjacent columns (positive then negative part), followed by one
     slack column per standard-form row: the user's rows in order (an = row
     as its <= half), then the >= half of each = row, then one <= row per
-    variable with two finite bounds.  Phase 1 runs from an infeasible
-    basis; only a singular initial_basis falls back to the slack basis.
+    variable with two finite bounds.  The dual simplex runs from an
+    infeasible basis; only a singular initial_basis falls back to the slack
+    basis.
 
     path optionally carries an LpPath; if its last optimal solve was of
     this very object (path.program is lp), whose objective may have changed
@@ -499,9 +474,10 @@ def solve_lp(lp, initial_basis=None, path=None):
             x_b = _basis_solve(A[:, basis], b)
             if x_b is None:
                 raise LpNumericalError("singular restored basis")
-            if np.any(x_b < -PIVOT_TOL):  # the repair's own exit test
-                x_b = _dual_repair(T, basis, nonbasic, x_b, state)
-            np.clip(x_b, 0.0, None, out=T[:m, -1])
+            T[:m, -1] = x_b  # the cost row stays optimal: it is free of b
+            if not _dual_simplex(T, basis, nonbasic, state):
+                raise LpNumericalError("dual repair found no entering column")
+            np.clip(T[:m, -1], 0.0, None, out=T[:m, -1])
         x_std = np.zeros(ncols)
         x_std[basis] = T[:m, -1]
         x = _recover_x(cmap, x_std)

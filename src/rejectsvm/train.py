@@ -112,7 +112,8 @@ def _hinge_lp(phi, mass, eta, cp, r):
     each, after all the middle rows: first every left piece, then every
     right one.  The crash basis (lambda = 0, t = 1) is a vertex: t basic in
     the plainer rows, surpluses basic in the others, at 0 in the steeper
-    rows and at eta or 1 - eta in the outer ones; it skips phase 1.
+    rows and at eta or 1 - eta in the outer ones, so the dual simplex has
+    nothing to raise.
     """
     if r < 0:
         raise ValueError("penalty weight r must be non-negative")

@@ -910,6 +910,21 @@ def test_cli_train_refuses_a_beta_that_is_not_finite(tmp_path, data_file,
         assert not model_path.exists()
 
 
+def test_cli_train_refuses_a_lattice_numpy_cannot_index(tmp_path, data_file,
+                                                        capsys):
+    # 2**59 x 1 two-dimensional centers take 2**63 bytes, one past intp
+    model_path = tmp_path / "m.json"
+    for spec in ("9223372036854775808x1", "9223372036854775807x1",
+                 "576460752303423488x1"):
+        assert main(["train", "--data", data_file, "--r", "0.1", "--dict",
+                     f"rbf_lattice:{spec}", "--out", str(model_path)]) == 2
+        grid = tuple(int(g) for g in spec.split("x"))
+        assert capsys.readouterr().err == (
+            f"usage error: rbf_lattice grid {grid} has more centers than "
+            f"numpy can index\n")
+        assert not model_path.exists()
+
+
 def test_cli_bounds_refuses_a_p_that_is_not_finite_and_positive(
         tmp_path, data_file, capsys):
     model_path = str(tmp_path / "m.json")

@@ -54,6 +54,12 @@ def test_equality_and_free_variable():
     assert abs(sol.objective_value - 2.0) < 1e-9
     assert sol.x[0] + sol.x[1] == pytest.approx(2.0, abs=1e-9)
     assert sol.x[0] <= sol.x[1] + 1e-9
+    # min -x s.t. x + y = 1, x, y >= 0: the slack start puts the >= half's
+    # slack at -1, and the solve still reaches the vertex (1, 0)
+    sol = solve_lp(LinearProgram(objective=[-1.0, 0.0], rows=[[1.0, 1.0]],
+                                 relations=["="], rhs=[1.0], lower=[0.0, 0.0]))
+    assert sol.status == "optimal"
+    assert np.allclose(sol.x, [1.0, 0.0], atol=1e-12)
 
 
 def test_reports_infeasible():
@@ -79,34 +85,24 @@ def test_two_sided_bounds_become_active():
     assert np.allclose(sol.x, [-2.0, 0.5], atol=1e-12)
 
 
-def test_matches_enumeration_oracle_on_random_programs(monkeypatch):
+def _slack_start(lp):
+    """The basic solution of lp's slack basis, which is diagonal."""
+    A, b = lp_module._to_standard_form(lp)[:2]
+    m, ncols = A.shape
+    return A[:, ncols - m:].diagonal() * b
+
+
+def test_matches_enumeration_oracle_on_random_programs():
     t0 = time.time()
     rng = np.random.default_rng(7)
     small = np.random.default_rng(21)
     programs = [random_lp(rng) for _ in range(250)]
     programs += [random_lp(small, max_vars=4, max_cons=5) for _ in range(40)]
     statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    moves = []  # (leaving, entering) variable of every pivot of a solve
-    real = lp_module._counted_pivot
-
-    def counting(T, basis, nonbasic, r, p, state):
-        moves.append((int(basis[r]), int(nonbasic[p])))
-        return real(T, basis, nonbasic, r, p, state)
-
-    monkeypatch.setattr(lp_module, "_counted_pivot", counting)
-    left = 0
+    infeasible_start = 0  # programs whose slack start is infeasible
     for lp in programs:
-        moves.clear()
         sol = solve_lp(lp)
-        # phase 1's artificial, variable ncols, never enters again once
-        # it has left the basis
-        artificial = lp_module._to_standard_form(lp)[0].shape[1]
-        out = [k for k, (leaving, _) in enumerate(moves)
-               if leaving == artificial]
-        if out:
-            left += 1
-            assert all(entering != artificial
-                       for _, entering in moves[out[0]:])
+        infeasible_start += bool(np.any(_slack_start(lp) < -PIVOT_TOL))
         ref = enumerate_vertices_oracle(lp)
         assert sol.status == ref.status
         statuses[sol.status] += 1
@@ -115,7 +111,7 @@ def test_matches_enumeration_oracle_on_random_programs(monkeypatch):
             # the reported point must itself be feasible and consistent
             assert abs(float(lp.objective @ sol.x) - sol.objective_value) < 1e-9
     assert min(statuses.values()) > 5  # all three verdicts exercised
-    assert left > 5
+    assert infeasible_start > 5
     assert time.time() - t0 < 10.0
 
 
@@ -156,6 +152,21 @@ def test_initial_basis_validation():
         solve_lp(lp, initial_basis=[0, 99])  # out of range
 
 
+def _dual_pivots(monkeypatch):
+    """Record the pivots of every dual simplex run, cold start or restore."""
+    pivots = []
+    real = lp_module._dual_simplex
+
+    def counting(T, basis, nonbasic, state):
+        before = state["iter"]
+        raised = real(T, basis, nonbasic, state)
+        pivots.append(state["iter"] - before)
+        return raised
+
+    monkeypatch.setattr(lp_module, "_dual_simplex", counting)
+    return pivots
+
+
 def _started(monkeypatch):
     """Record the basis of every tableau a cold start builds."""
     bases = []
@@ -171,14 +182,13 @@ def _started(monkeypatch):
 
 def test_infeasible_initial_basis_runs_phase_one_from_itself(monkeypatch):
     # basis [0, 1] solves to x=(8/5, 6/5), which is feasible, but [1, 2]
-    # (y and the first slack) puts y = 6 and that slack at -8: phase 1
-    # starts from this basis, with the artificial (variable 4) entering at
-    # the slack's row, and the slack tableau is never built
+    # (y and the first slack) puts y = 6 and that slack at -8: the dual
+    # simplex starts from this basis, and the slack tableau is never built
     bases = _started(monkeypatch)
-    entering = _entering(monkeypatch)
+    dual = _dual_pivots(monkeypatch)
     sol = solve_lp(_two_variable_program(), initial_basis=[1, 2])
     assert bases == [[1, 2]]
-    assert entering[0] == 4 and 4 not in entering[1:]
+    assert dual[0] > 0
     assert sol.status == "optimal"
     assert abs(sol.objective_value - (-14.0 / 5.0)) < 1e-12
     assert np.allclose(sol.x, [8.0 / 5.0, 6.0 / 5.0], atol=1e-12)
@@ -186,15 +196,13 @@ def test_infeasible_initial_basis_runs_phase_one_from_itself(monkeypatch):
 
 def test_slack_start_with_roundoff_dust_takes_no_phase_one_pivot(monkeypatch):
     # a shifted bound leaves -2.2e-16 in one slack's starting value; that is
-    # set to 0, so the slack start is feasible and the artificial never enters
+    # set to 0, so the slack start is feasible and the dual simplex is idle
     lp = random_lp(np.random.default_rng(1509), 12, 14)
-    A, b = lp_module._to_standard_form(lp)[:2]
-    m, ncols = A.shape
-    start = A[:, ncols - m:].diagonal() * b  # the slack basis is diagonal
+    start = _slack_start(lp)
     assert np.all(start >= -PIVOT_TOL) and start.min() < 0.0
-    entering = _entering(monkeypatch)
+    dual = _dual_pivots(monkeypatch)
     sol = solve_lp(lp)
-    assert ncols not in entering and sol.iterations == len(entering)
+    assert dual[0] == 0 and sol.iterations > 0
     ref = enumerate_vertices_oracle(lp)
     assert sol.status == ref.status == "optimal"
     assert abs(sol.objective_value - ref.objective_value) < 1e-9
@@ -385,41 +393,6 @@ def _redundant_program():
                          lower=[0.0, 0.0])
 
 
-def test_phase_one_drive_out_pivots_are_counted(monkeypatch):
-    # the artificial (variable 7) enters at the >= half of the second row;
-    # phase 1 enters x and y, which leaves the artificial basic at 0, and
-    # the drive-out pivot that removes it is counted with the rest
-    pivots = []
-    real = lp_module._pivot
-
-    def counting(T, r, c):
-        pivots.append(c)
-        return real(T, r, c)
-
-    monkeypatch.setattr(lp_module, "_pivot", counting)
-    entering = _entering(monkeypatch)
-    sol = solve_lp(_redundant_program())
-    assert sol.status == "optimal"
-    assert entering[:3] == [7, 0, 1] and 7 not in entering[3:]
-    assert sol.iterations == len(pivots) == len(entering) == 5
-
-
-def test_artificial_basic_at_zero_is_driven_out(monkeypatch):
-    # x + y = 1 becomes x + y <= 1 (slack 2) and x + y >= 1 (slack 3).
-    # The artificial, 4, enters at the >= half, in place of slack 3; x then
-    # ties both rows in the ratio test, and slack 2 leaves by the
-    # lowest-index rule.  The artificial stays basic at 0, and the
-    # drive-out enters slack 3, not slack 2, which phase 1 drove out: the
-    # basis {x, slack 3} is already optimal, so no swap-back follows
-    entering = _entering(monkeypatch)
-    sol = solve_lp(LinearProgram(objective=[-1.0, 0.0], rows=[[1.0, 1.0]],
-                                 relations=["="], rhs=[1.0], lower=[0.0, 0.0]))
-    assert sol.status == "optimal"
-    assert np.allclose(sol.x, [1.0, 0.0], atol=1e-12)
-    assert entering == [4, 0, 3]  # in, phase 1, out
-    assert sol.iterations == 3
-
-
 def _tied_tableau(cost, row, basic):
     """One-row condensed tableau over variables 5 and 2, in that order.
 
@@ -438,12 +411,36 @@ def test_steepest_edge_ties_enter_the_lowest_variable():
     assert basis.tolist() == [2] and nonbasic.tolist() == [5, 0]
 
 
-def test_dual_repair_ties_enter_the_lowest_variable():
+def test_dual_simplex_ties_enter_the_lowest_variable():
     T, basis, nonbasic = _tied_tableau([1.0, 1.0], [-1.0, -1.0], 3)
+    T[0, -1] = -1.0
     state = {"iter": 0, "max_iter": 10}
-    x_b = lp_module._dual_repair(T, basis, nonbasic, np.array([-1.0]), state)
-    assert x_b.tolist() == [1.0] and state["iter"] == 1
+    assert lp_module._dual_simplex(T, basis, nonbasic, state)
+    assert T[0, -1] == 1.0 and state["iter"] == 1
     assert basis.tolist() == [2] and nonbasic.tolist() == [5, 3]
+
+
+def test_dual_simplex_raises_the_lowest_basic_variable_first():
+    # variables 4 and 1 are both below -PIVOT_TOL, 4 the further; by
+    # Bland's rule variable 1's row leaves, and the one pivot, on
+    # variable 6, raises both rows
+    T = np.asfortranarray([[-5.0, -5.0], [-1.0, -1.0], [0.0, 0.0]])
+    basis, nonbasic = np.array([4, 1]), np.array([6])
+    state = {"iter": 0, "max_iter": 10}
+    assert lp_module._dual_simplex(T, basis, nonbasic, state)
+    assert basis.tolist() == [4, 6] and nonbasic.tolist() == [1]
+    assert state["iter"] == 1 and T[:2, -1].tolist() == [0.0, 1.0]
+
+
+def test_dual_simplex_stops_at_a_row_no_column_raises():
+    # variable 3's row has no entry below -PIVOT_TOL: no pivot raises it,
+    # and the routine says so with the tableau untouched
+    T = np.asfortranarray([[0.5, -PIVOT_TOL, -1.0], [1.0, 2.0, 0.0]])
+    before = T.copy()
+    basis, nonbasic = np.array([3]), np.array([0, 1])
+    state = {"iter": 0, "max_iter": 10}
+    assert not lp_module._dual_simplex(T, basis, nonbasic, state)
+    assert state["iter"] == 0 and np.array_equal(T, before)
 
 
 def _harris_pick(col, rhs, basis):
@@ -531,13 +528,20 @@ def _gap_program(gap):
                          lower=[0.0, 0.0])
 
 
-@pytest.mark.parametrize("gap", [1.5e-7, 3e-7])
+@pytest.mark.parametrize("gap", [0.0, 1e-10, 5e-9, 5e-8, 9e-8, 1e-7, 1.5e-7,
+                                 3e-7, 1e-6])
 def test_gap_just_above_feas_tol_is_an_infeasible_verdict(gap):
-    # phase 1 judges infeasibility at the audit's absolute tolerance, so a
-    # gap just above FEAS_TOL is a verdict and not a numerical failure
+    # x enters at the >= row, which leaves the <= row's slack at -gap with
+    # no column to raise it: a gap beyond PIVOT_TOL, below FEAS_TOL or
+    # above it, is a verdict and not a numerical failure, and a smaller
+    # one is roundoff dust
     sol = solve_lp(_gap_program(gap))
-    assert sol.status == "infeasible"
-    assert sol.iterations == 2  # the artificial in, then x
+    assert sol.iterations == 1
+    if gap > PIVOT_TOL:
+        assert sol.status == "infeasible"
+    else:
+        assert sol.status == "optimal"
+        assert sol.objective_value == pytest.approx(1.0 + gap, abs=1e-12)
 
 
 def test_failed_dual_repair_is_named(monkeypatch):
@@ -578,8 +582,7 @@ def test_negative_restored_value_is_repaired_and_kept_on_the_path(monkeypatch):
     # by dual pivots, and the repaired tableau stays on the path: the next
     # solve, of the same program re-costed, starts warm from it
     lp, crash, (fold, cp, r), grid = _probe_fold(6)
-    real_solve, real_repair = lp_module._basis_solve, lp_module._dual_repair
-    repairs = []
+    real_solve = lp_module._basis_solve
 
     def dipped(B, rhs):
         x_b = real_solve(B, rhs)
@@ -587,15 +590,13 @@ def test_negative_restored_value_is_repaired_and_kept_on_the_path(monkeypatch):
             x_b[np.argmin(x_b)] = -2 * PIVOT_TOL  # a degenerate value, dipped
         return x_b
 
-    def repair(*args):
-        repairs.append(1)
-        return real_repair(*args)
-
     monkeypatch.setattr(lp_module, "_basis_solve", dipped)
-    monkeypatch.setattr(lp_module, "_dual_repair", repair)
+    dual = _dual_pivots(monkeypatch)
     path = LpPath()
     sol = solve_lp(lp, initial_basis=crash, path=path)
-    assert sol.status == "optimal" and not sol.warm and repairs == [1]
+    # the crash start is feasible; only the restore's run pivots
+    assert sol.status == "optimal" and not sol.warm
+    assert dual[0] == 0 and dual[1] > 0 and len(dual) == 2
     assert within_highs(sol.objective_value, fold, cp, r)
     # the path holds the repaired basis, and its clipped basic solution is
     # the tableau's right-hand-side column
@@ -606,7 +607,7 @@ def test_negative_restored_value_is_repaired_and_kept_on_the_path(monkeypatch):
     monkeypatch.setattr(lp_module, "_basis_solve", real_solve)
     lp.objective[:2 * fold.M] = grid[7]  # the penalty costs
     sol = solve_lp(lp, initial_basis=crash, path=path)
-    assert sol.status == "optimal" and sol.warm and repairs == [1]
+    assert sol.status == "optimal" and sol.warm and not any(dual[2:])
     assert within_highs(sol.objective_value, fold, cp, grid[7])
 
 
@@ -676,10 +677,11 @@ def test_unbounded_ray_is_audited(monkeypatch):
 
 
 def test_redundant_row_is_decided_by_one_attempt(monkeypatch):
-    # one attempt decides: the artificial enters, phase 1 and its drive-out
-    # take three pivots, and phase 2 one more to reach the optimum
+    # one attempt decides: from the slack start, where the >= halves are
+    # below 0, the dual simplex enters x and then y, and every pivot is
+    # counted
     entering = _entering(monkeypatch)
     sol = solve_lp(_redundant_program())
     assert sol.status == "optimal"
     assert np.allclose(sol.x, [0.75, 0.25], atol=1e-12)
-    assert sol.iterations == len(entering) == 5
+    assert sol.iterations == len(entering) > 0
