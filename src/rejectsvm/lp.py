@@ -1,4 +1,4 @@
-"""Simplex method on a condensed tableau, with bases factored sparse.
+"""Simplex method on a condensed tableau; only a cold start factors.
 
 Problems are stated in general form,
 
@@ -14,8 +14,9 @@ makes an infeasible start feasible and repairs the drift of the basic
 solution restored from the original data after any pivot -- so that
 small instances can be confirmed independently by enumerating every basic
 solution of the standard form, as the test suite does with its own
-vertex-enumeration oracle.  Only the tableau is dense: every basis is
-gathered from the CSC standard form and factored by a sparse LU.
+vertex-enumeration oracle.  Only the tableau is dense.  Only a cold start
+factors, its basis gathered from the CSC standard form, by a sparse LU; a
+restore reads B^-1 from the tableau.
 """
 
 from dataclasses import dataclass
@@ -119,13 +120,13 @@ class LpPath:
     its standard form, and the solve's final condensed (dictionary) tableau
     of the nonbasic columns and its basis and nonbasic index arrays; the
     tableau's right-hand-side column holds the basic solution, clipped at
-    0, as restored from the original data after the last pivot, or as the
-    cold start factored it when no pivot was taken.  None of these involves
-    the costs, so the next solve of the same object starts from the tableau
-    with only the cost row re-priced, and reuses the basic solution when
-    no pivot is needed.  Any other program, equal or not, ignores the
-    state.  owner is the caller's note of what built program; every solve
-    clears it.  One tableau is live per path.
+    0, as refined against the original data after the last pivot, or as
+    the cold start factored it when no pivot was taken.  None of these
+    involves the costs, so the next solve of the same object starts from
+    the tableau with only the cost row re-priced, and reuses the basic
+    solution when no pivot is needed.  Any other program, equal or not,
+    ignores the state.  owner is the caller's note of what built program;
+    every solve clears it.  One tableau is live per path.
     """
 
     __slots__ = "program", "owner", "form", "tableau", "basis", "nonbasic"
@@ -144,7 +145,7 @@ def _to_standard_form(lp):
     Every row gets a slack, row i's in column nv + i with coefficient
     sigma_i = +1 for <= and -1 for >=.  An = row becomes its <= half in
     place and its >= half after the user's rows; the <= rows of two-sided
-    variable bounds come last.  Returns (A, b, cmap, sense); sense
+    variable bounds come last.  Returns (A, b, cmap, sigma, sense); sense
     signs the user's rows for the audit, and the column map cmap = (col,
     sign, shift, free) gives each original variable from the standard form:
     x_j = sign_j x_std[col_j] + shift_j, minus x_std[col_j + 1] when free_j.
@@ -178,7 +179,7 @@ def _to_standard_form(lp):
     for j in np.flatnonzero(shift):  # one column at a time, in column order
         b = b - lp.rows[:, j] * shift[j]
     b = np.concatenate([b, b[eq], up[boxed] - lo[boxed]])
-    return A, b, (col, sign, shift, free), sense
+    return A, b, (col, sign, shift, free), sigma, sense
 
 
 def _standard_costs(objective, cmap, ncols):
@@ -313,29 +314,25 @@ def _dual_simplex(T, basis, nonbasic, state):
         _counted_pivot(T, basis, nonbasic, r, p, state)
 
 
-def _basis_solve(B, rhs):
-    """B^-1 rhs from a sparse LU of the basis matrix B, or None if singular."""
-    try:
-        return splu(B).solve(rhs)
-    except RuntimeError:  # SuperLU: "Factor is exactly singular"
-        return None
-
-
 def _start_tableau(A, b, basis):
     """Condensed tableau and nonbasic columns of a cold start, or None.
 
-    Returns None when the basis is singular.  Basic values in
-    [-PIVOT_TOL, 0) are roundoff dust, set to 0.  The cost row is 0.
+    The one factorization of a solve.  Returns None when the basis is
+    singular.  Basic values in [-PIVOT_TOL, 0) are roundoff dust, set to 0.
+    The cost row is 0.
     """
     m, ncols = A.shape
-    nonbasic = np.setdiff1d(np.arange(ncols), basis)
+    nonbasic = np.ones(ncols, dtype=bool)
+    nonbasic[basis] = False
+    nonbasic = np.flatnonzero(nonbasic)
     rhs = np.empty((m, nonbasic.size + 1), order="F")
     A[:, nonbasic].toarray(out=rhs[:, :-1])
     rhs[:, -1] = b
-    body = _basis_solve(A[:, basis], rhs)
-    del rhs  # freed before T is allocated: crash starts set the peak memory
-    if body is None:
+    try:
+        body = splu(A[:, basis]).solve(rhs)
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
         return None
+    del rhs  # freed before T is allocated: crash starts set the peak memory
     x_b = body[:, -1]
     np.clip(x_b, 0.0, None, out=x_b, where=x_b >= -PIVOT_TOL)
     T = np.zeros((m + 1, nonbasic.size + 1), order="F")
@@ -349,6 +346,29 @@ def _reprice(T, basis, nonbasic, c):
     c_b = c[basis]
     T[m, :-1] = c[nonbasic] - c_b @ T[:m, :-1]
     T[m, -1] = -float(c_b @ T[:m, -1])
+
+
+def _refined(A, b, sigma, T, basis, nonbasic):
+    """T's basic solution after one step of iterative refinement.
+
+    x_B + B^-1 (b - A x), the residual taken from the original A at the
+    point x whose basic values are T's rhs column.  B^-1 is read from T
+    itself: slack i, column ncols - m + i with entry sigma_i in row i, gives
+    B^-1 e_i = sigma_i T[:, p] when it is nonbasic at position p (one
+    product with T's nonbasic slack columns), and sigma_i e_k when it is
+    basic in row k.
+    """
+    m, ncols = A.shape
+    first = ncols - m
+    x_b = T[:m, -1]
+    x = np.zeros(ncols)
+    x[basis] = x_b
+    res = sigma * (b - A @ x)
+    at = (nonbasic >= first).nonzero()[0]
+    step = T[:m, at] @ res[nonbasic[at] - first]
+    at = (basis >= first).nonzero()[0]
+    step[at] += res[basis[at] - first]
+    return x_b + step
 
 
 def _simplex_core(A, b, c, initial_basis, state, warm=None):
@@ -415,17 +435,17 @@ def solve_lp(lp, initial_basis=None, path=None):
     which is dual feasible; it either makes the start feasible, and the
     primal simplex then prices for c, or stops at a row that no column can
     raise, which is the infeasible verdict.  A solve that pivoted restores
-    the true basic solution from the original data through the final basis
-    (one that did not keeps its start's, B^-1 b from a factor of that same
-    basis); reduced costs do not involve b, so that basis stays dual
-    feasible, and the routine repairs any drift.
+    its basic solution against the original data by one step of iterative
+    refinement, with B^-1 read from the final tableau (one that did not
+    keeps its start's; only a cold start factors); reduced costs do not
+    involve b, so the basis stays dual feasible, and the routine repairs
+    any drift.
 
     An unbounded verdict needs its ray d to have c.d < -PIVOT_TOL and
     |A d| <= FEAS_TOL.  A solve that exhausts its pivot budget, fails a
-    numerical guard, restores a singular basis, fails the repair, or fails
-    the audit of its point or ray raises LpNumericalError naming the reason
-    and the pivots taken.  Identical inputs produce bitwise-identical
-    solutions.
+    numerical guard, fails the repair, or fails the audit of its point or
+    ray raises LpNumericalError naming the reason and the pivots taken.
+    Identical inputs produce bitwise-identical solutions.
 
     initial_basis optionally names standard-form columns forming the
     starting basis, the slack basis by default.  Standard-form columns are:
@@ -450,7 +470,7 @@ def solve_lp(lp, initial_basis=None, path=None):
             warm = path.tableau, path.basis, path.nonbasic
         path.clear()  # refilled only by an optimal verdict below
     form = form or _to_standard_form(lp)
-    A, b, cmap, sense = form
+    A, b, cmap, sigma, sense = form
     c = _standard_costs(lp.objective, cmap, A.shape[1])
     m, ncols = A.shape
     if initial_basis is not None:
@@ -471,10 +491,8 @@ def solve_lp(lp, initial_basis=None, path=None):
         if status != "optimal":
             return LpSolution(status, iterations=state["iter"])
         if state["iter"]:  # else T's rhs is the start's or the last restore
-            x_b = _basis_solve(A[:, basis], b)
-            if x_b is None:
-                raise LpNumericalError("singular restored basis")
-            T[:m, -1] = x_b  # the cost row stays optimal: it is free of b
+            # the cost row stays optimal: it is free of b
+            T[:m, -1] = _refined(A, b, sigma, T, basis, nonbasic)
             if not _dual_simplex(T, basis, nonbasic, state):
                 raise LpNumericalError("dual repair found no entering column")
             np.clip(T[:m, -1], 0.0, None, out=T[:m, -1])

@@ -115,8 +115,9 @@ def _hinge_lp(phi, mass, eta, cp, r):
     rows and at eta or 1 - eta in the outer ones, so the dual simplex has
     nothing to raise.
     """
-    if r < 0:
-        raise ValueError("penalty weight r must be non-negative")
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"penalty weight r must be finite and >= 0, "
+                         f"not {float(r)!r}")
     n, M = phi.shape
     a = cp.a
     left = 1.0 - eta - a * eta
@@ -252,6 +253,8 @@ def walk_penalty_path(r_grid, *solvers):
 
 def default_r_grid(cp, c_f, num=30):
     """Log-spaced penalty grid from 1e-4 up to a*C_F (where 0 is optimal)."""
+    if num < 1:
+        raise ValueError(f"a penalty grid needs at least 1 point, not {num!r}")
     return np.geomspace(1e-4, cp.a * c_f, num)
 
 

@@ -881,6 +881,14 @@ def test_cli_exit_codes(tmp_path, data_file, monkeypatch, capsys):
     nan_data.write_text("x1,x2,y\n1.0,nan,1\n")
     assert main(["train", "--data", str(nan_data), "--d", "0.25",
                  "--r", "0.1", "--out", model_path]) == 3
+    # a penalty weight that is not finite -> usage, with r named
+    for bad in ("nan", "inf"):
+        capsys.readouterr()
+        assert main(["train", "--data", data_file, "--r", bad,
+                     "--out", model_path]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: penalty weight r must be finite and >= 0, "
+            f"not {bad}\n")
     # solver failure -> numerical
     import rejectsvm.cli as cli_mod
 
@@ -907,6 +915,18 @@ def test_cli_train_refuses_a_beta_that_is_not_finite(tmp_path, data_file,
         assert capsys.readouterr().err == (
             f"usage error: rbf beta must be a finite number > 0, "
             f"not {float(beta)!r}\n")
+        assert not model_path.exists()
+
+
+def test_cli_train_cv_refuses_a_grid_without_points(tmp_path, data_file,
+                                                    capsys):
+    model_path = tmp_path / "m.json"
+    for points in ("-3", "0"):
+        assert main(["train", "--cv", "--data", data_file, "--folds", "2",
+                     "--cv-points", points, "--out", str(model_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: a penalty grid needs at least 1 point, "
+            f"not {points}\n")
         assert not model_path.exists()
 
 

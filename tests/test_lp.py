@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from rejectsvm import lp as lp_module
 from rejectsvm.constants import FEAS_TOL, PIVOT_TOL
@@ -335,22 +336,13 @@ def test_numerical_guard_ends_the_solve_with_its_reason(monkeypatch, message):
     assert len(calls) == 1
 
 
-_real_basis_solve = lp_module._basis_solve
-
-
-def _singular_restore(B, rhs):
-    """Find the restore's basis singular; a cold start (2-D rhs) factors."""
-    return None if rhs.ndim == 1 else _real_basis_solve(B, rhs)
-
-
 def _failed_audit(lp, x, sense):
     raise LpNumericalError("forced audit failure")
 
 
 @pytest.mark.parametrize("owner, name, fake, reason", [
-    (lp_module, "_basis_solve", _singular_restore, "singular restored basis"),
     (lp_module, "_audit_feasible", _failed_audit, "forced audit failure"),
-], ids=["singular restore", "failed audit"])
+], ids=["failed audit"])
 def test_restore_and_audit_failures_end_the_solve_named(monkeypatch, owner,
                                                        name, fake, reason):
     # the failure reaches the caller named, after the two pivots taken
@@ -548,9 +540,8 @@ def test_failed_dual_repair_is_named(monkeypatch):
     # min -x s.t. x <= 1 is optimal after x enters for the slack; handed a
     # restored value below -PIVOT_TOL, the repair finds no negative entry
     # in x's row to pivot on, and the solve fails with that reason
-    monkeypatch.setattr(lp_module, "_basis_solve", lambda B, rhs: (
-        np.array([-2 * PIVOT_TOL]) if rhs.ndim == 1
-        else _real_basis_solve(B, rhs)))
+    monkeypatch.setattr(lp_module, "_refined",
+                        lambda *args: np.array([-2 * PIVOT_TOL]))
     path = LpPath()
     with pytest.raises(LpNumericalError, match="^dual repair found no "
                                                "entering column after 1 pivots$"):
@@ -582,15 +573,14 @@ def test_negative_restored_value_is_repaired_and_kept_on_the_path(monkeypatch):
     # by dual pivots, and the repaired tableau stays on the path: the next
     # solve, of the same program re-costed, starts warm from it
     lp, crash, (fold, cp, r), grid = _probe_fold(6)
-    real_solve = lp_module._basis_solve
+    real_restore = lp_module._refined
 
-    def dipped(B, rhs):
-        x_b = real_solve(B, rhs)
-        if x_b.ndim == 1:  # the restore, not the crash start's tableau
-            x_b[np.argmin(x_b)] = -2 * PIVOT_TOL  # a degenerate value, dipped
+    def dipped(*args):
+        x_b = real_restore(*args)
+        x_b[np.argmin(x_b)] = -2 * PIVOT_TOL  # a degenerate value, dipped
         return x_b
 
-    monkeypatch.setattr(lp_module, "_basis_solve", dipped)
+    monkeypatch.setattr(lp_module, "_refined", dipped)
     dual = _dual_pivots(monkeypatch)
     path = LpPath()
     sol = solve_lp(lp, initial_basis=crash, path=path)
@@ -604,11 +594,58 @@ def test_negative_restored_value_is_repaired_and_kept_on_the_path(monkeypatch):
     x_std = np.zeros(path.form[0].shape[1])
     x_std[path.basis] = path.tableau[:-1, -1]
     assert np.array_equal(x_std[:lp.nvar], sol.x)  # every bound is 0
-    monkeypatch.setattr(lp_module, "_basis_solve", real_solve)
+    monkeypatch.setattr(lp_module, "_refined", real_restore)
     lp.objective[:2 * fold.M] = grid[7]  # the penalty costs
     sol = solve_lp(lp, initial_basis=crash, path=path)
     assert sol.status == "optimal" and sol.warm and not any(dual[2:])
     assert within_highs(sol.objective_value, fold, cp, grid[7])
+
+
+def _restores(monkeypatch):
+    """Record every restore as (A, b, basis, values before, values after)."""
+    seen = []
+    real = lp_module._refined
+
+    def recording(A, b, sigma, T, basis, nonbasic):
+        before = T[:-1, -1].copy()
+        x_b = real(A, b, sigma, T, basis, nonbasic)
+        seen.append((A, b, basis.copy(), before, x_b.copy()))
+        return x_b
+
+    monkeypatch.setattr(lp_module, "_refined", recording)
+    return seen
+
+
+def _probe_walk():
+    lp, crash, (fold, _, _), grid = _probe_fold(0)
+    return lp, crash, fold.M, grid
+
+
+def _population_walk():
+    lp, crash, (*_, dic) = _population_lp(3939563265, 3.0, CostParams(0.25))
+    return lp, crash, dic.M, np.geomspace(0.003, 3.0, 20)
+
+
+@pytest.mark.parametrize("walk", [_probe_walk, _population_walk],
+                         ids=["probe fold", "atoms 3939563265"])
+def test_restored_values_match_a_factor_of_the_final_basis(monkeypatch, walk):
+    # every restore of a walk refines the tableau's drifted values once,
+    # with B^-1 read from the tableau, to within 1e-13 relative of a sparse
+    # LU solve of the same basis
+    lp, crash, M, grid = walk()
+    seen = _restores(monkeypatch)
+    path = LpPath()
+    for r in sorted(grid, reverse=True):
+        lp.objective[:2 * M] = r
+        assert solve_lp(lp, initial_basis=crash, path=path).status == "optimal"
+    assert len(seen) >= 5
+    drift = 0.0
+    for A, b, basis, before, x_b in seen:
+        oracle = splu(A[:, basis]).solve(b)
+        scale = np.max(np.abs(oracle))
+        drift = max(drift, np.max(np.abs(before - oracle)) / scale)
+        assert np.max(np.abs(x_b - oracle)) <= 1e-13 * scale
+    assert drift > 1e-11  # the tableau's own values would not pass
 
 
 def _population_lp(seed, r, cp):

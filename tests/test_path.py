@@ -7,7 +7,7 @@ from rejectsvm import lp as lp_module
 from rejectsvm import train
 from rejectsvm.dictionary import build_linear, build_rbf_lattice, evaluate
 from rejectsvm.losses import CostParams, DiscreteDistribution
-from rejectsvm.lp import LinearProgram, LpInputError, LpPath, solve_lp
+from rejectsvm.lp import LinearProgram, LpPath, solve_lp
 from rejectsvm.sim import ExperimentConfig, gen_two_gaussian
 from rejectsvm.theory import make_context, population_path
 from rejectsvm.train import fit, fit_population, split_lp, walk_penalty_path
@@ -119,6 +119,19 @@ def _counted(monkeypatch, module, name):
     return calls
 
 
+def test_a_walk_factors_only_at_its_cold_start(monkeypatch, solutions):
+    # every later step pivots and restores its basic solution, which reads
+    # B^-1 from the tableau: only the first, cold, solve factors a basis
+    design = random_design(np.random.default_rng(9), 30, 8)
+    factors = _counted(monkeypatch, lp_module, "splu")
+    restores = _counted(monkeypatch, lp_module, "_refined")
+    walk_penalty_path(np.geomspace(0.003, 0.5, 7),
+                      lambda r, path: fit(design, CP, r, path=path))
+    assert [s.warm for s in solutions] == [False] + [True] * 6
+    assert len(factors) == 1
+    assert len(restores) == sum(s.iterations > 0 for s in solutions) >= 5
+
+
 def test_a_walk_builds_one_program_per_solver(monkeypatch, solutions):
     design = random_design(np.random.default_rng(9), 30, 8)
     builds = _counted(monkeypatch, train, "split_lp")
@@ -150,7 +163,8 @@ def test_a_population_path_evaluates_the_dictionary_once(monkeypatch):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
 def test_a_re_costed_walk_rejects_r_as_a_build_does(bad, solutions):
     design = random_design(np.random.default_rng(10), 20, 5)
-    with pytest.raises((ValueError, LpInputError)) as cold:
+    with pytest.raises(ValueError, match="^penalty weight r must be finite "
+                                         "and >= 0, not ") as cold:
         fit(design, CP, bad)
     path = LpPath()
     fit(design, CP, 0.3, path=path)

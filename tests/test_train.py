@@ -378,6 +378,11 @@ def test_default_grid_spans_up_to_the_shutoff():
     assert grid[-1] == pytest.approx(CP.a * 2.0)
     assert len(grid) == 10
     assert np.all(np.diff(grid) > 0)
+    assert default_r_grid(CP, 2.0, num=1).tolist() == [1e-4]
+    for num in (0, -3):
+        with pytest.raises(ValueError, match=f"^a penalty grid needs at "
+                                             f"least 1 point, not {num}$"):
+            default_r_grid(CP, 2.0, num=num)
 
 
 def test_penalty_recommendation_frozen_value():
