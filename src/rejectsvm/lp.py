@@ -8,18 +8,20 @@ Problems are stated in general form,
 
 The solver is deliberately plain -- one attempt on a dense, condensed
 (dictionary) tableau of the nonbasic columns, B^-1 [N | b], pivoted by
-Jordan exchanges and started from one factored basis, steepest-edge
-pricing, a Harris two-pass ratio test, and one dual simplex routine that
-makes an infeasible start feasible and repairs the drift of the basic
-solution restored from the original data after any pivot -- so that
-small instances can be confirmed independently by enumerating every basic
-solution of the standard form, as the test suite does with its own
-vertex-enumeration oracle.  Only the tableau is dense.  Only a cold start
-factors, its basis gathered from the CSC standard form, by a sparse LU; a
-restore reads B^-1 from the tableau.
+Jordan exchanges, steepest-edge pricing, a Harris two-pass ratio test, and
+one dual simplex routine that makes an infeasible start feasible and
+repairs the drift of the basic solution restored from the original data
+after any pivot -- so that small instances can be confirmed independently
+by enumerating every basic solution of the standard form, as the test
+suite does with its own vertex-enumeration oracle.  Only the tableau is
+dense.  Only a cold start factors, its basis gathered from the CSC
+standard form, by a sparse LU; a restore reads B^-1 from the tableau.  A
+caller that can write a start's tableau in closed form seeds an LpPath
+with it and never factors: hinge fits do (see train).
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -113,20 +115,50 @@ class LpSolution:
     warm: bool = False             # the solve started from an LpPath tableau
 
 
+class StandardForm(NamedTuple):
+    """A program as min c.x, A x = b, x >= 0: the form a solve works on.
+
+    A is in CSC form: the standard variables' columns, then one slack per
+    row, row i's in column ncols - m + i with coefficient sigma_i = +1 for
+    a <= row and -1 for a >= row.  The column map cmap = (col, sign, shift,
+    free) gives each original variable from the standard form:
+    x_j = sign_j x_std[col_j] + shift_j, minus x_std[col_j + 1] when free_j.
+    sense signs the user's rows for the audit: +1 <=, -1 >=, 0 =.
+    """
+
+    A: sparse.csc_array
+    b: np.ndarray
+    cmap: tuple
+    sigma: np.ndarray
+    sense: np.ndarray
+
+    @classmethod
+    def surplus(cls, A, b):
+        """The form of min c.x s.t. rows x >= b, x >= 0, given A = [rows | -I]."""
+        m, ncols = A.shape
+        nv = ncols - m
+        cmap = np.arange(nv), np.ones(nv), np.zeros(nv), np.zeros(nv, bool)
+        return cls(A, b, cmap, np.full(m, -1.0), np.full(m, -1.0))
+
+
 class LpPath:
     """Warm-start state for one program object whose objective alone changes.
 
     After every optimal solve, repaired or not, it keeps the program object,
-    its standard form, and the solve's final condensed (dictionary) tableau
+    its StandardForm, and the solve's final condensed (dictionary) tableau
     of the nonbasic columns and its basis and nonbasic index arrays; the
     tableau's right-hand-side column holds the basic solution, clipped at
     0, as refined against the original data after the last pivot, or as
-    the cold start factored it when no pivot was taken.  None of these
-    involves the costs, so the next solve of the same object starts from
-    the tableau with only the cost row re-priced, and reuses the basic
-    solution when no pivot is needed.  Any other program, equal or not,
-    ignores the state.  owner is the caller's note of what built program;
-    every solve clears it.  One tableau is live per path.
+    the start wrote it when no pivot was taken.  None of these involves
+    the costs, so the next solve of the same object starts from the
+    tableau with only the cost row re-priced, and reuses the basic
+    solution when no pivot is needed.  A caller may also seed a path with
+    a program, its form and a start it wrote without a factor, a feasible
+    tableau (cost row ignored) with its basis and nonbasic arrays; a hinge
+    fit seeds its crash tableau this way, so it never factors.  Any other
+    program, equal or not, ignores the state.  owner is the caller's note
+    of what built program; every solve clears it.  One tableau is live per
+    path.
     """
 
     __slots__ = "program", "owner", "form", "tableau", "basis", "nonbasic"
@@ -140,15 +172,12 @@ class LpPath:
 
 
 def _to_standard_form(lp):
-    """Convert to min c.x, A x = b, x >= 0, with A in CSC form.
+    """lp as a StandardForm.
 
-    Every row gets a slack, row i's in column nv + i with coefficient
-    sigma_i = +1 for <= and -1 for >=.  An = row becomes its <= half in
-    place and its >= half after the user's rows; the <= rows of two-sided
-    variable bounds come last.  Returns (A, b, cmap, sigma, sense); sense
-    signs the user's rows for the audit, and the column map cmap = (col,
-    sign, shift, free) gives each original variable from the standard form:
-    x_j = sign_j x_std[col_j] + shift_j, minus x_std[col_j + 1] when free_j.
+    Every row gets a slack, row i's in column nv + i.  An = row becomes
+    its <= half in place and its >= half after the user's rows; the <= rows
+    of two-sided variable bounds come last.  A variable bounded above only
+    is mirrored, a free one split into two columns.
     """
     lo, up = lp.lower, lp.upper
     free = np.isneginf(lo) & np.isposinf(up)
@@ -179,7 +208,7 @@ def _to_standard_form(lp):
     for j in np.flatnonzero(shift):  # one column at a time, in column order
         b = b - lp.rows[:, j] * shift[j]
     b = np.concatenate([b, b[eq], up[boxed] - lo[boxed]])
-    return A, b, (col, sign, shift, free), sigma, sense
+    return StandardForm(A, b, (col, sign, shift, free), sigma, sense)
 
 
 def _standard_costs(objective, cmap, ncols):
@@ -317,9 +346,10 @@ def _dual_simplex(T, basis, nonbasic, state):
 def _start_tableau(A, b, basis):
     """Condensed tableau and nonbasic columns of a cold start, or None.
 
-    The one factorization of a solve.  Returns None when the basis is
-    singular.  Basic values in [-PIVOT_TOL, 0) are roundoff dust, set to 0.
-    The cost row is 0.
+    The one factorization of a solve, made only by a cold start: a solve
+    from an LpPath, which every hinge fit's is, never calls it.  Returns
+    None when the basis is singular.  Basic values in [-PIVOT_TOL, 0) are
+    roundoff dust, set to 0.  The cost row is 0.
     """
     m, ncols = A.shape
     nonbasic = np.ones(ncols, dtype=bool)
@@ -437,9 +467,8 @@ def solve_lp(lp, initial_basis=None, path=None):
     raise, which is the infeasible verdict.  A solve that pivoted restores
     its basic solution against the original data by one step of iterative
     refinement, with B^-1 read from the final tableau (one that did not
-    keeps its start's; only a cold start factors); reduced costs do not
-    involve b, so the basis stays dual feasible, and the routine repairs
-    any drift.
+    keeps its start's); reduced costs do not involve b, so the basis stays
+    dual feasible, and the routine repairs any drift.
 
     An unbounded verdict needs its ray d to have c.d < -PIVOT_TOL and
     |A d| <= FEAS_TOL.  A solve that exhausts its pivot budget, fails a
@@ -459,9 +488,13 @@ def solve_lp(lp, initial_basis=None, path=None):
 
     path optionally carries an LpPath; if its last optimal solve was of
     this very object (path.program is lp), whose objective may have changed
-    since, the solve starts from its tableau instead of initial_basis.  The
-    path is left holding lp and its tableau when the solve decides optimal,
-    and is cleared otherwise.  iterations counts this solve's pivots only.
+    since, or its caller seeded it with a start for lp, the solve starts
+    from its tableau instead of initial_basis.  The path is left holding lp
+    and its tableau when the solve decides optimal, and is cleared
+    otherwise.  iterations counts this solve's pivots only.
+
+    Only a cold start factors a basis.  A hinge fit seeds its path with
+    the crash tableau it writes in closed form, so it never factors.
     """
     form = warm = None
     if path is not None:

@@ -14,8 +14,9 @@ each sample with mass 1/n and eta 1 or 0 by its label, which gives the two
 sample hinge rows; fit_population passes each atom once, with its mass and
 eta, which gives four rows where 0 < eta < 1.  Where a = 1 (d = 1/2) the
 two middle pieces are one, so a point has one row fewer.  Both fits start
-from the crash basis the builder states (lambda = 0), each t basic in its
-point's plainer middle row.
+from the crash basis (lambda = 0), each t basic in its point's plainer
+middle row, whose tableau _crash_start writes in closed form, with the
+program's standard form: no hinge fit factors a basis.
 
 r enters the LP only through the objective, so a penalty grid is one
 program whose optimal basis at one r is feasible at the next.
@@ -29,11 +30,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .constants import SUPPORT_TOL
 from .dictionary import DesignMatrix, estimated_c_f, evaluate
 from .losses import CostParams, gen_hinge, reject_loss
-from .lp import LinearProgram, LpNumericalError, LpPath, solve_lp
+from .lp import LinearProgram, LpNumericalError, LpPath, StandardForm, solve_lp
 
 
 @dataclass
@@ -85,10 +87,12 @@ class Model:
 
 @dataclass
 class HingeProgram(LinearProgram):
-    """A _hinge_lp program with its crash basis: for each row, the
-    standard-form column basic at lambda = 0, t = 1."""
+    """A _hinge_lp program with its row layout: row i bounds the loss of
+    point[i]; the first steep rows are steeper middle rows, and the next n
+    are the plainer ones, in point order."""
 
-    crash: np.ndarray = field(kw_only=True)
+    point: np.ndarray = field(kw_only=True)
+    steep: int = field(kw_only=True)
 
 
 def _hinge_lp(phi, mass, eta, cp, r):
@@ -112,8 +116,7 @@ def _hinge_lp(phi, mass, eta, cp, r):
     each, after all the middle rows: first every left piece, then every
     right one.  The crash basis (lambda = 0, t = 1) is a vertex: t basic in
     the plainer rows, surpluses basic in the others, at 0 in the steeper
-    rows and at eta or 1 - eta in the outer ones, so the dual simplex has
-    nothing to raise.
+    rows and at eta or 1 - eta in the outer ones (see _crash_start).
     """
     if not 0.0 <= r < math.inf:
         raise ValueError(f"penalty weight r must be finite and >= 0, "
@@ -136,11 +139,55 @@ def _hinge_lp(phi, mass, eta, cp, r):
     rows[:, M:2 * M] = -rows[:, :M]
     rows[np.arange(point.size), 2 * M + point] = 1.0
     objective = np.concatenate([np.full(2 * M, r), mass])
-    nvar, s = 2 * M + n, steep.size
-    crash = np.concatenate([nvar + np.arange(s), 2 * M + np.arange(n),
-                            nvar + np.arange(s + n, point.size)])
     return HingeProgram(objective, rows, [">="] * point.size, rhs,
-                        lower=np.zeros(nvar), crash=crash)
+                        lower=np.zeros(2 * M + n), point=point,
+                        steep=steep.size)
+
+
+def _crash_start(lp, M):
+    """A _hinge_lp program's standard form and crash tableau, unfactored.
+
+    In the crash basis, point k's t is basic in its plainer row, and every
+    other row's surplus is basic.  So B^-1 [N | b] is written directly: a
+    plainer row keeps its u and v entries, with -1 in its surplus's column
+    and rhs 1; any other row is its point's plainer row's entries minus its
+    own, with -1 in the plainer surplus's column and rhs 1 - c.  Entries
+    are taken as A stores them (no -0.0) and a difference is formed as
+    -(own - plainer), so the tableau has a factored start's bits, signed
+    zeros included.  The CSC standard form [rows | -I] is assembled column
+    by column: u and v from the rows' phi block, each t over its point's
+    rows, then the surpluses.  Returns (form, tableau, basis, nonbasic), an
+    LpPath's state.
+    """
+    rows, rhs, point, s = lp.rows, lp.rhs, lp.point, lp.steep
+    m, nvar = rows.shape
+    n = nvar - 2 * M
+    u = rows[:, :M].T
+    nz = u != 0.0
+    ri = nz.nonzero()[1]
+    per_u = np.count_nonzero(nz, axis=1)
+    val = u[nz]
+    counts = np.concatenate([[0], per_u, per_u, np.bincount(point, minlength=n),
+                             np.ones(m, int)])
+    A = sparse.csc_array(
+        (np.concatenate([val, -val, np.ones(m), np.full(m, -1.0)]),
+         np.concatenate([ri, ri, np.argsort(point, kind="stable"),
+                         np.arange(m)]).astype(np.intc),
+         np.cumsum(counts).astype(np.intc)), shape=(m, nvar + m))
+    plainer = s + point
+    a = rows[:, :2 * M] + 0.0
+    T = np.zeros((m + 1, nvar + 1), order="F")
+    T[s:s + n, :2 * M] = a[s:s + n]
+    T[s:s + n, -1] = rhs[s:s + n]
+    for part in slice(0, s), slice(s + n, m):
+        T[part, :2 * M] = -(a[part] - a[plainer[part]])
+        T[part, 2 * M:-1] = -0.0
+        T[part, -1] = rhs[plainer[part]] - rhs[part]
+    T[np.arange(m), 2 * M + point] = -1.0
+    basis = np.concatenate([nvar + np.arange(s), 2 * M + np.arange(n),
+                            nvar + np.arange(s + n, m)])
+    nonbasic = np.concatenate([np.arange(2 * M), nvar + s + np.arange(n)])
+    return StandardForm.surplus(A, rhs), T, basis, nonbasic
 
 
 def _labeled_points(design):
@@ -156,29 +203,33 @@ def split_lp(design, cp, r):
 
 
 def _fit_hinge_lp(path, owner, build, cp, r, what):
-    """Solve a _hinge_lp program at penalty r from its crash basis.
+    """Solve a _hinge_lp program at penalty r, from its crash tableau.
 
     build(r) returns the program and its points, the (phi, mass, eta) it
     was built from.  If a fit of the same owner objects (compared with is)
     last filled path, r goes into the program's 2M penalty costs and the
-    kept points are reused; otherwise, or if r is not finite and >= 0,
-    build(r) makes the program or raises.  Returns (points, lambda,
+    solve starts from the kept tableau; otherwise, or if r is not finite
+    and >= 0, build(r) makes the program or raises, and path (a fresh one
+    when None) is seeded with its crash start.  Returns (points, lambda,
     objective, pivots), objective re-evaluated at lambda from the points.
     """
-    kept, points = getattr(path, "owner", None) or ((), None)
+    path = LpPath() if path is None else path
+    kept, points = path.owner or ((), None)
     if (len(kept) == len(owner) and 0 <= r < math.inf
             and all(a is b for a, b in zip(kept, owner))):
         lp = path.program
         lp.objective[:2 * points[0].shape[1]] = r
     else:
         lp, points = build(r)
+        path.program = lp
+        path.form, path.tableau, path.basis, path.nonbasic = _crash_start(
+            lp, points[0].shape[1])
     phi, mass, eta = points
     M = phi.shape[1]
-    sol = solve_lp(lp, initial_basis=lp.crash, path=path)
+    sol = solve_lp(lp, path=path)
     if sol.status != "optimal":
         raise LpNumericalError(f"{what} LP reported {sol.status}")
-    if path is not None:
-        path.owner = owner, points
+    path.owner = owner, points
     lam = sol.x[:M] - sol.x[M:2 * M]
     z = phi @ lam
     pos, neg = gen_hinge(np.stack([z, -z]), cp)

@@ -20,16 +20,41 @@ CP_PLAIN = CostParams(d=0.5)
 
 @pytest.fixture
 def solutions(monkeypatch):
-    """Every LpSolution that train.solve_lp returns, in call order."""
+    """Every LpSolution that train.solve_lp returns, in call order; each
+    solution's start is the tableau its path held when the solve began."""
     seen = []
 
-    def recording(*args, **kwargs):
-        sol = solve_lp(*args, **kwargs)
+    def recording(lp, path):
+        start = path.tableau
+        sol = solve_lp(lp, path=path)
+        sol.start = start
         seen.append(sol)
         return sol
 
     monkeypatch.setattr(train, "solve_lp", recording)
     return seen
+
+
+@pytest.fixture
+def crashes(monkeypatch):
+    """The tableau of each crash start train writes, in call order."""
+    made = []
+    real = train._crash_start
+
+    def recording(*args):
+        start = real(*args)
+        made.append(start[1])
+        return start
+
+    monkeypatch.setattr(train, "_crash_start", recording)
+    return made
+
+
+def _starts(solutions, crashes):
+    """Per solve, which crash tableau it started from: the tableau a path
+    keeps is the one its first fit wrote, pivoted in place."""
+    return [next(k for k, T in enumerate(crashes) if s.start is T)
+            for s in solutions]
 
 
 def _same_fit(a, b):
@@ -50,14 +75,18 @@ def test_fit_without_state_is_the_crash_basis_solve():
         assert _same_fit(fit(design, CP, r, path=LpPath()), model)
 
 
-def test_state_for_another_design_or_cost_is_ignored(solutions):
+def test_state_for_another_design_or_cost_is_ignored(solutions, crashes):
     rng = np.random.default_rng(8)
     design, other = random_design(rng, 30, 8), random_design(rng, 30, 8)
     for first, second, cp in ((design, other, CP), (design, design, CP_PLAIN)):
         path = LpPath()
         fit(first, CP, 0.3, path=path)
+        kept = path.program
         model = fit(second, cp, 0.1, path=path)
-        assert not solutions[-1].warm
+        # the second fit built its own program and started from its own
+        # crash tableau, not from the one the path kept
+        assert path.program is not kept
+        assert _starts(solutions[-2:], crashes[-2:]) == [0, 1]
         assert _same_fit(model, fit(second, cp, 0.1))
 
 
@@ -119,27 +148,34 @@ def _counted(monkeypatch, module, name):
     return calls
 
 
-def test_a_walk_factors_only_at_its_cold_start(monkeypatch, solutions):
-    # every later step pivots and restores its basic solution, which reads
-    # B^-1 from the tableau: only the first, cold, solve factors a basis
+def test_a_hinge_walk_never_factors(monkeypatch, solutions, crashes):
+    # the first fit starts from the crash tableau train writes, and every
+    # later step pivots and restores its basic solution, which reads B^-1
+    # from the tableau: no solve of a sample or population walk factors
     design = random_design(np.random.default_rng(9), 30, 8)
+    dist, dic = _lattice_atoms()
     factors = _counted(monkeypatch, lp_module, "splu")
+    cold = _counted(monkeypatch, lp_module, "_start_tableau")
     restores = _counted(monkeypatch, lp_module, "_refined")
-    walk_penalty_path(np.geomspace(0.003, 0.5, 7),
-                      lambda r, path: fit(design, CP, r, path=path))
-    assert [s.warm for s in solutions] == [False] + [True] * 6
-    assert len(factors) == 1
-    assert len(restores) == sum(s.iterations > 0 for s in solutions) >= 5
+    grid = np.geomspace(0.003, 0.5, 7)
+    walk_penalty_path(grid, lambda r, path: fit(design, CP, r, path=path),
+                      lambda r, path: fit_population(dist, dic, CP, r,
+                                                     path=path))
+    assert _starts(solutions, crashes) == [0, 1] * 7
+    assert all(s.warm for s in solutions)
+    assert not factors and not cold
+    assert len(restores) == sum(s.iterations > 0 for s in solutions) >= 10
 
 
-def test_a_walk_builds_one_program_per_solver(monkeypatch, solutions):
+def test_a_walk_builds_one_program_per_solver(monkeypatch, solutions,
+                                              crashes):
     design = random_design(np.random.default_rng(9), 30, 8)
     builds = _counted(monkeypatch, train, "split_lp")
     grid = np.geomspace(0.003, 0.5, 7)
     walk_penalty_path(grid, lambda r, path: fit(design, CP, r, path=path),
                       lambda r, path: fit(design, CP_PLAIN, r, path=path))
     assert len(builds) == 2
-    assert [s.warm for s in solutions] == [False] * 2 + [True] * 12
+    assert _starts(solutions, crashes) == [0, 1] * 7
 
 
 def test_a_population_path_evaluates_the_dictionary_once(monkeypatch):
@@ -189,7 +225,7 @@ def test_walk_returns_grid_order_and_starts_at_the_largest_r():
     assert calls == sorted(grid, reverse=True)
 
 
-def test_study_paths_match_highs(solutions):
+def test_study_paths_match_highs(solutions, crashes):
     config = ExperimentConfig("two_gaussian", repetitions=1)
     dic = build_linear(config.M)
     design = evaluate(dic, *gen_two_gaussian(config.n_train // 2, config.M,
@@ -208,10 +244,11 @@ def test_study_paths_match_highs(solutions):
         return model
 
     for cp in (CP, CP_PLAIN):
-        del solutions[:]
+        del solutions[:], crashes[:]
         models = walk_penalty_path(grid, step)[0]
-        # the walk ran from the largest r down, each later step warm
-        assert [s.warm for s in solutions] == [False] + [True] * 6
+        # the walk ran from the largest r down: the first step wrote the
+        # crash tableau, and each later step started from it
+        assert _starts(solutions, crashes) == [0] * 7
         for r, model in zip(grid, models):
             assert within_highs(model.objective, design, cp, r)
         path_pivots = sum(m.iterations for m in models)
@@ -235,12 +272,13 @@ def _lattice_atoms():
     return dist, dic
 
 
-def test_population_path_matches_highs(solutions):
+def test_population_path_matches_highs(solutions, crashes):
     dist, dic = _lattice_atoms()
     grid = np.geomspace(0.002, 0.6, 6)
     fits = population_path(make_context(dist, dic, CP), grid)
-    # the grid and then the r = 0 anchor are one warm path
-    assert [s.warm for s in solutions] == [False] + [True] * 6
+    # the grid and then the r = 0 anchor are one warm path, from one
+    # crash tableau
+    assert _starts(solutions, crashes) == [0] * 7
     assert list(fits.r) == sorted(grid)
     path = [(0.0, fits.base)] + list(zip(fits.r, fits.models))
     for r, model in path:
@@ -250,7 +288,8 @@ def test_population_path_matches_highs(solutions):
 
 
 def test_a_re_costed_population_walk_keeps_the_atom_masses(monkeypatch,
-                                                            solutions):
+                                                            solutions,
+                                                            crashes):
     # a re-cost writes r into the 2M penalty costs only: the atom masses,
     # the costs of the epigraph columns, keep their bits at every step
     dist, dic = _lattice_atoms()
@@ -267,7 +306,7 @@ def test_a_re_costed_population_walk_keeps_the_atom_masses(monkeypatch,
 
     models = walk_penalty_path(grid, step)[0]
     assert len(builds) == 1
-    assert [s.warm for s in solutions] == [False] + [True] * 5
+    assert _starts(solutions, crashes) == [0] * 6
     for r, model in zip(grid, models):
         assert within_highs(model.objective, dist, CP, r, dic)
 
