@@ -18,7 +18,6 @@ from rejectsvm import (
     complexity_estimate,
     fit_population,
     gram_psi,
-    kappa_estimate,
     make_context,
     population_path,
 )
@@ -36,8 +35,6 @@ if __name__ == "__main__":
     psi = gram_psi(dist, dic)
     print("noise-weighted gram matrix:")
     print(np.array2string(psi, precision=4))
-    val, cert = kappa_estimate(psi, np.array([1.0, 0.0]))
-    print(f"restricted eigenvalue kappa^2 on support {{0}}: {val:.4f}")
     est = complexity_estimate(dist, cp.d)
     print(f"margin exponent alpha={est.alpha:.3f}  A={est.a_const:.3f}")
     print()

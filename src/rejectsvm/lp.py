@@ -1,4 +1,4 @@
-"""Simplex method on a condensed tableau; only a cold start factors.
+"""Simplex method on a condensed tableau; nothing is factored.
 
 Problems are stated in general form,
 
@@ -14,10 +14,10 @@ repairs the drift of the basic solution restored from the original data
 after any pivot -- so that small instances can be confirmed independently
 by enumerating every basic solution of the standard form, as the test
 suite does with its own vertex-enumeration oracle.  Only the tableau is
-dense.  Only a cold start factors, its basis gathered from the CSC
-standard form, by a sparse LU; a restore reads B^-1 from the tableau.  A
-caller that can write a start's tableau in closed form seeds an LpPath
-with it and never factors: hinge fits do (see train).
+dense.  A cold start is the slack basis, which is its own inverse, and a
+restore reads B^-1 from the tableau, so no basis is ever factored.  A
+caller that can write a better start's tableau in closed form seeds an
+LpPath with it: hinge fits do (see train).
 """
 
 from dataclasses import dataclass
@@ -26,7 +26,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 from scipy.linalg import blas as _blas
-from scipy.sparse.linalg import splu
 
 from .constants import BLOWUP_LIMIT, FEAS_TOL, PIVOT_TOL
 
@@ -153,12 +152,11 @@ class LpPath:
     the costs, so the next solve of the same object starts from the
     tableau with only the cost row re-priced, and reuses the basic
     solution when no pivot is needed.  A caller may also seed a path with
-    a program, its form and a start it wrote without a factor, a feasible
-    tableau (cost row ignored) with its basis and nonbasic arrays; a hinge
-    fit seeds its crash tableau this way, so it never factors.  Any other
-    program, equal or not, ignores the state.  owner is the caller's note
-    of what built program; every solve clears it.  One tableau is live per
-    path.
+    a program, its form and a start it wrote itself, a feasible tableau
+    (cost row ignored) with its basis and nonbasic arrays; a hinge fit
+    seeds its crash tableau this way.  Any other program, equal or not,
+    ignores the state.  owner is the caller's note of what built program;
+    every solve clears it.  One tableau is live per path.
     """
 
     __slots__ = "program", "owner", "form", "tableau", "basis", "nonbasic"
@@ -343,31 +341,24 @@ def _dual_simplex(T, basis, nonbasic, state):
         _counted_pivot(T, basis, nonbasic, r, p, state)
 
 
-def _start_tableau(A, b, basis):
-    """Condensed tableau and nonbasic columns of a cold start, or None.
+def _start_tableau(A, b, sigma):
+    """Condensed tableau and nonbasic columns of the slack start.
 
-    The one factorization of a solve, made only by a cold start: a solve
-    from an LpPath, which every hinge fit's is, never calls it.  Returns
-    None when the basis is singular.  Basic values in [-PIVOT_TOL, 0) are
-    roundoff dust, set to 0.  The cost row is 0.
+    The slack basis is diag(sigma), sigma_i = +-1, its own inverse, so
+    B^-1 [N | b] is sigma [A_N | b], with N the columns before the
+    slacks.  Basic values in [-PIVOT_TOL, 0) are roundoff dust, set to 0.
+    The cost row is 0.  A solve from an LpPath, which every hinge fit's
+    is, never calls it.
     """
     m, ncols = A.shape
-    nonbasic = np.ones(ncols, dtype=bool)
-    nonbasic[basis] = False
-    nonbasic = np.flatnonzero(nonbasic)
-    rhs = np.empty((m, nonbasic.size + 1), order="F")
-    A[:, nonbasic].toarray(out=rhs[:, :-1])
-    rhs[:, -1] = b
-    try:
-        body = splu(A[:, basis]).solve(rhs)
-    except RuntimeError:  # SuperLU: "Factor is exactly singular"
-        return None
-    del rhs  # freed before T is allocated: crash starts set the peak memory
-    x_b = body[:, -1]
+    nv = ncols - m
+    T = np.zeros((m + 1, nv + 1), order="F")
+    T[:m, :-1] = A[:, :nv].toarray()
+    T[:m, -1] = b
+    T[:m] *= sigma[:, None]
+    x_b = T[:m, -1]
     np.clip(x_b, 0.0, None, out=x_b, where=x_b >= -PIVOT_TOL)
-    T = np.zeros((m + 1, nonbasic.size + 1), order="F")
-    T[:m] = body
-    return T, nonbasic
+    return T, np.arange(nv)
 
 
 def _reprice(T, basis, nonbasic, c):
@@ -401,17 +392,16 @@ def _refined(A, b, sigma, T, basis, nonbasic):
     return x_b + step
 
 
-def _simplex_core(A, b, c, initial_basis, state, warm=None):
+def _simplex_core(A, b, c, sigma, state, warm=None):
     """Run the simplex method on standard form, from a cold or path start.
 
     The tableau is B^-1 [N | b] over the nonbasic columns N, which the
     array nonbasic names, above the cost row.  warm, when given, is such a
     (tableau, basis, nonbasic) for (A, b); it is pivoted in place.
-    Otherwise the tableau is built for initial_basis, or for the slack
-    basis when none is given or initial_basis is singular, and the dual
-    simplex, on its cost row of zeros, raises any basic value below
-    -PIVOT_TOL or finds the row that proves the program infeasible.  The
-    primal simplex then starts from the cost row priced for c.
+    Otherwise the tableau is the slack basis's, and the dual simplex, on
+    its cost row of zeros, raises any basic value below -PIVOT_TOL or
+    finds the row that proves the program infeasible.  The primal simplex
+    then starts from the cost row priced for c.
 
     Returns (status, basis, nonbasic, tableau); for "unbounded", basis is
     instead the ray of the edge.
@@ -420,13 +410,8 @@ def _simplex_core(A, b, c, initial_basis, state, warm=None):
     if warm is not None:
         T, basis, nonbasic = warm
     else:
-        slacks = ncols - m + np.arange(m)
-        basis = slacks if initial_basis is None else initial_basis.copy()
-        built = _start_tableau(A, b, basis)
-        if built is None:  # a singular basis; the slacks never are
-            basis = slacks
-            built = _start_tableau(A, b, basis)
-        T, nonbasic = built
+        basis = ncols - m + np.arange(m)
+        T, nonbasic = _start_tableau(A, b, sigma)
         if not _dual_simplex(T, basis, nonbasic, state):
             return "infeasible", None, None, None
     _reprice(T, basis, nonbasic, c)
@@ -444,7 +429,7 @@ def _pivot_budget(m, ncols):
     return 50000 + 200 * (m + ncols)
 
 
-def solve_lp(lp, initial_basis=None, path=None):
+def solve_lp(lp, path=None):
     """Solve a LinearProgram with the simplex method.
 
     The simplex pivots a condensed (dictionary) tableau of the nonbasic
@@ -476,25 +461,17 @@ def solve_lp(lp, initial_basis=None, path=None):
     ray raises LpNumericalError naming the reason and the pivots taken.
     Identical inputs produce bitwise-identical solutions.
 
-    initial_basis optionally names standard-form columns forming the
-    starting basis, the slack basis by default.  Standard-form columns are:
-    one per variable in declared order, except free variables contribute
-    two adjacent columns (positive then negative part), followed by one
-    slack column per standard-form row: the user's rows in order (an = row
-    as its <= half), then the >= half of each = row, then one <= row per
-    variable with two finite bounds.  The dual simplex runs from an
-    infeasible basis; only a singular initial_basis falls back to the slack
-    basis.
+    A cold start is the slack basis: one slack per standard-form row, the
+    user's rows in order (an = row as its <= half), then the >= half of
+    each = row, then one <= row per variable with two finite bounds.
 
     path optionally carries an LpPath; if its last optimal solve was of
     this very object (path.program is lp), whose objective may have changed
     since, or its caller seeded it with a start for lp, the solve starts
-    from its tableau instead of initial_basis.  The path is left holding lp
-    and its tableau when the solve decides optimal, and is cleared
-    otherwise.  iterations counts this solve's pivots only.
-
-    Only a cold start factors a basis.  A hinge fit seeds its path with
-    the crash tableau it writes in closed form, so it never factors.
+    from its tableau instead of the slack basis.  The path is left holding
+    lp and its tableau when the solve decides optimal, and is cleared
+    otherwise.  iterations counts this solve's pivots only.  A hinge fit
+    seeds its path with the crash tableau it writes in closed form.
     """
     form = warm = None
     if path is not None:
@@ -506,16 +483,9 @@ def solve_lp(lp, initial_basis=None, path=None):
     A, b, cmap, sigma, sense = form
     c = _standard_costs(lp.objective, cmap, A.shape[1])
     m, ncols = A.shape
-    if initial_basis is not None:
-        initial_basis = np.asarray(initial_basis, dtype=int)
-        if initial_basis.shape != (m,) or len(set(initial_basis.tolist())) != m:
-            raise LpInputError("initial basis must name one distinct column per row")
-        if m and (initial_basis.min() < 0 or initial_basis.max() >= ncols):
-            raise LpInputError("initial basis column out of range")
     state = {"iter": 0, "max_iter": _pivot_budget(m, ncols)}
     try:
-        status, basis, nonbasic, T = _simplex_core(
-            A, b, c, initial_basis, state, warm)
+        status, basis, nonbasic, T = _simplex_core(A, b, c, sigma, state, warm)
         if status == "unbounded":
             cost, residual = c @ basis, np.max(np.abs(A @ basis), initial=0.0)
             if cost >= -PIVOT_TOL or residual > FEAS_TOL:  # basis holds the ray

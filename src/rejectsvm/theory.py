@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dictionary import evaluate as _evaluate_dictionary
 from .losses import (
@@ -28,7 +27,6 @@ __all__ = [
     "make_context",
     "gram_psi",
     "weighted_norm",
-    "kappa_estimate",
     "complexity_estimate",
     "check_lemma_a1",
     "PopulationPath",
@@ -133,90 +131,6 @@ def _worst_slack(slacks, witness):
             worst, k = s, i
     return worst, ("all candidates satisfied the bound" if k is None
                    else witness(k))
-
-
-def _cone_ratio(psi, delta, support):
-    den = 4.0 * float(np.sum(delta[support] ** 2))
-    if den <= 0.0:
-        return math.inf
-    return float(delta @ psi @ delta) / den
-
-
-def kappa_estimate(psi, theta, c=1.0, budget=2000, seed=0, refine=True):
-    """Upper estimate of the restricted-eigenvalue constant kappa^2.
-
-    Minimizes delta' psi delta / (4 ||delta_I||_2^2) over the cone
-    ||delta_{I^c}||_1 <= c ||delta_I||_1, where I is the support of theta,
-    by seeded random cone sampling around deterministic candidates (the
-    smallest eigenvector of psi restricted to I, and each support axis),
-    then a local constrained refinement of the best point.  Returns
-    (estimate, certificate); the estimate never undershoots the true
-    infimum's role as an upper bound: any returned value is attained by its
-    certificate, so the true kappa^2 is at most the value reported.
-    """
-    psi = np.asarray(psi, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if c < 1.0:
-        raise ValueError("cone parameter c must be at least 1")
-    M = theta.size
-    support = np.flatnonzero(theta != 0.0)
-    if support.size == 0:
-        raise ValueError("theta must have non-empty support")
-    rest = np.setdiff1d(np.arange(M), support)
-
-    candidates = []
-    sub = psi[np.ix_(support, support)]
-    base = np.zeros(M)
-    base[support] = np.linalg.eigh(sub)[1][:, 0]  # flattest on-support direction
-    candidates.append(base)
-    for i in support:
-        e = np.zeros(M)
-        e[i] = 1.0
-        candidates.append(e)
-    rng = np.random.default_rng(seed)
-    for _ in range(budget):
-        delta = np.zeros(M)
-        delta[support] = rng.normal(size=support.size)
-        if rest.size:
-            raw = rng.normal(size=rest.size)
-            s = float(np.abs(raw).sum())
-            if s > 0.0:
-                limit = c * float(np.abs(delta[support]).sum())
-                delta[rest] = raw * (rng.random() * limit / s)
-        candidates.append(delta)
-
-    vals = [_cone_ratio(psi, delta, support) for delta in candidates]
-    k = int(np.argmin(vals))
-    best_val, best = vals[k], candidates[k]
-
-    if refine and np.isfinite(best_val):
-        x0 = best / math.sqrt(float(np.sum(best[support] ** 2)))
-
-        def objective(delta):
-            return float(delta @ psi @ delta) / 4.0
-
-        cons = [
-            {"type": "eq",
-             "fun": lambda delta: float(np.sum(delta[support] ** 2)) - 1.0},
-        ]
-        if rest.size:
-            cons.append(
-                {"type": "ineq",
-                 "fun": lambda delta: c * float(np.abs(delta[support]).sum())
-                 - float(np.abs(delta[rest]).sum())}
-            )
-        res = minimize(objective, x0, method="SLSQP", constraints=cons,
-                       options={"maxiter": 200, "ftol": 1e-12})
-        if res.success:
-            cand = np.asarray(res.x, dtype=float)
-            ok_cone = (not rest.size) or (
-                np.abs(cand[rest]).sum()
-                <= c * np.abs(cand[support]).sum() + 1e-9
-            )
-            val = _cone_ratio(psi, cand, support)
-            if ok_cone and val < best_val:
-                best_val, best = val, cand
-    return best_val, best
 
 
 def _tail_probability(p, distances, t):

@@ -1,11 +1,18 @@
 """Shared fixtures and generators used across the test modules."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse.linalg import splu
 
+from rejectsvm.constants import PIVOT_TOL
 from rejectsvm.dictionary import DesignMatrix, build_linear, evaluate
 from rejectsvm.losses import CostParams, DiscreteDistribution
-from rejectsvm.lp import LinearProgram
+from rejectsvm.lp import LinearProgram, LpPath
 
 
 def random_lp(rng, max_vars=6, max_cons=8):
@@ -42,6 +49,36 @@ def crash_basis(n, M, cp, mixed=0):
     steep = n if cp.a != 1.0 else 0
     return np.concatenate([nvar + np.arange(steep), 2 * M + np.arange(n),
                            nvar + steep + n + np.arange(2 * mixed)])
+
+
+def factored_start(A, b, basis):
+    """The condensed tableau B^-1 [N | b] of a basis, by a sparse LU.
+
+    The oracle for the starts the package writes without a factor: the
+    nonbasic columns N in column order, basic values in [-PIVOT_TOL, 0)
+    set to 0, and a cost row of zeros.  Returns (tableau, nonbasic).
+    """
+    m, ncols = A.shape
+    nonbasic = np.ones(ncols, dtype=bool)
+    nonbasic[basis] = False
+    nonbasic = np.flatnonzero(nonbasic)
+    rhs = np.empty((m, nonbasic.size + 1), order="F")
+    A[:, nonbasic].toarray(out=rhs[:, :-1])
+    rhs[:, -1] = b
+    body = splu(A[:, basis]).solve(rhs)
+    x_b = body[:, -1]
+    np.clip(x_b, 0.0, None, out=x_b, where=x_b >= -PIVOT_TOL)
+    T = np.zeros((m + 1, nonbasic.size + 1), order="F")
+    T[:m] = body
+    return T, nonbasic
+
+
+def seeded_path(lp, form, tableau, basis, nonbasic):
+    """An LpPath seeded, as train seeds one, with a start for lp."""
+    path = LpPath()
+    path.program, path.form = lp, form
+    path.tableau, path.basis, path.nonbasic = tableau, basis, nonbasic
+    return path
 
 
 def within_highs(ours, data, cp, r, dic=None):
@@ -117,6 +154,23 @@ def random_distribution(rng, k=None, dim=2):
     p[-1] = 1.0 - p[:-1].sum()  # close the telescoping sum exactly
     eta = rng.random(k)
     return DiscreteDistribution(x=x, p=p, eta=eta)
+
+
+def loaded_modules(code, *packages):
+    """The modules of the dotted packages that a fresh process loads.
+
+    code runs in a new interpreter with this checkout's src first on its
+    path, as a command or a benchmark runs it.  A package counts with its
+    submodules.  Returns their names, sorted.
+    """
+    probe = (f"{code}\nimport sys\n"
+             f"print(*sorted(m for m in sys.modules if any(\n"
+             f"    m == p or m.startswith(p + '.') for p in {packages!r})))\n")
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
 
 
 def hex_bits(values):

@@ -24,9 +24,16 @@ from rejectsvm.lp import (
     solve_lp,
 )
 from rejectsvm.sim import ExperimentConfig, gen_mixture, gen_two_gaussian
-from rejectsvm.train import _hinge_lp, default_r_grid, split_lp
+from rejectsvm.train import _crash_start, _hinge_lp, default_r_grid, split_lp
 
-from helpers import crash_basis, logistic_atoms, random_lp, within_highs
+from helpers import (
+    factored_start,
+    loaded_modules,
+    logistic_atoms,
+    random_lp,
+    seeded_path,
+    within_highs,
+)
 from oracle import LpOversizeError, enumerate_vertices_oracle
 
 
@@ -93,12 +100,18 @@ def _slack_start(lp):
     return A[:, ncols - m:].diagonal() * b
 
 
-def test_matches_enumeration_oracle_on_random_programs():
-    t0 = time.time()
+def _oracle_programs():
+    """The 290 random programs the enumeration oracle decides."""
     rng = np.random.default_rng(7)
     small = np.random.default_rng(21)
     programs = [random_lp(rng) for _ in range(250)]
-    programs += [random_lp(small, max_vars=4, max_cons=5) for _ in range(40)]
+    return programs + [random_lp(small, max_vars=4, max_cons=5)
+                       for _ in range(40)]
+
+
+def test_matches_enumeration_oracle_on_random_programs():
+    t0 = time.time()
+    programs = _oracle_programs()
     statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     infeasible_start = 0  # programs whose slack start is infeasible
     for lp in programs:
@@ -116,6 +129,38 @@ def test_matches_enumeration_oracle_on_random_programs():
     assert time.time() - t0 < 10.0
 
 
+def test_cold_start_is_the_factored_slack_start_bit_for_bit():
+    # the slack basis is diag(sigma), its own inverse: the start written
+    # as sigma [A_N | b] has a sparse LU's tableau and nonbasic order, bit
+    # for bit, signed zeros and the clipped roundoff dust included
+    for lp in _oracle_programs():
+        A, b, _, sigma, _ = lp_module._to_standard_form(lp)
+        m, ncols = A.shape
+        T, nonbasic = lp_module._start_tableau(A, b, sigma)
+        want, want_nonbasic = factored_start(A, b, ncols - m + np.arange(m))
+        assert T.dtype == want.dtype and T.shape == want.shape
+        assert T.flags.f_contiguous
+        assert T.tobytes() == want.tobytes()
+        assert nonbasic.dtype == want_nonbasic.dtype
+        assert nonbasic.tobytes() == want_nonbasic.tobytes()
+
+
+def test_fits_and_solves_load_no_factorization_or_optimizer():
+    # a fresh process that fits, fits a population and solves a general
+    # program loads neither SciPy's sparse solvers nor its optimizers
+    assert loaded_modules(
+        "import numpy as np\n"
+        "import rejectsvm as rs\n"
+        "cp = rs.CostParams(0.25)\n"
+        "rs.fit(rs.DesignMatrix(np.array([[1.0, 0.5], [-1.0, 0.2]]),"
+        " np.array([1.0, -1.0])), cp, 0.1)\n"
+        "rs.fit_population(rs.DiscreteDistribution(np.eye(2), np.full(2, 0.5),"
+        " np.array([0.2, 0.9])), rs.build_linear(2), cp, 0.1)\n"
+        "rs.solve_lp(rs.LinearProgram([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]],"
+        " ['<=', '>='], [4.0, 6.0], lower=[0.0, 0.0]))",
+        "scipy.sparse.linalg", "scipy.optimize") == []
+
+
 def test_bitwise_determinism():
     lp = LinearProgram(objective=[-1.0, -2.0, 0.5],
                        rows=[[1.0, 1.0, 1.0], [2.0, -1.0, 0.0]],
@@ -126,31 +171,6 @@ def test_bitwise_determinism():
         again = solve_lp(lp)
         assert again.x.tobytes() == ref.x.tobytes()
         assert repr(again.objective_value) == repr(ref.objective_value)
-
-
-def test_initial_basis_reaches_the_same_optimum():
-    # x1 + 2y <= 4 and 3x + y <= 6 with slacks in columns 2 and 3;
-    # the slack basis (origin vertex) is feasible, so phase 1 is skipped
-    lp = LinearProgram(objective=[-1.0, -1.0],
-                       rows=[[1.0, 2.0], [3.0, 1.0]],
-                       relations=["<=", "<="], rhs=[4.0, 6.0],
-                       lower=[0.0, 0.0])
-    sol = solve_lp(lp, initial_basis=[2, 3])
-    assert sol.status == "optimal"
-    assert abs(sol.objective_value - (-14.0 / 5.0)) < 1e-12
-
-
-def test_initial_basis_validation():
-    lp = LinearProgram(objective=[-1.0, -1.0],
-                       rows=[[1.0, 2.0], [3.0, 1.0]],
-                       relations=["<=", "<="], rhs=[4.0, 6.0],
-                       lower=[0.0, 0.0])
-    with pytest.raises(LpInputError):
-        solve_lp(lp, initial_basis=[0])  # wrong length
-    with pytest.raises(LpInputError):
-        solve_lp(lp, initial_basis=[1, 1])  # repeated column
-    with pytest.raises(LpInputError):
-        solve_lp(lp, initial_basis=[0, 99])  # out of range
 
 
 def _dual_pivots(monkeypatch):
@@ -168,33 +188,6 @@ def _dual_pivots(monkeypatch):
     return pivots
 
 
-def _started(monkeypatch):
-    """Record the basis of every tableau a cold start builds."""
-    bases = []
-    real = lp_module._start_tableau
-
-    def recording(A, b, basis):
-        bases.append(basis.tolist())
-        return real(A, b, basis)
-
-    monkeypatch.setattr(lp_module, "_start_tableau", recording)
-    return bases
-
-
-def test_infeasible_initial_basis_runs_phase_one_from_itself(monkeypatch):
-    # basis [0, 1] solves to x=(8/5, 6/5), which is feasible, but [1, 2]
-    # (y and the first slack) puts y = 6 and that slack at -8: the dual
-    # simplex starts from this basis, and the slack tableau is never built
-    bases = _started(monkeypatch)
-    dual = _dual_pivots(monkeypatch)
-    sol = solve_lp(_two_variable_program(), initial_basis=[1, 2])
-    assert bases == [[1, 2]]
-    assert dual[0] > 0
-    assert sol.status == "optimal"
-    assert abs(sol.objective_value - (-14.0 / 5.0)) < 1e-12
-    assert np.allclose(sol.x, [8.0 / 5.0, 6.0 / 5.0], atol=1e-12)
-
-
 def test_slack_start_with_roundoff_dust_takes_no_phase_one_pivot(monkeypatch):
     # a shifted bound leaves -2.2e-16 in one slack's starting value; that is
     # set to 0, so the slack start is feasible and the dual simplex is idle
@@ -207,23 +200,6 @@ def test_slack_start_with_roundoff_dust_takes_no_phase_one_pivot(monkeypatch):
     ref = enumerate_vertices_oracle(lp)
     assert sol.status == ref.status == "optimal"
     assert abs(sol.objective_value - ref.objective_value) < 1e-9
-
-
-def test_singular_initial_basis_falls_back_to_the_slacks(monkeypatch):
-    # the second row is twice the first, so the basis [0, 1] is singular:
-    # its sparse factor is refused and the slack basis starts the solve
-    lp = LinearProgram(objective=[-1.0, -1.0],
-                       rows=[[1.0, 2.0], [2.0, 4.0]],
-                       relations=["<=", "<="], rhs=[4.0, 8.0],
-                       lower=[0.0, 0.0])
-    A, b = lp_module._to_standard_form(lp)[:2]
-    assert lp_module._start_tableau(A, b, np.array([0, 1])) is None
-    bases = _started(monkeypatch)
-    sol = solve_lp(lp, initial_basis=[0, 1])
-    assert bases == [[0, 1], [2, 3]]
-    assert sol.status == "optimal"
-    assert np.allclose(sol.x, [4.0, 0.0], atol=1e-12)
-    assert abs(sol.objective_value - (-4.0)) < 1e-12
 
 
 def test_rejects_malformed_input():
@@ -305,7 +281,7 @@ def _budget(monkeypatch, pivots):
 def test_exhausted_pivot_budget_ends_the_solve(monkeypatch):
     # the slack start needs two pivots; one budget covers the whole solve
     _budget(monkeypatch, 2)
-    sol = solve_lp(_two_variable_program(), initial_basis=[2, 3])
+    sol = solve_lp(_two_variable_program())
     assert sol.status == "optimal" and sol.iterations == 2
     assert abs(sol.objective_value - (-14.0 / 5.0)) < 1e-12
     # with one pivot fewer the solve fails, and no second attempt follows
@@ -313,7 +289,7 @@ def test_exhausted_pivot_budget_ends_the_solve(monkeypatch):
     path = LpPath()
     with pytest.raises(LpNumericalError,
                        match="^simplex iteration limit exceeded after 2 pivots$"):
-        solve_lp(_two_variable_program(), initial_basis=[2, 3], path=path)
+        solve_lp(_two_variable_program(), path=path)
     assert path.program is None  # a failed solve leaves no tableau behind
 
 
@@ -332,7 +308,7 @@ def test_numerical_guard_ends_the_solve_with_its_reason(monkeypatch, message):
 
     monkeypatch.setattr(lp_module, "_run_phase", guarded)
     with pytest.raises(LpNumericalError, match=f"^{message} after 0 pivots$"):
-        solve_lp(_two_variable_program(), initial_basis=[2, 3])
+        solve_lp(_two_variable_program())
     assert len(calls) == 1
 
 
@@ -348,7 +324,7 @@ def test_restore_and_audit_failures_end_the_solve_named(monkeypatch, owner,
     # the failure reaches the caller named, after the two pivots taken
     monkeypatch.setattr(owner, name, fake)
     with pytest.raises(LpNumericalError, match=f"^{reason} after 2 pivots$"):
-        solve_lp(_two_variable_program(), initial_basis=[2, 3])
+        solve_lp(_two_variable_program())
 
 
 def test_failure_names_its_one_reason_and_pivots(monkeypatch):
@@ -356,7 +332,7 @@ def test_failure_names_its_one_reason_and_pivots(monkeypatch):
     # with its pivot count, and nothing else
     _budget(monkeypatch, 0)
     with pytest.raises(LpNumericalError) as err:
-        solve_lp(_two_variable_program(), initial_basis=[2, 3])
+        solve_lp(_two_variable_program())
     assert str(err.value) == "simplex iteration limit exceeded after 1 pivots"
 
 
@@ -553,8 +529,8 @@ def test_failed_dual_repair_is_named(monkeypatch):
 def _probe_fold(index):
     """Fold 0 of a 5-fold CV of the RBF mixture at grid point index of 10.
 
-    Returns the fold's LP, its crash basis, its HiGHS reference (fold, cost
-    and r, as within_highs takes them) and its penalty grid.
+    Returns the fold's LP, its feature count, its HiGHS reference (fold,
+    cost and r, as within_highs takes them) and its penalty grid.
     """
     x, y, _ = gen_mixture(200, 3)
     dic = build_rbf_lattice((10, 10), x.min(axis=0), x.max(axis=0), beta=2.0)
@@ -564,15 +540,14 @@ def _probe_fold(index):
     keep = np.arange(design.n) % 5 != 0
     fold = DesignMatrix(design.phi[keep], design.y[keep])
     r = float(grid[index])
-    return (split_lp(fold, cp, r), crash_basis(fold.n, fold.M, cp),
-            (fold, cp, r), grid)
+    return split_lp(fold, cp, r), fold.M, (fold, cp, r), grid
 
 
 def test_negative_restored_value_is_repaired_and_kept_on_the_path(monkeypatch):
     # a restored basic solution with a value below -PIVOT_TOL is repaired
     # by dual pivots, and the repaired tableau stays on the path: the next
     # solve, of the same program re-costed, starts warm from it
-    lp, crash, (fold, cp, r), grid = _probe_fold(6)
+    lp, M, (fold, cp, r), grid = _probe_fold(6)
     real_restore = lp_module._refined
 
     def dipped(*args):
@@ -582,11 +557,11 @@ def test_negative_restored_value_is_repaired_and_kept_on_the_path(monkeypatch):
 
     monkeypatch.setattr(lp_module, "_refined", dipped)
     dual = _dual_pivots(monkeypatch)
-    path = LpPath()
-    sol = solve_lp(lp, initial_basis=crash, path=path)
-    # the crash start is feasible; only the restore's run pivots
-    assert sol.status == "optimal" and not sol.warm
-    assert dual[0] == 0 and dual[1] > 0 and len(dual) == 2
+    path = seeded_path(lp, *_crash_start(lp, M))
+    sol = solve_lp(lp, path=path)
+    # a seeded start runs no dual pass: the one dual run is the restore's
+    assert sol.status == "optimal" and sol.warm
+    assert dual[0] > 0 and len(dual) == 1
     assert within_highs(sol.objective_value, fold, cp, r)
     # the path holds the repaired basis, and its clipped basic solution is
     # the tableau's right-hand-side column
@@ -596,8 +571,8 @@ def test_negative_restored_value_is_repaired_and_kept_on_the_path(monkeypatch):
     assert np.array_equal(x_std[:lp.nvar], sol.x)  # every bound is 0
     monkeypatch.setattr(lp_module, "_refined", real_restore)
     lp.objective[:2 * fold.M] = grid[7]  # the penalty costs
-    sol = solve_lp(lp, initial_basis=crash, path=path)
-    assert sol.status == "optimal" and sol.warm and not any(dual[2:])
+    sol = solve_lp(lp, path=path)
+    assert sol.status == "optimal" and sol.warm and not any(dual[1:])
     assert within_highs(sol.objective_value, fold, cp, grid[7])
 
 
@@ -617,13 +592,13 @@ def _restores(monkeypatch):
 
 
 def _probe_walk():
-    lp, crash, (fold, _, _), grid = _probe_fold(0)
-    return lp, crash, fold.M, grid
+    lp, M, _, grid = _probe_fold(0)
+    return lp, M, grid
 
 
 def _population_walk():
-    lp, crash, (*_, dic) = _population_lp(3939563265, 3.0, CostParams(0.25))
-    return lp, crash, dic.M, np.geomspace(0.003, 3.0, 20)
+    lp, M, _ = _population_lp(3939563265, 3.0, CostParams(0.25))
+    return lp, M, np.geomspace(0.003, 3.0, 20)
 
 
 @pytest.mark.parametrize("walk", [_probe_walk, _population_walk],
@@ -632,12 +607,12 @@ def test_restored_values_match_a_factor_of_the_final_basis(monkeypatch, walk):
     # every restore of a walk refines the tableau's drifted values once,
     # with B^-1 read from the tableau, to within 1e-13 relative of a sparse
     # LU solve of the same basis
-    lp, crash, M, grid = walk()
+    lp, M, grid = walk()
     seen = _restores(monkeypatch)
-    path = LpPath()
+    path = seeded_path(lp, *_crash_start(lp, M))
     for r in sorted(grid, reverse=True):
         lp.objective[:2 * M] = r
-        assert solve_lp(lp, initial_basis=crash, path=path).status == "optimal"
+        assert solve_lp(lp, path=path).status == "optimal"
     assert len(seen) >= 5
     drift = 0.0
     for A, b, basis, before, x_b in seen:
@@ -650,13 +625,12 @@ def test_restored_values_match_a_factor_of_the_final_basis(monkeypatch, walk):
 
 def _population_lp(seed, r, cp):
     """The population hinge LP of logistic_atoms(seed) on a 6x6 RBF lattice,
-    its crash basis and its HiGHS reference."""
+    its feature count and its HiGHS reference."""
     dist = logistic_atoms(seed)
     dic = build_rbf_lattice((6, 6), dist.x.min(axis=0), dist.x.max(axis=0))
     phi = evaluate(dic, dist.x).phi
-    mixed = int(np.sum((dist.eta > 0.0) & (dist.eta < 1.0)))
-    return (_hinge_lp(phi, dist.p, dist.eta, cp, r),
-            crash_basis(dist.n_atoms, dic.M, cp, mixed), (dist, cp, r, dic))
+    return (_hinge_lp(phi, dist.p, dist.eta, cp, r), dic.M,
+            (dist, cp, r, dic))
 
 
 def _study_lp(d, r):
@@ -664,8 +638,7 @@ def _study_lp(d, r):
     design = evaluate(build_linear(config.M), *gen_two_gaussian(
         config.n_train // 2, config.M, 2024)[:2])
     cp = CostParams(d=d, tau=0.5)
-    return (split_lp(design, cp, r), crash_basis(design.n, design.M, cp),
-            (design, cp, r))
+    return split_lp(design, cp, r), design.M, (design, cp, r)
 
 
 @pytest.mark.parametrize("build", [
@@ -681,16 +654,16 @@ def _study_lp(d, r):
         "atoms 3939563265 r=0.0266", "probe fold r=0.0966",
         "study d=0.25 r=0.1077"])
 def test_cold_start_decides_degenerate_package_lps(build):
-    # degenerate LPs the package builds, each solved once from the crash
-    # basis with no path; atoms 4185785210 and 3939563265 are the third and
-    # second distributions the diagnose benchmark draws at seed 7.  Without
-    # the Harris ratio test the first five, then built with two rows per
-    # atom and label, outgrew the blow-up limit, and the probe fold ended
-    # on a false ray; the study LP cycled when ties went to the largest
-    # pivot element.  In the epigraph form the first five take 213, 166,
-    # 166, 154 and 118 pivots
-    lp, crash, reference = build()
-    sol = solve_lp(lp, initial_basis=crash)
+    # degenerate LPs the package builds, each solved once from its crash
+    # start, seeded as train seeds it; atoms 4185785210 and 3939563265 are
+    # the third and second distributions the diagnose benchmark draws at
+    # seed 7.  Without the Harris ratio test the first five, then built
+    # with two rows per atom and label, outgrew the blow-up limit, and the
+    # probe fold ended on a false ray; the study LP cycled when ties went
+    # to the largest pivot element.  In the epigraph form the first five
+    # take 213, 166, 166, 154 and 118 pivots
+    lp, M, reference = build()
+    sol = solve_lp(lp, path=seeded_path(lp, *_crash_start(lp, M)))
     assert sol.status == "optimal"
     assert within_highs(sol.objective_value, *reference)
 

@@ -12,7 +12,7 @@ from rejectsvm.sim import ExperimentConfig, gen_two_gaussian
 from rejectsvm.theory import make_context, population_path
 from rejectsvm.train import fit, fit_population, split_lp, walk_penalty_path
 
-from helpers import crash_basis, random_design, within_highs
+from helpers import random_design, seeded_path, within_highs
 
 CP = CostParams(d=0.25, tau=0.5)
 CP_PLAIN = CostParams(d=0.5)
@@ -66,8 +66,8 @@ def test_fit_without_state_is_the_crash_basis_solve():
     M = design.M
     for r in (0.02, 0.2):
         model = fit(design, CP, r)
-        sol = solve_lp(split_lp(design, CP, r),
-                       initial_basis=crash_basis(design.n, M, CP))
+        lp = split_lp(design, CP, r)
+        sol = solve_lp(lp, path=seeded_path(lp, *train._crash_start(lp, M)))
         lam = sol.x[:M] - sol.x[M:2 * M]
         assert model.lam.tobytes() == lam.tobytes()
         assert model.iterations == sol.iterations
@@ -115,26 +115,6 @@ def test_program_edited_in_place_is_not_matched():
     assert solve_lp(again, path=path).warm
 
 
-def test_repeated_r_reprices_without_pivots(solutions, monkeypatch):
-    design = random_design(np.random.default_rng(3), 30, 8)
-    path = LpPath()
-    first = fit(design, CP, 0.05, path=path)
-    factors = []
-    real = lp_module.splu
-
-    def counting(B):
-        factors.append(1)
-        return real(B)
-
-    monkeypatch.setattr(lp_module, "splu", counting)
-    again = fit(design, CP, 0.05, path=path)
-    assert solutions[-1].warm and again.iterations == 0
-    assert not factors  # the kept basic solution is reused, not solved for
-    # same basis, so the same restored vertex, bit for bit
-    assert again.lam.tobytes() == first.lam.tobytes()
-    assert repr(again.objective) == repr(first.objective)
-
-
 def _counted(monkeypatch, module, name):
     """Rebind module.name to a wrapper that counts its calls."""
     calls = []
@@ -148,13 +128,25 @@ def _counted(monkeypatch, module, name):
     return calls
 
 
+def test_repeated_r_reprices_without_pivots(solutions, monkeypatch):
+    design = random_design(np.random.default_rng(3), 30, 8)
+    path = LpPath()
+    first = fit(design, CP, 0.05, path=path)
+    restores = _counted(monkeypatch, lp_module, "_refined")
+    again = fit(design, CP, 0.05, path=path)
+    assert solutions[-1].warm and again.iterations == 0
+    assert not restores  # the kept basic solution is reused, not restored
+    # same basis, so the same restored vertex, bit for bit
+    assert again.lam.tobytes() == first.lam.tobytes()
+    assert repr(again.objective) == repr(first.objective)
+
+
 def test_a_hinge_walk_never_factors(monkeypatch, solutions, crashes):
     # the first fit starts from the crash tableau train writes, and every
     # later step pivots and restores its basic solution, which reads B^-1
-    # from the tableau: no solve of a sample or population walk factors
+    # from the tableau: no solve of a sample or population walk starts cold
     design = random_design(np.random.default_rng(9), 30, 8)
     dist, dic = _lattice_atoms()
-    factors = _counted(monkeypatch, lp_module, "splu")
     cold = _counted(monkeypatch, lp_module, "_start_tableau")
     restores = _counted(monkeypatch, lp_module, "_refined")
     grid = np.geomspace(0.003, 0.5, 7)
@@ -163,7 +155,7 @@ def test_a_hinge_walk_never_factors(monkeypatch, solutions, crashes):
                                                      path=path))
     assert _starts(solutions, crashes) == [0, 1] * 7
     assert all(s.warm for s in solutions)
-    assert not factors and not cold
+    assert not cold
     assert len(restores) == sum(s.iterations > 0 for s in solutions) >= 10
 
 

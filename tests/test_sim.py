@@ -1,10 +1,7 @@
 """Synthetic scenario generators and study runners."""
 
 import math
-import os
 import runpy
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +21,8 @@ from rejectsvm.sim import (
     run_mixture_boundaries,
     run_reject_vs_plain,
 )
+
+from helpers import loaded_modules
 
 
 def test_config_validation():
@@ -177,19 +176,10 @@ def test_two_gaussian_bayes_risk_matches_adaptive_quadrature():
 
 
 def test_the_study_leaves_scipy_integrate_unloaded():
-    # in a fresh process, as a command or a benchmark runs it
-    code = ("import sys\n"
-            "from rejectsvm.sim import ExperimentConfig, run_reject_vs_plain\n"
-            "run_reject_vs_plain(ExperimentConfig('two_gaussian', n_train=8,"
-            " M=3, repetitions=1, r_grid=(0.2,)))\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[:2] == ['scipy', 'integrate']))\n")
-    src = str(Path(__file__).parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "[]\n"
+    assert loaded_modules(
+        "from rejectsvm.sim import ExperimentConfig, run_reject_vs_plain\n"
+        "run_reject_vs_plain(ExperimentConfig('two_gaussian', n_train=8,"
+        " M=3, repetitions=1, r_grid=(0.2,)))", "scipy.integrate") == []
 
 
 def test_reject_vs_plain_is_deterministic():

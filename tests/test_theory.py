@@ -1,5 +1,5 @@
-"""Population-level structure: Gram matrix, cone constant, margin exponent,
-and the four distribution-level checks."""
+"""Population-level structure: Gram matrix, margin exponent, and the four
+distribution-level checks."""
 
 import math
 
@@ -17,7 +17,6 @@ from rejectsvm.theory import (
     check_prop21,
     complexity_estimate,
     gram_psi,
-    kappa_estimate,
     make_context,
     population_path,
     weighted_norm,
@@ -91,43 +90,6 @@ def test_context_carries_the_optimal_rule():
     ctx = make_context(dist, dic, cp)
     assert np.array_equal(ctx.f0_values, [-1.0, 0.0, 1.0])
     assert ctx.phi.shape == (3, 2)
-
-
-def test_cone_constant_on_diagonal_matrix():
-    # diagonal psi, support {0}: off-support mass only raises the ratio,
-    # so the infimum is psi[0,0] / 4 regardless of the cone width
-    val, cert = kappa_estimate(np.diag([0.24, 1.0 / 3.0]), [1.0, 0.0])
-    assert val == pytest.approx(0.06, abs=1e-9)
-    assert val == pytest.approx(
-        float(cert @ np.diag([0.24, 1.0 / 3.0]) @ cert)
-        / (4.0 * cert[0] ** 2))
-    full, _ = kappa_estimate(np.diag([0.4, 0.9]), [1.0, 1.0])
-    assert full == pytest.approx(0.1, abs=1e-9)  # smallest eigenvalue / 4
-
-
-def test_cone_constant_with_cross_terms():
-    # vertex of the quadratic sits outside the c=1 cone, so the constraint
-    # binds and widening the cone strictly lowers the estimate
-    psi = np.array([[4.0, -1.5], [-1.5, 1.0]])
-    tight, _ = kappa_estimate(psi, [1.0, 0.0], c=1.0)
-    wide, _ = kappa_estimate(psi, [1.0, 0.0], c=2.0)
-    assert tight == pytest.approx(0.5, abs=1e-7)
-    assert wide == pytest.approx(0.4375, abs=1e-7)
-    assert wide < tight
-
-
-def test_cone_constant_validation():
-    psi = np.eye(2)
-    with pytest.raises(ValueError):
-        kappa_estimate(psi, [1.0, 0.0], c=0.5)
-    with pytest.raises(ValueError):
-        kappa_estimate(psi, [0.0, 0.0])
-
-
-def test_cone_constant_deterministic_candidates_suffice():
-    val, _ = kappa_estimate(np.diag([0.8, 0.1]), [1.0, 0.0], budget=0,
-                            refine=False)
-    assert val == pytest.approx(0.2, abs=1e-12)
 
 
 def test_margin_exponent_near_one_for_uniform_eta():

@@ -19,12 +19,7 @@ from rejectsvm.losses import (
     gen_hinge,
     population_risk,
 )
-from rejectsvm.lp import (
-    LinearProgram,
-    _start_tableau,
-    _to_standard_form,
-    solve_lp,
-)
+from rejectsvm.lp import LinearProgram, _to_standard_form, solve_lp
 from rejectsvm.sim import ExperimentConfig, gen_two_gaussian
 from rejectsvm.train import (
     _crash_start,
@@ -41,9 +36,11 @@ from rejectsvm.train import (
 from helpers import (
     assemble_lp,
     crash_basis,
+    factored_start,
     logistic_atoms,
     plateau_fixture,
     random_design,
+    seeded_path,
 )
 from oracle import enumerate_vertices_oracle
 
@@ -294,7 +291,10 @@ def test_a_point_has_one_middle_row_where_a_is_1():
         for model, points in ((fit(design, plain, r), samples),
                               (fit_population(dist, lattice, plain, r), atoms)):
             old, crash = _two_middle_rows(*points, plain, r)
-            sol = solve_lp(old, initial_basis=crash)
+            form = _to_standard_form(old)
+            T, nonbasic = factored_start(form.A, form.b, crash)
+            sol = solve_lp(old, path=seeded_path(old, form, T, crash,
+                                                 nonbasic))
             M = points[0].shape[1]
             lam = sol.x[:M] - sol.x[M:2 * M]
             assert abs(model.objective - sol.objective_value) <= \
@@ -306,9 +306,9 @@ def test_a_point_has_one_middle_row_where_a_is_1():
 def test_crash_start_is_the_factored_start_bit_for_bit():
     # the crash tableau, its nonbasic order and the CSC standard form that
     # _crash_start writes are those of _to_standard_form and a factored
-    # _start_tableau, bit for bit: samples and atoms, some with
-    # 0 < eta < 1, at a = 1 and a != 1, with exact zeros in phi, whose
-    # -0.0 entries the CSC form does not store
+    # start, bit for bit: samples and atoms, some with 0 < eta < 1, at
+    # a = 1 and a != 1, with exact zeros in phi, whose -0.0 entries the
+    # CSC form does not store
     design = random_design(np.random.default_rng(23), 40, 6)
     samples = (design.phi.copy(), np.full(design.n, 1.0 / design.n),
                (1.0 + design.y) / 2.0)
@@ -327,7 +327,7 @@ def test_crash_start_is_the_factored_start_bit_for_bit():
             form, T, basis, nonbasic = _crash_start(lp, M)
             assert basis.tobytes() == crash_basis(n, M, cp, mixed).tobytes()
             ref = _to_standard_form(lp)
-            want, want_nonbasic = _start_tableau(ref.A, ref.b, basis)
+            want, want_nonbasic = factored_start(ref.A, ref.b, basis)
             assert T.dtype == want.dtype and T.shape == want.shape
             assert T.flags.f_contiguous
             assert T.tobytes() == want.tobytes()
