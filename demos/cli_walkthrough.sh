@@ -61,7 +61,13 @@ p,eta,x1,x2
 0.3333333333333334,0.9,1.0,0.0
 EOF
 rejectsvm diagnose --dist "$WORK/dist.csv" --checks all \
-    --r-grid 0.05,0.1,0.2,0.4
+    --r-grid 0.05,0.1,0.2,0.4 > "$WORK/diagnose.txt"
+cat "$WORK/diagnose.txt"
+# every check must hold on this distribution
+if grep -q ': fail (' "$WORK/diagnose.txt"; then
+    echo "a structural check failed" >&2
+    exit 1
+fi
 
 echo
 echo "== simulate (tiny study) =="

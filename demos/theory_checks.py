@@ -40,7 +40,7 @@ if __name__ == "__main__":
     print()
 
     for rep in (
-        check_excess_domination(ctx, n_random=500),
+        check_excess_domination(ctx),
         check_lemma_a1(ctx, n_random=200),
         check_prop21(ctx, population_path(ctx, np.linspace(0.05, 0.6, 12))),
     ):

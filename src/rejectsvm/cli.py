@@ -207,7 +207,7 @@ def cmd_diagnose(args):
     wanted = set(args.checks)
     if "all" in wanted:
         wanted = {"lemma_a1", "prop21", "domination", "plateau"}
-    seed = _seed(args) if wanted & {"lemma_a1", "domination"} else None
+    seed = _seed(args) if "lemma_a1" in wanted else None
     dist = load_distribution(args.dist)
     dic = parse_dict_spec(args.dict, dist.x)
     ctx = theory.make_context(dist, dic, CostParams(d=args.d, tau=args.tau))
@@ -227,7 +227,7 @@ def cmd_diagnose(args):
     if "prop21" in wanted:
         reports.append(theory.check_prop21(ctx, fits))
     if "domination" in wanted:
-        reports.append(theory.check_excess_domination(ctx, seed=seed))
+        reports.append(theory.check_excess_domination(ctx))
     if "plateau" in wanted:
         reports.append(theory.check_plateau(fits))
     for rep in reports:

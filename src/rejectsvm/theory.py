@@ -14,8 +14,8 @@ import numpy as np
 from .dictionary import evaluate as _evaluate_dictionary
 from .losses import (
     bayes_phi_risk,
-    bayes_risk,
     bayes_rule,
+    gen_hinge,
     population_risk,
 )
 from .train import fit_population, walk_penalty_path
@@ -133,22 +133,17 @@ def _worst_slack(slacks, witness):
                    else witness(k))
 
 
-def _tail_probability(p, distances, t):
-    return float(np.sum(p[distances <= t]))
-
-
 def complexity_estimate(dist, d, t_grid=None):
     """Fit the margin exponent of eta around the thresholds d and 1 - d.
 
-    The exact probabilities P{|eta - d| <= t} and P{|eta - (1-d)| <= t} are
-    step functions with finitely many jumps.  If no width in t_grid captures
-    any atom the exponent is unbounded for these widths and the infinite
-    sentinel is returned together with the observed gap.  An atom sitting
-    exactly on a threshold forces alpha = 0 (with a_const = 1).  Otherwise
-    alpha is the log-log least-squares slope of the binding probability over
-    the grid, and a_const is the exact maximum of P(t) / t**alpha over all
-    jump points, clipped to >= 1 -- making the returned pair valid for every
-    t > 0, not just on the grid.
+    P(t) = P{|eta - d| <= t} and P{|eta - (1-d)| <= t} are exact step
+    functions, each read off one cumulative sum of the masses sorted by
+    distance.  If no width in t_grid captures any atom the exponent is
+    unbounded for these widths: the infinite sentinel comes back with the
+    observed gap.  An atom exactly on a threshold forces alpha = 0 (with
+    a_const = 1).  Otherwise alpha is the log-log least-squares slope of the
+    binding probability over the grid, and a_const the exact maximum of
+    P(t) / t**alpha over the jumps of P, clipped to >= 1: valid for all t > 0.
     """
     if t_grid is None:
         t_grid = np.geomspace(1e-3, 0.5, 25)
@@ -160,26 +155,26 @@ def complexity_estimate(dist, d, t_grid=None):
     gap = float(min(g_low.min(), g_high.min()))
     if gap == 0.0:
         return ComplexityEstimate(0.0, 1.0, 0.0)
-    binding = np.array(
-        [max(_tail_probability(dist.p, g_low, t),
-             _tail_probability(dist.p, g_high, t)) for t in t_grid]
-    )
+    # per threshold: the sorted distances s, and mass[i] = P(t) for t in
+    # [s[i-1], s[i])
+    steps = []
+    for dists in (g_low, g_high):
+        order = np.argsort(dists, kind="stable")
+        steps.append((dists[order], np.cumsum(np.append(0.0, dist.p[order]))))
+    binding = np.maximum(*(mass[np.searchsorted(s, t_grid, side="right")]
+                           for s, mass in steps))
     live = binding > 0.0
     if not live.any():
         return ComplexityEstimate(math.inf, 1.0, gap)
-    if live.sum() < 2:
-        alpha = 0.0
-    else:
-        lx = np.log(t_grid[live])
-        ly = np.log(binding[live])
-        alpha = float(np.polyfit(lx, ly, 1)[0])
-        alpha = max(alpha, 0.0)
+    alpha = 0.0
+    if live.sum() >= 2:
+        slope = np.polyfit(np.log(t_grid[live]), np.log(binding[live]), 1)[0]
+        alpha = max(float(slope), 0.0)
     a_const = 1.0
-    for dists in (g_low, g_high):
-        jumps = np.unique(dists)
-        for t in jumps:
-            a_const = max(a_const, _tail_probability(dist.p, dists, t) / t**alpha)
-    return ComplexityEstimate(alpha, float(a_const), gap)
+    for s, mass in steps:
+        jump = np.append(s[1:] != s[:-1], True)  # last of each distance
+        a_const = max(a_const, float(np.max(mass[1:][jump] / s[jump]**alpha)))
+    return ComplexityEstimate(alpha, a_const, gap)
 
 
 def check_lemma_a1(ctx, lam_set=None, n_random=200, seed=0, t_grid=None):
@@ -321,25 +316,30 @@ def check_plateau(fits):
     )
 
 
-def check_excess_domination(ctx, f_set=None, n_random=500, seed=0):
-    """Excess reject-risk never exceeds excess surrogate risk.
+def check_excess_domination(ctx):
+    """Excess reject-risk never exceeds excess surrogate risk, for any f.
 
-    Compares E l(Yf) - E l(Y f0) with E phi(Yf) - E phi(Y f0) for each
-    candidate score vector f (values per atom), both sides exact sums.
-    The cost parameters' own tau constraint (d <= tau <= 1 - d) is exactly
-    the range for which the domination holds.
+    Both excess risks are atom sums, so the infimum over f of their gap is
+    sum_k p_k (min_z h_k(z) - h_k(f0_k)), with h_k(z) = eta phi(z) + (1-eta)
+    phi(-z) - [eta l(z) + (1-eta) l(-z)].  h_k is linear between -1, -tau,
+    0, tau and 1 and grows away from 0 outside +-1, so its infimum is its
+    least value at those five margins, l taking its larger one-sided value
+    at +-tau.  The slack is that exact infimum, 0 to rounding whenever
+    d <= tau <= 1 - d; the witness names the atom of the most negative term.
     """
-    if f_set is None:
-        rng = np.random.default_rng(seed)
-        f_set = rng.uniform(-3.0, 3.0, size=(n_random, ctx.dist.n_atoms))
-    f_set = np.atleast_2d(np.asarray(f_set, dtype=float))
-    ell_0 = bayes_risk(ctx.dist, ctx.cp)
-    phi_0 = bayes_phi_risk(ctx.dist, ctx.cp)
-    d_ell = population_risk(ctx.dist, f_set, ctx.cp, "reject") - ell_0
-    d_phi = population_risk(ctx.dist, f_set, ctx.cp, "hinge") - phi_0
-    worst, witness = _worst_slack(
-        (d_phi - d_ell).tolist(),
-        lambda k: f"f={np.array2string(f_set[k], precision=4)}")
-    status = "pass" if worst >= -1e-12 else "fail"
-    return CheckReport("excess_risk_domination", status, worst, witness,
-                       {"n_checked": len(f_set)})
+    eta, d, tau = ctx.dist.eta, ctx.cp.d, ctx.cp.tau
+    margins = np.array([[-1.0], [-tau], [0.0], [tau], [1.0]])
+    surrogate = eta * gen_hinge(margins, ctx.cp) \
+        + (1.0 - eta) * gen_hinge(-margins, ctx.cp)
+    reject = np.array([eta, np.maximum(eta, d), np.full_like(eta, d),
+                       np.maximum(d, 1.0 - eta), 1.0 - eta])
+    gaps = surrogate - reject  # (margins, atoms)
+    at_f0 = gaps[2 * ctx.f0_values.astype(int) + 2, np.arange(eta.size)]
+    terms = ctx.dist.p * (gaps.min(axis=0) - at_f0)
+    k = int(np.argmin(terms))
+    label = ("-1", "-tau", "0", "tau", "1")[int(np.argmin(gaps[:, k]))]
+    witness = (f"atom {k} (eta={eta[k]:.6g}): least at f={label}, "
+               f"optimal rule f0={ctx.f0_values[k]:g}")
+    slack = float(np.sum(terms))
+    status = "pass" if slack >= -1e-12 else "fail"
+    return CheckReport("excess_risk_domination", status, slack, witness)

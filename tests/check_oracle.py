@@ -3,7 +3,10 @@
 The checks in rejectsvm.theory evaluate all their candidates as one
 (k x atoms) table.  The functions here evaluate one candidate at a time,
 with the 1-D risk and norm written out below, and return every slack in
-candidate order, so a test can compare the two bit for bit.
+candidate order, so a test can compare the two bit for bit.  The exact
+domination check has no candidates: a sampled score vector's slack only
+bounds it from above.  complexity_margin_fit rescans the atoms at every
+width and every jump, the reference for complexity_estimate's sorted sums.
 """
 
 import math
@@ -71,7 +74,8 @@ def prop21_slacks(ctx, fits):
 
 
 def domination_slacks(ctx, f_set):
-    """check_excess_domination's slack per score row of f_set."""
+    """Excess phi-risk minus excess l-risk per score row of f_set; none is
+    below check_excess_domination's slack, their infimum over all f."""
     ell_0 = bayes_risk(ctx.dist, ctx.cp)
     phi_0 = bayes_phi_risk(ctx.dist, ctx.cp)
     slacks = []
@@ -80,3 +84,31 @@ def domination_slacks(ctx, f_set):
         d_phi = risk(ctx.dist, f, ctx.cp, "hinge") - phi_0
         slacks.append(d_phi - d_ell)
     return slacks
+
+
+def complexity_margin_fit(dist, d):
+    """complexity_estimate's (alpha, a_const, gap) on its default widths,
+    P(t) summed anew over the atoms at every width and every jump."""
+    t_grid = np.geomspace(1e-3, 0.5, 25)
+    g_low, g_high = np.abs(dist.eta - d), np.abs(dist.eta - (1.0 - d))
+    gap = float(min(g_low.min(), g_high.min()))
+    if gap == 0.0:
+        return 0.0, 1.0, 0.0
+
+    def tail(dists, t):
+        return float(np.sum(dist.p[dists <= t]))
+
+    binding = np.array([max(tail(g_low, t), tail(g_high, t))
+                        for t in t_grid])
+    live = binding > 0.0
+    if not live.any():
+        return math.inf, 1.0, gap
+    alpha = 0.0
+    if live.sum() >= 2:
+        slope = np.polyfit(np.log(t_grid[live]), np.log(binding[live]), 1)[0]
+        alpha = max(float(slope), 0.0)
+    a_const = 1.0
+    for dists in (g_low, g_high):
+        for t in np.unique(dists):
+            a_const = max(a_const, tail(dists, t) / t**alpha)
+    return alpha, float(a_const), gap

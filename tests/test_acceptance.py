@@ -165,8 +165,8 @@ def test_criterion_05_excess_risk_domination():
         d = float(rng.uniform(0.05, 0.5))
         tau = float(rng.uniform(d, 1.0 - d))
         ctx = make_context(dist, dic, CostParams(d=d, tau=tau))
-        rep = check_excess_domination(ctx, n_random=3,
-                                      seed=int(rng.integers(2**31)))
+        rng.integers(2**31)  # a spent draw keeps the 500 distributions
+        rep = check_excess_domination(ctx)
         assert rep.status == "pass"
         worst = min(worst, rep.slack)
     ok = worst >= -1e-12

@@ -997,7 +997,9 @@ def test_cli_seed_env_var_is_read_only_by_a_check_that_draws(tmp_path,
     assert capsys.readouterr().out.startswith("plateau: pass ")
     assert main(argv + ["prop21", "plateau"]) == 0
     capsys.readouterr()
-    for check in ("lemma_a1", "domination", "all"):
+    assert main(argv + ["domination"]) == 0
+    assert capsys.readouterr().out.startswith("excess_risk_domination: pass ")
+    for check in ("lemma_a1", "all"):
         assert main(argv + [check]) == 2
         assert capsys.readouterr().err == (
             "usage error: REJECTSVM_SEED must be an integer, got 'lots'\n")
@@ -1020,12 +1022,13 @@ def test_cli_seed_env_var_is_read_only_by_a_check_that_draws(tmp_path,
 def test_cli_seed_env_var(tmp_path, data_file, monkeypatch, capsys):
     dist_path = tmp_path / "dist.csv"
     dist_path.write_text(DIST_CSV)
+    argv = ["diagnose", "--dist", str(dist_path), "--checks"]
     monkeypatch.setenv("REJECTSVM_SEED", "17")
-    assert main(["diagnose", "--dist", str(dist_path), "--checks",
-                 "domination"]) == 0
+    assert main(argv + ["lemma_a1"]) == 0
+    # the domination check is exact and draws nothing
     monkeypatch.setenv("REJECTSVM_SEED", "lots")
-    assert main(["diagnose", "--dist", str(dist_path), "--checks",
-                 "domination"]) == 2
+    assert main(argv + ["domination"]) == 0
+    assert main(argv + ["lemma_a1"]) == 2
     # only simulate and diagnose draw; the other commands neither read the
     # variable nor take --seed
     model_path = str(tmp_path / "m.json")

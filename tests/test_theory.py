@@ -2,13 +2,19 @@
 distribution-level checks."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import rejectsvm.theory as theory_module
 from rejectsvm.dictionary import build_linear, build_rbf_lattice
-from rejectsvm.losses import CostParams, DiscreteDistribution
+from rejectsvm.losses import (
+    CostParams,
+    DiscreteDistribution,
+    gen_hinge,
+    reject_loss,
+)
 from rejectsvm.theory import (
     PopulationPath,
     check_excess_domination,
@@ -129,6 +135,28 @@ def test_margin_exponent_atom_on_threshold():
         complexity_estimate(dist, 0.25, t_grid=[1.5])
 
 
+def test_margin_exponent_matches_its_per_width_rescan():
+    # the sorted cumulative sums add in another order than the rescan
+    rng = np.random.default_rng(47)
+    dists = [logistic_atoms(seed, atoms=80) for seed in (7, 11, 1301)]
+    for _ in range(30):
+        dist = random_distribution(rng, k=int(rng.integers(2, 40)))
+        # ties: repeated eta values, and pairs mirrored about d = 0.25
+        eta = rng.choice(np.round(dist.eta, 1), dist.eta.size)
+        eta[::3] = np.clip(0.5 - eta[::3], 0.0, 1.0)
+        dists.append(DiscreteDistribution(dist.x, dist.p, eta))
+    for dist in dists:
+        for d in (0.1, 0.25, 0.4, 0.5):
+            est = complexity_estimate(dist, d)
+            ref = check_oracle.complexity_margin_fit(dist, d)
+            assert est.gap == ref[2]
+            assert math.isinf(est.alpha) == math.isinf(ref[0])
+            if not math.isinf(ref[0]):
+                assert est.alpha == pytest.approx(ref[0], rel=1e-12,
+                                                  abs=1e-12)
+                assert est.a_const == pytest.approx(ref[1], rel=1e-12)
+
+
 def test_norm_excess_risk_check_passes_on_fixture():
     dist, dic, cp = plateau_fixture()
     ctx = make_context(dist, dic, cp)
@@ -229,7 +257,7 @@ def test_population_path_repairs_dust_in_a_restored_basis():
 def test_domination_check_passes_on_fixture_and_random():
     dist, dic, cp = plateau_fixture()
     ctx = make_context(dist, dic, cp)
-    rep = check_excess_domination(ctx, n_random=300, seed=0)
+    rep = check_excess_domination(ctx)
     assert rep.status == "pass"
     assert rep.slack >= -1e-12
     rng = np.random.default_rng(37)
@@ -237,18 +265,90 @@ def test_domination_check_passes_on_fixture_and_random():
         rdist = random_distribution(rng, dim=2)
         rcp = CostParams(d=float(rng.uniform(0.05, 0.5)))
         rctx = make_context(rdist, build_linear(2), rcp)
-        assert check_excess_domination(rctx, n_random=100,
-                                       seed=1).status == "pass"
+        assert check_excess_domination(rctx).status == "pass"
+
+
+def _pointwise_gap(eta, z, cp):
+    """eta phi(z) + (1-eta) phi(-z) - [eta l(z) + (1-eta) l(-z)], per atom
+    row and margin column."""
+    eta = eta[:, None]
+    return (eta * gen_hinge(z, cp) + (1.0 - eta) * gen_hinge(-z, cp)
+            - eta * reject_loss(z, cp) - (1.0 - eta) * reject_loss(-z, cp))
+
+
+def _dense_scan_slack(ctx):
+    """sum_k p_k (least gap over a fine margin grid - gap at f0_k).
+
+    The grid holds -1, 0 and 1 exactly, and +-tau with their neighbours
+    1e-9 and one ulp away, so a one-sided limit at +-tau is reached to
+    rounding.
+    """
+    tau = ctx.cp.tau
+    near = [[t, t - 1e-9, t + 1e-9, np.nextafter(t, -2.0),
+             np.nextafter(t, 2.0)] for t in (-tau, tau)]
+    z = np.concatenate([np.arange(-4000, 4001) / 1000.0, *near])
+    eta = ctx.dist.eta
+    least = _pointwise_gap(eta, z, ctx.cp).min(axis=1)
+    at_f0 = _pointwise_gap(eta, ctx.f0_values, ctx.cp).diagonal()
+    return float(np.sum(ctx.dist.p * (least - at_f0)))
+
+
+def _domination_cases(rng, count):
+    """Random distributions with atoms at eta 0 and 1, on costs at the edges
+    of their range (tau = d, tau = 1 - d, d = 0.5) and inside it."""
+    for _ in range(count):
+        dist = random_distribution(rng, k=int(rng.integers(2, 9)))
+        eta = dist.eta.copy()
+        pinned = rng.random(eta.size) < 0.4
+        eta[pinned] = rng.integers(0, 2, pinned.sum())
+        d = float(rng.choice([0.5, rng.uniform(0.02, 0.5)]))
+        tau = float(rng.choice([d, 1.0 - d, rng.uniform(d, 1.0 - d)]))
+        yield DiscreteDistribution(dist.x, dist.p, eta), CostParams(d, tau)
+
+
+def test_domination_slack_is_the_infimum_of_a_dense_scan():
+    fixture, _, cp = plateau_fixture()
+    cases = [(fixture, cp), *_domination_cases(np.random.default_rng(41), 60)]
+    for dist, cp in cases:
+        ctx = make_context(dist, build_linear(2), cp)
+        rep = check_excess_domination(ctx)
+        assert rep.status == "pass"
+        assert abs(rep.slack - _dense_scan_slack(ctx)) <= 1e-12
+
+
+def test_domination_check_fails_once_tau_leaves_its_range():
+    # costs CostParams refuses, tau below d or above 1 - d, where the
+    # infimum can sit at a one-sided limit at +-tau
+    fixture, _, _ = plateau_fixture()
+    cases = [(fixture, 0.25, 0.1)]
+    rng = np.random.default_rng(43)
+    for _ in range(60):
+        d = float(rng.uniform(0.05, 0.5))
+        tau = float(rng.choice([rng.uniform(0.01, d),
+                                rng.uniform(1.0 - d, 0.99)]))
+        cases.append((random_distribution(rng), d, tau))
+    reports = []
+    for dist, d, tau in cases:
+        cp = SimpleNamespace(d=d, tau=tau, a=(1.0 - d) / d)
+        ctx = make_context(dist, build_linear(2), cp)
+        reports.append(check_excess_domination(ctx))
+        assert abs(reports[-1].slack - _dense_scan_slack(ctx)) <= 1e-12
+    # the fixture's noise atom gains 0.15 by a score just past -tau
+    assert reports[0].status == "fail"
+    assert math.isclose(reports[0].slack, -0.05)
+    assert reports[0].witness == ("atom 1 (eta=0.5): least at f=-tau, "
+                                  "optimal rule f0=0")
+    assert all(rep.status == ("pass" if rep.slack >= -1e-12 else "fail")
+               for rep in reports)
 
 
 def test_checks_without_candidates_report_an_infinite_slack():
     dist, dic, cp = plateau_fixture()
     ctx = make_context(dist, dic, cp)
-    for rep in (check_excess_domination(ctx, f_set=np.empty((0, 3))),
-                check_lemma_a1(ctx, lam_set=np.empty((0, 2)))):
-        assert (rep.status, rep.slack) == ("pass", math.inf)
-        assert rep.witness == "all candidates satisfied the bound"
-        assert rep.detail["n_checked"] == 0
+    rep = check_lemma_a1(ctx, lam_set=np.empty((0, 2)))
+    assert (rep.status, rep.slack) == ("pass", math.inf)
+    assert rep.witness == "all candidates satisfied the bound"
+    assert rep.detail["n_checked"] == 0
 
 
 def _captured_slacks(monkeypatch):
@@ -280,7 +380,7 @@ def test_checks_match_their_per_candidate_loops_bit_for_bit(monkeypatch, seed,
     seen = _captured_slacks(monkeypatch)
     lemma = check_lemma_a1(ctx, lam_set=lam_set)
     prop = check_prop21(ctx, fits)
-    check_excess_domination(ctx, f_set=f_set)
+    domination = check_excess_domination(ctx)
     assert lemma.status != "skipped"
     assert hex_bits(seen[0]) == hex_bits(
         check_oracle.lemma_a1_slacks(ctx, lam_set))
@@ -288,5 +388,5 @@ def test_checks_match_their_per_candidate_loops_bit_for_bit(monkeypatch, seed,
     assert hex_bits(seen[1]) == hex_bits(slacks)
     assert [hex_bits(row) for row in prop.detail["trace"]] == [
         hex_bits(row) for row in trace]
-    assert hex_bits(seen[2]) == hex_bits(
-        check_oracle.domination_slacks(ctx, f_set))
+    # the exact infimum lies at or below every sampled score vector's slack
+    assert domination.slack <= min(check_oracle.domination_slacks(ctx, f_set))
