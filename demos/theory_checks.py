@@ -41,7 +41,7 @@ if __name__ == "__main__":
 
     for rep in (
         check_excess_domination(ctx),
-        check_lemma_a1(ctx, n_random=200),
+        check_lemma_a1(ctx),
         check_prop21(ctx, population_path(ctx, np.linspace(0.05, 0.6, 12))),
     ):
         print(f"{rep.name:28s} {rep.status:5s} slack={rep.slack:.4g}")

@@ -47,18 +47,17 @@ def parse_dict_spec(spec, x):
     """Build a dictionary from a CLI spec string over the data's bounding box.
 
     Accepted: "linear", "constant_linear", "rbf_lattice:R1xR2[,beta]",
-    with one lattice count per feature axis.
+    with one lattice count per feature axis and at most one beta.
     """
     if spec == "linear":
         return dictionary.build_linear(x.shape[1])
     if spec == "constant_linear":
         return dictionary.build_constant_linear(x.shape[1])
     if spec.startswith("rbf_lattice:"):
-        rest = spec.split(":", 1)[1]
-        parts = rest.split(",")
-        try:
-            grid = tuple(int(g) for g in parts[0].lower().split("x"))
-            beta = float(parts[1]) if len(parts) > 1 else 2.0
+        counts, comma, beta = spec.split(":", 1)[1].partition(",")
+        try:  # float() refuses a second comma in beta
+            grid = tuple(int(g) for g in counts.lower().split("x"))
+            beta = float(beta) if comma else 2.0
         except ValueError:
             raise ValueError(f"malformed lattice spec {spec!r}") from None
         if len(grid) != x.shape[1]:

@@ -13,18 +13,18 @@ one dual simplex routine that makes an infeasible start feasible and
 repairs the drift of the basic solution restored from the original data
 after any pivot -- so that small instances can be confirmed independently
 by enumerating every basic solution of the standard form, as the test
-suite does with its own vertex-enumeration oracle.  Only the tableau is
-dense.  A cold start is the slack basis, which is its own inverse, and a
-restore reads B^-1 from the tableau, so no basis is ever factored.  A
-caller that can write a better start's tableau in closed form seeds an
-LpPath with it: hinge fits do (see train).
+suite does with its own vertex-enumeration oracle.  Everything is dense:
+the standard form keeps its structural columns as one m x nv block, with
+each row's slack implicit.  A cold start is the slack basis, which is its
+own inverse, and a restore reads B^-1 from the tableau, so no basis is
+ever factored.  A caller that can write a better start's tableau in
+closed form seeds an LpPath with it: hinge fits do (see train).
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import blas as _blas
 
 from .constants import BLOWUP_LIMIT, FEAS_TOL, PIVOT_TOL
@@ -91,6 +91,12 @@ class LinearProgram:
             raise LpInputError("variable bounds must have one entry per variable")
         if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
             raise LpInputError("variable bounds contain NaN")
+        if np.any(np.isposinf(self.lower)):
+            raise LpInputError(f"variable {np.isposinf(self.lower).argmax()} "
+                               f"has lower bound +inf")
+        if np.any(np.isneginf(self.upper)):
+            raise LpInputError(f"variable {np.isneginf(self.upper).argmax()} "
+                               f"has upper bound -inf")
         if np.any(self.lower > self.upper):
             raise LpInputError("some lower bound exceeds its upper bound")
         for fixed in (self.rows, self.rhs, self.lower, self.upper):
@@ -115,29 +121,23 @@ class LpSolution:
 
 
 class StandardForm(NamedTuple):
-    """A program as min c.x, A x = b, x >= 0: the form a solve works on.
+    """A program as min c.x, A x + sigma s = b, x, s >= 0: the form a solve
+    works on.
 
-    A is in CSC form: the standard variables' columns, then one slack per
-    row, row i's in column ncols - m + i with coefficient sigma_i = +1 for
-    a <= row and -1 for a >= row.  The column map cmap = (col, sign, shift,
-    free) gives each original variable from the standard form:
-    x_j = sign_j x_std[col_j] + shift_j, minus x_std[col_j + 1] when free_j.
-    sense signs the user's rows for the audit: +1 <=, -1 >=, 0 =.
+    A is the dense m x nv block of the standard variables' columns.  Row i
+    has one slack, standard variable nv + i, whose column sigma_i e_i is
+    kept implicit: sigma_i = +1 for a <= row and -1 for a >= row.  The
+    column map cmap = (col, sign, shift, free) gives each original variable
+    from the standard form: x_j = sign_j x_std[col_j] + shift_j, minus
+    x_std[col_j + 1] when free_j.  sense signs the user's rows for the
+    audit: +1 <=, -1 >=, 0 =.
     """
 
-    A: sparse.csc_array
+    A: np.ndarray
     b: np.ndarray
     cmap: tuple
     sigma: np.ndarray
     sense: np.ndarray
-
-    @classmethod
-    def surplus(cls, A, b):
-        """The form of min c.x s.t. rows x >= b, x >= 0, given A = [rows | -I]."""
-        m, ncols = A.shape
-        nv = ncols - m
-        cmap = np.arange(nv), np.ones(nv), np.zeros(nv), np.zeros(nv, bool)
-        return cls(A, b, cmap, np.full(m, -1.0), np.full(m, -1.0))
 
 
 class LpPath:
@@ -152,11 +152,12 @@ class LpPath:
     the costs, so the next solve of the same object starts from the
     tableau with only the cost row re-priced, and reuses the basic
     solution when no pivot is needed.  A caller may also seed a path with
-    a program, its form and a start it wrote itself, a feasible tableau
-    (cost row ignored) with its basis and nonbasic arrays; a hinge fit
-    seeds its crash tableau this way.  Any other program, equal or not,
-    ignores the state.  owner is the caller's note of what built program;
-    every solve clears it.  One tableau is live per path.
+    a program and a start it wrote itself, a feasible tableau (cost row
+    ignored) with its basis and nonbasic arrays, and no form, which the
+    solve then builds; a hinge fit seeds its crash tableau this way.  Any
+    other program, equal or not, ignores the state.  owner is the caller's
+    note of what built program; every solve clears it.  One tableau is live
+    per path.
     """
 
     __slots__ = "program", "owner", "form", "tableau", "basis", "nonbasic"
@@ -170,12 +171,13 @@ class LpPath:
 
 
 def _to_standard_form(lp):
-    """lp as a StandardForm.
+    """lp as a StandardForm, its block A written straight from lp.rows.
 
-    Every row gets a slack, row i's in column nv + i.  An = row becomes
-    its <= half in place and its >= half after the user's rows; the <= rows
-    of two-sided variable bounds come last.  A variable bounded above only
-    is mirrored, a free one split into two columns.
+    Every row gets a slack, row i's the standard variable nv + i.  An = row
+    becomes its <= half in place and its >= half after the user's rows; the
+    <= rows of two-sided variable bounds come last.  A variable bounded
+    above only is mirrored, a free one split into two columns.  A zero of
+    the rows is +0.0 in A, never -0.0.
     """
     lo, up = lp.lower, lp.upper
     free = np.isneginf(lo) & np.isposinf(up)
@@ -191,17 +193,12 @@ def _to_standard_form(lp):
     rows = np.vstack([lp.rows, lp.rows[eq]]) if eq.size else lp.rows
     sigma = np.concatenate([np.where(sense < 0.0, -1.0, 1.0),
                             -np.ones(eq.size), np.ones(boxed.size)])
-    m = sigma.size
-    nonzero = rows != 0.0
-    ri, vj = np.nonzero(nonzero)
-    val = rows[nonzero]
-    fr = free[vj]
-    slack = np.arange(m)
-    row_ix = np.concatenate([ri, ri[fr], slack[m - boxed.size:], slack])
-    col_ix = np.concatenate([col[vj], col[vj[fr]] + 1, col[boxed], nv + slack])
-    A = sparse.csc_array(
-        (np.concatenate([val * sign[vj], -val[fr], np.ones(boxed.size), sigma]),
-         (row_ix.astype(np.intc), col_ix.astype(np.intc))), shape=(m, nv + m))
+    k = rows.shape[0]
+    signed = rows * sign + 0.0  # + 0.0 turns -0.0 into +0.0
+    A = np.zeros((sigma.size, nv), order="F")  # the scatter writes columns
+    A[:k, col] = signed
+    A[:k, col[free] + 1] = 0.0 - signed[:, free]
+    A[k + np.arange(boxed.size), col[boxed]] = 1.0
     b = lp.rhs.copy()
     for j in np.flatnonzero(shift):  # one column at a time, in column order
         b = b - lp.rows[:, j] * shift[j]
@@ -226,7 +223,10 @@ def _recover_x(cmap, x_std):
 
 
 def _audit_feasible(lp, x, sense):
-    """Raise LpNumericalError if x breaks a row (signed by sense) or a bound."""
+    """Raise LpNumericalError if x is not finite or breaks a row (signed by
+    sense) or a bound."""
+    if not np.all(np.isfinite(x)):
+        raise LpNumericalError("claimed-optimal point is not finite")
     res = lp.rows @ x - lp.rhs
     excess = np.where(sense == 0.0, np.abs(res), sense * res)
     bad = np.flatnonzero(excess > FEAS_TOL)
@@ -345,15 +345,14 @@ def _start_tableau(A, b, sigma):
     """Condensed tableau and nonbasic columns of the slack start.
 
     The slack basis is diag(sigma), sigma_i = +-1, its own inverse, so
-    B^-1 [N | b] is sigma [A_N | b], with N the columns before the
-    slacks.  Basic values in [-PIVOT_TOL, 0) are roundoff dust, set to 0.
-    The cost row is 0.  A solve from an LpPath, which every hinge fit's
-    is, never calls it.
+    B^-1 [N | b] is sigma [A | b]: the nonbasic columns N are the block A.
+    Basic values in [-PIVOT_TOL, 0) are roundoff dust, set to 0.  The cost
+    row is 0.  A solve from an LpPath, which every hinge fit's is, never
+    calls it.
     """
-    m, ncols = A.shape
-    nv = ncols - m
+    m, nv = A.shape
     T = np.zeros((m + 1, nv + 1), order="F")
-    T[:m, :-1] = A[:, :nv].toarray()
+    T[:m, :-1] = A
     T[:m, -1] = b
     T[:m] *= sigma[:, None]
     x_b = T[:m, -1]
@@ -372,23 +371,23 @@ def _reprice(T, basis, nonbasic, c):
 def _refined(A, b, sigma, T, basis, nonbasic):
     """T's basic solution after one step of iterative refinement.
 
-    x_B + B^-1 (b - A x), the residual taken from the original A at the
-    point x whose basic values are T's rhs column.  B^-1 is read from T
-    itself: slack i, column ncols - m + i with entry sigma_i in row i, gives
-    B^-1 e_i = sigma_i T[:, p] when it is nonbasic at position p (one
-    product with T's nonbasic slack columns), and sigma_i e_k when it is
-    basic in row k.
+    x_B + B^-1 (b - A x - sigma s), the residual taken from the original
+    data at the point (x, s) whose basic values are T's rhs column: one
+    BLAS product with the block A, and the slacks' diagonal.  B^-1 is read
+    from T itself: slack i, standard variable nv + i with column
+    sigma_i e_i, gives B^-1 e_i = sigma_i T[:, p] when it is nonbasic at
+    position p (one product with T's nonbasic slack columns), and
+    sigma_i e_k when it is basic in row k.
     """
-    m, ncols = A.shape
-    first = ncols - m
+    m, nv = A.shape
     x_b = T[:m, -1]
-    x = np.zeros(ncols)
+    x = np.zeros(nv + m)
     x[basis] = x_b
-    res = sigma * (b - A @ x)
-    at = (nonbasic >= first).nonzero()[0]
-    step = T[:m, at] @ res[nonbasic[at] - first]
-    at = (basis >= first).nonzero()[0]
-    step[at] += res[basis[at] - first]
+    res = sigma * (b - (A @ x[:nv] + sigma * x[nv:]))
+    at = (nonbasic >= nv).nonzero()[0]
+    step = T[:m, at] @ res[nonbasic[at] - nv]
+    at = (basis >= nv).nonzero()[0]
+    step[at] += res[basis[at] - nv]
     return x_b + step
 
 
@@ -406,18 +405,18 @@ def _simplex_core(A, b, c, sigma, state, warm=None):
     Returns (status, basis, nonbasic, tableau); for "unbounded", basis is
     instead the ray of the edge.
     """
-    m, ncols = A.shape
+    m, nv = A.shape
     if warm is not None:
         T, basis, nonbasic = warm
     else:
-        basis = ncols - m + np.arange(m)
+        basis = nv + np.arange(m)
         T, nonbasic = _start_tableau(A, b, sigma)
         if not _dual_simplex(T, basis, nonbasic, state):
             return "infeasible", None, None, None
     _reprice(T, basis, nonbasic, c)
     p = _run_phase(T, basis, nonbasic, state)
     if p is not None:
-        ray = np.zeros(ncols)
+        ray = np.zeros(nv + m)
         ray[basis] = -T[:-1, p]
         ray[nonbasic[p]] = 1.0
         return "unbounded", ray, None, None
@@ -481,14 +480,16 @@ def solve_lp(lp, path=None):
         path.clear()  # refilled only by an optimal verdict below
     form = form or _to_standard_form(lp)
     A, b, cmap, sigma, sense = form
-    c = _standard_costs(lp.objective, cmap, A.shape[1])
-    m, ncols = A.shape
-    state = {"iter": 0, "max_iter": _pivot_budget(m, ncols)}
+    m, nv = A.shape
+    c = _standard_costs(lp.objective, cmap, nv + m)
+    state = {"iter": 0, "max_iter": _pivot_budget(m, nv + m)}
     try:
         status, basis, nonbasic, T = _simplex_core(A, b, c, sigma, state, warm)
-        if status == "unbounded":
-            cost, residual = c @ basis, np.max(np.abs(A @ basis), initial=0.0)
-            if cost >= -PIVOT_TOL or residual > FEAS_TOL:  # basis holds the ray
+        if status == "unbounded":  # basis holds the ray
+            cost = c @ basis
+            residual = np.max(np.abs(A @ basis[:nv] + sigma * basis[nv:]),
+                              initial=0.0)
+            if cost >= -PIVOT_TOL or residual > FEAS_TOL:
                 raise LpNumericalError(f"unbounded ray fails its audit: c.d = "
                                        f"{cost:.3e}, |A d| = {residual:.3e}")
         if status != "optimal":
@@ -499,7 +500,7 @@ def solve_lp(lp, path=None):
             if not _dual_simplex(T, basis, nonbasic, state):
                 raise LpNumericalError("dual repair found no entering column")
             np.clip(T[:m, -1], 0.0, None, out=T[:m, -1])
-        x_std = np.zeros(ncols)
+        x_std = np.zeros(nv + m)
         x_std[basis] = T[:m, -1]
         x = _recover_x(cmap, x_std)
         _audit_feasible(lp, x, sense)

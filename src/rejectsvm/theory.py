@@ -57,9 +57,7 @@ class ComplexityEstimate:
     """Margin exponent fit: probability of eta within t of either decision
     threshold is bounded by a_const * t**alpha for every t > 0.
 
-    alpha is math.inf when no searched width captures any atom; gap is the
-    smallest distance from an atom's eta to a threshold (the witness for the
-    infinite case).
+    gap is the smallest distance from an atom's eta to a threshold.
     """
 
     alpha: float
@@ -133,23 +131,22 @@ def _worst_slack(slacks, witness):
                    else witness(k))
 
 
-def complexity_estimate(dist, d, t_grid=None):
+def complexity_estimate(dist, d):
     """Fit the margin exponent of eta around the thresholds d and 1 - d.
 
     P(t) = P{|eta - d| <= t} and P{|eta - (1-d)| <= t} are exact step
     functions, each read off one cumulative sum of the masses sorted by
-    distance.  If no width in t_grid captures any atom the exponent is
-    unbounded for these widths: the infinite sentinel comes back with the
-    observed gap.  An atom exactly on a threshold forces alpha = 0 (with
+    distance.  An atom exactly on a threshold forces alpha = 0 (with
     a_const = 1).  Otherwise alpha is the log-log least-squares slope of the
-    binding probability over the grid, and a_const the exact maximum of
-    P(t) / t**alpha over the jumps of P, clipped to >= 1: valid for all t > 0.
+    binding probability over the 25 widths from 1e-3 to 1/2 at which it is
+    positive, and a_const the exact maximum of P(t) / t**alpha over the
+    jumps of P, clipped to >= 1: valid for all t > 0.  d must lie in
+    (0, 1/2]; then every eta in [0, 1] lies within 1/2 of d or of 1 - d, so
+    the widest width captures every atom.
     """
-    if t_grid is None:
-        t_grid = np.geomspace(1e-3, 0.5, 25)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0 or np.any(t_grid <= 0.0) or np.any(t_grid > 1.0):
-        raise ValueError("t_grid must lie in (0, 1]")
+    if not 0.0 < d <= 0.5:
+        raise ValueError(f"rejection cost d={d} outside (0, 0.5]")
+    widths = np.geomspace(1e-3, 0.5, 25)
     g_low = np.abs(dist.eta - d)
     g_high = np.abs(dist.eta - (1.0 - d))
     gap = float(min(g_low.min(), g_high.min()))
@@ -161,14 +158,12 @@ def complexity_estimate(dist, d, t_grid=None):
     for dists in (g_low, g_high):
         order = np.argsort(dists, kind="stable")
         steps.append((dists[order], np.cumsum(np.append(0.0, dist.p[order]))))
-    binding = np.maximum(*(mass[np.searchsorted(s, t_grid, side="right")]
+    binding = np.maximum(*(mass[np.searchsorted(s, widths, side="right")]
                            for s, mass in steps))
     live = binding > 0.0
-    if not live.any():
-        return ComplexityEstimate(math.inf, 1.0, gap)
     alpha = 0.0
     if live.sum() >= 2:
-        slope = np.polyfit(np.log(t_grid[live]), np.log(binding[live]), 1)[0]
+        slope = np.polyfit(np.log(widths[live]), np.log(binding[live]), 1)[0]
         alpha = max(float(slope), 0.0)
     a_const = 1.0
     for s, mass in steps:
@@ -177,25 +172,18 @@ def complexity_estimate(dist, d, t_grid=None):
     return ComplexityEstimate(alpha, a_const, gap)
 
 
-def check_lemma_a1(ctx, lam_set=None, n_random=200, seed=0, t_grid=None):
+def check_lemma_a1(ctx, lam_set=None, seed=0):
     """Excess-risk lower bound on the weighted norm, checked per atom.
 
     For each candidate coefficient vector the check compares
     ||f_lam - f0||^(2+2a) against 4 A (2d)^a ||f_lam - f0||_inf^(2+a)
-    (excess phi-risk)^a with (a, A) from complexity_estimate.  Skipped when
-    the exponent is infinite (no width captures mass, so the bound carries
-    no content on this distribution).
+    (excess phi-risk)^a with (a, A) from complexity_estimate.  Without
+    lam_set the candidates are 200 vectors drawn N(0, 4) from seed.
     """
-    est = complexity_estimate(ctx.dist, ctx.cp.d, t_grid)
-    if math.isinf(est.alpha):
-        return CheckReport(
-            "weighted_norm_excess_risk", "skipped", math.inf,
-            f"eta stays {est.gap:.6g} away from both thresholds",
-            {"complexity": est},
-        )
+    est = complexity_estimate(ctx.dist, ctx.cp.d)
     if lam_set is None:
         rng = np.random.default_rng(seed)
-        lam_set = rng.normal(scale=2.0, size=(n_random, ctx.phi.shape[1]))
+        lam_set = rng.normal(scale=2.0, size=(200, ctx.phi.shape[1]))
     lam_set = np.atleast_2d(np.asarray(lam_set, dtype=float))
     alpha, a_const = est.alpha, est.a_const
     d = ctx.cp.d

@@ -15,8 +15,8 @@ sample hinge rows; fit_population passes each atom once, with its mass and
 eta, which gives four rows where 0 < eta < 1.  Where a = 1 (d = 1/2) the
 two middle pieces are one, so a point has one row fewer.  Both fits start
 from the crash basis (lambda = 0), each t basic in its point's plainer
-middle row, whose tableau _crash_start writes in closed form, with the
-program's standard form: no hinge fit factors a basis.
+middle row, whose tableau _crash_start writes in closed form: no hinge fit
+factors a basis.
 
 r enters the LP only through the objective, so a penalty grid is one
 program whose optimal basis at one r is feasible at the next.
@@ -30,12 +30,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .constants import SUPPORT_TOL
 from .dictionary import DesignMatrix, estimated_c_f, evaluate
 from .losses import CostParams, gen_hinge, reject_loss
-from .lp import LinearProgram, LpNumericalError, LpPath, StandardForm, solve_lp
+from .lp import LinearProgram, LpNumericalError, LpPath, solve_lp
 
 
 @dataclass
@@ -145,35 +144,21 @@ def _hinge_lp(phi, mass, eta, cp, r):
 
 
 def _crash_start(lp, M):
-    """A _hinge_lp program's standard form and crash tableau, unfactored.
+    """A _hinge_lp program's crash tableau, unfactored.
 
     In the crash basis, point k's t is basic in its plainer row, and every
     other row's surplus is basic.  So B^-1 [N | b] is written directly: a
     plainer row keeps its u and v entries, with -1 in its surplus's column
     and rhs 1; any other row is its point's plainer row's entries minus its
     own, with -1 in the plainer surplus's column and rhs 1 - c.  Entries
-    are taken as A stores them (no -0.0) and a difference is formed as
-    -(own - plainer), so the tableau has a factored start's bits, signed
-    zeros included.  The CSC standard form [rows | -I] is assembled column
-    by column: u and v from the rows' phi block, each t over its point's
-    rows, then the surpluses.  Returns (form, tableau, basis, nonbasic), an
-    LpPath's state.
+    are taken as the standard form stores them (+0.0, never -0.0) and a
+    difference is formed as -(own - plainer), so the tableau has a factored
+    start's bits, signed zeros included.  Returns (tableau, basis,
+    nonbasic), the start an LpPath is seeded with.
     """
     rows, rhs, point, s = lp.rows, lp.rhs, lp.point, lp.steep
     m, nvar = rows.shape
     n = nvar - 2 * M
-    u = rows[:, :M].T
-    nz = u != 0.0
-    ri = nz.nonzero()[1]
-    per_u = np.count_nonzero(nz, axis=1)
-    val = u[nz]
-    counts = np.concatenate([[0], per_u, per_u, np.bincount(point, minlength=n),
-                             np.ones(m, int)])
-    A = sparse.csc_array(
-        (np.concatenate([val, -val, np.ones(m), np.full(m, -1.0)]),
-         np.concatenate([ri, ri, np.argsort(point, kind="stable"),
-                         np.arange(m)]).astype(np.intc),
-         np.cumsum(counts).astype(np.intc)), shape=(m, nvar + m))
     plainer = s + point
     a = rows[:, :2 * M] + 0.0
     T = np.zeros((m + 1, nvar + 1), order="F")
@@ -187,7 +172,7 @@ def _crash_start(lp, M):
     basis = np.concatenate([nvar + np.arange(s), 2 * M + np.arange(n),
                             nvar + np.arange(s + n, m)])
     nonbasic = np.concatenate([np.arange(2 * M), nvar + s + np.arange(n)])
-    return StandardForm.surplus(A, rhs), T, basis, nonbasic
+    return T, basis, nonbasic
 
 
 def _labeled_points(design):
@@ -221,8 +206,8 @@ def _fit_hinge_lp(path, owner, build, cp, r, what):
         lp.objective[:2 * points[0].shape[1]] = r
     else:
         lp, points = build(r)
-        path.program = lp
-        path.form, path.tableau, path.basis, path.nonbasic = _crash_start(
+        path.program, path.form = lp, None  # solve_lp builds the form
+        path.tableau, path.basis, path.nonbasic = _crash_start(
             lp, points[0].shape[1])
     phi, mass, eta = points
     M = phi.shape[1]

@@ -101,8 +101,6 @@ def complexity_margin_fit(dist, d):
     binding = np.array([max(tail(g_low, t), tail(g_high, t))
                         for t in t_grid])
     live = binding > 0.0
-    if not live.any():
-        return math.inf, 1.0, gap
     alpha = 0.0
     if live.sum() >= 2:
         slope = np.polyfit(np.log(t_grid[live]), np.log(binding[live]), 1)[0]

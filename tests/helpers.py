@@ -7,10 +7,16 @@ from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 from scipy.sparse.linalg import splu
 
 from rejectsvm.constants import PIVOT_TOL
-from rejectsvm.dictionary import DesignMatrix, build_linear, evaluate
+from rejectsvm.dictionary import (
+    DesignMatrix,
+    build_linear,
+    build_rbf_lattice,
+    evaluate,
+)
 from rejectsvm.losses import CostParams, DiscreteDistribution
 from rejectsvm.lp import LinearProgram, LpPath
 
@@ -51,13 +57,23 @@ def crash_basis(n, M, cp, mixed=0):
                            nvar + steep + n + np.arange(2 * mixed)])
 
 
-def factored_start(A, b, basis):
-    """The condensed tableau B^-1 [N | b] of a basis, by a sparse LU.
+def standard_matrix(A, sigma):
+    """The standard form's whole matrix [A | diag(sigma)], in CSC form.
+
+    The solver keeps each slack column sigma_i e_i implicit; a sparse LU of
+    the tests' own needs the slacks written out.
+    """
+    return csc_array(np.hstack([A, np.diag(sigma)]))
+
+
+def factored_start(form, basis):
+    """The condensed tableau B^-1 [N | b] of a basis of form, by a sparse LU.
 
     The oracle for the starts the package writes without a factor: the
     nonbasic columns N in column order, basic values in [-PIVOT_TOL, 0)
     set to 0, and a cost row of zeros.  Returns (tableau, nonbasic).
     """
+    A, b = standard_matrix(form.A, form.sigma), form.b
     m, ncols = A.shape
     nonbasic = np.ones(ncols, dtype=bool)
     nonbasic[basis] = False
@@ -73,10 +89,11 @@ def factored_start(A, b, basis):
     return T, nonbasic
 
 
-def seeded_path(lp, form, tableau, basis, nonbasic):
-    """An LpPath seeded, as train seeds one, with a start for lp."""
+def seeded_path(lp, tableau, basis, nonbasic):
+    """An LpPath seeded, as train seeds one, with a start for lp and no
+    form."""
     path = LpPath()
-    path.program, path.form = lp, form
+    path.program = lp
     path.tableau, path.basis, path.nonbasic = tableau, basis, nonbasic
     return path
 
@@ -189,6 +206,28 @@ def logistic_atoms(seed, atoms=200):
     eta = 1.0 / (1.0 + np.exp(-2.0 * (x[:, 0] + 0.5 * x[:, 1])
                               - 0.3 * rng.normal(size=atoms)))
     return DiscreteDistribution(x=x, p=p / p.sum(), eta=eta)
+
+
+def zeroed_hinge_points():
+    """Two point sets for _hinge_lp, with exact zeros in every phi.
+
+    40 labeled samples of 6 features, then the 200 atoms of
+    logistic_atoms(4) on a 4x4 RBF lattice, 10 of them moved to eta 0 or
+    1.  Where a row's slope is positive, its zeros are -0.0.  Returns
+    ((phi, mass, eta), mixed) per set, mixed its count of 0 < eta < 1.
+    """
+    design = random_design(np.random.default_rng(23), 40, 6)
+    samples = (design.phi.copy(), np.full(design.n, 1.0 / design.n),
+               (1.0 + design.y) / 2.0)
+    dist = logistic_atoms(4)
+    eta = dist.eta.copy()
+    eta[:10] = np.repeat([0.0, 1.0], 5)
+    lattice = build_rbf_lattice((4, 4), dist.x.min(axis=0),
+                                dist.x.max(axis=0))
+    atoms = (evaluate(lattice, dist.x).phi, dist.p, eta)
+    for phi, *_ in (samples, atoms):
+        phi[::7, ::3] = 0.0
+    return [(samples, 0), (atoms, 190)]
 
 
 def plateau_fixture():

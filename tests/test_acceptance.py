@@ -176,7 +176,7 @@ def test_criterion_05_excess_risk_domination():
 
 def test_criterion_06_weighted_norm_lower_bound():
     dist, dic, cp = plateau_fixture()
-    rep1 = check_lemma_a1(make_context(dist, dic, cp), n_random=200, seed=1)
+    rep1 = check_lemma_a1(make_context(dist, dic, cp), seed=1)
 
     # second fixture: eta spread across (0, 1) so the exponent is finite
     # and near 1, with mass at both thresholds
@@ -186,7 +186,7 @@ def test_criterion_06_weighted_norm_lower_bound():
         p=np.full(k, 1.0 / k),
         eta=np.linspace(0.0125, 0.9875, k),
     )
-    rep2 = check_lemma_a1(make_context(spread, dic, cp), n_random=200, seed=2)
+    rep2 = check_lemma_a1(make_context(spread, dic, cp), seed=2)
 
     ok = all(r.status == "pass" and r.detail["n_checked"] >= 200
              and r.slack >= 0.0 for r in (rep1, rep2))

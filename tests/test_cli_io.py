@@ -774,7 +774,7 @@ def test_cli_diagnose_reports_plateau(tmp_path, capsys):
     assert "plateau verified" in text
     rows = text.strip().splitlines()[1:]
     assert len(rows) == 4
-    assert all(",pass," in row or ",skipped," in row for row in rows)
+    assert all(",pass," in row for row in rows)
 
 
 def test_cli_diagnose_builds_its_default_grid(tmp_path, capsys):
@@ -916,6 +916,22 @@ def test_cli_train_refuses_a_beta_that_is_not_finite(tmp_path, data_file,
             f"usage error: rbf beta must be a finite number > 0, "
             f"not {float(beta)!r}\n")
         assert not model_path.exists()
+
+
+@pytest.mark.parametrize("spec", ["rbf_lattice:3x3,2.0,junk",
+                                  "rbf_lattice:3x3,2.0,"])
+def test_cli_refuses_a_lattice_spec_with_a_second_comma_part(
+        tmp_path, data_file, capsys, spec):
+    dist_path = tmp_path / "dist.csv"
+    dist_path.write_text(DIST_CSV)
+    model_path = tmp_path / "m.json"
+    for argv in (["train", "--data", data_file, "--r", "0.1", "--out",
+                  str(model_path)],
+                 ["diagnose", "--dist", str(dist_path), "--checks", "prop21"]):
+        assert main(argv + ["--dict", spec]) == 2
+        assert capsys.readouterr() == (
+            "", f"usage error: malformed lattice spec {spec!r}\n")
+    assert not model_path.exists()
 
 
 def test_cli_train_cv_refuses_a_grid_without_points(tmp_path, data_file,

@@ -1,5 +1,6 @@
 """Solver correctness against hand-worked fixtures and the enumeration oracle."""
 
+import math
 import time
 
 import numpy as np
@@ -32,7 +33,9 @@ from helpers import (
     logistic_atoms,
     random_lp,
     seeded_path,
+    standard_matrix,
     within_highs,
+    zeroed_hinge_points,
 )
 from oracle import LpOversizeError, enumerate_vertices_oracle
 
@@ -94,10 +97,9 @@ def test_two_sided_bounds_become_active():
 
 
 def _slack_start(lp):
-    """The basic solution of lp's slack basis, which is diagonal."""
-    A, b = lp_module._to_standard_form(lp)[:2]
-    m, ncols = A.shape
-    return A[:, ncols - m:].diagonal() * b
+    """The basic solution of lp's slack basis, diag(sigma)."""
+    form = lp_module._to_standard_form(lp)
+    return form.sigma * form.b
 
 
 def _oracle_programs():
@@ -129,15 +131,67 @@ def test_matches_enumeration_oracle_on_random_programs():
     assert time.time() - t0 < 10.0
 
 
+def _expected_block(lp):
+    """The standard form's block of structural columns, row by row.
+
+    A variable takes one column, two when free (x = x+ - x-), and is
+    mirrored (x = upper - x') when bounded above only.  The rows are the
+    user's, the >= half of each = row, then x_j <= upper - lower for each
+    variable with two finite bounds.  An entry the rows leave at zero is
+    +0.0.
+    """
+    layout, nv = [], 0
+    for lo, up in zip(lp.lower.tolist(), lp.upper.tolist()):
+        free = lo == -math.inf and up == math.inf
+        layout.append((nv, -1.0 if lo == -math.inf and not free else 1.0,
+                       free))
+        nv += 2 if free else 1
+
+    def entries(row):
+        out = [0.0] * nv
+        for value, (col, sign, free) in zip(row.tolist(), layout):
+            if value != 0.0:
+                out[col] = sign * value
+                if free:
+                    out[col + 1] = -value
+        return out
+
+    block = [entries(row) for row in lp.rows]
+    block += [entries(row) for row, rel in zip(lp.rows, lp.relations)
+              if rel == "="]
+    for (col, _, _), lo, up in zip(layout, lp.lower.tolist(),
+                                   lp.upper.tolist()):
+        if math.isfinite(lo) and math.isfinite(up):
+            block.append([0.0] * nv)
+            block[-1][col] = 1.0
+    return np.array(block, dtype=float).reshape(len(block), nv)
+
+
+def test_standard_form_block_is_built_row_by_row_bit_for_bit():
+    # the oracle programs, and hinge programs of samples and of atoms at
+    # a = 1 and a != 1, with exact zeros in phi, which their rows hold as
+    # -0.0 wherever the slope is positive; the block holds +0.0 there
+    hinge = [_hinge_lp(*points, cp, 0.1) for points, _ in zeroed_hinge_points()
+             for cp in (CostParams(0.25), CostParams(0.5))]
+    assert all(np.any(np.signbit(lp.rows) & (lp.rows == 0.0))
+               for lp in hinge)
+    for lp in _oracle_programs() + hinge:
+        A = lp_module._to_standard_form(lp).A
+        want = _expected_block(lp)
+        assert A.dtype == want.dtype and A.shape == want.shape
+        assert A.tobytes() == want.tobytes()
+        assert not np.any(np.signbit(A) & (A == 0.0))
+
+
 def test_cold_start_is_the_factored_slack_start_bit_for_bit():
     # the slack basis is diag(sigma), its own inverse: the start written
     # as sigma [A_N | b] has a sparse LU's tableau and nonbasic order, bit
     # for bit, signed zeros and the clipped roundoff dust included
     for lp in _oracle_programs():
-        A, b, _, sigma, _ = lp_module._to_standard_form(lp)
-        m, ncols = A.shape
-        T, nonbasic = lp_module._start_tableau(A, b, sigma)
-        want, want_nonbasic = factored_start(A, b, ncols - m + np.arange(m))
+        form = lp_module._to_standard_form(lp)
+        m, nv = form.A.shape
+        T, nonbasic = lp_module._start_tableau(form.A, form.b, form.sigma)
+        want, want_nonbasic = factored_start(form, nv + np.arange(m))
         assert T.dtype == want.dtype and T.shape == want.shape
         assert T.flags.f_contiguous
         assert T.tobytes() == want.tobytes()
@@ -229,6 +283,11 @@ def test_rejects_malformed_input():
     ({"upper": [1.0, 1.0, 1.0]}, "one entry per variable"),
     ({"lower": [0.0, np.nan]}, "variable bounds contain NaN"),
     ({"upper": [np.nan, 1.0]}, "variable bounds contain NaN"),
+    # an infinite bound on the wrong side admits no finite point
+    ({"lower": [0.0, np.inf], "upper": [1.0, np.inf]},
+     r"^variable 1 has lower bound \+inf$"),
+    ({"lower": [-np.inf, 0.0], "upper": [-np.inf, 1.0]},
+     "^variable 0 has upper bound -inf$"),
 ])
 def test_rejects_malformed_rhs_rows_and_bounds(kwargs, message):
     data = {"objective": [1.0, 1.0], "rows": [[1.0, 1.0]],
@@ -474,6 +533,8 @@ def _audited_program():
     ({3: 1.5}, "violates a variable bound"),
     ({3: -0.5}, "violates a variable bound"),
     ({2: 0.5, 1: 0.5, 3: 2.0}, "violates row 1 by -5.000e-01"),  # the first
+    ({3: np.nan}, "point is not finite"),  # NaN fails no comparison
+    ({0: -np.inf}, "point is not finite"),
 ])
 def test_feasibility_audit_names_the_violated_row(moved, message):
     lp = _audited_program()
@@ -566,7 +627,8 @@ def test_negative_restored_value_is_repaired_and_kept_on_the_path(monkeypatch):
     # the path holds the repaired basis, and its clipped basic solution is
     # the tableau's right-hand-side column
     assert path.program is lp and path.tableau[:-1, -1].min() >= 0.0
-    x_std = np.zeros(path.form[0].shape[1])
+    m, nv = path.form.A.shape
+    x_std = np.zeros(nv + m)
     x_std[path.basis] = path.tableau[:-1, -1]
     assert np.array_equal(x_std[:lp.nvar], sol.x)  # every bound is 0
     monkeypatch.setattr(lp_module, "_refined", real_restore)
@@ -577,14 +639,16 @@ def test_negative_restored_value_is_repaired_and_kept_on_the_path(monkeypatch):
 
 
 def _restores(monkeypatch):
-    """Record every restore as (A, b, basis, values before, values after)."""
+    """Record every restore as (the standard form's whole matrix, b, basis,
+    values before, values after)."""
     seen = []
     real = lp_module._refined
 
     def recording(A, b, sigma, T, basis, nonbasic):
         before = T[:-1, -1].copy()
         x_b = real(A, b, sigma, T, basis, nonbasic)
-        seen.append((A, b, basis.copy(), before, x_b.copy()))
+        seen.append((standard_matrix(A, sigma), b, basis.copy(), before,
+                     x_b.copy()))
         return x_b
 
     monkeypatch.setattr(lp_module, "_refined", recording)

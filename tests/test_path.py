@@ -43,7 +43,7 @@ def crashes(monkeypatch):
 
     def recording(*args):
         start = real(*args)
-        made.append(start[1])
+        made.append(start[0])
         return start
 
     monkeypatch.setattr(train, "_crash_start", recording)
@@ -228,11 +228,11 @@ def test_study_paths_match_highs(solutions, crashes):
     def step(r, path):
         model = fit(design, cp, r, dic=dic, path=path)
         # the kept tableau is condensed: B^-1 [N | b] and the cost row
-        m, ncols = path.form[0].shape
-        assert path.tableau.shape == (m + 1, ncols - m + 1)
+        m, nv = path.form.A.shape
+        assert path.tableau.shape == (m + 1, nv + 1)
         assert np.array_equal(np.sort(np.concatenate([path.basis,
                                                       path.nonbasic])),
-                              np.arange(ncols))
+                              np.arange(nv + m))
         return model
 
     for cp in (CP, CP_PLAIN):

@@ -113,26 +113,14 @@ def test_margin_exponent_near_one_for_uniform_eta():
         assert mass <= est.a_const * t**est.alpha + 1e-12
 
 
-def test_margin_exponent_sentinel_when_gapped():
-    # every width in the grid stays below the 0.2 gap, so no atom binds
-    dist = DiscreteDistribution(x=[[0.0], [1.0]], p=[0.5, 0.5],
-                                eta=[0.5, 0.45])
-    est = complexity_estimate(dist, 0.25,
-                              t_grid=np.geomspace(1e-3, 0.1, 10))
-    assert math.isinf(est.alpha)
-    assert est.a_const == 1.0
-    assert est.gap == pytest.approx(0.2)
-
-
 def test_margin_exponent_atom_on_threshold():
     dist = DiscreteDistribution(x=[[0.0], [1.0]], p=[0.5, 0.5],
                                 eta=[0.25, 0.5])
     est = complexity_estimate(dist, 0.25)
     assert (est.alpha, est.a_const, est.gap) == (0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        complexity_estimate(dist, 0.25, t_grid=[0.0, 0.5])
-    with pytest.raises(ValueError):
-        complexity_estimate(dist, 0.25, t_grid=[1.5])
+    for d in (0.0, 0.51, -0.25, math.nan):
+        with pytest.raises(ValueError, match=r"outside \(0, 0\.5\]"):
+            complexity_estimate(dist, d)
 
 
 def test_margin_exponent_matches_its_per_width_rescan():
@@ -150,17 +138,14 @@ def test_margin_exponent_matches_its_per_width_rescan():
             est = complexity_estimate(dist, d)
             ref = check_oracle.complexity_margin_fit(dist, d)
             assert est.gap == ref[2]
-            assert math.isinf(est.alpha) == math.isinf(ref[0])
-            if not math.isinf(ref[0]):
-                assert est.alpha == pytest.approx(ref[0], rel=1e-12,
-                                                  abs=1e-12)
-                assert est.a_const == pytest.approx(ref[1], rel=1e-12)
+            assert est.alpha == pytest.approx(ref[0], rel=1e-12, abs=1e-12)
+            assert est.a_const == pytest.approx(ref[1], rel=1e-12)
 
 
 def test_norm_excess_risk_check_passes_on_fixture():
     dist, dic, cp = plateau_fixture()
     ctx = make_context(dist, dic, cp)
-    rep = check_lemma_a1(ctx, n_random=200, seed=0)
+    rep = check_lemma_a1(ctx, seed=0)
     assert rep.status == "pass"
     assert rep.slack >= 0.0
     assert rep.detail["n_checked"] == 200
@@ -172,15 +157,6 @@ def test_norm_excess_risk_check_accepts_explicit_candidates():
     rep = check_lemma_a1(ctx, lam_set=[[1.0, 0.0], [0.0, 0.0], [-2.0, 1.0]])
     assert rep.status == "pass"
     assert rep.detail["n_checked"] == 3
-
-
-def test_norm_excess_risk_check_skips_gapped_distributions():
-    dist = DiscreteDistribution(x=[[1.0, 0.0], [0.0, 1.0]], p=[0.5, 0.5],
-                                eta=[0.5, 0.5])
-    ctx = make_context(dist, build_linear(2), CostParams(d=0.25))
-    rep = check_lemma_a1(ctx, t_grid=np.geomspace(1e-3, 0.1, 10))
-    assert rep.status == "skipped"
-    assert math.isinf(rep.slack)
 
 
 def test_population_path_check_passes_on_fixture():
@@ -381,7 +357,6 @@ def test_checks_match_their_per_candidate_loops_bit_for_bit(monkeypatch, seed,
     lemma = check_lemma_a1(ctx, lam_set=lam_set)
     prop = check_prop21(ctx, fits)
     domination = check_excess_domination(ctx)
-    assert lemma.status != "skipped"
     assert hex_bits(seen[0]) == hex_bits(
         check_oracle.lemma_a1_slacks(ctx, lam_set))
     slacks, trace = check_oracle.prop21_slacks(ctx, fits)

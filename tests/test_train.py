@@ -41,6 +41,7 @@ from helpers import (
     plateau_fixture,
     random_design,
     seeded_path,
+    zeroed_hinge_points,
 )
 from oracle import enumerate_vertices_oracle
 
@@ -179,7 +180,7 @@ def test_split_lp_is_the_sample_hinge_build_byte_for_byte():
             got = getattr(lp, name)
             assert got.dtype == array.dtype and got.shape == array.shape
             assert got.tobytes() == array.tobytes(), name
-        crash = _crash_start(lp, M)[2]
+        crash = _crash_start(lp, M)[1]
         assert crash.tobytes() == crash_basis(n, M, cp).tobytes()
 
 
@@ -203,7 +204,7 @@ def test_population_program_has_one_epigraph_column_per_atom():
         lp = _hinge_lp(phi, dist.p, dist.eta, cp, 0.1)
         assert lp.nvar == 2 * M + atoms
         assert lp.ncon == middle * 9 + (middle + 2) * 21
-        assert _crash_start(lp, M)[2].tobytes() == \
+        assert _crash_start(lp, M)[1].tobytes() == \
             crash_basis(atoms, M, cp, 21).tobytes()
         epigraph = lp.rows[:, 2 * M:]
         assert np.all(np.sort(epigraph, axis=1)[:, :-1] == 0.0)
@@ -285,16 +286,14 @@ def test_a_point_has_one_middle_row_where_a_is_1():
         assert new.relations == old.relations
         for name in ("objective", "rows", "rhs", "lower", "upper"):
             assert getattr(new, name).tobytes() == getattr(old, name).tobytes()
-        assert _crash_start(new, points[0].shape[1])[2].tobytes() == \
+        assert _crash_start(new, points[0].shape[1])[1].tobytes() == \
             crash.tobytes()
     for r in (0.005, 0.02, 0.1, 0.5):
         for model, points in ((fit(design, plain, r), samples),
                               (fit_population(dist, lattice, plain, r), atoms)):
             old, crash = _two_middle_rows(*points, plain, r)
-            form = _to_standard_form(old)
-            T, nonbasic = factored_start(form.A, form.b, crash)
-            sol = solve_lp(old, path=seeded_path(old, form, T, crash,
-                                                 nonbasic))
+            T, nonbasic = factored_start(_to_standard_form(old), crash)
+            sol = solve_lp(old, path=seeded_path(old, T, crash, nonbasic))
             M = points[0].shape[1]
             lam = sol.x[:M] - sol.x[M:2 * M]
             assert abs(model.objective - sol.objective_value) <= \
@@ -304,43 +303,22 @@ def test_a_point_has_one_middle_row_where_a_is_1():
 
 
 def test_crash_start_is_the_factored_start_bit_for_bit():
-    # the crash tableau, its nonbasic order and the CSC standard form that
-    # _crash_start writes are those of _to_standard_form and a factored
-    # start, bit for bit: samples and atoms, some with 0 < eta < 1, at
-    # a = 1 and a != 1, with exact zeros in phi, whose -0.0 entries the
-    # CSC form does not store
-    design = random_design(np.random.default_rng(23), 40, 6)
-    samples = (design.phi.copy(), np.full(design.n, 1.0 / design.n),
-               (1.0 + design.y) / 2.0)
-    dist = logistic_atoms(4)
-    eta = dist.eta.copy()
-    eta[:10] = np.repeat([0.0, 1.0], 5)
-    lattice = build_rbf_lattice((4, 4), dist.x.min(axis=0),
-                                dist.x.max(axis=0))
-    atoms = (evaluate(lattice, dist.x).phi, dist.p, eta)
-    for phi, *_ in (samples, atoms):
-        phi[::7, ::3] = 0.0
+    # the crash tableau and its nonbasic order that _crash_start writes are
+    # a factored start's of _to_standard_form, bit for bit: samples and
+    # atoms, some with 0 < eta < 1, at a = 1 and a != 1, with exact zeros
+    # in phi, which the standard form stores as +0.0
+    points = zeroed_hinge_points()
     for cp in (CP, CostParams(d=0.5)):
-        for (phi, mass, eta), mixed in ((samples, 0), (atoms, 190)):
+        for (phi, mass, eta), mixed in points:
             n, M = phi.shape
             lp = _hinge_lp(phi, mass, eta, cp, 0.1)
-            form, T, basis, nonbasic = _crash_start(lp, M)
+            T, basis, nonbasic = _crash_start(lp, M)
             assert basis.tobytes() == crash_basis(n, M, cp, mixed).tobytes()
-            ref = _to_standard_form(lp)
-            want, want_nonbasic = factored_start(ref.A, ref.b, basis)
+            want, want_nonbasic = factored_start(_to_standard_form(lp), basis)
             assert T.dtype == want.dtype and T.shape == want.shape
             assert T.flags.f_contiguous
             assert T.tobytes() == want.tobytes()
             assert nonbasic.tobytes() == want_nonbasic.tobytes()
-            for name in ("data", "indices", "indptr"):
-                got, array = getattr(form.A, name), getattr(ref.A, name)
-                assert got.dtype == array.dtype
-                assert got.tobytes() == array.tobytes(), name
-            assert form.A.shape == ref.A.shape
-            for got, array in zip((form.b, form.sigma, form.sense, *form.cmap),
-                                  (ref.b, ref.sigma, ref.sense, *ref.cmap)):
-                assert got.dtype == array.dtype
-                assert got.tobytes() == array.tobytes()
 
 
 def test_population_objective_is_the_penalized_population_risk():
