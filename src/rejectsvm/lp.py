@@ -19,6 +19,12 @@ each row's slack implicit.  A cold start is the slack basis, which is its
 own inverse, and a restore reads B^-1 from the tableau, so no basis is
 ever factored.  A caller that can write a better start's tableau in
 closed form seeds an LpPath with it: hinge fits do (see train).
+
+A tableau may leave out nonbasic structural columns, which keeps its width
+near the support of a program with many more columns than rows.  The
+left-out columns are priced against the original data, with duals read
+from the tableau's slack columns, and the ones that can enter are appended
+(column generation), so a returned optimum is the whole program's.
 """
 
 from dataclasses import dataclass
@@ -157,7 +163,11 @@ class LpPath:
     solve then builds; a hinge fit seeds its crash tableau this way.  Any
     other program, equal or not, ignores the state.  owner is the caller's
     note of what built program; every solve clears it.  One tableau is live
-    per path.
+    per path.  A tableau, kept or seeded, may leave out nonbasic structural
+    columns (never a slack): nonbasic then names fewer columns than the
+    program has, and a solve prices the rest from the duals.  The basis
+    array is pivoted in place; the tableau and nonbasic array are new
+    whenever a solve narrows or widens them.
     """
 
     __slots__ = "program", "owner", "form", "tableau", "basis", "nonbasic"
@@ -194,10 +204,12 @@ def _to_standard_form(lp):
     sigma = np.concatenate([np.where(sense < 0.0, -1.0, 1.0),
                             -np.ones(eq.size), np.ones(boxed.size)])
     k = rows.shape[0]
-    signed = rows * sign + 0.0  # + 0.0 turns -0.0 into +0.0
     A = np.zeros((sigma.size, nv), order="F")  # the scatter writes columns
-    A[:k, col] = signed
-    A[:k, col[free] + 1] = 0.0 - signed[:, free]
+    A[:k, col] = rows
+    A[:k, col[free] + 1] = rows[:, free]
+    negated = np.concatenate([col[mirror], col[free] + 1])
+    A[:k, negated] *= -1.0
+    A += 0.0  # turns -0.0 into +0.0
     A[k + np.arange(boxed.size), col[boxed]] = 1.0
     b = lp.rhs.copy()
     for j in np.flatnonzero(shift):  # one column at a time, in column order
@@ -368,39 +380,113 @@ def _reprice(T, basis, nonbasic, c):
     T[m, -1] = -float(c_b @ T[:m, -1])
 
 
+def _through_inverse(T, basis, nonbasic, nv, sw):
+    """B^-1 w, given sw = sigma w (a vector or a matrix of m rows).
+
+    B^-1 is read from T itself: slack i, standard variable nv + i with
+    column sigma_i e_i, gives B^-1 e_i = sigma_i T[:, p] when it is
+    nonbasic at position p (one product with T's nonbasic slack columns),
+    and sigma_i e_k when it is basic in row k.  Every slack is in T.
+    """
+    m = basis.size
+    at = (nonbasic >= nv).nonzero()[0]
+    out = T[:m, at] @ sw[nonbasic[at] - nv]
+    at = (basis >= nv).nonzero()[0]
+    out[at] += sw[basis[at] - nv]
+    return out
+
+
 def _refined(A, b, sigma, T, basis, nonbasic):
     """T's basic solution after one step of iterative refinement.
 
     x_B + B^-1 (b - A x - sigma s), the residual taken from the original
     data at the point (x, s) whose basic values are T's rhs column: one
     BLAS product with the block A, and the slacks' diagonal.  B^-1 is read
-    from T itself: slack i, standard variable nv + i with column
-    sigma_i e_i, gives B^-1 e_i = sigma_i T[:, p] when it is nonbasic at
-    position p (one product with T's nonbasic slack columns), and
-    sigma_i e_k when it is basic in row k.
+    from T's slack columns (see _through_inverse).
     """
     m, nv = A.shape
     x_b = T[:m, -1]
     x = np.zeros(nv + m)
     x[basis] = x_b
     res = sigma * (b - (A @ x[:nv] + sigma * x[nv:]))
+    return x_b + _through_inverse(T, basis, nonbasic, nv, res)
+
+
+def _narrowed(T, nonbasic, nv):
+    """T without its nonbasic structural columns that price >= 0, when
+    these columns outnumber T's rows; otherwise T itself.  Returns
+    (tableau, nonbasic)."""
+    m = T.shape[0] - 1
+    structural = nonbasic < nv
+    if np.count_nonzero(structural) <= m:
+        return T, nonbasic
+    keep = (~structural | (T[m, :-1] < 0.0)).nonzero()[0]
+    # rows of the C-ordered transpose: one contiguous copy, Fortran-ordered
+    return T.T[np.append(keep, nonbasic.size)].T, nonbasic[keep]
+
+
+def _priced_in(A, c, sigma, T, basis, nonbasic, every=False):
+    """T with the left-out columns that can enter appended.
+
+    A tableau may leave out nonbasic structural columns, never a slack.
+    The duals are read from T's cost row: slack i has cost 0 and column
+    sigma_i e_i, so y_i = -sigma_i d_{s_i} where it is nonbasic, and 0
+    where it is basic.  One product over the dense block prices every
+    column against the original data, d = c - A'y.  Each left-out column
+    with d_j < -PIVOT_TOL (each left-out column, when every) is appended
+    before the rhs column as B^-1 a_j (see _through_inverse) over its cost
+    entry d_j.  Returns (tableau, nonbasic), both new iff T grew.
+    """
+    m, nv = A.shape
+    if nonbasic.size == nv:  # every structural column is in T
+        return T, nonbasic
+    out = np.ones(nv, dtype=bool)
+    out[nonbasic[nonbasic < nv]] = False
+    out[basis[basis < nv]] = False
     at = (nonbasic >= nv).nonzero()[0]
-    step = T[:m, at] @ res[nonbasic[at] - nv]
-    at = (basis >= nv).nonzero()[0]
-    step[at] += res[basis[at] - nv]
-    return x_b + step
+    slack = nonbasic[at] - nv
+    y = np.zeros(m)
+    y[slack] = -sigma[slack] * T[m, at]
+    d = c[:nv] - y @ A
+    if not every:
+        out &= d < -PIVOT_TOL
+    enter = out.nonzero()[0]
+    if enter.size == 0:
+        return T, nonbasic
+    w = nonbasic.size
+    wide = np.empty((m + 1, w + enter.size + 1), order="F")
+    wide[:, :w] = T[:, :-1]
+    wide[:m, w:-1] = _through_inverse(T, basis, nonbasic, nv,
+                                      sigma[:, None] * A[:, enter])
+    wide[m, w:-1] = d[enter]
+    wide[:, -1] = T[:, -1]
+    return wide, np.concatenate([nonbasic, enter])
 
 
-def _simplex_core(A, b, c, sigma, state, warm=None):
+def _simplex_core(A, b, c, sigma, state, warm=None, narrow=False):
     """Run the simplex method on standard form, from a cold or path start.
 
     The tableau is B^-1 [N | b] over the nonbasic columns N, which the
     array nonbasic names, above the cost row.  warm, when given, is such a
-    (tableau, basis, nonbasic) for (A, b); it is pivoted in place.
-    Otherwise the tableau is the slack basis's, and the dual simplex, on
-    its cost row of zeros, raises any basic value below -PIVOT_TOL or
-    finds the row that proves the program infeasible.  The primal simplex
-    then starts from the cost row priced for c.
+    (tableau, basis, nonbasic) for (A, b), which may leave out nonbasic
+    structural columns; its basis is pivoted in place.  Otherwise the
+    tableau is the slack basis's, and the dual simplex, on its cost row of
+    zeros, raises any basic value below -PIVOT_TOL or finds the row that
+    proves the program infeasible.  The primal simplex then starts from the
+    cost row priced for c; narrow drops, after that pricing, the nonbasic
+    structural columns that price >= 0 when they outnumber the rows.
+
+    At each optimum of the tableau's columns, every left-out column is
+    priced against the original data (_priced_in), and those that can
+    enter are appended and the primal simplex goes on.  A solve that
+    pivoted then restores its basic solution against the original data
+    (_refined) and lets the dual simplex repair any drift; a repair that
+    stops at a row no column of the tableau raises first brings in every
+    left-out column, so its verdict holds for the whole program.  Reduced
+    costs do not involve b, so the tableau's own columns stay optimal, but
+    a repair's pivots move the duals: the left-out columns are priced
+    again, and any that can enter send the solve back to the primal
+    simplex.  A point is optimal only when no column is left to append.
 
     Returns (status, basis, nonbasic, tableau); for "unbounded", basis is
     instead the ray of the edge.
@@ -414,13 +500,35 @@ def _simplex_core(A, b, c, sigma, state, warm=None):
         if not _dual_simplex(T, basis, nonbasic, state):
             return "infeasible", None, None, None
     _reprice(T, basis, nonbasic, c)
-    p = _run_phase(T, basis, nonbasic, state)
-    if p is not None:
-        ray = np.zeros(nv + m)
-        ray[basis] = -T[:-1, p]
-        ray[nonbasic[p]] = 1.0
-        return "unbounded", ray, None, None
-    return "optimal", basis, nonbasic, T
+    if narrow:
+        T, nonbasic = _narrowed(T, nonbasic, nv)
+    restored = 0  # pivots taken when the basic solution was last restored
+    while True:
+        p = _run_phase(T, basis, nonbasic, state)
+        if p is not None:
+            ray = np.zeros(nv + m)
+            ray[basis] = -T[:-1, p]
+            ray[nonbasic[p]] = 1.0
+            return "unbounded", ray, None, None
+        width = nonbasic.size
+        T, nonbasic = _priced_in(A, c, sigma, T, basis, nonbasic)
+        if nonbasic.size > width:
+            continue
+        if state["iter"] == restored:  # T's rhs is the start's or restored
+            return "optimal", basis, nonbasic, T
+        T[:m, -1] = _refined(A, b, sigma, T, basis, nonbasic)
+        repaired = _dual_simplex(T, basis, nonbasic, state)
+        if not repaired and width < nv:
+            T, nonbasic = _priced_in(A, c, sigma, T, basis, nonbasic,
+                                     every=True)
+            repaired = _dual_simplex(T, basis, nonbasic, state)
+        if not repaired:
+            raise LpNumericalError("dual repair found no entering column")
+        np.clip(T[:m, -1], 0.0, None, out=T[:m, -1])
+        restored = state["iter"]
+        T, nonbasic = _priced_in(A, c, sigma, T, basis, nonbasic)
+        if nonbasic.size == width:
+            return "optimal", basis, nonbasic, T
 
 
 def _pivot_budget(m, ncols):
@@ -471,6 +579,21 @@ def solve_lp(lp, path=None):
     lp and its tableau when the solve decides optimal, and is cleared
     otherwise.  iterations counts this solve's pivots only.  A hinge fit
     seeds its path with the crash tableau it writes in closed form.
+
+    A path's tableau may leave out nonbasic structural columns.  At each
+    optimum of the tableau's own columns, and again after each dual
+    repair, the solve reads the duals from the cost row's slack entries,
+    y_i = -sigma_i d_{s_i} where slack i is nonbasic and 0 where it is
+    basic, prices every left-out column with one product over the dense
+    block, d = c - A'y, and appends each with d_j < -PIVOT_TOL as B^-1 a_j
+    (B^-1 read from the slack columns, as the restore reads it) over its
+    cost entry d_j.  A point is optimal only when no column is left to
+    append, and a repair that finds no entering column among the tableau's
+    columns first brings in every left-out one, so an unbounded, infeasible
+    or failed-repair verdict holds for the whole program.  Only a seeded
+    start drops columns: once priced, when its nonbasic structural columns
+    outnumber its rows, it drops those that price >= 0.  A path's later
+    solves never drop a column, and a cold start keeps every column.
     """
     form = warm = None
     if path is not None:
@@ -478,13 +601,15 @@ def solve_lp(lp, path=None):
             form = path.form
             warm = path.tableau, path.basis, path.nonbasic
         path.clear()  # refilled only by an optimal verdict below
+    seeded = warm is not None and form is None
     form = form or _to_standard_form(lp)
     A, b, cmap, sigma, sense = form
     m, nv = A.shape
     c = _standard_costs(lp.objective, cmap, nv + m)
     state = {"iter": 0, "max_iter": _pivot_budget(m, nv + m)}
     try:
-        status, basis, nonbasic, T = _simplex_core(A, b, c, sigma, state, warm)
+        status, basis, nonbasic, T = _simplex_core(A, b, c, sigma, state,
+                                                   warm, seeded)
         if status == "unbounded":  # basis holds the ray
             cost = c @ basis
             residual = np.max(np.abs(A @ basis[:nv] + sigma * basis[nv:]),
@@ -494,12 +619,6 @@ def solve_lp(lp, path=None):
                                        f"{cost:.3e}, |A d| = {residual:.3e}")
         if status != "optimal":
             return LpSolution(status, iterations=state["iter"])
-        if state["iter"]:  # else T's rhs is the start's or the last restore
-            # the cost row stays optimal: it is free of b
-            T[:m, -1] = _refined(A, b, sigma, T, basis, nonbasic)
-            if not _dual_simplex(T, basis, nonbasic, state):
-                raise LpNumericalError("dual repair found no entering column")
-            np.clip(T[:m, -1], 0.0, None, out=T[:m, -1])
         x_std = np.zeros(nv + m)
         x_std[basis] = T[:m, -1]
         x = _recover_x(cmap, x_std)

@@ -16,7 +16,10 @@ eta, which gives four rows where 0 < eta < 1.  Where a = 1 (d = 1/2) the
 two middle pieces are one, so a point has one row fewer.  Both fits start
 from the crash basis (lambda = 0), each t basic in its point's plainer
 middle row, whose tableau _crash_start writes in closed form: no hinge fit
-factors a basis.
+factors a basis.  Where the 2M penalty columns outnumber the rows, the
+solve keeps only those that price < 0 at the crash basis, and the others
+come in as they can enter (see lp), so the tableau's width follows the
+support of lambda, not M.
 
 r enters the LP only through the objective, so a penalty grid is one
 program whose optimal basis at one r is feasible at the next.

@@ -587,6 +587,82 @@ def test_failed_dual_repair_is_named(monkeypatch):
     assert path.program is None
 
 
+def _left_out(start, nonbasic, out):
+    """A condensed tableau without the columns of the variables out."""
+    keep = np.flatnonzero(~np.isin(nonbasic, out))
+    return (np.asfortranarray(start[:, np.append(keep, nonbasic.size)]),
+            nonbasic[keep])
+
+
+def test_seeded_tableau_missing_a_column_the_optimum_needs():
+    # min -x0 - 2 x1 s.t. x0 + x1 <= 4, x1 <= 3: the optimum (1, 3) needs
+    # x1, which the seeded slack start leaves out.  Over the tableau's own
+    # columns x0 = 4 is optimal; priced against the data, x1 enters
+    lp = LinearProgram(objective=[-1.0, -2.0], rows=[[1.0, 1.0], [0.0, 1.0]],
+                       relations=["<=", "<="], rhs=[4.0, 3.0],
+                       lower=[0.0, 0.0])
+    form = lp_module._to_standard_form(lp)
+    basis = np.array([2, 3])
+    start = _left_out(*factored_start(form, basis), [1])
+    assert start[1].tolist() == [0]
+    path = seeded_path(lp, start[0], basis, start[1])
+    sol = solve_lp(lp, path=path)
+    assert sol.status == "optimal" and sol.warm
+    assert sol.x.tolist() == [1.0, 3.0] and sol.objective_value == -7.0
+    # the oracle programs whose slack start is feasible, seeded with no
+    # structural column at all: every column enters by pricing, and each
+    # verdict is the enumeration oracle's
+    decided = {"optimal": 0, "unbounded": 0}
+    for lp in _oracle_programs():
+        form = lp_module._to_standard_form(lp)
+        m, nv = form.A.shape
+        basis = nv + np.arange(m)
+        T, nonbasic = factored_start(form, basis)
+        if np.any(T[:m, -1] < 0.0):
+            continue
+        T, nonbasic = _left_out(T, nonbasic, np.arange(nv))
+        sol = solve_lp(lp, path=seeded_path(lp, T, basis, nonbasic))
+        ref = enumerate_vertices_oracle(lp)
+        assert sol.status == ref.status
+        decided[sol.status] += 1
+        if sol.status == "optimal":
+            assert abs(sol.objective_value - ref.objective_value) < 1e-7
+    assert min(decided.values()) > 5
+
+
+def test_repair_brings_in_a_left_out_column(monkeypatch):
+    # min -x0 + 2 x1 - x2 / 2 s.t. x0 + x2 <= 1, x0 + x1 + x2 >= 1, from
+    # the basis {x2, s1} with x1 left out.  x0 enters for x2, and s1 stays
+    # basic at 0, its row x1 - s0: restored below -PIVOT_TOL, only the
+    # left-out x1 can raise it.  It comes in, and the repair ends at the
+    # optimum (1, 0, 0) to within the dip
+    lp = LinearProgram(objective=[-1.0, 2.0, -0.5],
+                       rows=[[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]],
+                       relations=["<=", ">="], rhs=[1.0, 1.0],
+                       lower=[0.0, 0.0, 0.0])
+    form = lp_module._to_standard_form(lp)
+    basis = np.array([2, 4])
+    T, nonbasic = _left_out(*factored_start(form, basis), [1])
+    real_restore = lp_module._refined
+
+    def dipped(*args):
+        x_b = real_restore(*args)
+        x_b[1] = -2 * PIVOT_TOL  # s1's degenerate value, dipped
+        return x_b
+
+    monkeypatch.setattr(lp_module, "_refined", dipped)
+    dual = _dual_pivots(monkeypatch)
+    path = seeded_path(lp, T, basis, nonbasic)
+    sol = solve_lp(lp, path=path)
+    assert sol.status == "optimal" and sol.iterations == 2
+    # the tableau's columns could not raise s1, so x1 was brought in, and
+    # entered for it
+    assert dual == [0, 1]
+    assert path.basis.tolist() == [0, 1]
+    assert sorted(path.nonbasic.tolist()) == [2, 3, 4]
+    assert sol.objective_value == pytest.approx(-1.0, abs=1e-8)
+
+
 def _probe_fold(index):
     """Fold 0 of a 5-fold CV of the RBF mixture at grid point index of 10.
 

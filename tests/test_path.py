@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from rejectsvm import lp as lp_module
 from rejectsvm import train
+from rejectsvm.constants import PIVOT_TOL
 from rejectsvm.dictionary import build_linear, build_rbf_lattice, evaluate
 from rejectsvm.losses import CostParams, DiscreteDistribution
 from rejectsvm.lp import LinearProgram, LpPath, solve_lp
@@ -12,7 +14,12 @@ from rejectsvm.sim import ExperimentConfig, gen_two_gaussian
 from rejectsvm.theory import make_context, population_path
 from rejectsvm.train import fit, fit_population, split_lp, walk_penalty_path
 
-from helpers import random_design, seeded_path, within_highs
+from helpers import (
+    random_design,
+    seeded_path,
+    standard_matrix,
+    within_highs,
+)
 
 CP = CostParams(d=0.25, tau=0.5)
 CP_PLAIN = CostParams(d=0.5)
@@ -21,11 +28,12 @@ CP_PLAIN = CostParams(d=0.5)
 @pytest.fixture
 def solutions(monkeypatch):
     """Every LpSolution that train.solve_lp returns, in call order; each
-    solution's start is the tableau its path held when the solve began."""
+    solution's start is the basis array its path held when the solve
+    began."""
     seen = []
 
     def recording(lp, path):
-        start = path.tableau
+        start = path.basis
         sol = solve_lp(lp, path=path)
         sol.start = start
         seen.append(sol)
@@ -37,13 +45,13 @@ def solutions(monkeypatch):
 
 @pytest.fixture
 def crashes(monkeypatch):
-    """The tableau of each crash start train writes, in call order."""
+    """The basis array of each crash start train writes, in call order."""
     made = []
     real = train._crash_start
 
     def recording(*args):
         start = real(*args)
-        made.append(start[0])
+        made.append(start[1])
         return start
 
     monkeypatch.setattr(train, "_crash_start", recording)
@@ -51,9 +59,10 @@ def crashes(monkeypatch):
 
 
 def _starts(solutions, crashes):
-    """Per solve, which crash tableau it started from: the tableau a path
-    keeps is the one its first fit wrote, pivoted in place."""
-    return [next(k for k, T in enumerate(crashes) if s.start is T)
+    """Per solve, which crash start it started from: the basis array a
+    path keeps is the one its first fit wrote, pivoted in place (a tableau
+    is reallocated whenever a solve narrows or widens it)."""
+    return [next(k for k, basis in enumerate(crashes) if s.start is basis)
             for s in solutions]
 
 
@@ -217,6 +226,32 @@ def test_walk_returns_grid_order_and_starts_at_the_largest_r():
     assert calls == sorted(grid, reverse=True)
 
 
+def _check_kept_tableau(path):
+    """Check the tableau an optimal solve left on path; its left-out columns.
+
+    The tableau is condensed, B^-1 [N | b] over its nonbasic columns and
+    the cost row; basis and nonbasic are disjoint and hold every slack.
+    Every column it leaves out is structural and prices >= -PIVOT_TOL
+    against the original data, with duals from a sparse LU of the basis.
+    """
+    A, sigma = path.form.A, path.form.sigma
+    m, nv = A.shape
+    basis, nonbasic = path.basis, path.nonbasic
+    assert path.tableau.shape == (m + 1, nonbasic.size + 1)
+    assert path.tableau.flags.f_contiguous  # the pivot updates it in place
+    held = np.concatenate([basis, nonbasic])
+    assert np.unique(held).size == held.size
+    assert np.all(np.isin(nv + np.arange(m), held))
+    left_out = np.setdiff1d(np.arange(nv + m), held)
+    assert np.all(left_out < nv)
+    matrix = standard_matrix(A, sigma)
+    c = lp_module._standard_costs(path.program.objective, path.form.cmap,
+                                  nv + m)
+    y = splu(matrix[:, basis]).solve(c[basis], trans="T")
+    assert np.all(c[left_out] - A[:, left_out].T @ y >= -PIVOT_TOL)
+    return left_out
+
+
 def test_study_paths_match_highs(solutions, crashes):
     config = ExperimentConfig("two_gaussian", repetitions=1)
     dic = build_linear(config.M)
@@ -227,12 +262,8 @@ def test_study_paths_match_highs(solutions, crashes):
 
     def step(r, path):
         model = fit(design, cp, r, dic=dic, path=path)
-        # the kept tableau is condensed: B^-1 [N | b] and the cost row
-        m, nv = path.form.A.shape
-        assert path.tableau.shape == (m + 1, nv + 1)
-        assert np.array_equal(np.sort(np.concatenate([path.basis,
-                                                      path.nonbasic])),
-                              np.arange(nv + m))
+        left_out = _check_kept_tableau(path)
+        assert left_out.size  # 2M = 400 columns outnumber the rows
         return model
 
     for cp in (CP, CP_PLAIN):
@@ -247,9 +278,35 @@ def test_study_paths_match_highs(solutions, crashes):
         cold_pivots = sum(fit(design, cp, r).iterations for r in grid)
         assert path_pivots < cold_pivots
         total_path_pivots += path_pivots
-    # 670 pivots for both arms when written (721 with t starting in the
-    # steeper row of each sample, 652 with two middle rows at a = 1)
+    # 670 pivots for both arms with every column kept (721 with t starting
+    # in the steeper row of each sample, 652 with two middle rows at
+    # a = 1); 766 when the tableau's width follows the support
     assert total_path_pivots <= 1000
+
+
+def test_wide_design_path_keeps_a_narrow_tableau(solutions, crashes):
+    # the paper's regime, M >> n: 2M = 1,200 penalty columns against 120
+    # rows.  The tableau keeps only the columns that can enter, and every
+    # fit is still the whole program's optimum
+    dic = build_linear(600)
+    design = evaluate(dic, *gen_two_gaussian(30, 600, 5)[:2])
+    grid = np.geomspace(0.01, 0.3, 4)
+    widths = []
+
+    def step(r, path):
+        model = fit(design, CP, r, dic=dic, path=path)
+        _check_kept_tableau(path)
+        widths.append(path.nonbasic.size)
+        return model
+
+    models = walk_penalty_path(grid, step)[0]
+    assert _starts(solutions, crashes) == [0] * 4
+    for r, model in zip(grid, models):
+        assert within_highs(model.objective, design, CP, r)
+    # the walk ends at a support of more than 30 functions, with at most
+    # 150 of the 2M + n = 1,260 nonbasic columns kept
+    assert max(model.support_size() for model in models) > 30
+    assert max(widths) < 200
 
 
 def _lattice_atoms():
