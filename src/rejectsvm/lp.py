@@ -25,8 +25,20 @@ near the support of a program with many more columns than rows.  The
 left-out columns are priced against the original data, with duals read
 from the tableau's slack columns, and the ones that can enter are appended
 (column generation), so a returned optimum is the whole program's.
+
+A PiecewiseProgram, the population program of the hinge loss, is solved by
+a piecewise-linear primal simplex instead (Fourer, "A simplex algorithm
+for piecewise-linear programming", Math. Prog. 33 (1985)): one row
+z_k = phi_k lam per atom, each z_k with its convex piecewise-linear cost,
+lam with cost r |lam|, and a ratio test that passes breakpoints.  Its
+tableau is atoms x features, where the epigraph LP of the same program has
+up to four rows per atom and a column per atom besides.  It starts from
+every z basic, whose tableau is -phi, pivots by the same Jordan exchange,
+refines its point through the same B^-1 reading, and checks its optimum's
+duals against the original data.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -118,6 +130,43 @@ class LinearProgram:
 
 
 @dataclass
+class PiecewiseProgram:
+    """minimize sum_k cost_k(z_k) + penalty ||lam||_1 subject to z = phi lam.
+
+    cost_k is convex and piecewise linear with breakpoints -1, 0 and 1: its
+    value at 0 is at_zero[k], and its slopes on (-inf, -1], [-1, 0], [0, 1]
+    and [1, inf) are slopes[k], nondecreasing.  One row per atom k of phi,
+    one column per feature.  phi, slopes and at_zero are read-only copies;
+    only the penalty may change, and a solve checks it.
+    """
+
+    phi: np.ndarray
+    slopes: np.ndarray
+    at_zero: np.ndarray
+    penalty: float
+
+    def __post_init__(self):
+        self.phi = np.atleast_2d(np.array(self.phi, dtype=float))
+        self.slopes = np.array(self.slopes, dtype=float)
+        self.at_zero = np.array(self.at_zero, dtype=float)
+        n = self.phi.shape[0]
+        if self.phi.ndim != 2 or self.slopes.shape != (n, 4) \
+                or self.at_zero.shape != (n,):
+            raise LpInputError(f"phi, slopes and at_zero have shapes "
+                               f"{self.phi.shape}, {self.slopes.shape} and "
+                               f"{self.at_zero.shape}: not (n, M), (n, 4), "
+                               f"(n,)")
+        for name in ("phi", "slopes", "at_zero"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise LpInputError(f"{name} contains non-finite entries")
+        if np.any(np.diff(self.slopes, axis=1) < 0.0):
+            raise LpInputError("some cost's slopes decrease: it is not "
+                               "convex")
+        for fixed in (self.phi, self.slopes, self.at_zero):
+            fixed.flags.writeable = False
+
+
+@dataclass
 class LpSolution:
     status: str                    # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray = None           # defined iff optimal
@@ -167,7 +216,11 @@ class LpPath:
     columns (never a slack): nonbasic then names fewer columns than the
     program has, and a solve prices the rest from the duals.  The basis
     array is pivoted in place; the tableau and nonbasic array are new
-    whenever a solve narrows or widens them.
+    whenever a solve narrows or widens them.  For a PiecewiseProgram the
+    tableau is B^-1 N over the features' and atoms' nonbasic columns with
+    the basic values last, pivoted in place, and form holds each
+    variable's segment or breakpoint (see _piecewise_start); a caller
+    never seeds one.
     """
 
     __slots__ = "program", "owner", "form", "tableau", "basis", "nonbasic"
@@ -273,6 +326,11 @@ def _counted_pivot(T, basis, nonbasic, r, p, state):
     """Exchange row r and column p under the solve's budget and blow-up guard."""
     _pivot(T, r, p)
     basis[r], nonbasic[p] = nonbasic[p], basis[r]
+    _counted(T, state)
+
+
+def _counted(T, state):
+    """Count one iteration against the solve's budget and blow-up guard."""
     state["iter"] += 1
     if state["iter"] > state["max_iter"]:
         raise LpNumericalError("simplex iteration limit exceeded")
@@ -536,6 +594,245 @@ def _pivot_budget(m, ncols):
     return 50000 + 200 * (m + ncols)
 
 
+def _piecewise_tables(pp):
+    """Breakpoints (nvar x 3) and slopes (nvar x 4) of every variable.
+
+    Variable j < M is lam_j, with breakpoints (-inf, 0, inf) and slopes
+    (-r, -r, r, r); variable M + k is z_k, with breakpoints -1, 0 and 1 and
+    its cost's slopes.  Segment s of a variable runs from its breakpoint
+    s - 1 to its breakpoint s (from -inf and to inf at the ends), so lam_j
+    lives in segments 1 and 2, its two sides of 0.
+    """
+    n, M = pp.phi.shape
+    r = pp.penalty
+    breaks = np.empty((M + n, 3))
+    breaks[:M] = -np.inf, 0.0, np.inf
+    breaks[M:] = -1.0, 0.0, 1.0
+    slopes = np.empty((M + n, 4))
+    slopes[:M] = -r, -r, r, r
+    slopes[M:] = pp.slopes
+    return breaks, slopes
+
+
+def _piecewise_start(pp):
+    """The start of a PiecewiseProgram: every z basic at 0, every lam
+    nonbasic at 0.
+
+    The rows z - phi lam = 0 have z's unit columns for a basis, so the
+    condensed tableau is -phi, with the basic values, all 0, as its last
+    column; nothing is factored.  Returns (tableau, basis, nonbasic, at):
+    at holds each basic variable's segment and each nonbasic one's
+    breakpoint.  Each z starts in its plainer middle segment, the one of
+    smaller |slope|, the right one on a tie.
+    """
+    n, M = pp.phi.shape
+    T = np.zeros((n, M + 1), order="F")
+    np.negative(pp.phi, out=T[:, :M])
+    at = np.ones(M + n, dtype=np.intp)
+    middle = np.abs(pp.slopes[:, 1:3])
+    at[M:] = np.where(middle[:, 0] < middle[:, 1], 1, 2)
+    return T, M + np.arange(n), np.arange(M), at
+
+
+def _piecewise_phase(T, basis, nonbasic, at, breaks, slopes, state):
+    """Primal simplex on a piecewise-linear program until optimal.
+
+    T is B^-1 N over the nonbasic columns, with the basic values as its
+    last column; no cost row is kept.  A basic variable is priced by the
+    slope of the segment at names, even at one of its ends, and a nonbasic
+    one at breakpoint k moves up at d+ = c_{k+1} - c_B B^-1 a_j or down at
+    d- = c_B B^-1 a_j - c_k.  Of the columns with d < -PIVOT_TOL, the one
+    of least steepest-edge score d / sqrt(1 + |B^-1 a_j|^2) enters, exact
+    ties to the lowest variable.
+
+    The ratio test takes a long step.  It collects every breakpoint ahead
+    of each basic variable whose rate exceeds PIVOT_TOL, beyond the end of
+    its segment (at theta 0 for one already past it), and the entering
+    variable's own, and passes them in theta order, equal thetas largest
+    rate first (the entering variable's rate is 1): each adds its slope
+    jump times its rate to the directional derivative d, and the step ends
+    at the first where d >= -PIVOT_TOL.  If that breakpoint is the entering
+    variable's own, it stops there, a flip with no pivot; otherwise its
+    basic variable leaves there by a pivot.  Every breakpoint passed before
+    it moves its variable to its next segment, even across a zero jump.
+    Each flip and pivot counts as one iteration.
+    """
+    w = nonbasic.size
+    body, x_b = T[:, :w], T[:, w]
+    jumps, finite = np.diff(slopes, axis=1), np.isfinite(breaks)
+    ahead = np.arange(3)
+    while True:
+        k = at[nonbasic]
+        g = slopes[basis, at[basis]] @ body
+        up = slopes[nonbasic, k + 1] - g
+        down = g - slopes[nonbasic, k]
+        d = np.minimum(up, down)
+        neg = (d < -PIVOT_TOL).nonzero()[0]
+        if neg.size == 0:
+            return
+        cols = body[:, neg]
+        score = np.einsum("ij,ij->j", cols, cols)
+        score += 1.0
+        np.divide(d[neg], np.sqrt(score, out=score), out=score)
+        p = _lowest(nonbasic, score, neg)
+        q, kq = nonbasic[p], k[p]
+        step = 1.0 if up[p] < down[p] else -1.0
+        rate = body[:, p] * -step
+        rows = (np.abs(rate) > PIVOT_TOL).nonzero()[0]
+        v, rt = basis[rows], rate[rows]
+        # breakpoints ahead: at or above the segment's index moving up,
+        # below it moving down
+        past = (ahead >= at[v][:, None]) == (rt[:, None] > 0.0)
+        past &= finite[v]
+        i, brk = past.nonzero()
+        v, who, size = v[i], rows[i], np.abs(rt[i])
+        theta = np.maximum((breaks[v, brk] - x_b[who]) / rt[i], 0.0)
+        jump = size * jumps[v, brk]
+        own = ahead[kq + 1:] if step > 0.0 else ahead[:kq]
+        own = own[finite[q, own]]
+        if own.size:  # the entering variable's own, at rate 1, row -1
+            theta = np.concatenate([np.abs(breaks[q, own] - breaks[q, kq]),
+                                    theta])
+            jump = np.concatenate([jumps[q, own], jump])
+            size = np.concatenate([np.ones(own.size), size])
+            who = np.concatenate([np.full(own.size, -1), who])
+            brk = np.concatenate([own, brk])
+        order = np.argsort(theta, kind="stable")
+        total = d[p] + np.cumsum(jump[order])
+        reached = (total >= -PIVOT_TOL).nonzero()[0]
+        if reached.size == 0:
+            raise LpNumericalError("no breakpoint ends the step of entering "
+                                   f"variable {q}")
+        e = reached[0]
+        sorted_theta = theta[order]
+        length = sorted_theta[e]
+        lo, hi = np.searchsorted(sorted_theta, length, side="left"), \
+            np.searchsorted(sorted_theta, length, side="right")
+        if hi - lo > 1:  # equal thetas: the largest rate first
+            tie = order[lo:hi]
+            order[lo:hi] = tie = tie[np.argsort(-size[tie], kind="stable")]
+            before = total[lo - 1] if lo else d[p]
+            hit = (before + np.cumsum(jump[tie]) >= -PIVOT_TOL).nonzero()[0]
+            e = lo + (hit[0] if hit.size else tie.size - 1)
+        leave, passed = order[e], order[:e]
+        moved = who[passed]
+        moved = moved[moved >= 0]
+        np.add.at(at, basis[moved], np.where(rate[moved] > 0.0, 1, -1))
+        x_b += length * rate
+        r = who[leave]
+        if r < 0:
+            at[q] = brk[leave]
+            _counted(T, state)
+            continue
+        beyond = passed.size - moved.size
+        at[basis[r]] = brk[leave]
+        at[q] = kq + 1 + beyond if step > 0.0 else kq - beyond
+        x_b[r] = 0.0  # so the pivot leaves the value column as it is
+        _counted_pivot(T, basis, nonbasic, r, p, state)
+        x_b[r] = breaks[q, kq] + step * length
+
+
+def _piecewise_point(T, basis, nonbasic, at, breaks, phi, refine):
+    """Every variable's value, [lam, z]: nonbasic ones at their breakpoints,
+    basic ones from T's last column, refined first when refine.
+
+    One step of iterative refinement against the rows z = phi lam: the
+    residual phi lam - z, taken from the original data, goes through B^-1,
+    which is read from T's columns of z (see _through_inverse: z is the
+    rows' slack, with sigma = 1), and T keeps the refined values.
+    """
+    n, M = phi.shape
+    x = np.empty(M + n)
+    x[nonbasic] = breaks[nonbasic, at[nonbasic]]
+    x_b = T[:, nonbasic.size]
+    if refine:
+        x[basis] = x_b
+        x_b += _through_inverse(T, basis, nonbasic, M, phi @ x[:M] - x[M:])
+    x[basis] = x_b
+    return x
+
+
+def _piecewise_certified(pp, T, basis, nonbasic, at, breaks, slopes, x):
+    """Raise LpNumericalError unless x is optimal by the tableau's duals.
+
+    Atom k's dual y_k is read from T: c_B B^-1 e_k where z_k is nonbasic,
+    the slope of its segment where it is basic.  Against the original data,
+    x must keep z = phi lam within FEAS_TOL, each y_k must lie within the
+    slopes of cost_k at z_k, and each -(phi' y)_j within those of
+    r |lam_j| at lam_j: in [-r, r] where lam_j = 0, equal to r sign(lam_j)
+    elsewhere.  A value within FEAS_TOL of a breakpoint takes the slopes on
+    both sides; a dual may miss by FEAS_TOL (1 + its scale).
+    """
+    phi = pp.phi
+    n, M = phi.shape
+    gap = phi @ x[:M] - x[M:]
+    bad = (np.abs(gap) > FEAS_TOL).nonzero()[0]
+    if bad.size:
+        raise LpNumericalError(f"claimed-optimal point breaks atom {bad[0]}'s "
+                               f"row z = phi lam by {gap[bad[0]]:.3e}")
+    c_b = slopes[basis, at[basis]]
+    y = np.empty(n)
+    held = (basis >= M).nonzero()[0]
+    y[basis[held] - M] = c_b[held]
+    held = (nonbasic >= M).nonzero()[0]
+    y[nonbasic[held] - M] = c_b @ T[:, held]
+    dual = np.concatenate([-(y @ phi), y])
+    scale = np.concatenate([np.abs(y) @ np.abs(phi), np.abs(y)])
+    low = np.column_stack([np.full(M + n, -np.inf), breaks]) - FEAS_TOL
+    high = np.column_stack([breaks, np.full(M + n, np.inf)]) + FEAS_TOL
+    inside = (low <= x[:, None]) & (x[:, None] <= high)
+    least = np.where(inside, slopes, np.inf).min(axis=1)
+    most = np.where(inside, slopes, -np.inf).max(axis=1)
+    tol = FEAS_TOL * (1.0 + scale)
+    bad = ((dual < least - tol) | (dual > most + tol)).nonzero()[0]
+    if bad.size:
+        j = bad[0]
+        name = f"feature {j}" if j < M else f"atom {j - M}"
+        raise LpNumericalError(
+            f"dual of {name}, {dual[j]:.6g}, lies outside its slopes "
+            f"[{least[j]:.6g}, {most[j]:.6g}] at {x[j]:.6g}")
+
+
+def _piecewise_value(pp, x):
+    """The objective of a PiecewiseProgram at x = [lam, z]."""
+    M = pp.phi.shape[1]
+    z, s = x[M:], pp.slopes
+    loss = (pp.at_zero + s[:, 2] * np.clip(z, 0.0, 1.0)
+            + s[:, 3] * np.maximum(z - 1.0, 0.0)
+            + s[:, 1] * np.clip(z, -1.0, 0.0)
+            + s[:, 0] * np.minimum(z + 1.0, 0.0))
+    return float(loss.sum()) + pp.penalty * float(np.abs(x[:M]).sum())
+
+
+def _solve_piecewise(pp, path):
+    """solve_lp for a PiecewiseProgram (see there)."""
+    warm = None
+    if path is not None:
+        if path.program is pp:
+            warm = path.tableau, path.basis, path.nonbasic, path.form
+        path.clear()  # refilled only by an optimal verdict below
+    if not 0.0 <= pp.penalty < math.inf:
+        raise LpInputError(f"penalty must be finite and >= 0, not "
+                           f"{pp.penalty!r}")
+    n, M = pp.phi.shape
+    breaks, slopes = _piecewise_tables(pp)
+    T, basis, nonbasic, at = warm or _piecewise_start(pp)
+    state = {"iter": 0, "max_iter": _pivot_budget(n, M + n)}
+    try:
+        _piecewise_phase(T, basis, nonbasic, at, breaks, slopes, state)
+        x = _piecewise_point(T, basis, nonbasic, at, breaks, pp.phi,
+                             state["iter"] > 0)
+        _piecewise_certified(pp, T, basis, nonbasic, at, breaks, slopes, x)
+    except LpNumericalError as exc:
+        raise LpNumericalError(f"{exc} after {state['iter']} iterations") \
+            from exc
+    if path is not None:
+        path.program, path.form = pp, at
+        path.tableau, path.basis, path.nonbasic = T, basis, nonbasic
+    return LpSolution("optimal", x, _piecewise_value(pp, x), state["iter"],
+                      warm is not None)
+
+
 def solve_lp(lp, path=None):
     """Solve a LinearProgram with the simplex method.
 
@@ -594,7 +891,22 @@ def solve_lp(lp, path=None):
     start drops columns: once priced, when its nonbasic structural columns
     outnumber its rows, it drops those that price >= 0.  A path's later
     solves never drop a column, and a cold start keeps every column.
+
+    Given a PiecewiseProgram, solve_lp runs its piecewise-linear simplex
+    (_piecewise_phase) instead, from every z basic at 0 and every lam
+    nonbasic at 0, or from path's tableau when its last optimal solve was
+    of this object, whose penalty may have changed since.  iterations then
+    counts pivots and breakpoint flips.  At the optimum the basic values
+    are refined once against z = phi lam (when the solve moved), and the
+    point and its duals are checked against the original data: z = phi lam
+    within FEAS_TOL, each atom's dual within its cost's slopes at z_k, and
+    -phi'y within r's at lam.  A failed check, the pivot budget or the
+    blow-up guard raises LpNumericalError naming the reason and the
+    iterations taken; the program is never infeasible or unbounded.
+    x is [lam, z].
     """
+    if isinstance(lp, PiecewiseProgram):
+        return _solve_piecewise(lp, path)
     form = warm = None
     if path is not None:
         if path.program is lp:

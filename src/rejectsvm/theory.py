@@ -224,8 +224,10 @@ def population_path(ctx, r_grid):
 
     The grid and the r = 0 anchor are walked as one warm path from the
     largest r down (walk_penalty_path); lambda(0) is the path's last step.
-    The result serves both check_prop21 and check_plateau, so neither
-    solves a fit twice.
+    Each fit is fit_population's piecewise-linear program, one row per
+    atom, and each step after the first starts from the tableau the last
+    one kept, with only lambda's slopes re-costed.  The result serves both
+    check_prop21 and check_plateau, so neither solves a fit twice.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.size == 0 or not np.all(np.isfinite(r_grid) & (r_grid > 0.0)):

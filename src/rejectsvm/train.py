@@ -11,22 +11,27 @@ negative parts and one epigraph column per point, bounded below by one row
 per linear piece of the point's loss; at any simplex vertex the two parts
 of lambda cannot both be positive, so the l1 penalty is exact.  fit passes
 each sample with mass 1/n and eta 1 or 0 by its label, which gives the two
-sample hinge rows; fit_population passes each atom once, with its mass and
-eta, which gives four rows where 0 < eta < 1.  Where a = 1 (d = 1/2) the
-two middle pieces are one, so a point has one row fewer.  Both fits start
-from the crash basis (lambda = 0), each t basic in its point's plainer
-middle row, whose tableau _crash_start writes in closed form: no hinge fit
-factors a basis.  Where the 2M penalty columns outnumber the rows, the
-solve keeps only those that price < 0 at the crash basis, and the others
-come in as they can enter (see lp), so the tableau's width follows the
-support of lambda, not M.
+sample hinge rows, one where a = 1 (d = 1/2), since the two middle pieces
+are then one.  A fit starts from the crash basis (lambda = 0), each t
+basic in its sample's plainer middle row, whose tableau _crash_start writes
+in closed form: no hinge fit factors a basis.  Where the 2M penalty
+columns outnumber the rows, the solve keeps only those that price < 0 at
+the crash basis, and the others come in as they can enter (see lp), so the
+tableau's width follows the support of lambda, not M.  _hinge_lp also
+states a population program, four rows for an atom with 0 < eta < 1,
+which only the tests build now.
 
-r enters the LP only through the objective, so a penalty grid is one
-program whose optimal basis at one r is feasible at the next.
+fit_population minimizes the same risk over a finite-support distribution
+in piecewise-linear form instead (_population_program): one row
+z_k = phi_k lambda per atom, each z_k with its atom's convex
+piecewise-linear cost, solved by lp's piecewise-linear simplex from every
+z basic at 0, so nothing is factored there either.
+
+r enters a program only through the cost of lambda, so a penalty grid is
+one program whose optimal basis at one r is feasible at the next.
 walk_penalty_path solves a grid from the largest r down: the first fit on a
 path builds the program, and each later fit of the same input objects
-writes r into its 2M penalty costs and starts from the last optimal
-tableau, re-priced.
+writes r into its penalty and starts from the last optimal tableau.
 """
 
 import math
@@ -37,7 +42,13 @@ import numpy as np
 from .constants import SUPPORT_TOL
 from .dictionary import DesignMatrix, estimated_c_f, evaluate
 from .losses import CostParams, gen_hinge, reject_loss
-from .lp import LinearProgram, LpNumericalError, LpPath, solve_lp
+from .lp import (
+    LinearProgram,
+    LpNumericalError,
+    LpPath,
+    PiecewiseProgram,
+    solve_lp,
+)
 
 
 @dataclass
@@ -97,6 +108,12 @@ class HingeProgram(LinearProgram):
     steep: int = field(kw_only=True)
 
 
+def _check_penalty(r):
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"penalty weight r must be finite and >= 0, "
+                         f"not {float(r)!r}")
+
+
 def _hinge_lp(phi, mass, eta, cp, r):
     """Penalized hinge LP over [u, v, t] with lambda = u - v, in epigraph form.
 
@@ -120,9 +137,7 @@ def _hinge_lp(phi, mass, eta, cp, r):
     the plainer rows, surpluses basic in the others, at 0 in the steeper
     rows and at eta or 1 - eta in the outer ones (see _crash_start).
     """
-    if not 0.0 <= r < math.inf:
-        raise ValueError(f"penalty weight r must be finite and >= 0, "
-                         f"not {float(r)!r}")
+    _check_penalty(r)
     n, M = phi.shape
     a = cp.a
     left = 1.0 - eta - a * eta
@@ -191,34 +206,41 @@ def split_lp(design, cp, r):
 
 
 def _fit_hinge_lp(path, owner, build, cp, r, what):
-    """Solve a _hinge_lp program at penalty r, from its crash tableau.
+    """Solve a hinge program at penalty r, warm from path when it can.
 
     build(r) returns the program and its points, the (phi, mass, eta) it
-    was built from.  If a fit of the same owner objects (compared with is)
-    last filled path, r goes into the program's 2M penalty costs and the
-    solve starts from the kept tableau; otherwise, or if r is not finite
-    and >= 0, build(r) makes the program or raises, and path (a fresh one
-    when None) is seeded with its crash start.  Returns (points, lambda,
-    objective, pivots), objective re-evaluated at lambda from the points.
+    was built from: a _hinge_lp program, which path (a fresh one when None)
+    is seeded with its crash start, or a PiecewiseProgram, which starts
+    itself.  If a fit of the same owner objects (compared with is) last
+    filled path, r goes into the program's penalty, its 2M penalty costs or
+    its penalty field, and the solve starts from the kept tableau;
+    otherwise, or if r is not finite and >= 0, build(r) makes the program
+    or raises.  Returns (points, lambda, objective, iterations), objective
+    re-evaluated at lambda from the points.
     """
     path = LpPath() if path is None else path
     kept, points = path.owner or ((), None)
     if (len(kept) == len(owner) and 0 <= r < math.inf
             and all(a is b for a, b in zip(kept, owner))):
         lp = path.program
-        lp.objective[:2 * points[0].shape[1]] = r
+        M = points[0].shape[1]
+        if isinstance(lp, PiecewiseProgram):
+            lp.penalty = float(r)
+        else:
+            lp.objective[:2 * M] = r
     else:
         lp, points = build(r)
-        path.program, path.form = lp, None  # solve_lp builds the form
-        path.tableau, path.basis, path.nonbasic = _crash_start(
-            lp, points[0].shape[1])
+        M = points[0].shape[1]
+        if not isinstance(lp, PiecewiseProgram):
+            path.program, path.form = lp, None  # solve_lp builds the form
+            path.tableau, path.basis, path.nonbasic = _crash_start(lp, M)
     phi, mass, eta = points
-    M = phi.shape[1]
     sol = solve_lp(lp, path=path)
     if sol.status != "optimal":
         raise LpNumericalError(f"{what} LP reported {sol.status}")
     path.owner = owner, points
-    lam = sol.x[:M] - sol.x[M:2 * M]
+    lam = (sol.x[:M] if isinstance(lp, PiecewiseProgram)
+           else sol.x[:M] - sol.x[M:2 * M])
     z = phi @ lam
     pos, neg = gen_hinge(np.stack([z, -z]), cp)
     objective = (float(mass @ (eta * pos + (1.0 - eta) * neg))
@@ -250,23 +272,44 @@ def fit(design, cp, r, dic=None, path=None):
     )
 
 
+def _population_program(phi, mass, eta, cp, r):
+    """The population program in piecewise-linear form, one row per atom.
+
+    Atom k's cost is mass_k (eta_k gen_hinge(z) + (1 - eta_k)
+    gen_hinge(-z)) at z = phi_k lambda: mass_k at 0, and mass_k times the
+    slopes -a eta, 1 - eta - a eta, a (1 - eta) - eta and a (1 - eta)
+    around its breakpoints -1, 0 and 1.  A running maximum keeps rounding
+    from breaking their order.
+    """
+    _check_penalty(r)
+    a = cp.a
+    slopes = np.column_stack([-a * eta, 1.0 - eta - a * eta,
+                              a * (1.0 - eta) - eta, a * (1.0 - eta)])
+    slopes *= mass[:, None]
+    np.maximum.accumulate(slopes, axis=1, out=slopes)
+    return PiecewiseProgram(phi, slopes, mass, float(r))
+
+
 def fit_population(dist, dic, cp, r, path=None):
     """Exact population minimizer lambda(r) for a finite-support distribution.
 
-    Solves _hinge_lp with one point per atom, of mass p(x) and probability
-    eta(x) of the label +1: four rows where 0 < eta(x) < 1, two where eta(x)
-    is 0 or 1, and one fewer each where a = 1.  path works as in fit, for
-    the same dist, dic and cp.
+    Solves the piecewise-linear program of _population_program, one row
+    z_k = phi_k lambda per atom, each z_k with the convex piecewise-linear
+    cost of its atom's mass p(x) and probability eta(x) of the label +1,
+    by solve_lp's piecewise-linear simplex (see lp).  The model's
+    iterations count that simplex's pivots and breakpoint flips.  path
+    works as in fit, for the same dist, dic and cp: a walk keeps one
+    program and its tableau, and a re-cost writes only the penalty.
     """
     def build(r):
         points = evaluate(dic, dist.x).phi, dist.p, dist.eta
-        return _hinge_lp(*points, cp, r), points
+        return _population_program(*points, cp, r), points
 
-    (phi, _, _), lam, objective, pivots = _fit_hinge_lp(
+    (phi, _, _), lam, objective, iterations = _fit_hinge_lp(
         path, (dist, dic, cp), build, cp, r, "population")
     return Model(
         lam=lam, dic=dic, cp=cp, r=float(r), n_train=dist.n_atoms,
-        objective=objective, iterations=pivots,
+        objective=objective, iterations=iterations,
         c_f=estimated_c_f(dic, DesignMatrix(phi)),
     )
 

@@ -151,21 +151,31 @@ def test_repeated_r_reprices_without_pivots(solutions, monkeypatch):
 
 
 def test_a_hinge_walk_never_factors(monkeypatch, solutions, crashes):
-    # the first fit starts from the crash tableau train writes, and every
-    # later step pivots and restores its basic solution, which reads B^-1
-    # from the tableau: no solve of a sample or population walk starts cold
+    # a sample walk's first fit starts from the crash tableau train writes,
+    # and a population walk's from -phi, the start its piecewise-linear
+    # program has with every z basic; every later step starts from its
+    # path's tableau, and a restore reads B^-1 from the tableau: no solve
+    # starts cold from a slack basis
     design = random_design(np.random.default_rng(9), 30, 8)
     dist, dic = _lattice_atoms()
     cold = _counted(monkeypatch, lp_module, "_start_tableau")
+    starts = _counted(monkeypatch, lp_module, "_piecewise_start")
     restores = _counted(monkeypatch, lp_module, "_refined")
+    refines = _counted(monkeypatch, lp_module, "_through_inverse")
     grid = np.geomspace(0.003, 0.5, 7)
     walk_penalty_path(grid, lambda r, path: fit(design, CP, r, path=path),
                       lambda r, path: fit_population(dist, dic, CP, r,
                                                      path=path))
-    assert _starts(solutions, crashes) == [0, 1] * 7
-    assert all(s.warm for s in solutions)
-    assert not cold
-    assert len(restores) == sum(s.iterations > 0 for s in solutions) >= 10
+    samples, atoms = solutions[::2], solutions[1::2]
+    assert _starts(samples, crashes) == [0] * 7
+    assert all(s.warm for s in samples)
+    assert [s.warm for s in atoms] == [False] + [True] * 6
+    assert not cold and len(starts) == 1
+    assert len(restores) == sum(s.iterations > 0 for s in samples) >= 5
+    # each population step that moved refines its values once, through
+    # the tableau's columns of z
+    assert len(refines) == len(restores) + sum(s.iterations > 0
+                                               for s in atoms) >= 8
 
 
 def test_a_walk_builds_one_program_per_solver(monkeypatch, solutions,
@@ -187,7 +197,7 @@ def test_a_population_path_evaluates_the_dictionary_once(monkeypatch):
     dic = build_linear(2)  # C_F is estimated from phi
     ctx = make_context(dist, dic, CP)
     evaluations = _counted(monkeypatch, train, "evaluate")
-    builds = _counted(monkeypatch, train, "_hinge_lp")
+    builds = _counted(monkeypatch, train, "_population_program")
     fits = population_path(ctx, np.geomspace(0.003, 0.5, 7))
     assert len(evaluations) == len(builds) == 1
     # C_F comes from the phi the path keeps, the same bits
@@ -321,41 +331,42 @@ def _lattice_atoms():
     return dist, dic
 
 
-def test_population_path_matches_highs(solutions, crashes):
+def test_population_path_matches_highs(solutions):
     dist, dic = _lattice_atoms()
     grid = np.geomspace(0.002, 0.6, 6)
     fits = population_path(make_context(dist, dic, CP), grid)
     # the grid and then the r = 0 anchor are one warm path, from one
-    # crash tableau
-    assert _starts(solutions, crashes) == [0] * 7
+    # program and its start
+    assert [s.warm for s in solutions] == [False] + [True] * 6
     assert list(fits.r) == sorted(grid)
     path = [(0.0, fits.base)] + list(zip(fits.r, fits.models))
     for r, model in path:
         assert within_highs(model.objective, dist, CP, r, dic)
-    # 253 pivots when written
-    assert sum(model.iterations for _, model in path) <= 400
+    # 253 pivots in epigraph form; 168 pivots and flips in
+    # piecewise-linear form, one row per atom
+    assert sum(model.iterations for _, model in path) <= 200
 
 
 def test_a_re_costed_population_walk_keeps_the_atom_masses(monkeypatch,
-                                                            solutions,
-                                                            crashes):
-    # a re-cost writes r into the 2M penalty costs only: the atom masses,
-    # the costs of the epigraph columns, keep their bits at every step
+                                                            solutions):
+    # a re-cost writes r into the program's penalty only: the atom costs,
+    # their masses and slopes, keep their bits at every step
     dist, dic = _lattice_atoms()
-    M = dic.M
-    builds = _counted(monkeypatch, train, "_hinge_lp")
+    builds = _counted(monkeypatch, train, "_population_program")
     grid = np.geomspace(0.002, 0.6, 6)
+    kept = []
 
     def step(r, path):
         model = fit_population(dist, dic, CP, r, path=path)
-        costs = path.program.objective
-        assert np.all(costs[:2 * M] == r)
-        assert costs[2 * M:].tobytes() == dist.p.tobytes()
+        program = path.program
+        assert program.penalty == r
+        assert program.at_zero.tobytes() == dist.p.tobytes()
+        kept.append(program.slopes.tobytes())
         return model
 
     models = walk_penalty_path(grid, step)[0]
-    assert len(builds) == 1
-    assert _starts(solutions, crashes) == [0] * 6
+    assert len(builds) == 1 and len(set(kept)) == 1
+    assert [s.warm for s in solutions] == [False] + [True] * 5
     for r, model in zip(grid, models):
         assert within_highs(model.objective, dist, CP, r, dic)
 
