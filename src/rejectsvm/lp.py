@@ -35,7 +35,12 @@ tableau is atoms x features, where the epigraph LP of the same program has
 up to four rows per atom and a column per atom besides.  It starts from
 every z basic, whose tableau is -phi, pivots by the same Jordan exchange,
 refines its point through the same B^-1 reading, and checks its optimum's
-duals against the original data.
+duals against the original data.  The ratio test reads breakpoints in
+rounds, each moving variable's nearest one first and a further one only
+while the step can still reach it; its decisions are those of the full
+collection, bit for bit (see _long_step).  The per-variable breakpoint
+and slope tables are built once with the program, and a solve rewrites
+only lam's slopes for the current penalty.
 """
 
 import math
@@ -137,7 +142,8 @@ class PiecewiseProgram:
     value at 0 is at_zero[k], and its slopes on (-inf, -1], [-1, 0], [0, 1]
     and [1, inf) are slopes[k], nondecreasing.  One row per atom k of phi,
     one column per feature.  phi, slopes and at_zero are read-only copies;
-    only the penalty may change, and a solve checks it.
+    only the penalty may change, and a solve checks it.  The solver's
+    tables are built here, once (see _Tables).
     """
 
     phi: np.ndarray
@@ -164,6 +170,7 @@ class PiecewiseProgram:
                                "convex")
         for fixed in (self.phi, self.slopes, self.at_zero):
             fixed.flags.writeable = False
+        self._tables = _piecewise_tables(self)
 
 
 @dataclass
@@ -594,24 +601,51 @@ def _pivot_budget(m, ncols):
     return 50000 + 200 * (m + ncols)
 
 
-def _piecewise_tables(pp):
-    """Breakpoints (nvar x 3) and slopes (nvar x 4) of every variable.
+class _Tables(NamedTuple):
+    """A PiecewiseProgram's per-variable tables, built once with it.
 
-    Variable j < M is lam_j, with breakpoints (-inf, 0, inf) and slopes
-    (-r, -r, r, r); variable M + k is z_k, with breakpoints -1, 0 and 1 and
-    its cost's slopes.  Segment s of a variable runs from its breakpoint
-    s - 1 to its breakpoint s (from -inf and to inf at the ends), so lam_j
-    lives in segments 1 and 2, its two sides of 0.
+    Variable j < M is lam_j, variable M + k is z_k.  ends[j] holds
+    (-inf, b_0, b_1, b_2, inf), breakpoint b in column b + 1, so segment s
+    runs from ends[j, s] to ends[j, s + 1]: lam_j's breakpoints are -inf,
+    0 and inf, and it lives in segments 1 and 2, its two sides of 0; z_k's
+    are -1, 0 and 1.  slopes[j] are the four segments' slopes, and
+    jumps[j], padded as ends is, the slope jump at each breakpoint.  For
+    the certificate, row b of low and high holds every variable's
+    breakpoint b -+ FEAS_TOL, and abs_phi is |phi|.  Only lam's slopes
+    and jumps involve the penalty: _costed writes them before each solve.
     """
+
+    ends: np.ndarray
+    jumps: np.ndarray
+    slopes: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+    abs_phi: np.ndarray
+
+
+def _piecewise_tables(pp):
+    """The _Tables of pp, lam's slopes and jump at 0 left to _costed."""
     n, M = pp.phi.shape
-    r = pp.penalty
-    breaks = np.empty((M + n, 3))
-    breaks[:M] = -np.inf, 0.0, np.inf
-    breaks[M:] = -1.0, 0.0, 1.0
+    ends = np.empty((M + n, 5))
+    ends[:, 0], ends[:, 4] = -np.inf, np.inf
+    ends[:M, 1:4] = -np.inf, 0.0, np.inf
+    ends[M:, 1:4] = -1.0, 0.0, 1.0
+    jumps = np.zeros((M + n, 5))
+    jumps[M:, 1:4] = np.diff(pp.slopes, axis=1)
     slopes = np.empty((M + n, 4))
-    slopes[:M] = -r, -r, r, r
     slopes[M:] = pp.slopes
-    return breaks, slopes
+    inner = ends[:, 1:4].T.copy()
+    return _Tables(ends, jumps, slopes, inner - FEAS_TOL, inner + FEAS_TOL,
+                   np.abs(pp.phi))
+
+
+def _costed(pp):
+    """pp's tables with lam's rows written for its penalty r: slopes
+    (-r, -r, r, r), so a jump of 2r at 0."""
+    tables, M, r = pp._tables, pp.phi.shape[1], pp.penalty
+    tables.slopes[:M] = -r, -r, r, r
+    tables.jumps[:M, 2] = 2.0 * r
+    return tables
 
 
 def _piecewise_start(pp):
@@ -634,7 +668,103 @@ def _piecewise_start(pp):
     return T, M + np.arange(n), np.arange(M), at
 
 
-def _piecewise_phase(T, basis, nonbasic, at, breaks, slopes, state):
+_FAR = np.finfo(float).max  # the reach of a step that no event has ended
+
+
+def _long_step(rate, x_b, basis, at, q, kq, step, d, tables):
+    """Fourer's long step of entering variable q, reading only the
+    breakpoints it can reach.
+
+    q leaves its breakpoint kq upward (step 1) or downward (step -1) with
+    directional derivative d < -PIVOT_TOL; the basic variables, with values
+    x_b, move at rate.  The movers are q, at rate step, and each basic
+    variable whose |rate| exceeds PIVOT_TOL.  Every breakpoint ahead of a
+    mover is an event, at theta = (breakpoint - value) / rate, clamped at 0
+    for a basic variable already past it, and with its slope jump times
+    |rate|.  In theta order, equal thetas largest rate first, the events
+    add their jumps to d, and the step stops at the first where
+    d >= -PIVOT_TOL.
+
+    The events are read in rounds.  Round 1 takes each mover's nearest
+    breakpoint ahead: the end of a basic variable's segment, q's next
+    breakpoint.  After each round the stop is found, and each mover whose
+    newest event lies at or before it adds its next breakpoint if that is
+    within reach too; a round that adds none is the last.  A mover has at
+    most three breakpoints ahead, so there are at most three rounds.  This
+    reads every event at or before the final stop, since a mover's thetas
+    do not decrease along its breakpoints, and jumps are >= 0, so an added
+    event moves the stop earlier or leaves it.  The events are ordered by
+    theta, then by their place in the full collection (q's first, then row
+    by row, each mover's breakpoints ascending), which round 1's array
+    order already is; so the order, the running sums of d and every
+    decision below are the full collection's, bit for bit.  A breakpoint
+    at infinity has theta inf and no jump, so it never stops a step.
+
+    Returns (length, moved, r, b, beyond): the step's length; the rows
+    whose basic variable passes a breakpoint, once per breakpoint, in the
+    order passed; the leaving row and the breakpoint its variable leaves
+    at, or r = -1 and q's own breakpoint b where the step stops (a flip);
+    and the number of q's own breakpoints passed.
+    """
+    ends, jumps = tables.ends.ravel(), tables.jumps.ravel()
+    rate = np.concatenate(([step], rate))  # q first, then the rows
+    row = (np.abs(rate) > PIVOT_TOL).nonzero()[0]
+    rate = rate[row]
+    value = np.concatenate(([ends[5 * q + kq + 1]], x_b))[row]
+    # a breakpoint's place in the flat tables is 5 variable + its column;
+    # q moves as if inside the segment it enters
+    spot = np.concatenate(([5 * q + kq + (step > 0.0)],
+                           5 * basis + at[basis]))[row] + (rate > 0.0)
+    row -= 1  # each mover's row, -1 for q
+    theta = np.maximum((ends[spot] - value) / rate, 0.0)
+    jump = np.abs(rate) * jumps[spot]
+    key, fresh = None, 0  # the events from fresh on are the newest round's
+    while True:
+        # an extended collection leaves its array order: key restores it
+        order = (np.argsort(theta, kind="stable") if key is None
+                 else np.lexsort((key, theta)))
+        total = np.cumsum(jump[order])
+        total += d
+        reached = (total >= -PIVOT_TOL).nonzero()[0]
+        reach = theta[order[reached[0]]] if reached.size else _FAR
+        near = fresh + (theta[fresh:] <= reach).nonzero()[0]
+        if near.size == 0:
+            break
+        moving = rate[near]
+        later = spot[near] + np.where(moving > 0.0, 1, -1)
+        ahead = np.maximum((ends[later] - value[near]) / moving, 0.0)
+        keep = (ahead <= reach).nonzero()[0]
+        if keep.size == 0:
+            break
+        near, later, fresh = near[keep], later[keep], theta.size
+        theta = np.concatenate([theta, ahead[keep]])
+        jump = np.concatenate([jump, np.abs(rate[near]) * jumps[later]])
+        rate, value, row = (np.concatenate([a, a[near]])
+                            for a in (rate, value, row))
+        spot = np.concatenate([spot, later])
+        key = 5 * row + spot % 5
+    if reached.size == 0:
+        raise LpNumericalError(f"no breakpoint ends the step of entering "
+                               f"variable {q}")
+    e = reached[0]
+    length = theta[order[e]]
+    if np.count_nonzero(theta == length) > 1:  # the largest rate first
+        sorted_theta = theta[order]
+        lo, hi = np.searchsorted(sorted_theta, length, side="left"), \
+            np.searchsorted(sorted_theta, length, side="right")
+        tie = order[lo:hi]
+        order[lo:hi] = tie = tie[np.argsort(-np.abs(rate[tie]),
+                                            kind="stable")]
+        before = total[lo - 1] if lo else d
+        hit = (before + np.cumsum(jump[tie]) >= -PIVOT_TOL).nonzero()[0]
+        e = lo + (hit[0] if hit.size else tie.size - 1)
+    moved = row[order[:e]]
+    rows = moved[moved >= 0]
+    return (length, rows, row[order[e]], spot[order[e]] % 5 - 1,
+            moved.size - rows.size)
+
+
+def _piecewise_phase(T, basis, nonbasic, at, tables, state):
     """Primal simplex on a piecewise-linear program until optimal.
 
     T is B^-1 N over the nonbasic columns, with the basic values as its
@@ -645,22 +775,17 @@ def _piecewise_phase(T, basis, nonbasic, at, breaks, slopes, state):
     of least steepest-edge score d / sqrt(1 + |B^-1 a_j|^2) enters, exact
     ties to the lowest variable.
 
-    The ratio test takes a long step.  It collects every breakpoint ahead
-    of each basic variable whose rate exceeds PIVOT_TOL, beyond the end of
-    its segment (at theta 0 for one already past it), and the entering
-    variable's own, and passes them in theta order, equal thetas largest
-    rate first (the entering variable's rate is 1): each adds its slope
-    jump times its rate to the directional derivative d, and the step ends
-    at the first where d >= -PIVOT_TOL.  If that breakpoint is the entering
-    variable's own, it stops there, a flip with no pivot; otherwise its
-    basic variable leaves there by a pivot.  Every breakpoint passed before
-    it moves its variable to its next segment, even across a zero jump.
-    Each flip and pivot counts as one iteration.
+    The ratio test takes a long step (_long_step), reading only the
+    breakpoints the step can reach.  If it stops at the entering
+    variable's own breakpoint, that is a flip with no pivot; otherwise the
+    basic variable of the event it stops at leaves there by a pivot.
+    Every breakpoint passed before the stop moves its variable to its
+    next segment, even across a zero jump.  Each flip and pivot counts as
+    one iteration.
     """
+    slopes, ends = tables.slopes, tables.ends
     w = nonbasic.size
     body, x_b = T[:, :w], T[:, w]
-    jumps, finite = np.diff(slopes, axis=1), np.isfinite(breaks)
-    ahead = np.arange(3)
     while True:
         k = at[nonbasic]
         g = slopes[basis, at[basis]] @ body
@@ -678,61 +803,23 @@ def _piecewise_phase(T, basis, nonbasic, at, breaks, slopes, state):
         q, kq = nonbasic[p], k[p]
         step = 1.0 if up[p] < down[p] else -1.0
         rate = body[:, p] * -step
-        rows = (np.abs(rate) > PIVOT_TOL).nonzero()[0]
-        v, rt = basis[rows], rate[rows]
-        # breakpoints ahead: at or above the segment's index moving up,
-        # below it moving down
-        past = (ahead >= at[v][:, None]) == (rt[:, None] > 0.0)
-        past &= finite[v]
-        i, brk = past.nonzero()
-        v, who, size = v[i], rows[i], np.abs(rt[i])
-        theta = np.maximum((breaks[v, brk] - x_b[who]) / rt[i], 0.0)
-        jump = size * jumps[v, brk]
-        own = ahead[kq + 1:] if step > 0.0 else ahead[:kq]
-        own = own[finite[q, own]]
-        if own.size:  # the entering variable's own, at rate 1, row -1
-            theta = np.concatenate([np.abs(breaks[q, own] - breaks[q, kq]),
-                                    theta])
-            jump = np.concatenate([jumps[q, own], jump])
-            size = np.concatenate([np.ones(own.size), size])
-            who = np.concatenate([np.full(own.size, -1), who])
-            brk = np.concatenate([own, brk])
-        order = np.argsort(theta, kind="stable")
-        total = d[p] + np.cumsum(jump[order])
-        reached = (total >= -PIVOT_TOL).nonzero()[0]
-        if reached.size == 0:
-            raise LpNumericalError("no breakpoint ends the step of entering "
-                                   f"variable {q}")
-        e = reached[0]
-        sorted_theta = theta[order]
-        length = sorted_theta[e]
-        lo, hi = np.searchsorted(sorted_theta, length, side="left"), \
-            np.searchsorted(sorted_theta, length, side="right")
-        if hi - lo > 1:  # equal thetas: the largest rate first
-            tie = order[lo:hi]
-            order[lo:hi] = tie = tie[np.argsort(-size[tie], kind="stable")]
-            before = total[lo - 1] if lo else d[p]
-            hit = (before + np.cumsum(jump[tie]) >= -PIVOT_TOL).nonzero()[0]
-            e = lo + (hit[0] if hit.size else tie.size - 1)
-        leave, passed = order[e], order[:e]
-        moved = who[passed]
-        moved = moved[moved >= 0]
-        np.add.at(at, basis[moved], np.where(rate[moved] > 0.0, 1, -1))
+        length, moved, r, b, beyond = _long_step(rate, x_b, basis, at, q, kq,
+                                                 step, d[p], tables)
+        if moved.size:
+            np.add.at(at, basis[moved], np.where(rate[moved] > 0.0, 1, -1))
         x_b += length * rate
-        r = who[leave]
         if r < 0:
-            at[q] = brk[leave]
+            at[q] = b
             _counted(T, state)
             continue
-        beyond = passed.size - moved.size
-        at[basis[r]] = brk[leave]
+        at[basis[r]] = b
         at[q] = kq + 1 + beyond if step > 0.0 else kq - beyond
         x_b[r] = 0.0  # so the pivot leaves the value column as it is
         _counted_pivot(T, basis, nonbasic, r, p, state)
-        x_b[r] = breaks[q, kq] + step * length
+        x_b[r] = ends[q, kq + 1] + step * length
 
 
-def _piecewise_point(T, basis, nonbasic, at, breaks, phi, refine):
+def _piecewise_point(T, basis, nonbasic, at, ends, phi, refine):
     """Every variable's value, [lam, z]: nonbasic ones at their breakpoints,
     basic ones from T's last column, refined first when refine.
 
@@ -743,7 +830,7 @@ def _piecewise_point(T, basis, nonbasic, at, breaks, phi, refine):
     """
     n, M = phi.shape
     x = np.empty(M + n)
-    x[nonbasic] = breaks[nonbasic, at[nonbasic]]
+    x[nonbasic] = ends[nonbasic, at[nonbasic] + 1]
     x_b = T[:, nonbasic.size]
     if refine:
         x[basis] = x_b
@@ -752,7 +839,19 @@ def _piecewise_point(T, basis, nonbasic, at, breaks, phi, refine):
     return x
 
 
-def _piecewise_certified(pp, T, basis, nonbasic, at, breaks, slopes, x):
+def _slope_interval(tables, x):
+    """[least, most] of the slopes of each variable's cost at x.
+
+    A value within FEAS_TOL of a breakpoint takes the slopes on both
+    sides.  Slopes do not decrease, so the ends are the slopes of segments
+    #{b : b + FEAS_TOL < x} and #{b : b - FEAS_TOL <= x}.
+    """
+    slopes, first = tables.slopes.ravel(), 4 * np.arange(x.size)
+    return (slopes[first + (tables.high < x).sum(axis=0)],
+            slopes[first + (tables.low <= x).sum(axis=0)])
+
+
+def _piecewise_certified(pp, T, basis, nonbasic, at, tables, x):
     """Raise LpNumericalError unless x is optimal by the tableau's duals.
 
     Atom k's dual y_k is read from T: c_B B^-1 e_k where z_k is nonbasic,
@@ -760,29 +859,25 @@ def _piecewise_certified(pp, T, basis, nonbasic, at, breaks, slopes, x):
     x must keep z = phi lam within FEAS_TOL, each y_k must lie within the
     slopes of cost_k at z_k, and each -(phi' y)_j within those of
     r |lam_j| at lam_j: in [-r, r] where lam_j = 0, equal to r sign(lam_j)
-    elsewhere.  A value within FEAS_TOL of a breakpoint takes the slopes on
-    both sides; a dual may miss by FEAS_TOL (1 + its scale).
+    elsewhere (_slope_interval).  A dual may miss by FEAS_TOL (1 + its
+    scale).
     """
     phi = pp.phi
     n, M = phi.shape
     gap = phi @ x[:M] - x[M:]
-    bad = (np.abs(gap) > FEAS_TOL).nonzero()[0]
+    bad = (~(np.abs(gap) <= FEAS_TOL)).nonzero()[0]
     if bad.size:
         raise LpNumericalError(f"claimed-optimal point breaks atom {bad[0]}'s "
                                f"row z = phi lam by {gap[bad[0]]:.3e}")
-    c_b = slopes[basis, at[basis]]
+    c_b = tables.slopes[basis, at[basis]]
     y = np.empty(n)
     held = (basis >= M).nonzero()[0]
     y[basis[held] - M] = c_b[held]
     held = (nonbasic >= M).nonzero()[0]
     y[nonbasic[held] - M] = c_b @ T[:, held]
     dual = np.concatenate([-(y @ phi), y])
-    scale = np.concatenate([np.abs(y) @ np.abs(phi), np.abs(y)])
-    low = np.column_stack([np.full(M + n, -np.inf), breaks]) - FEAS_TOL
-    high = np.column_stack([breaks, np.full(M + n, np.inf)]) + FEAS_TOL
-    inside = (low <= x[:, None]) & (x[:, None] <= high)
-    least = np.where(inside, slopes, np.inf).min(axis=1)
-    most = np.where(inside, slopes, -np.inf).max(axis=1)
+    scale = np.concatenate([np.abs(y) @ tables.abs_phi, np.abs(y)])
+    least, most = _slope_interval(tables, x)
     tol = FEAS_TOL * (1.0 + scale)
     bad = ((dual < least - tol) | (dual > most + tol)).nonzero()[0]
     if bad.size:
@@ -815,14 +910,14 @@ def _solve_piecewise(pp, path):
         raise LpInputError(f"penalty must be finite and >= 0, not "
                            f"{pp.penalty!r}")
     n, M = pp.phi.shape
-    breaks, slopes = _piecewise_tables(pp)
+    tables = _costed(pp)
     T, basis, nonbasic, at = warm or _piecewise_start(pp)
     state = {"iter": 0, "max_iter": _pivot_budget(n, M + n)}
     try:
-        _piecewise_phase(T, basis, nonbasic, at, breaks, slopes, state)
-        x = _piecewise_point(T, basis, nonbasic, at, breaks, pp.phi,
+        _piecewise_phase(T, basis, nonbasic, at, tables, state)
+        x = _piecewise_point(T, basis, nonbasic, at, tables.ends, pp.phi,
                              state["iter"] > 0)
-        _piecewise_certified(pp, T, basis, nonbasic, at, breaks, slopes, x)
+        _piecewise_certified(pp, T, basis, nonbasic, at, tables, x)
     except LpNumericalError as exc:
         raise LpNumericalError(f"{exc} after {state['iter']} iterations") \
             from exc

@@ -208,18 +208,19 @@ def split_lp(design, cp, r):
 def _fit_hinge_lp(path, owner, build, cp, r, what):
     """Solve a hinge program at penalty r, warm from path when it can.
 
-    build(r) returns the program and its points, the (phi, mass, eta) it
-    was built from: a _hinge_lp program, which path (a fresh one when None)
-    is seeded with its crash start, or a PiecewiseProgram, which starts
-    itself.  If a fit of the same owner objects (compared with is) last
-    filled path, r goes into the program's penalty, its 2M penalty costs or
-    its penalty field, and the solve starts from the kept tableau;
-    otherwise, or if r is not finite and >= 0, build(r) makes the program
-    or raises.  Returns (points, lambda, objective, iterations), objective
-    re-evaluated at lambda from the points.
+    build(r) returns the program: a _hinge_lp program, which path (a
+    fresh one when None) is seeded with its crash start, or a
+    PiecewiseProgram, which starts itself; its points, the (phi, mass,
+    eta) it was built from; and a note that path keeps with them, such as
+    fit_population's c_f.  If a fit of the same owner objects (compared
+    with is) last filled path, r goes into the program's penalty, its 2M
+    penalty costs or its penalty field, and the solve starts from the kept
+    tableau; otherwise, or if r is not finite and >= 0, build(r) makes the
+    program or raises.  Returns (points, note, lambda, objective,
+    iterations), objective re-evaluated at lambda from the points.
     """
     path = LpPath() if path is None else path
-    kept, points = path.owner or ((), None)
+    kept, points, note = path.owner or ((), None, None)
     if (len(kept) == len(owner) and 0 <= r < math.inf
             and all(a is b for a, b in zip(kept, owner))):
         lp = path.program
@@ -229,7 +230,7 @@ def _fit_hinge_lp(path, owner, build, cp, r, what):
         else:
             lp.objective[:2 * M] = r
     else:
-        lp, points = build(r)
+        lp, points, note = build(r)
         M = points[0].shape[1]
         if not isinstance(lp, PiecewiseProgram):
             path.program, path.form = lp, None  # solve_lp builds the form
@@ -238,7 +239,7 @@ def _fit_hinge_lp(path, owner, build, cp, r, what):
     sol = solve_lp(lp, path=path)
     if sol.status != "optimal":
         raise LpNumericalError(f"{what} LP reported {sol.status}")
-    path.owner = owner, points
+    path.owner = owner, points, note
     lam = (sol.x[:M] if isinstance(lp, PiecewiseProgram)
            else sol.x[:M] - sol.x[M:2 * M])
     z = phi @ lam
@@ -250,7 +251,7 @@ def _fit_hinge_lp(path, owner, build, cp, r, what):
             f"{what} LP objective disagrees with the re-evaluated penalized "
             f"risk: {sol.objective_value!r} vs {objective!r}"
         )
-    return points, lam, objective, sol.iterations
+    return points, note, lam, objective, sol.iterations
 
 
 def fit(design, cp, r, dic=None, path=None):
@@ -260,9 +261,9 @@ def fit(design, cp, r, dic=None, path=None):
     this design and cp object last filled it, the fit re-costs its program
     and starts warm.  A design edited in place mid-walk is not detected.
     """
-    _, lam, objective, pivots = _fit_hinge_lp(
+    _, _, lam, objective, pivots = _fit_hinge_lp(
         path, (design, cp),
-        lambda r: (split_lp(design, cp, r), _labeled_points(design)),
+        lambda r: (split_lp(design, cp, r), _labeled_points(design), None),
         cp, r, "training")
     c_f = (float(np.abs(design.phi).max()) if dic is None
            else estimated_c_f(dic, design))
@@ -299,18 +300,19 @@ def fit_population(dist, dic, cp, r, path=None):
     by solve_lp's piecewise-linear simplex (see lp).  The model's
     iterations count that simplex's pivots and breakpoint flips.  path
     works as in fit, for the same dist, dic and cp: a walk keeps one
-    program and its tableau, and a re-cost writes only the penalty.
+    program, its tableau and its c_f, and a re-cost writes only the
+    penalty.
     """
     def build(r):
         points = evaluate(dic, dist.x).phi, dist.p, dist.eta
-        return _population_program(*points, cp, r), points
+        program = _population_program(*points, cp, r)
+        return program, points, estimated_c_f(dic, DesignMatrix(points[0]))
 
-    (phi, _, _), lam, objective, iterations = _fit_hinge_lp(
+    _, c_f, lam, objective, iterations = _fit_hinge_lp(
         path, (dist, dic, cp), build, cp, r, "population")
     return Model(
         lam=lam, dic=dic, cp=cp, r=float(r), n_train=dist.n_atoms,
-        objective=objective, iterations=iterations,
-        c_f=estimated_c_f(dic, DesignMatrix(phi)),
+        objective=objective, iterations=iterations, c_f=c_f,
     )
 
 
